@@ -19,7 +19,6 @@ from curvemoduli import (
     poly_str,
     shape_check,
     tn_membership,
-    truncate,
 )
 
 e0, n = 3, 8
@@ -38,7 +37,7 @@ print(f"  degree <= e0 generators: {[poly_str(g) for g in tilde.ideal.generators
 
 # truncating a member keeps it a member, all the way down to e0+2
 for n1 in range(e0 + 2, n + 1):
-    res = tn_membership(truncate(curve, n1), n1, e0)
+    res = tn_membership(curve.truncated(n1), n1, e0)
     print(f"  still a member at level {n1}: {bool(res)}")
 
 # a punctual scheme is not a curve truncation: the slices have wrong size

@@ -17,8 +17,6 @@ from curvemoduli import (
     fit_class_from_counts,
     measure_of_level,
     mps,
-    series_expand,
-    specialize,
     volume_partial,
 )
 
@@ -57,9 +55,9 @@ print()
 # the motivic Poincare series of the whole tower is one geometric factor
 series = mps(stratum_class, 3, ctx)
 print("series:", series)
-coeffs = series_expand(series, 8)
+coeffs = series.expand(8)
 print("expansion:", ", ".join(str(c) for c in coeffs[3:]))
-print("specialized at q = 2:", [specialize(c, 2) for c in coeffs[3:]])
+print("specialized at q = 2:", [c.specialize(2) for c in coeffs[3:]])
 print()
 
 # partial motivic volumes with an explicit tail bound

@@ -18,7 +18,6 @@ from .ringcore import (
     ParseError,
     TruncatedPoly,
     initial_form,
-    mul_trunc,
     parse_poly,
     poly_str,
 )
@@ -28,7 +27,6 @@ from .idealcalc import (
     IdealPresentation,
     InitialIdealData,
     hilbert_data,
-    ideal_spans,
     initial_ideal,
     intersection_number,
     min_generators,
@@ -52,7 +50,6 @@ from .trunctower import (
     jtilde,
     shape_check,
     tn_membership,
-    truncate,
 )
 from .branches import (
     Branch,
@@ -89,7 +86,5 @@ from .motivic import (
     measure_of_level,
     mps,
     parse_motivic,
-    series_expand,
-    specialize,
     volume_partial,
 )

@@ -343,7 +343,7 @@ def cmd_mps(args):
     ctx = mv.MeasureContext(args.N, args.e0)
     class0 = mv.parse_motivic(args.class0)
     series = mv.mps(class0, args.n0, ctx)
-    coeffs = mv.series_expand(series, args.expand)
+    coeffs = series.expand(args.expand)
     _emit({
         "series": str(series),
         "rational": series.to_json(),
@@ -368,7 +368,7 @@ def cmd_volume(args):
 
 def cmd_specialize(args):
     cls = mv.parse_motivic(getattr(args, "class"))
-    value = mv.specialize(cls, args.q)
+    value = cls.specialize(args.q)
     _emit({"value": str(value)})
     return EXIT_OK
 

@@ -21,8 +21,10 @@ from .ringcore import (
     TruncatedPoly,
     monomial_table,
     monomials_of_degree,
+    multiple_vector,
     parse_poly,
     poly_str,
+    span_of_multiples,
 )
 from .idealcalc import DegreeSpans, IdealPresentation, hilbert_data, standard_basis_check
 
@@ -110,8 +112,7 @@ def colon(ideal, other, level):
     for col, mono in enumerate(table.monos):
         vec = {}
         for j, k in enumerate(kbasis):
-            prod = k.mul_monomial(mono)
-            resid = target.ech.reduce(table.vector_of(prod))
+            resid = target.ech.reduce(multiple_vector(table, k, mono))
             for c, v in resid.items():
                 vec[j * n_mon + c] = v
         vec[len(kbasis) * n_mon + col] = field.one()
@@ -124,9 +125,7 @@ def colon(ideal, other, level):
         row = ech.rows[piv]
         terms = {table.monos[c - id_off]: v for c, v in row.items()}
         basis.append(TruncatedPoly(n_vars, field, level, terms))
-    member_ech = Echelon(field)
-    for p in basis:
-        member_ech.add(table.vector_of(p))
+    member_ech = span_of_multiples(table, field, basis, hi=0)
     return ColonSpace(level, basis, len(basis), member_ech, table)
 
 
@@ -218,21 +217,15 @@ def flatness_direct(deformation, n):
     n_mon = len(table.monos)
     ech = Echelon(field)
     for f, g in zip(d.base.generators, d.perturbations):
-        f = f.truncate_to(n)
-        g = g.truncate_to(n)
-        for deg in range(n):
-            for m in monomials_of_degree(n_vars, deg):
-                mf = f.mul_monomial(m)
-                mg = g.mul_monomial(m)
-                vec = {}
-                for mono, c in mf.terms.items():
-                    vec[table.index[mono]] = c
-                for mono, c in mg.terms.items():
-                    vec[n_mon + table.index[mono]] = c
-                if vec:
-                    ech.add(vec)
-                if not mf.is_zero():
-                    ech.add({n_mon + table.index[mono]: c for mono, c in mf.terms.items()})
+        for m in table.monos:
+            mf = multiple_vector(table, f, m)
+            mg = multiple_vector(table, g, m)
+            vec = dict(mf)
+            vec.update((n_mon + c, v) for c, v in mg.items())
+            if vec:
+                ech.add(vec)
+            if mf:
+                ech.add({n_mon + c: v for c, v in mf.items()})
     total_dim = 2 * n_mon - ech.rank
     fiber_dim = n_mon - DegreeSpans(base, n).ech.rank
     return total_dim == 2 * fiber_dim, {"dual_dim": total_dim, "fiber_dim": fiber_dim}

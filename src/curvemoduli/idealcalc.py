@@ -7,7 +7,11 @@ v*), standard-basis verification, minimal generator counts, and the
 The workhorse is a single reduced echelon span of all monomial multiples
 of the generators at the working level, with columns ordered by ascending
 degree: pivots in degrees <= d then give both dim (I+M^{d+1})/M^{d+1} and
-an explicit basis of the degree-d graded piece of the initial ideal.
+an explicit basis of the degree-d graded piece of the initial ideal.  That
+span, and every other span of monomial multiples here, comes from the one
+kernel `ringcore.span_of_multiples`, which inserts generator by generator:
+the reduced rows do not depend on the insertion order, and this order was
+measured the cheapest.
 """
 
 from __future__ import annotations
@@ -15,15 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .ringcore import (
-    DegreeSlice,
-    Echelon,
     LevelError,
     TruncatedPoly,
     count_monomials_upto,
+    degree_slice,
     initial_form,
     monomial_table,
-    monomials_of_degree,
     parse_poly,
+    span_of_multiples,
 )
 
 
@@ -95,21 +98,7 @@ class DegreeSpans:
         self.ideal = ideal
         self.level = level
         self.table = monomial_table(ideal.n_vars, level)
-        self.ech = Echelon(ideal.field)
-        n_vars = ideal.n_vars
-        gens = [g.truncate_to(level) for g in ideal.generators]
-        gens = [g for g in gens if not g.is_zero()]
-        # insert multiples by ascending total degree: cheaper reductions and
-        # the pivot structure fills bottom-up
-        by_order = sorted(gens, key=lambda g: g.order())
-        for d in range(level):
-            for g in by_order:
-                o = g.order()
-                if o > d:
-                    break
-                for m in monomials_of_degree(n_vars, d - o):
-                    self.ech.add(self.table.vector_of(g.mul_monomial(m)))
-        # pivots per degree
+        self.ech = span_of_multiples(self.table, ideal.field, ideal.generators)
         self._pivots_by_degree = [0] * level
         for piv in self.ech.rows:
             self._pivots_by_degree[self.table.degree_of_col(piv)] += 1
@@ -133,23 +122,8 @@ class DegreeSpans:
         return self.ech.contains(self.table.vector_of(p))
 
     def initial_slice(self, d):
-        """Echelon basis of the degree-d graded piece I*_d of the initial ideal.
-
-        These are the rows pivoted in degree d, truncated to degree d: row
-        support starts at the pivot, so after truncation they are homogeneous.
-        """
-        lo, hi = self.table.offset[d], self.table.offset[d + 1]
-        basis = []
-        for piv in sorted(self.ech.rows):
-            if lo <= piv < hi:
-                row = self.ech.rows[piv]
-                terms = {self.table.monos[c]: v for c, v in row.items() if c < hi}
-                basis.append(TruncatedPoly(self.ideal.n_vars, self.ideal.field, self.level, terms))
-        return DegreeSlice(d, basis, len(basis))
-
-
-def ideal_spans(ideal, level):
-    return DegreeSpans(ideal, level)
+        """Echelon basis of the degree-d graded piece I*_d of the initial ideal."""
+        return degree_slice(self.table, self.ideal.field, self.ech, d)
 
 
 # ---------------------------------------------------------------------------
@@ -251,13 +225,6 @@ class InitialIdealData:
         return [s.dimension for s in self.slices]
 
 
-def _degree_block_echelon(field, table, polys):
-    ech = Echelon(field)
-    for p in polys:
-        ech.add(table.vector_of(p))
-    return ech
-
-
 def initial_ideal(ideal, level, spans=None):
     """Initial ideal data of I at the given level.
 
@@ -266,46 +233,27 @@ def initial_ideal(ideal, level, spans=None):
     """
     spans = spans or DegreeSpans(ideal, level)
     table = spans.table
-    f = ideal.field
-    n_vars = ideal.n_vars
     slices = []
     mingens = {}
     vstar = []
-    prev_slice = None
+    prev_basis = []
     for d in range(level):
         sl = spans.initial_slice(d)
         slices.append(sl)
         # span of S_1 * I*_{d-1}
-        gen_ech = Echelon(f)
-        if prev_slice is not None:
-            for p in prev_slice.basis:
-                for i in range(1, n_vars + 1):
-                    mono = tuple(1 if j == i - 1 else 0 for j in range(n_vars))
-                    gen_ech.add(table.vector_of(p.mul_monomial(mono)))
-        fresh = []
-        for p in sl.basis:
-            if gen_ech.add(table.vector_of(p)):
-                fresh.append(p)
+        gen_ech = span_of_multiples(table, ideal.field, prev_basis, lo=1, hi=1)
+        fresh = [p for p in sl.basis if gen_ech.add(table.vector_of(p))]
         if fresh:
             mingens[d] = fresh
             vstar.extend([d] * len(fresh))
-        prev_slice = sl
+        prev_basis = sl.basis
     return InitialIdealData(slices, sorted(vstar), len(vstar), mingens, level)
 
 
 def min_generators(ideal, level):
     """nu at the level: dim (I+M^n)/(M*I+M^n), computed by two spans."""
     full = DegreeSpans(ideal, level)
-    shifted = Echelon(ideal.field)
-    table = full.table
-    for g in ideal.generators:
-        g = g.truncate_to(level)
-        if g.is_zero():
-            continue
-        o = g.order()
-        for d in range(o + 1, level):
-            for m in monomials_of_degree(ideal.n_vars, d - o):
-                shifted.add(table.vector_of(g.mul_monomial(m)))
+    shifted = span_of_multiples(full.table, ideal.field, ideal.generators, lo=1)
     return full.ech.rank - shifted.rank
 
 
@@ -346,7 +294,7 @@ def standard_basis_check(ideal, level, spans=None):
         want = data.slices[d]
         if have.dimension == want.dimension:
             continue
-        ech = _degree_block_echelon(ideal.field, table, have.basis)
+        ech = span_of_multiples(table, ideal.field, have.basis, hi=0)
         for p in want.basis:
             if not ech.contains(table.vector_of(p)):
                 return StandardBasisReport(False, d, p, data.vstar)

@@ -228,10 +228,6 @@ def _poly_mul(p1, p2):
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 
-def series_expand(series, k):
-    return series.expand(k)
-
-
 def mps(class0, n0, ctx):
     """Motivic Poincare series of a finitely determined property.
 
@@ -243,11 +239,6 @@ def mps(class0, n0, ctx):
     if class0.is_zero():
         return RationalSeries({}, [])
     return RationalSeries({n0: class0.shift(ctx.c * n0)}, [(ctx.c, 1)])
-
-
-def specialize(value, q):
-    """L -> q on a class (point counting; virtual classes may go negative)."""
-    return value.specialize(q)
 
 
 def volume_partial(terms, max_shift=None):

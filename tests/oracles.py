@@ -10,6 +10,7 @@ the tests were produced by these.
 from __future__ import annotations
 
 import random
+from math import comb
 
 from curvemoduli.ringcore import TruncatedPoly, monomials_of_degree
 
@@ -60,6 +61,30 @@ def monomial_ideal_h1(generator_exponents, n_vars, t_max):
     return values
 
 
+def dense_multiple_rows(gens, level, min_shift=0):
+    """Dense rows of every multiple x^a * g with |a| >= min_shift that is
+    nonzero modulo M^level, over the monomials of degree < level."""
+    n_vars = gens[0].n_vars
+    field = gens[0].field
+    cols = []
+    for d in range(level):
+        cols.extend(monomials_of_degree(n_vars, d))
+    index = {m: i for i, m in enumerate(cols)}
+    rows = []
+    for g in gens:
+        g = g.truncate_to(level)
+        if g.is_zero():
+            continue
+        for d in range(min_shift, level - g.order()):
+            for m in monomials_of_degree(n_vars, d):
+                prod = g.mul_monomial(m)
+                row = [field.zero()] * len(cols)
+                for mono, c in prod.terms.items():
+                    row[index[mono]] = c
+                rows.append(row)
+    return rows
+
+
 def dense_ideal_h1(gens, level):
     """H1(0..level-1) by dense elimination on all monomial multiples.
 
@@ -70,24 +95,9 @@ def dense_ideal_h1(gens, level):
     field = gens[0].field
     values = []
     for t in range(level):
-        cols = []
-        for d in range(t + 1):
-            cols.extend(monomials_of_degree(n_vars, d))
-        index = {m: i for i, m in enumerate(cols)}
-        rows = []
-        for g in gens:
-            g = g.truncate_to(t + 1)
-            if g.is_zero():
-                continue
-            for d in range(t + 1 - g.order()):
-                for m in monomials_of_degree(n_vars, d):
-                    prod = g.mul_monomial(m)
-                    row = [field.zero()] * len(cols)
-                    for mono, c in prod.terms.items():
-                        row[index[mono]] = c
-                    rows.append(row)
+        rows = dense_multiple_rows(gens, t + 1)
         rank = naive_rank(rows, field) if rows else 0
-        values.append(len(cols) - rank)
+        values.append(comb(n_vars + t, n_vars) - rank)
     return values
 
 

@@ -28,7 +28,7 @@ from curvemoduli.deform import (
     is_family_first_order,
 )
 from curvemoduli.idealcalc import IdealPresentation, hilbert_data
-from curvemoduli.motivic import MeasureContext, MotivicClass, mps, series_expand
+from curvemoduli.motivic import MeasureContext, MotivicClass, mps
 from curvemoduli.ringcore import GF, QQ
 from curvemoduli.trunctower import (
     TnFailure,
@@ -211,7 +211,7 @@ def test_criterion_9_fibration_rank_at_desk_scale():
                 # the mps expansion ratio specializes to the same factor
                 ctx = MeasureContext(2, e0)
                 series = mps(MotivicClass.one(), n, ctx)
-                coeffs = series_expand(series, n + 1)
+                coeffs = series.expand(n + 1)
                 ratio = Fraction(coeffs[n + 1].specialize(q), coeffs[n].specialize(q))
                 assert ratio == Fraction(count_n1, count_n), (q, e0, n)
                 cases.append((q, e0, n, count_n, count_n1))
@@ -233,7 +233,7 @@ def test_criterion_10_mps_rationality_mechanics():
         if cls.is_zero():
             cls = MotivicClass.one()
         ctx = MeasureContext(n_vars, e0)
-        coeffs = series_expand(mps(cls, n0, ctx), n0 + 20)
+        coeffs = mps(cls, n0, ctx).expand(n0 + 20)
         for n in range(n0, n0 + 20):
             assert coeffs[n + 1] == coeffs[n] * L(ctx.c), (n_vars, e0, n0, n)
     elapsed = time.time() - t0

@@ -13,10 +13,13 @@ from curvemoduli.idealcalc import (
     min_generators,
     standard_basis_check,
 )
-from curvemoduli.ringcore import QQ, LevelError, parse_poly, poly_str
+from curvemoduli.ringcore import GF, QQ, LevelError, parse_poly, poly_str
 
 from oracles import (
     dense_ideal_h1,
+    dense_multiple_rows,
+    naive_rank,
+    random_poly,
     monomial_ideal_h1,
     random_generator_mix,
     sampled_initial_slices,
@@ -225,6 +228,42 @@ class TestMinGenerators:
         I = ideal(["x1^2 - x2^3", "x1*x2^2", "x2^5"], level=8)
         assert min_generators(I, 8) == 2
         assert initial_ideal(I, 8).nu == 3
+
+
+def random_n3_ideals(field, seed, count=3, level=6):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        gens = [random_poly(rng, 3, field, level, 4, min_degree=1, density=0.3) for _ in range(3)]
+        gens = [g for g in gens if not g.is_zero()]
+        if gens:
+            # a redundant generator: congruent to the last one modulo M*I
+            gens.append(gens[-1] + gens[0] * gens[-1])
+            out.append((rng, IdealPresentation(gens, 3, field, level)))
+    return out
+
+
+class TestSpanOrderIndependence:
+    """The span kernel inserts generator by generator; the reduced rows and
+    the ranks read off them must not depend on that order."""
+
+    @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
+    def test_rows_invariant_under_shuffle_and_rescale(self, field):
+        for rng, I in random_n3_ideals(field, seed=41):
+            base = DegreeSpans(I, I.level).ech.rows
+            for _ in range(3):
+                gens = [g.scale(rng.choice([1, 2, -1, 5])) for g in I.generators]
+                rng.shuffle(gens)
+                J = IdealPresentation(gens, 3, field, I.level)
+                assert DegreeSpans(J, I.level).ech.rows == base
+
+    @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
+    def test_min_generators_against_dense_ranks(self, field):
+        for _, I in random_n3_ideals(field, seed=43):
+            gens, n = I.generators, I.level
+            expected = (naive_rank(dense_multiple_rows(gens, n), field)
+                        - naive_rank(dense_multiple_rows(gens, n, min_shift=1), field))
+            assert min_generators(I, n) == expected
 
 
 class TestIntersectionNumber:

@@ -13,7 +13,6 @@ from curvemoduli.ringcore import (
     initial_form,
     monomial_table,
     monomials_of_degree,
-    mul_trunc,
     parse_poly,
     poly_str,
 )
@@ -42,6 +41,24 @@ class TestField:
         from fractions import Fraction
         f = GF(7)
         assert f.of(Fraction(1, 2)) == 4  # 2*4 = 8 = 1 mod 7
+
+    def test_inexact_coefficients_rejected(self):
+        for field in (QQ, GF(7)):
+            with pytest.raises(TypeError):
+                field.of(0.1)
+            with pytest.raises(TypeError):
+                TruncatedPoly(2, field, 3, {(1, 0): 0.1})
+            with pytest.raises(TypeError):
+                field.of("1/2")
+
+    def test_dsl_coefficients_unchanged(self):
+        from fractions import Fraction
+        p = parse_poly("1/2*x1 - 3", 2, QQ, 3)
+        assert p.terms == {(1, 0): Fraction(1, 2), (0, 0): Fraction(-3)}
+        assert all(type(c) is Fraction for c in p.terms.values())
+        p = parse_poly("1/2*x1 - 3", 2, GF(7), 3)
+        assert p.terms == {(1, 0): 4, (0, 0): 4}
+        assert all(type(c) is int for c in p.terms.values())
 
 
 class TestParsePrint:
@@ -94,7 +111,7 @@ class TestArithmetic:
     def test_geometric_series_inverse(self):
         a = parse_poly("1 + x1", 1, QQ, 5)
         b = parse_poly("1 - x1 + x1^2 - x1^3 + x1^4", 1, QQ, 5)
-        assert poly_str(mul_trunc(a, b)) == "1"
+        assert poly_str(a * b) == "1"
 
     def test_level_mismatch_rejected(self):
         with pytest.raises(LevelError):

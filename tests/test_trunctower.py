@@ -22,7 +22,6 @@ from curvemoduli.trunctower import (
     jtilde,
     shape_check,
     tn_membership,
-    truncate,
 )
 
 
@@ -152,7 +151,7 @@ class TestTnMembership:
         top = 2 * e0 + 2
         I = ideal(gens, n_vars=n_vars, level=top)
         for n in range(e0 + 2, top + 1):
-            res = tn_membership(truncate(I, n), n, e0)
+            res = tn_membership(I.truncated(n), n, e0)
             assert not isinstance(res, TnFailure), n
 
 
@@ -206,14 +205,14 @@ class TestShapeAndJtilde:
 class TestTruncate:
     def test_drops_invisible_tails(self):
         I = ideal(["x1^3 + x2^5"], level=7)
-        J = truncate(I, 4)
+        J = I.truncated(4)
         assert [poly_str(g) for g in J.generators] == ["x1^3"]
 
     def test_idempotent_and_min(self):
         I = ideal(["x1^3 + x2^5"], level=7)
-        assert truncate(truncate(I, 5), 4).level == truncate(I, 4).level
-        a = truncate(truncate(I, 5), 4)
-        b = truncate(I, 4)
+        assert I.truncated(5).truncated(4).level == I.truncated(4).level
+        a = I.truncated(5).truncated(4)
+        b = I.truncated(4)
         assert [poly_str(g) for g in a.generators] == [poly_str(g) for g in b.generators]
 
     def test_spans_commute_with_truncation_on_random_ideals(self):
@@ -228,7 +227,7 @@ class TestTruncate:
                 ]
             I = IdealPresentation(gens, 2, QQ, 7)
             n1 = rng.randint(2, 6)
-            direct = DegreeSpans(truncate(I, n1), n1)
+            direct = DegreeSpans(I.truncated(n1), n1)
             full = DegreeSpans(I, 7)
             assert [direct.span_dim(d) for d in range(n1)] == [
                 full.span_dim(d) for d in range(n1)
