@@ -222,14 +222,12 @@ def cmd_enumerate(args):
     except tt.BudgetExceededError as exc:
         _emit({"error": str(exc), "budget_exceeded": True})
         return EXIT_SOFT
-    payload = {
-        "count": res.count,
-        "n": res.n, "e0": res.e0, "e1": res.e1, "q": res.q,
-        "ideals": [_gens_json(J) for J in res.ideals],
-    }
-    lines = [f"{'; '.join(_gens_json(J))}" for J in res.ideals]
-    lines.append(f"count: {res.count}")
-    _emit(payload, lines, args.table)
+    if args.table:
+        lines = ["; ".join(_gens_json(J)) for J in res.ideals] + [f"count: {res.count}"]
+        _emit(None, lines, as_table=True)
+    else:
+        _emit({"count": res.count, "n": res.n, "e0": res.e0, "e1": res.e1, "q": res.q,
+               "ideals": [_gens_json(J) for J in res.ideals]})
     return EXIT_OK
 
 

@@ -25,6 +25,7 @@ from .ringcore import (
     degree_slice,
     initial_form,
     monomial_table,
+    multiple_vector,
     parse_poly,
     span_of_multiples,
 )
@@ -79,6 +80,13 @@ class IdealPresentation:
         return f"Ideal({gens}; N={self.n_vars}, {self.field}, level={self.level})"
 
 
+def _check_span_level(ideal, level):
+    if level < 1:
+        raise LevelError("level must be >= 1")
+    if ideal.level < level:
+        raise LevelError(f"generator level {ideal.level} too low for span level {level}")
+
+
 class DegreeSpans:
     """Echelonized span of (I+M^n)/M^n with all per-degree data.
 
@@ -89,12 +97,7 @@ class DegreeSpans:
     """
 
     def __init__(self, ideal, level):
-        if level < 1:
-            raise LevelError("level must be >= 1")
-        if ideal.level < level:
-            raise LevelError(
-                f"generator level {ideal.level} too low for span level {level}"
-            )
+        _check_span_level(ideal, level)
         self.ideal = ideal
         self.level = level
         self.table = monomial_table(ideal.n_vars, level)
@@ -251,10 +254,13 @@ def initial_ideal(ideal, level, spans=None):
 
 
 def min_generators(ideal, level):
-    """nu at the level: dim (I+M^n)/(M*I+M^n), computed by two spans."""
-    full = DegreeSpans(ideal, level)
-    shifted = span_of_multiples(full.table, ideal.field, ideal.generators, lo=1)
-    return full.ech.rank - shifted.rank
+    """nu at the level: dim (I+M^n)/(M*I+M^n), the number of generators that
+    raise the rank of the span of M*I+M^n when they go in after it."""
+    _check_span_level(ideal, level)
+    table = monomial_table(ideal.n_vars, level)
+    shifted = span_of_multiples(table, ideal.field, ideal.generators, lo=1)
+    origin = (0,) * ideal.n_vars
+    return sum(shifted.add(multiple_vector(table, g, origin)) for g in ideal.generators)
 
 
 # ---------------------------------------------------------------------------

@@ -696,17 +696,20 @@ class DegreeSlice:
     dimension: int
 
 
-def degree_slice(table, field, ech, d):
-    """The graded block of `ech` in degree d: its rows pivoted in degree d,
-    cut to degree d.  Row support starts at the pivot, so the cut rows are
-    homogeneous."""
+def degree_block(table, field, ech, d):
+    """The rows of `ech` pivoted in degree d, cut to degree d, as an Echelon.
+    Row support starts at the pivot, so the cut rows are homogeneous; they
+    keep their unit pivots and stay reduced."""
     lo, hi = table.offset[d], table.offset[d + 1]
-    basis = [
-        TruncatedPoly(table.n_vars, field, table.level,
-                      {table.monos[c]: v for c, v in ech.rows[piv].items() if c < hi})
-        for piv in sorted(ech.rows)
-        if lo <= piv < hi
-    ]
+    block = Echelon(field)
+    block.rows = {piv: {c: v for c, v in row.items() if c < hi}
+                  for piv, row in ech.rows.items() if lo <= piv < hi}
+    return block
+
+
+def degree_slice(table, field, ech, d):
+    """The graded block of `ech` in degree d as homogeneous polynomials."""
+    basis = [table.poly_of(row, field) for row in degree_block(table, field, ech, d).basis()]
     return DegreeSlice(d, basis, len(basis))
 
 

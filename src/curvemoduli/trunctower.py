@@ -27,6 +27,7 @@ from .ringcore import (
     LevelError,
     TruncatedPoly,
     count_monomials_upto,
+    degree_block,
     monomial_table,
     monomials_of_degree,
     multiple_vector,
@@ -158,14 +159,16 @@ def all_projective_linear_forms(n_vars, field, level):
 # Superficial / Cohen-Macaulay test and T_n membership.
 
 
-def _length_with_form(ideal, L, level):
-    """dim R/(I + (L) + M^level)."""
-    combined = IdealPresentation(
-        [g.truncate_to(level) for g in ideal.generators if not g.truncate_to(level).is_zero()]
-        + [L.truncate_to(level)],
-        ideal.n_vars, ideal.field, level,
-    )
-    return DegreeSpans(combined, level).h1(level - 1)
+def _length_with_form(spans, L):
+    """dim R/(J + (L) + M^level) for the ideal J of `spans`: H1 at the top
+    degree less the rank the multiples x^a*L add modulo the span of J."""
+    J, level, table = spans.ideal, spans.level, spans.table
+    # L is checked like any generator: zero after truncation or a unit is rejected
+    L = IdealPresentation([L.truncate_to(level)], J.n_vars, J.field, level).generators[0]
+    image = Echelon(J.field)
+    for a in table.monos[:table.offset[level - L.order()]]:
+        image.add(spans.ech.reduce(multiple_vector(table, L, a)))
+    return spans.h1(level - 1) - image.rank
 
 
 def cm_superficial_test(ideal, L, e0):
@@ -178,43 +181,43 @@ def cm_superficial_test(ideal, L, e0):
     level = e0 + 1
     if ideal.level < level:
         raise LevelError(f"ideal known to level {ideal.level} < {level}")
-    length = _length_with_form(ideal, L, level)
+    length = _length_with_form(DegreeSpans(ideal.truncated(level), level), L)
     cert = SuperficialCertificate(L.truncate_to(level), length, [], e0, level)
     return length <= e0, cert
 
 
 def _slice_mult_rank(spans, L, t):
     """Rank of multiplication by L1 (the linear part of L) from degree t to t+1,
-    computed modulo the initial-ideal slices of the span."""
+    computed modulo the initial-ideal slices of the span.  Only the standard
+    monomials of degree t are mapped: they span the domain modulo J*_t, and
+    L1*J*_t lies in J*_{t+1}."""
     table = spans.table
     field = spans.ideal.field
-    target = span_of_multiples(table, field, spans.initial_slice(t + 1).basis, hi=0)
-    dom_mod = span_of_multiples(table, field, spans.initial_slice(t).basis, hi=0)
+    target = degree_block(table, field, spans.ech, t + 1)
     L1 = L.homogeneous_part(1)
     image = Echelon(field)
-    rank = 0
-    for m in monomials_of_degree(spans.ideal.n_vars, t):
-        if dom_mod.contains({table.index[m]: field.one()}):
-            continue  # zero in the domain slice
-        if image.add(target.reduce(multiple_vector(table, L1, m))):
-            rank += 1
-    return rank
+    for c in range(table.offset[t], table.offset[t + 1]):
+        if c not in spans.ech.rows:
+            image.add(target.reduce(multiple_vector(table, L1, table.monos[c])))
+    return image.rank
 
 
-def tn_membership(ideal, n, e0, forms=None):
+def tn_membership(ideal, n, e0, forms=None, spans=None):
     """Search for a linear form certifying J + M^n in T_n.
 
     Scans the candidate forms in order; the first one that passes the length
     condition (1) is then checked for the slice-isomorphism condition (2),
     first success wins.  Failure is returned as a value carrying the first
-    failing condition and degree.
+    failing condition and degree.  Both conditions are ranks against one
+    span of J + M^n: `spans`, the DegreeSpans of ideal.truncated(n) at level
+    n, when the caller already has it, otherwise built here.
     """
     if n < e0 + 2:
         raise LevelError(f"T_n needs n >= e0+2 = {e0 + 2}, got {n}")
     if ideal.level < n:
         raise LevelError(f"ideal known to level {ideal.level} < n = {n}")
-    J = ideal.truncated(n)
-    spans = DegreeSpans(J, n)
+    spans = spans or DegreeSpans(ideal.truncated(n), n)
+    J = spans.ideal
     h1 = spans.h1_values()
     # slice dimensions are independent of L: check them once up front
     for t in range(e0 - 1, n):
@@ -225,7 +228,7 @@ def tn_membership(ideal, n, e0, forms=None):
         forms = candidate_forms(J.n_vars, e0, J.field, n)
     best_length = None
     for L in forms:
-        length = _length_with_form(J, L, n)
+        length = _length_with_form(spans, L)
         if best_length is None or length < best_length:
             best_length = length
         if length > e0:
@@ -564,32 +567,16 @@ def enumerate_xi(n_vars, e0, n, field, e1=None, budget=2_000_000):
                 if c:
                     terms[m] = field.of(c)
             f = TruncatedPoly(n_vars, field, n, terms)
-            ech = span_of_multiples(table, field, [f])
-            key = _span_key(ech)
-            if key not in seen:
-                seen[key] = (f, ech)
+            spans = DegreeSpans(IdealPresentation([f], n_vars, field, n), n)
+            seen.setdefault(_span_key(spans.ech), spans)
 
     members = []
     for key in sorted(seen):
-        f, ech = seen[key]
-        pivots_by_degree = [0] * n
-        for piv in ech.rows:
-            pivots_by_degree[table.degree_of_col(piv)] += 1
-        acc = 0
-        ok = True
-        for t in range(n):
-            acc += pivots_by_degree[t]
-            if count_monomials_upto(n_vars, t) - acc != p_values[t]:
-                ok = False
-                break
-        if not ok:
+        spans = seen[key]
+        if spans.h1_values() != p_values:
             continue
-        J = IdealPresentation([f], n_vars, field, n)
-        if isinstance(tn_membership(J, n, e0, forms=forms), TnFailure):
+        if isinstance(tn_membership(spans.ideal, n, e0, forms=forms, spans=spans), TnFailure):
             continue
-        canonical = IdealPresentation(
-            [table.poly_of(dict(ech.rows[p]), field) for p in sorted(ech.rows)],
-            n_vars, field, n,
-        )
-        members.append(canonical)
+        members.append(IdealPresentation(
+            [table.poly_of(row, field) for row in spans.ech.basis()], n_vars, field, n))
     return EnumerationResult(len(members), members, n, e0, e1, q)

@@ -143,6 +143,17 @@ class TestSubcommands:
         assert code == 0
         assert payload["superficial_and_cm"] is True and payload["length_with_L"] == 3
 
+    def test_superficial_rejects_unit_or_zero_form(self, capsys):
+        code, out, err = run(
+            capsys, "superficial", "--ideal", "x1^3", "--L", "1 + x1", "--e0", "3"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: generator x1 + 1 is a unit: order must be >= 1\n"
+        code, out, err = run(
+            capsys, "superficial", "--ideal", "x1^3", "--L", "x1^9", "--e0", "3", "--level", "4"
+        )
+        assert (code, out, err) == (2, "", "error: zero generator\n")
+
     def test_cells(self, capsys):
         code, payload, _ = run_json(
             capsys, "cells", "--ideal", "x1^2", "--n", "5", "--e0", "2",

@@ -4,12 +4,15 @@ import random
 import pytest
 
 from curvemoduli.idealcalc import DegreeSpans, IdealPresentation, hilbert_data
-from curvemoduli.ringcore import GF, QQ, FieldTooSmallError, LevelError, parse_poly, poly_str
+from curvemoduli.ringcore import (
+    GF, QQ, FieldTooSmallError, LevelError, TruncatedPoly, parse_poly, poly_str,
+)
 from curvemoduli.trunctower import (
     BudgetExceededError,
     CellIndex,
     CutoffPolicy,
     TnFailure,
+    _length_with_form,
     admissible,
     admissible_polys,
     admissible_range,
@@ -107,6 +110,47 @@ class TestSuperficialTest:
                 # divergent length: L is a zerodivisor direction, never superficial
                 assert not ok
 
+    def test_unit_form_rejected(self):
+        with pytest.raises(ValueError, match="x1 \\+ 1 is a unit"):
+            cm_superficial_test(ideal(["x1^3"]), parse_poly("1 + x1", 2, QQ, 8), 3)
+
+    def test_form_killed_by_truncation_rejected(self):
+        # x1^9 is zero at the criterion's level e0+1 = 4
+        with pytest.raises(ValueError, match="zero generator"):
+            cm_superficial_test(ideal(["x1^3"], level=12), parse_poly("x1^9", 2, QQ, 12), 3)
+
+
+def random_ideal_and_forms(rng, n_vars, field, level):
+    """A seeded ideal of order >= 2 with three forms: a linear L, the same L
+    plus terms of degree 2-3, and an L of order 2."""
+    from oracles import random_poly
+    gens = []
+    while not gens:
+        gens = [p for p in (random_poly(rng, n_vars, field, level, 4, min_degree=2, density=0.4)
+                            for _ in range(n_vars - 1)) if not p.is_zero()]
+    linear = quadric = TruncatedPoly(n_vars, field, level, {})
+    while linear.is_zero() or quadric.is_zero():
+        linear = random_poly(rng, n_vars, field, level, 1, min_degree=1)
+        quadric = random_poly(rng, n_vars, field, level, 3, min_degree=2)
+    return IdealPresentation(gens, n_vars, field, level), [linear, linear + quadric, quadric]
+
+
+class TestLengthWithForm:
+    """dim R/(J+(L)+M^n) read as a rank modulo the span of J must equal the
+    dense H1 of J+(L) at the top degree."""
+
+    @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
+    @pytest.mark.parametrize("n_vars,level", [(2, 7), (3, 5)])
+    def test_against_dense_oracle(self, field, n_vars, level):
+        from oracles import dense_ideal_h1
+        rng = random.Random(17 + n_vars)
+        for _ in range(3):
+            I, forms = random_ideal_and_forms(rng, n_vars, field, level)
+            spans = DegreeSpans(I, level)
+            for L in forms:
+                want = dense_ideal_h1(I.generators + [L], level)[-1]
+                assert _length_with_form(spans, L) == want, (I, L)
+
 
 class TestTnMembership:
     def test_plane_triple_line(self):
@@ -145,6 +189,29 @@ class TestTnMembership:
             assert not isinstance(res, TnFailure), (gens, res)
             rep = shape_check(I, n, e0)
             assert rep.ok and rep.slice_identity_ok, (gens, rep)
+
+    def test_given_spans_give_the_same_verdict(self):
+        cases = [
+            (["x1^3"], 2, 6, 3, None),
+            (["x2^2 - x1^3"], 2, 6, 2, None),
+            (["x1^2"], 2, 3, 1, None),
+            (["x1^3"], 2, 6, 3, ["x1"]),
+            (["x1*x3 - x2^2", "x1^3 - x2*x3", "x1^2*x2 - x3^2"], 3, 8, 3, None),
+        ]
+        for gens, n_vars, n, e0, form_texts in cases:
+            I = ideal(gens, n_vars=n_vars, level=n + 1)
+            forms = form_texts and [parse_poly(t, n_vars, QQ, n) for t in form_texts]
+            alone = tn_membership(I, n, e0, forms=forms)
+            given = tn_membership(I, n, e0, forms=forms, spans=DegreeSpans(I.truncated(n), n))
+            assert given.to_json() == alone.to_json(), gens
+        assert alone.iso_range  # the last case is a member
+
+    def test_zero_or_unit_form_rejected(self):
+        # both ideals pass the slice-dimension check, so condition (1) is reached
+        with pytest.raises(ValueError, match="x1 \\+ 1 is a unit"):
+            tn_membership(ideal(["x1^3"], level=6), 6, 3, forms=[parse_poly("1 + x1", 2, QQ, 6)])
+        with pytest.raises(ValueError, match="zero generator"):
+            tn_membership(ideal(["x2"], level=4), 4, 1, forms=[parse_poly("x1^9", 2, QQ, 12)])
 
     def test_membership_survives_truncation(self):
         gens, n_vars, e0 = ["x2^2 - x1^3"], 2, 2
@@ -383,38 +450,60 @@ class TestEnumerate:
             assert not isinstance(out, TnFailure)
 
 
+def dense_slice_mult_rank(spans, L, t):
+    """Rank of x -> L1*x from S_t to S_{t+1}/J*_{t+1}, from dense matrices
+    ranked by the naive elimination."""
+    from curvemoduli.ringcore import monomials_of_degree
+    from oracles import naive_rank
+
+    field = spans.ideal.field
+    cols_next = monomials_of_degree(spans.ideal.n_vars, t + 1)
+    index_next = {m: i for i, m in enumerate(cols_next)}
+
+    def dense(p):
+        row = [field.zero()] * len(cols_next)
+        for mono, c in p.terms.items():
+            row[index_next[mono]] = c
+        return row
+
+    target_rows = [dense(p) for p in spans.initial_slice(t + 1).basis]
+    L1 = L.homogeneous_part(1)
+    image_rows = target_rows + [dense(L1.mul_monomial(m))
+                                for m in monomials_of_degree(spans.ideal.n_vars, t)]
+    return naive_rank(image_rows, field) - naive_rank(target_rows, field)
+
+
 class TestSliceIsomorphismRank:
     def test_certificate_ranks_match_dense_brute_force(self):
         # rebuild the multiplication-by-L maps on the graded slices as dense
         # matrices and rank them with the naive elimination
-        from curvemoduli.idealcalc import DegreeSpans
-        from curvemoduli.ringcore import monomials_of_degree, monomial_table
         from curvemoduli.trunctower import _slice_mult_rank
-        from oracles import naive_rank
 
         gens, n_vars, e0, n = ["x2^2 - x1^3"], 2, 2, 6
         J = ideal(gens, n_vars=n_vars, level=n)
         cert = tn_membership(J, n, e0)
         assert not isinstance(cert, TnFailure)
         spans = DegreeSpans(J, n)
-        table = monomial_table(n_vars, n)
         for t in cert.iso_range:
-            target_rows = []
-            cols_next = monomials_of_degree(n_vars, t + 1)
-            index_next = {m: i for i, m in enumerate(cols_next)}
-            for p in spans.initial_slice(t + 1).basis:
-                row = [QQ.zero()] * len(cols_next)
-                for mono, c in p.terms.items():
-                    row[index_next[mono]] = c
-                target_rows.append(row)
-            image_rows = [list(r) for r in target_rows]
-            L1 = cert.L.homogeneous_part(1)
-            for m in monomials_of_degree(n_vars, t):
-                prod = L1.mul_monomial(m)
-                row = [QQ.zero()] * len(cols_next)
-                for mono, c in prod.terms.items():
-                    row[index_next[mono]] = c
-                image_rows.append(row)
-            brute = naive_rank(image_rows, QQ) - naive_rank(target_rows, QQ)
+            brute = dense_slice_mult_rank(spans, cert.L, t)
             assert brute == e0
             assert _slice_mult_rank(spans, cert.L, t) == brute
+
+    @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
+    def test_every_form_and_degree_match_dense_brute_force(self, field):
+        # ranks below e0 included: tangent forms and non-members
+        from curvemoduli.trunctower import _slice_mult_rank
+
+        cases = [
+            (["x1^3"], 2, 3),
+            (["x2^2 - x1^3", "x1^4*x2"], 2, 2),
+            (["x1^3 + x1*x2^3 + x2^5"], 2, 3),
+            (["x1*x3 - x2^2 + x3^3", "x1^3 - x2*x3 + x2^4", "x1^2*x2 - x3^2"], 3, 3),
+            (["x3^2", "x2*x3", "x1^2*x2"], 3, 4),
+        ]
+        for gens, n_vars, e0 in cases:
+            n = e0 + 4
+            spans = DegreeSpans(ideal(gens, n_vars=n_vars, field=field, level=n), n)
+            for L in candidate_forms(n_vars, e0, field, n) + [parse_poly("x1", n_vars, field, n)]:
+                for t in range(n - 1):
+                    assert _slice_mult_rank(spans, L, t) == dense_slice_mult_rank(spans, L, t)
