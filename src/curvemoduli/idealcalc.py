@@ -4,13 +4,13 @@ Hilbert-Samuel values H1(t) = dim R/(I+M^{t+1}), the stabilized pair
 v*), standard-basis verification, minimal generator counts, and the
 "false" intersection number dim R/(I+X).
 
-The workhorse is a single reduced echelon span of all monomial multiples
+The workhorse is a single echelon span of all monomial multiples
 of the generators at the working level, with columns ordered by ascending
 degree: pivots in degrees <= d then give both dim (I+M^{d+1})/M^{d+1} and
 an explicit basis of the degree-d graded piece of the initial ideal.  That
 span, and every other span of monomial multiples here, comes from the one
 kernel `ringcore.span_of_multiples`, which inserts generator by generator:
-the reduced rows do not depend on the insertion order, and this order was
+its canonical rows do not depend on the insertion order, and this order was
 measured the cheapest.
 """
 
@@ -103,7 +103,7 @@ class DegreeSpans:
         self.table = monomial_table(ideal.n_vars, level)
         self.ech = span_of_multiples(self.table, ideal.field, ideal.generators)
         self._pivots_by_degree = [0] * level
-        for piv in self.ech.rows:
+        for piv in self.ech.pivots():
             self._pivots_by_degree[self.table.degree_of_col(piv)] += 1
 
     def span_dim(self, d):

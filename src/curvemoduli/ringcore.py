@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from operator import add
 
 
@@ -101,12 +101,6 @@ class Field:
             return 1 / Fraction(a)
         return pow(a, -1, self.char)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def coeff_str(self, a):
-        return str(a)
-
     def __eq__(self, other):
         return isinstance(other, Field) and self.char == other.char
 
@@ -128,10 +122,6 @@ def GF(p):
 # Monomials.  A monomial is a tuple of exponents; the total order is degree
 # first, then natural tuple comparison (so within a degree x_N is smallest
 # and x_1 largest).  Printing uses the descending order.
-
-
-def mono_deg(m):
-    return sum(m)
 
 
 def mono_mul(a, b):
@@ -577,79 +567,197 @@ def poly_str(p, var="x"):
 
 
 class Echelon:
-    """Incrementally maintained reduced row echelon span over an exact field.
+    """A span of sparse vectors over an exact field, kept in echelon form.
 
-    Rows are sparse dicts with pivot = smallest column; each inserted row is
-    fully reduced against the basis and, once inserted, cleared from all
-    earlier rows, so the basis is in reduced form with unit pivots at all
-    times.  Rank is therefore independent of the insertion order.
+    A row is a sparse dict {column: coeff} whose support starts at its pivot
+    (its smallest column); rows are keyed by pivot.  `add` reduces the new
+    vector against the stored rows and stores it with a normalized pivot; it
+    does not clear the new pivot out of the earlier rows, so a stored row may
+    still hold another row's pivot column.  Rank, pivots and the residual of
+    `reduce` are the same for every echelon form of a span.  The reduced
+    rows (unit pivot, zero at every other pivot column) are canonical:
+    `rows` and `basis()` compute them by one back-substitution and keep them
+    until the next `add`.
+
+    Over GF(p) entries are ints in [1, p) and stored pivots are 1.  Over QQ
+    stored rows are integer vectors with a positive pivot, eliminated
+    fraction-free; `rows`, `basis()` and `reduce` give `Fraction` values.
+    Input vectors hold nonzero field elements and are never modified.
     """
 
     def __init__(self, field):
         self.field = field
-        self.rows = {}  # pivot column -> row dict
+        self._rows = {}  # pivot column -> stored row
+        self._reduced = None  # canonical rows once read, until the next add
 
     @property
     def rank(self):
-        return len(self.rows)
+        return len(self._rows)
+
+    def pivots(self):
+        """The pivot columns as a set-like view (no back-substitution)."""
+        return self._rows.keys()
+
+    @property
+    def rows(self):
+        """Canonical rows: pivot column -> reduced row with unit pivot."""
+        if self._reduced is None:
+            self._reduced = self._back_substitute()
+        return self._reduced
+
+    def basis(self):
+        """Canonical rows sorted by pivot column."""
+        rows = self.rows
+        return [rows[p] for p in sorted(rows)]
+
+    def _eliminate(self, vec):
+        """(v, den): v is den times the residual of vec, integers over QQ."""
+        p = self.field.char
+        if p:
+            v = dict(vec)
+            _eliminate_mod_p(self._rows, v, p)
+            return v, 1
+        v, den = _integer_vector(vec)
+        return v, den * _eliminate_int(self._rows, v)
 
     def reduce(self, vec):
-        """Fully reduce a sparse vector against the basis (a fresh dict).
+        """The canonical residual of a vector modulo the span (a fresh dict):
+        the one vec - s, s in the span, that vanishes at every pivot."""
+        v, den = self._eliminate(vec)
+        return {c: Fraction(x, den) for c, x in v.items()} if self.field.char == 0 else v
 
-        Elimination at the smallest reducible column only creates support at
-        larger columns, so the smallest reducible column strictly increases
-        and the loop terminates with the canonical residual.
-        """
-        f = self.field
-        v = dict(vec)
-        while True:
-            col = min((c for c in v if c in self.rows), default=None)
-            if col is None:
-                return v
-            coef = v[col]
-            for cc, vv in self.rows[col].items():
-                s = f.sub(v.get(cc, f.zero()), f.mul(coef, vv))
-                if s == f.zero():
-                    v.pop(cc, None)
-                else:
-                    v[cc] = s
+    def contains(self, vec):
+        return not self._eliminate(vec)[0]
 
     def add(self, vec):
         """Insert a vector; returns True when the rank grew."""
-        f = self.field
-        v = self.reduce(vec)
+        v = self._eliminate(vec)[0]
         if not v:
             return False
         piv = min(v)
-        inv = f.inv(v[piv])
-        v = {c: f.mul(val, inv) for c, val in v.items()}
-        # keep the reduced form: clear the new pivot from existing rows
-        for row in self.rows.values():
-            if piv in row:
-                c = row[piv]
-                for cc, vv in v.items():
-                    s = f.sub(row.get(cc, f.zero()), f.mul(c, vv))
-                    if s == f.zero():
-                        row.pop(cc, None)
-                    else:
-                        row[cc] = s
-        self.rows[piv] = v
+        p = self.field.char
+        if p:
+            if v[piv] != 1:
+                inv = pow(v[piv], -1, p)
+                v = {c: x * inv % p for c, x in v.items()}
+        else:
+            g = gcd(*v.values())
+            if v[piv] < 0:
+                g = -g
+            if g != 1:
+                v = {c: x // g for c, x in v.items()}
+        self._rows[piv] = v
+        self._reduced = None
         return True
-
-    def contains(self, vec):
-        return not self.reduce(vec)
 
     def copy(self):
         dup = Echelon(self.field)
-        dup.rows = {p: dict(r) for p, r in self.rows.items()}
+        dup._rows = {p: dict(r) for p, r in self._rows.items()}
         return dup
 
-    def basis(self):
-        """Rows sorted by pivot column."""
-        return [self.rows[p] for p in sorted(self.rows)]
+    def _back_substitute(self):
+        """Reduce the stored rows in place, largest pivot first, so that each
+        row is reduced against rows already reduced; return the canonical
+        rows (the stored ones over GF(p), unit-pivot Fractions over QQ)."""
+        rows = self._rows
+        p = self.field.char
+        for piv in sorted(rows, reverse=True):
+            row = rows[piv]
+            b = row.pop(piv)  # the rest lies right of piv: row piv is never used
+            if p:
+                _eliminate_mod_p(rows, row, p)
+                row[piv] = b
+            else:
+                row[piv] = b * _eliminate_int(rows, row)
+                g = gcd(*row.values())
+                if g != 1:
+                    rows[piv] = {c: x // g for c, x in row.items()}
+        if p:
+            return rows
+        return {piv: {c: Fraction(x, row[piv]) for c, x in row.items()}
+                for piv, row in rows.items()}
 
-    def pivots(self):
-        return sorted(self.rows)
+
+def _integer_vector(vec):
+    """(v, den): the integer vector v = den * vec of a rational vector."""
+    den = 1
+    for x in vec.values():
+        d = x.denominator
+        if d != 1:
+            den = den // gcd(den, d) * d
+    return {c: x.numerator * (den // x.denominator) for c, x in vec.items()}, den
+
+
+def _eliminate_mod_p(rows, v, p):
+    """Reduce v in place modulo the span of `rows` over GF(p).  Pivot columns
+    go smallest first off a heap: a row's support starts at its pivot, so a
+    step only creates entries at larger columns."""
+    heap = [c for c in v if c in rows]
+    if not heap:
+        return
+    import heapq
+
+    heapq.heapify(heap)
+    pop, push, get = heapq.heappop, heapq.heappush, v.get
+    while heap:
+        col = pop(heap)
+        a = get(col)
+        if a is None:  # cancelled after it was queued
+            continue
+        for c, y in rows[col].items():
+            x = get(c)
+            if x is None:
+                v[c] = -a * y % p
+                if c in rows:
+                    push(heap, c)
+            else:
+                x = (x - a * y) % p
+                if x:
+                    v[c] = x
+                else:
+                    del v[c]
+
+
+def _eliminate_int(rows, v):
+    """`_eliminate_mod_p` over the integers, fraction-free: each step sets
+    v = b*v - a*row for the pivot entries a of v and b of the row, divided
+    by their gcd.  Returns the product of the factors b: v ends as that
+    product times the residual of the input."""
+    heap = [c for c in v if c in rows]
+    if not heap:
+        return 1
+    import heapq
+
+    heapq.heapify(heap)
+    pop, push, get = heapq.heappop, heapq.heappush, v.get
+    scale = 1
+    while heap:
+        col = pop(heap)
+        a = get(col)
+        if a is None:
+            continue
+        row = rows[col]
+        b = row[col]
+        g = gcd(a, b)
+        if g != 1:
+            a, b = a // g, b // g
+        if b != 1:
+            scale *= b
+            for c in v:
+                v[c] *= b
+        for c, y in row.items():
+            x = get(c)
+            if x is None:
+                v[c] = -a * y
+                if c in rows:
+                    push(heap, c)
+            else:
+                x -= a * y
+                if x:
+                    v[c] = x
+                else:
+                    del v[c]
+    return scale
 
 
 # ---------------------------------------------------------------------------
@@ -666,13 +774,13 @@ def multiple_vector(table, p, a):
 
 
 def span_of_multiples(table, field, polys, lo=0, hi=None):
-    """Reduced echelon span of all x^a * p, p in polys, lo <= |a| <= hi.
+    """Echelon span of all x^a * p, p in polys, lo <= |a| <= hi.
 
     hi=None keeps every multiple that survives truncation at `table.level`.
-    Multiples go in generator by generator, multiplier degree ascending.  A
-    reduced echelon is canonical, so the rows do not depend on that order,
-    but the cost does: on N=3 complete intersections this order measured
-    3-6x cheaper than inserting all generators degree by degree.
+    Multiples go in generator by generator, multiplier degree ascending.  The
+    canonical rows do not depend on that order, but the cost does: on N=3
+    complete intersections this order measured 3-6x cheaper than inserting
+    all generators degree by degree.
     """
     ech = Echelon(field)
     for p in polys:
@@ -698,12 +806,14 @@ class DegreeSlice:
 
 def degree_block(table, field, ech, d):
     """The rows of `ech` pivoted in degree d, cut to degree d, as an Echelon.
-    Row support starts at the pivot, so the cut rows are homogeneous; they
-    keep their unit pivots and stay reduced."""
+    Row support starts at the pivot, so the cut rows are homogeneous and in
+    echelon form; rows pivoted above degree d vanish there, so the cut
+    stored rows span the same block as the cut canonical rows and the
+    block's own `rows` are the canonical ones."""
     lo, hi = table.offset[d], table.offset[d + 1]
     block = Echelon(field)
-    block.rows = {piv: {c: v for c, v in row.items() if c < hi}
-                  for piv, row in ech.rows.items() if lo <= piv < hi}
+    block._rows = {piv: {c: v for c, v in row.items() if c < hi}
+                   for piv, row in ech._rows.items() if lo <= piv < hi}
     return block
 
 

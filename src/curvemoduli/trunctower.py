@@ -195,9 +195,10 @@ def _slice_mult_rank(spans, L, t):
     field = spans.ideal.field
     target = degree_block(table, field, spans.ech, t + 1)
     L1 = L.homogeneous_part(1)
+    pivots = spans.ech.pivots()
     image = Echelon(field)
     for c in range(table.offset[t], table.offset[t + 1]):
-        if c not in spans.ech.rows:
+        if c not in pivots:
             image.add(target.reduce(multiple_vector(table, L1, table.monos[c])))
     return image.rank
 
@@ -496,7 +497,7 @@ class EnumerationResult:
 
 
 def _span_key(ech):
-    """Frozen canonical form of a reduced echelon span (the dedup key)."""
+    """Frozen canonical rows of an echelon span (the dedup key)."""
     return tuple(tuple(sorted(ech.rows[piv].items())) for piv in sorted(ech.rows))
 
 
@@ -555,7 +556,7 @@ def enumerate_xi(n_vars, e0, n, field, e1=None, budget=2_000_000):
         # per tail degree, monomials complementary to the pivots of S_k*lead
         free_monos = []
         for k in range(1, n - e0):
-            pivots = span_of_multiples(table, field, [lead], lo=k, hi=k).rows
+            pivots = span_of_multiples(table, field, [lead], lo=k, hi=k).pivots()
             free_monos.append(
                 [m for m in monomials_of_degree(n_vars, e0 + k)
                  if table.index[m] not in pivots]

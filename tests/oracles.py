@@ -15,14 +15,17 @@ from math import comb
 from curvemoduli.ringcore import TruncatedPoly, monomials_of_degree
 
 
-def naive_rank(matrix_rows, field):
-    """Dense row-list Gaussian elimination, no pivoting cleverness."""
+def naive_rref(matrix_rows, field):
+    """Dense row-list Gauss-Jordan elimination, no pivoting cleverness: the
+    reduced row echelon form as a list of (pivot column, dense row), with
+    unit pivots and zeros at every other pivot column."""
     rows = [list(r) for r in matrix_rows]
     if not rows:
-        return 0
+        return []
     ncols = len(rows[0])
-    rank = 0
+    pivots = []
     for col in range(ncols):
+        rank = len(pivots)
         piv = None
         for i in range(rank, len(rows)):
             if rows[i][col] != field.zero():
@@ -37,10 +40,15 @@ def naive_rank(matrix_rows, field):
             if i != rank and rows[i][col] != field.zero():
                 c = rows[i][col]
                 rows[i] = [field.sub(x, field.mul(c, y)) for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == len(rows):
+        pivots.append(col)
+        if len(pivots) == len(rows):
             break
-    return rank
+    return list(zip(pivots, rows))
+
+
+def naive_rank(matrix_rows, field):
+    """Rank by dense elimination (the length of `naive_rref`)."""
+    return len(naive_rref(matrix_rows, field))
 
 
 def monomial_ideal_h1(generator_exponents, n_vars, t_max):

@@ -1,14 +1,17 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from curvemoduli.ringcore import (
     GF,
     QQ,
+    Echelon,
     Field,
     LevelError,
     ParseError,
     TruncatedPoly,
+    degree_block,
     echelon_span,
     initial_form,
     monomial_table,
@@ -17,7 +20,7 @@ from curvemoduli.ringcore import (
     poly_str,
 )
 
-from oracles import naive_rank, random_poly
+from oracles import naive_rank, naive_rref, random_poly
 
 
 class TestField:
@@ -261,3 +264,131 @@ class TestCanonicalForm:
                 for v in mixed:
                     ech2.add(v)
                 assert _span_key(ech2) == base_key
+
+
+# entries for rational vectors: non-integers, a large prime denominator and
+# large numerators, so that clearing denominators and integer growth show
+QQ_ENTRIES = [Fraction(7, 9), Fraction(1, 32003), Fraction(-5, 32), Fraction(2**61 - 1, 3),
+              Fraction(-(10**20) - 9), Fraction(3), Fraction(-1), Fraction(1)]
+
+
+def _random_vector(rng, field, ncols):
+    """A sparse vector with 1-5 nonzero entries; the support starts anywhere,
+    so later pivots often land inside earlier rows."""
+    cols = rng.sample(range(ncols), rng.randint(1, min(5, ncols)))
+    if field.char:
+        return {c: rng.randrange(1, field.char) for c in cols}
+    return {c: rng.choice(QQ_ENTRIES) for c in cols}
+
+
+def _is_semi_reduced(ech):
+    """Some stored row still holds another row's pivot column."""
+    stored = ech._rows
+    return any(c != piv and c in stored for piv, row in stored.items() for c in row)
+
+
+class TestEchelonKernel:
+    """Echelon against dense Gauss-Jordan elimination: canonical rows, pivots,
+    rank, residuals and membership after every batch of inserts."""
+
+    FIELDS = [QQ, GF(7), GF(32003)]
+
+    def _expected(self, vectors, field, ncols):
+        dense = [[v.get(c, field.zero()) for c in range(ncols)] for v in vectors]
+        return {piv: {c: x for c, x in enumerate(row) if x != field.zero()}
+                for piv, row in naive_rref(dense, field)}
+
+    def _residual(self, expected, vec, field):
+        v = dict(vec)
+        for piv, row in expected.items():
+            a = v.get(piv, field.zero())
+            if a == field.zero():
+                continue
+            for c, y in row.items():
+                s = field.sub(v.get(c, field.zero()), field.mul(a, y))
+                if s == field.zero():
+                    v.pop(c, None)
+                else:
+                    v[c] = s
+        return v
+
+    def _check(self, ech, vectors, field, ncols, rng):
+        expected = self._expected(vectors, field, ncols)
+        assert ech.rank == len(expected)
+        assert sorted(ech.pivots()) == sorted(expected)
+        for _ in range(6):
+            probe = _random_vector(rng, field, ncols)
+            residual = self._residual(expected, probe, field)
+            assert ech.reduce(probe) == residual
+            assert ech.contains(probe) == (not residual)
+        assert ech.rows == expected
+        assert ech.basis() == [expected[piv] for piv in sorted(expected)]
+        if field.char == 0:
+            assert all(type(x) is Fraction for row in ech.rows.values() for x in row.values())
+        for vec in vectors:
+            assert ech.contains(vec) and ech.reduce(vec) == {}
+
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    def test_rows_and_residuals_match_dense_elimination(self, field):
+        rng = random.Random(f"echelon:{field!r}")
+        semi_reduced = 0
+        for trial in range(25):
+            ncols = rng.randint(4, 14)
+            vectors = [_random_vector(rng, field, ncols) for _ in range(rng.randint(2, 16))]
+            ech = Echelon(field)
+            # add, read, add more, read again: a stale cache of rows fails
+            cut = rng.randint(1, len(vectors))
+            for start, stop in ((0, cut), (cut, len(vectors))):
+                for i in range(start, stop):
+                    vec = vectors[i]
+                    before = dict(vec)
+                    grew = ech.add(vec)
+                    assert vec == before
+                    assert grew == (len(self._expected(vectors[:i + 1], field, ncols))
+                                    > len(self._expected(vectors[:i], field, ncols)))
+                semi_reduced += _is_semi_reduced(ech)
+                self._check(ech, vectors[:stop], field, ncols, rng)
+                self._check(ech, vectors[:stop], field, ncols, rng)
+        assert semi_reduced >= 5
+
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    def test_copy_is_independent(self, field):
+        rng = random.Random(f"echelon-copy:{field!r}")
+        for _ in range(10):
+            ncols = 10
+            base = [_random_vector(rng, field, ncols) for _ in range(5)]
+            more = [_random_vector(rng, field, ncols) for _ in range(5)]
+            ech = Echelon(field)
+            for vec in base:
+                ech.add(vec)
+            dup = ech.copy()
+            for vec in more:
+                dup.add(vec)
+            self._check(ech, base, field, ncols, rng)
+            self._check(dup, base + more, field, ncols, rng)
+            ech.add(more[0])
+            self._check(dup, base + more, field, ncols, rng)
+            self._check(ech, base + more[:1], field, ncols, rng)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    def test_degree_blocks_of_a_semi_reduced_span(self, field):
+        rng = random.Random(f"echelon-block:{field!r}")
+        table = monomial_table(2, 6)
+        ncols = len(table.monos)
+        semi_reduced = 0
+        for _ in range(15):
+            vectors = [_random_vector(rng, field, ncols) for _ in range(rng.randint(4, 14))]
+            ech = Echelon(field)
+            for vec in vectors:
+                ech.add(vec)
+            semi_reduced += _is_semi_reduced(ech)
+            expected = self._expected(vectors, field, ncols)
+            for d in range(table.level):
+                lo, hi = table.offset[d], table.offset[d + 1]
+                want = [{c: x for c, x in expected[piv].items() if c < hi}
+                        for piv in sorted(expected) if lo <= piv < hi]
+                block = degree_block(table, field, ech, d)
+                assert block.basis() == want
+                assert block.rank == len(want)
+            self._check(ech, vectors, field, ncols, rng)
+        assert semi_reduced >= 5
