@@ -36,7 +36,6 @@ from .trunctower import (
     AdmissibleRange,
     BudgetExceededError,
     CellIndex,
-    CutoffPolicy,
     SuperficialCertificate,
     TnFailure,
     admissible,

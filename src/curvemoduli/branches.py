@@ -15,6 +15,7 @@ from math import gcd
 from .ringcore import (
     Echelon,
     TruncatedPoly,
+    kernel_basis,
     monomial_table,
     parse_poly,
     poly_str,
@@ -222,8 +223,6 @@ class _Substitution:
                     f"branch precision {b.precision} below the bound {need}"
                     f" (= level {level} * max t-order)"
                 )
-        self.param = param
-        self.level = level
         self.field = param.field
         n_vars = param.n_vars
         branches = param.branches
@@ -255,7 +254,6 @@ class _Substitution:
 
         # enumerate the weight-bounded monomial set, by ascending degree so a
         # parent with one exponent lowered is always already present
-        one = self.field.one()
         root = (0,) * n_vars
         self.images = {root: [TruncatedPoly.constant(1, 1, self.field, b.precision)
                               for b in branches]}
@@ -279,7 +277,7 @@ class _Substitution:
                     img * b.components[j]
                     for img, b in zip(self.images[parent], branches)
                 ]
-        self.max_degree = d - 1 if d > 0 else 0
+        self.max_degree = d - 1  # by_degree[d] is the empty last frontier
 
     def image_vector(self, mono):
         vec = {}
@@ -288,38 +286,15 @@ class _Substitution:
                 vec[off + k] = c
         return vec
 
-    def rank_from_degree(self):
-        """rank_geq[d] = rank of the images of all monomials of degree >= d."""
+    def span(self, lo):
+        """Echelon span of the images of the monomials of degree >= lo,
+        inserted top degree first (short images of high t-order first: on
+        the Hilbert pass this measured up to 2x cheaper than ascending)."""
         ech = Echelon(self.field)
-        top = max(self.max_degree + 1, self.level)
-        rank_geq = [0] * (top + 1)
-        for d in range(top - 1, -1, -1):
-            for mono in self.by_degree.get(d, []):
+        for d in range(self.max_degree, lo - 1, -1):
+            for mono in self.by_degree[d]:
                 ech.add(self.image_vector(mono))
-            rank_geq[d] = ech.rank
-        return rank_geq
-
-    def kernel_echelon(self):
-        """Echelon with the high block seeded, low monomials augmented.
-
-        Rows pivoted in the identity block are combinations f of monomials
-        of degree < level with image in the span of the degree >= level
-        images, i.e. the span of (I+M^level)/M^level.
-        """
-        table = monomial_table(self.param.n_vars, self.level)
-        ech = Echelon(self.field)
-        for d in range(self.level, self.max_degree + 1):
-            for mono in self.by_degree.get(d, []):
-                ech.add(self.image_vector(mono))
-        for mono in table.monos:
-            vec = self.image_vector(mono)
-            vec[self.t_cols + table.index[mono]] = self.field.one()
-            ech.add(vec)
-        return ech, table
-
-
-def _h1_from_ranks(rank_geq, level):
-    return [rank_geq[0] - rank_geq[t + 1] for t in range(level)]
+        return ech
 
 
 def ideal_from_param(param, level):
@@ -329,22 +304,14 @@ def ideal_from_param(param, level):
     < level whose substitution lands in the substituted image of M^level
     (not of those whose substitution vanishes: at finite t-precision the
     image of M^level is visible, not zero).  The generators returned are its
-    reduced echelon basis; each is post-checked to vanish on every branch
-    modulo that image.
+    reduced echelon basis, the kernel of the substitution modulo that image;
+    each is post-checked to vanish on every branch modulo the image.
     """
     sub = _Substitution(param, level)
-    ech, table = sub.kernel_echelon()
-    gens = []
-    for piv in sorted(ech.rows):
-        if piv < sub.t_cols:
-            continue
-        row = ech.rows[piv]
-        terms = {table.monos[c - sub.t_cols]: v for c, v in row.items()}
-        gens.append(TruncatedPoly(param.n_vars, param.field, level, terms))
-    high_span = Echelon(param.field)
-    for d in range(level, sub.max_degree + 1):
-        for mono in sub.by_degree.get(d, []):
-            high_span.add(sub.image_vector(mono))
+    high_span = sub.span(level)
+    table = monomial_table(param.n_vars, level)
+    kernel = kernel_basis(high_span, map(sub.image_vector, table.monos), sub.t_cols)
+    gens = [table.poly_of(row, param.field) for row in kernel]
     for g in gens:
         residual = {}
         for bi, branch in enumerate(param.branches):
@@ -371,14 +338,21 @@ def evaluate_on_branch(poly, branch):
     return out
 
 
-def hilbert_from_param(param, level, window=2):
+def hilbert_from_param(param, level):
     """Hilbert data via the substitution ranks (the parametric route).
 
     H1(t) = dim R/(I+M^{t+1}) is the rank of all substituted monomials minus
-    the rank of those of degree >= t+1, which is one descending echelon pass.
+    the rank of those of degree >= t+1: one echelon pass that starts from
+    the span of degree >= level and adds the degrees below it, descending.
     """
     sub = _Substitution(param, level)
-    return analyze_h1(_h1_from_ranks(sub.rank_from_degree(), level), window=window)
+    ech = sub.span(level)
+    rank_geq = [0] * level + [ech.rank]
+    for d in range(level - 1, -1, -1):
+        for mono in sub.by_degree[d]:
+            ech.add(sub.image_vector(mono))
+        rank_geq[d] = ech.rank
+    return analyze_h1([rank_geq[0] - rank_geq[t + 1] for t in range(level)])
 
 
 def _all_branch_positive_element(param):
@@ -407,7 +381,7 @@ def _all_branch_positive_element(param):
     return None
 
 
-def delta_from_param(param, max_precision=None):
+def delta_from_param(param):
     """delta = dim(normalization / image of R), certified by a conductor test.
 
     At t-precision m the codimension of the substituted monomial span in
@@ -422,8 +396,6 @@ def delta_from_param(param, max_precision=None):
     enough.
     """
     cap = min(b.precision for b in param.branches)
-    if max_precision is not None:
-        cap = min(cap, max_precision)
     orders = _all_branch_positive_element(param)
     if orders is None:
         raise PrecisionError(
@@ -441,10 +413,7 @@ def delta_from_param(param, max_precision=None):
             [Branch([c.truncate_to(m) for c in b.components], m) for b in param.branches]
         )
         sub = _Substitution(clipped, 1)
-        ech = Echelon(field)
-        for d in sorted(sub.by_degree):
-            for mono in sub.by_degree[d]:
-                ech.add(sub.image_vector(mono))
+        ech = sub.span(0)
         total = sum(b.precision for b in clipped.branches)
         codim = total - ech.rank
         missing_max = -1

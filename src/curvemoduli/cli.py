@@ -5,7 +5,7 @@ noted), dispatches to the library, and prints one deterministic JSON report
 to stdout (or an aligned table with --table where a table makes sense).
 Exit codes: 0 success, 2 precondition or parse errors, 3 soft outcomes
 (not stabilized, search budget exceeded, divergent intersection) that a
-script can retry at a higher level.
+script can retry at a higher level, and zero-dimensional input ("dim_0").
 
 The environment variable CURVEMODULI_LEVEL supplies the default working
 level when --level is omitted.
@@ -47,8 +47,25 @@ def _emit(payload, table_lines=None, as_table=False):
         sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
-def _parse_ideal(texts, n_vars, field, level):
-    return ic.IdealPresentation.parse(texts, n_vars, field, level)
+def _read_job(path, keys):
+    """The values of `keys` in a JSON job file; a file that cannot be read
+    or lacks a key is a precondition error."""
+    try:
+        with open(path) as fh:
+            job = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read job file {path}: {exc.strerror}") from None
+    missing = [k for k in keys if not isinstance(job, dict) or k not in job]
+    if missing:
+        raise ValueError(f"job file {path} lacks {', '.join(missing)}")
+    return [job[k] for k in keys]
+
+
+def _require(args, *flags):
+    """Without --job, every listed flag must be given."""
+    if any(getattr(args, f) is None for f in flags):
+        names = ", ".join("--" + f for f in flags)
+        raise ValueError(f"{args.command} needs --job or all of {names}")
 
 
 def _gens_json(ideal):
@@ -69,7 +86,7 @@ def _hilbert_table(hd):
 
 def cmd_hilbert(args):
     field = _field(args.field)
-    ideal = _parse_ideal(args.ideal, args.N, field, args.level)
+    ideal = ic.IdealPresentation.parse(args.ideal, args.N, field, args.level)
     hd = ic.hilbert_data(ideal, args.level)
     payload = hd.to_json()
     payload["input"] = {"ideal": _gens_json(ideal), "N": args.N, "level": args.level,
@@ -83,7 +100,7 @@ def cmd_hilbert(args):
 
 def cmd_initial(args):
     field = _field(args.field)
-    ideal = _parse_ideal(args.ideal, args.N, field, args.level)
+    ideal = ic.IdealPresentation.parse(args.ideal, args.N, field, args.level)
     data = ic.initial_ideal(ideal, args.level)
     payload = {
         "vstar": data.vstar,
@@ -101,7 +118,7 @@ def cmd_initial(args):
 
 def cmd_stdbasis(args):
     field = _field(args.field)
-    ideal = _parse_ideal(args.ideal, args.N, field, args.level)
+    ideal = ic.IdealPresentation.parse(args.ideal, args.N, field, args.level)
     rep = ic.standard_basis_check(ideal, args.level)
     payload = {
         "standard_basis": rep.ok,
@@ -115,15 +132,15 @@ def cmd_stdbasis(args):
 
 def cmd_nu(args):
     field = _field(args.field)
-    ideal = _parse_ideal(args.ideal, args.N, field, args.level)
+    ideal = ic.IdealPresentation.parse(args.ideal, args.N, field, args.level)
     _emit({"nu": ic.min_generators(ideal, args.level), "level": args.level})
     return EXIT_OK
 
 
 def cmd_gamma(args):
     field = _field(args.field)
-    ideal = _parse_ideal(args.ideal, args.N, field, args.n_max)
-    other = _parse_ideal(args.other, args.N, field, args.n_max)
+    ideal = ic.IdealPresentation.parse(args.ideal, args.N, field, args.n_max)
+    other = ic.IdealPresentation.parse(args.other, args.N, field, args.n_max)
     value = ic.intersection_number(ideal, other, args.n_max)
     if value == ic.INTERSECTION_DIVERGENT:
         _emit({"gamma": "infinity", "divergent_at": args.n_max})
@@ -134,7 +151,7 @@ def cmd_gamma(args):
 
 def cmd_tn(args):
     field = _field(args.field)
-    ideal = _parse_ideal(args.ideal, args.N, field, args.n)
+    ideal = ic.IdealPresentation.parse(args.ideal, args.N, field, args.n)
     res = tt.tn_membership(ideal, args.n, args.e0)
     if isinstance(res, tt.TnFailure):
         _emit(res.to_json())
@@ -147,7 +164,7 @@ def cmd_tn(args):
 
 def cmd_shape(args):
     field = _field(args.field)
-    ideal = _parse_ideal(args.ideal, args.N, field, args.n)
+    ideal = ic.IdealPresentation.parse(args.ideal, args.N, field, args.n)
     rep = tt.shape_check(ideal, args.n, args.e0)
     _emit({
         "ok": rep.ok,
@@ -160,7 +177,7 @@ def cmd_shape(args):
 
 def cmd_jtilde(args):
     field = _field(args.field)
-    ideal = _parse_ideal(args.ideal, args.N, field, args.n)
+    ideal = ic.IdealPresentation.parse(args.ideal, args.N, field, args.n)
     res = tt.jtilde(ideal, args.n, args.e0)
     _emit({
         "generators": _gens_json(res.ideal),
@@ -183,7 +200,7 @@ def cmd_admissible(args):
 
 def cmd_stratum(args):
     field = _field(args.field)
-    ideal = _parse_ideal(args.ideal, args.N, field, args.level)
+    ideal = ic.IdealPresentation.parse(args.ideal, args.N, field, args.level)
     F = [int(x) for x in args.F.split(",")]
     ok, mismatch = tt.hilbert_stratum_check(ideal, F, args.r, args.level)
     _emit({"member": ok, "first_mismatch_t": mismatch})
@@ -193,7 +210,7 @@ def cmd_stratum(args):
 def cmd_superficial(args):
     field = _field(args.field)
     level = max(args.level, args.e0 + 1)
-    ideal = _parse_ideal(args.ideal, args.N, field, level)
+    ideal = ic.IdealPresentation.parse(args.ideal, args.N, field, level)
     L = rc.parse_poly(args.L, args.N, field, level)
     ok, cert = tt.cm_superficial_test(ideal, L, args.e0)
     payload = cert.to_json()
@@ -204,7 +221,7 @@ def cmd_superficial(args):
 
 def cmd_cells(args):
     field = _field(args.field)
-    ideal = _parse_ideal(args.ideal, args.N, field, args.n)
+    ideal = ic.IdealPresentation.parse(args.ideal, args.N, field, args.n)
     cell = tt.CellIndex(
         [int(x) for x in args.i.split(",")],
         [int(x) for x in args.j.split(",")],
@@ -234,10 +251,9 @@ def cmd_enumerate(args):
 def cmd_param(args):
     field = _field(args.field)
     if args.job:
-        job = json.load(open(args.job))
-        branch_texts = job["branches"]
-        precision = job["precision"]
+        branch_texts, precision = _read_job(args.job, ["branches", "precision"])
     else:
+        _require(args, "branch", "precision")
         branch_texts = [b.split(",") for b in args.branch]
         precision = args.precision
     param = br.Parametrization.parse(branch_texts, precision, field)
@@ -269,7 +285,7 @@ def cmd_normflat(args):
     for b in args.fiber or []:
         fibers.append(br.Parametrization.parse([b.split(",")], args.precision, field))
     for texts in args.fiber_ideal or []:
-        fibers.append(_parse_ideal(texts.split(";"), args.N, field, args.level))
+        fibers.append(ic.IdealPresentation.parse(texts.split(";"), args.N, field, args.level))
     rep = br.normally_flat_fiber_compare(fibers, args.level)
     lines = []
     for i, hd in enumerate(rep.hilbert):
@@ -285,13 +301,13 @@ def cmd_normflat(args):
 def cmd_deform(args):
     field = _field(args.field)
     if args.job:
-        job = json.load(open(args.job))
-        base_texts, pert_texts = job["base"], job["perturbations"]
-        e0, level = job["e0"], job["level"]
+        base_texts, pert_texts, e0, level = _read_job(
+            args.job, ["base", "perturbations", "e0", "level"])
     else:
+        _require(args, "base", "perturb", "e0")
         base_texts, pert_texts = args.base, args.perturb
         e0, level = args.e0, args.level
-    base = _parse_ideal(base_texts, args.N, field, level)
+    base = ic.IdealPresentation.parse(base_texts, args.N, field, level)
     perts = [rc.parse_poly(t, args.N, field, level) if t.strip() not in ("", "0")
              else rc.TruncatedPoly.zero(args.N, field, level) for t in pert_texts]
     d = df.FirstOrderDeformation(base, perts, e0)
@@ -309,8 +325,8 @@ def cmd_deform(args):
 
 def cmd_colon(args):
     field = _field(args.field)
-    ideal = _parse_ideal(args.ideal, args.N, field, max(args.level, 2))
-    other = _parse_ideal(args.K, args.N, field, max(args.level, 2))
+    ideal = ic.IdealPresentation.parse(args.ideal, args.N, field, max(args.level, 2))
+    other = ic.IdealPresentation.parse(args.K, args.N, field, max(args.level, 2))
     cs = df.colon(ideal, other, args.level)
     _emit({
         "dimension": cs.dimension,

@@ -19,6 +19,7 @@ from .ringcore import (
     Echelon,
     LevelError,
     TruncatedPoly,
+    kernel_basis,
     monomial_table,
     monomials_of_degree,
     multiple_vector,
@@ -41,13 +42,6 @@ class DualPoly:
             self.eps.n_vars, self.eps.field, self.eps.level
         ):
             raise LevelError("dual components disagree on ambient, field, or level")
-
-    @classmethod
-    def parse(cls, re_text, eps_text, n_vars, field, level):
-        return cls(
-            parse_poly(re_text, n_vars, field, level),
-            parse_poly(eps_text, n_vars, field, level) if eps_text else None,
-        )
 
     def __add__(self, other):
         return DualPoly(self.re + other.re, self.eps + other.eps)
@@ -91,10 +85,11 @@ class ColonSpace:
 def colon(ideal, other, level):
     """The colon space (I + M^a : K + M^a) inside R/M^a, a = level.
 
-    Solved as a linear system over the unknown coefficients of h: for every
-    span generator k_j of (K+M^a)/M^a the product h*k_j must reduce to zero
-    against the span of I+M^a.  The result depends only on the two ideals,
-    not on their presentations.
+    Solved as a kernel over the unknown coefficients of h: for every span
+    generator k_j of (K+M^a)/M^a the product h*k_j must reduce to zero
+    against the span of I+M^a, so the image of x^a is the tuple of residuals
+    of x^a*k_j.  The result depends only on the two ideals, not on their
+    presentations.
     """
     if (ideal.n_vars, ideal.field) != (other.n_vars, other.field):
         raise LevelError("colon needs a common ambient and field")
@@ -108,23 +103,14 @@ def colon(ideal, other, level):
         for row in DegreeSpans(other.truncated(min(level, other.level)), level).ech.basis()
     ]
     n_mon = len(table.monos)
-    ech = Echelon(field)
-    for col, mono in enumerate(table.monos):
-        vec = {}
-        for j, k in enumerate(kbasis):
-            resid = target.ech.reduce(multiple_vector(table, k, mono))
-            for c, v in resid.items():
-                vec[j * n_mon + c] = v
-        vec[len(kbasis) * n_mon + col] = field.one()
-        ech.add(vec)
-    id_off = len(kbasis) * n_mon
-    basis = []
-    for piv in sorted(ech.rows):
-        if piv < id_off:
-            continue
-        row = ech.rows[piv]
-        terms = {table.monos[c - id_off]: v for c, v in row.items()}
-        basis.append(TruncatedPoly(n_vars, field, level, terms))
+    images = (
+        {j * n_mon + c: v
+         for j, k in enumerate(kbasis)
+         for c, v in target.ech.reduce(multiple_vector(table, k, mono)).items()}
+        for mono in table.monos
+    )
+    kernel = kernel_basis(Echelon(field), images, len(kbasis) * n_mon)
+    basis = [table.poly_of(row, field) for row in kernel]
     member_ech = span_of_multiples(table, field, basis, hi=0)
     return ColonSpace(level, basis, len(basis), member_ech, table)
 
@@ -352,7 +338,6 @@ def fiberwise_family_check(templates, samples, n_vars, field, level):
     reports = []
     for s in samples:
         gens = [substitute_parameter(t, s) for t in templates]
-        gens = [g for g in gens]
         polys = []
         for g in gens:
             p = parse_poly(g, n_vars, field, level)

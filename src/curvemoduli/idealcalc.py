@@ -147,7 +147,7 @@ class HilbertData:
     e0: int | None
     e1: int | None
     stab_index: int | None
-    status: str  # "ok" | "not_stabilized" | "dim_ge_2"
+    status: str  # "ok" | "not_stabilized" | "dim_ge_2" | "dim_0"
     level: int
 
     def to_json(self):
@@ -169,34 +169,36 @@ class HilbertData:
         }
 
 
-def analyze_h1(values, window=2):
+def analyze_h1(values):
     """Read (e0, e1) off a list of H1 values H1(0..n-1).
 
-    Stabilization requires the difference sequence constant over at least
-    `window` consecutive steps ending at the level boundary; a strictly
-    increasing difference tail is flagged as dimension >= 2 instead.
+    Stabilization requires the difference sequence constant over the last
+    two steps before the level boundary; a strictly increasing difference
+    tail is flagged as dimension >= 2 instead.  A last graded value of 0 is
+    "dim_0", with no (e0, e1): gr is generated in degree 1, so a zero
+    graded piece stays zero and the quotient is finite dimensional.
     """
     n = len(values)
     graded = [values[0]] + [values[t] - values[t - 1] for t in range(1, n)]
     if n < 3:
         raise LevelError(f"need level >= 3 to analyze, got {n}")
-    tail = graded[-window:]
-    if len(set(tail)) == 1:
-        e0 = tail[0]
+    if graded[-1] == 0:
+        return HilbertData(values, graded, None, None, None, "dim_0", n)
+    if graded[-1] == graded[-2]:
+        e0 = graded[-1]
         t0 = n - 1
         while t0 > 0 and graded[t0 - 1] == e0:
             t0 -= 1
         e1 = e0 * n - values[n - 1]
         return HilbertData(values, graded, e0, e1, t0, "ok", n)
-    strict = all(graded[t] > graded[t - 1] for t in range(n - window, n))
+    strict = graded[-1] > graded[-2] > graded[-3]
     status = "dim_ge_2" if strict else "not_stabilized"
     return HilbertData(values, graded, None, None, None, status, n)
 
 
-def hilbert_data(ideal, level, window=2):
+def hilbert_data(ideal, level):
     """Hilbert-Samuel data of R/(I+M^level) read from spans at `level`."""
-    spans = DegreeSpans(ideal, level)
-    return analyze_h1(spans.h1_values(), window=window)
+    return analyze_h1(DegreeSpans(ideal, level).h1_values())
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .ringcore import QQ, Echelon
+
 
 class MotivicClass:
     """Laurent polynomial in L with integer coefficients (sparse, exact)."""
@@ -72,12 +74,6 @@ class MotivicClass:
     def shift(self, k):
         """Multiply by L^k."""
         return MotivicClass({e + k: c for e, c in self.coeffs.items()})
-
-    def pow(self, k):
-        out = MotivicClass.one()
-        for _ in range(k):
-            out = out * self
-        return out
 
     def order(self):
         """Filtration order: -(largest exponent); None for the zero class."""
@@ -241,24 +237,22 @@ def mps(class0, n0, ctx):
     return RationalSeries({n0: class0.shift(ctx.c * n0)}, [(ctx.c, 1)])
 
 
-def volume_partial(terms, max_shift=None):
+def volume_partial(terms):
     """Partial motivic volume: sum of term(s) * L^{-s} for the given s.
 
     Also returns the norm bound 2^-(S+1-D) on the omitted tail, where S is
-    the largest s supplied and D bounds the L-degree of the term classes
-    (taken from the supplied terms unless given).  The bound assumes tail
-    terms obey the same degree bound; that assumption is the caller's.
+    the largest s supplied and D is the largest L-degree of the supplied
+    term classes.  The bound assumes tail terms obey the same degree bound;
+    that assumption is the caller's.
     """
     total = MotivicClass.zero()
     if not terms:
         return total, Fraction(0)
     S = max(terms)
-    D = max_shift
-    if D is None:
-        D = max(
-            (max(cls.coeffs) for cls in terms.values() if not cls.is_zero()),
-            default=0,
-        )
+    D = max(
+        (max(cls.coeffs) for cls in terms.values() if not cls.is_zero()),
+        default=0,
+    )
     for s, cls in terms.items():
         if s < 0:
             raise ValueError("term indices are s >= 0")
@@ -347,18 +341,15 @@ def fit_class_from_counts(counts, max_degree):
             f"fit degree lowered to {degree}: only {len(qs)} fields supplied"
         )
     n = degree + 1
-    rows = [[Fraction(q) ** j for j in range(n)] + [Fraction(counts[q])] for q in qs[:n]]
-    # plain Gaussian elimination on the (n+1)-column augmented system
-    for col in range(n):
-        piv = next(r for r in range(col, n) if rows[r][col] != 0)
-        rows[col], rows[piv] = rows[piv], rows[col]
-        inv = 1 / rows[col][col]
-        rows[col] = [x * inv for x in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-    sol = [rows[j][n] for j in range(n)]
+    # the Vandermonde rows [1, q, .., q^degree | count] are independent, so
+    # reduced row j is e_j + c_j e_n with c_j the coefficient of L^j
+    ech = Echelon(QQ)
+    for q in qs[:n]:
+        row = {j: x for j in range(n) if (x := Fraction(q) ** j)}
+        if counts[q]:
+            row[n] = Fraction(counts[q])
+        ech.add(row)
+    sol = [ech.rows[j].get(n, Fraction(0)) for j in range(n)]
     if any(c.denominator != 1 for c in sol):
         raise ValueError(f"fit is not integral: {sol}")
     cls = MotivicClass({j: int(c) for j, c in enumerate(sol)})

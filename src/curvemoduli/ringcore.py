@@ -326,12 +326,6 @@ class TruncatedPoly:
                 terms[mono_mul(m, mono)] = f.mul(v, c)
         return TruncatedPoly(self.n_vars, f, self.level, terms)
 
-    def pow(self, k):
-        out = TruncatedPoly.constant(1, self.n_vars, self.field, self.level)
-        for _ in range(k):
-            out = out * self
-        return out
-
     # -- structure ----------------------------------------------------------
 
     def order(self):
@@ -339,11 +333,6 @@ class TruncatedPoly:
         if not self.terms:
             return None
         return min(sum(m) for m in self.terms)
-
-    def top_degree(self):
-        if not self.terms:
-            return None
-        return max(sum(m) for m in self.terms)
 
     def homogeneous_part(self, d):
         return TruncatedPoly(
@@ -355,14 +344,6 @@ class TruncatedPoly:
         if level > self.level:
             raise LevelError(f"cannot extend precision from {self.level} to {level}")
         return TruncatedPoly(self.n_vars, self.field, level, self.terms)
-
-    def leading_term(self):
-        """(monomial, coeff) of the deg-lex largest term of the initial form."""
-        if not self.terms:
-            return None
-        o = self.order()
-        m = max((m for m in self.terms if sum(m) == o))
-        return m, self.terms[m]
 
     def __eq__(self, other):
         return (
@@ -758,6 +739,24 @@ def _eliminate_int(rows, v):
                 else:
                     del v[c]
     return scale
+
+
+def kernel_basis(seed, images, width):
+    """Canonical basis, as dicts {j: c_j} in pivot order, of the combinations
+    sum_j c_j * images[j] that lie in span(seed).
+
+    `images` is an iterable of vectors with columns below `width`, read once.
+    Each [images[j] | e_j] goes into a copy of `seed` with the identity block
+    starting at `width`; a row pivoted in that block has no image part left
+    modulo the seed, so those rows are the reduced echelon basis of the
+    kernel.  `seed` is not modified.
+    """
+    ech = seed.copy()
+    one = seed.field.one()
+    for j, vec in enumerate(images):
+        ech.add({**vec, width + j: one})
+    rows = ech.rows
+    return [{c - width: v for c, v in rows[piv].items()} for piv in sorted(rows) if piv >= width]
 
 
 # ---------------------------------------------------------------------------

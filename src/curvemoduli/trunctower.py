@@ -12,7 +12,7 @@ form L satisfies
   (2) multiplication by L is an isomorphism of the e0-dimensional graded
       slices m^t/m^{t+1} -> m^{t+1}/m^{t+2} of R/J for t = e0-1 .. n-2.
 The nonconstructive "n large enough" bounds of the theory are replaced by
-an explicit CutoffPolicy; every verdict records the level it was checked at.
+an explicit level argument; every verdict records the level it was checked at.
 """
 
 from __future__ import annotations
@@ -45,21 +45,6 @@ from .idealcalc import (
 
 class BudgetExceededError(RuntimeError):
     """An enumeration or search exceeded its configured budget."""
-
-
-@dataclass
-class CutoffPolicy:
-    """User-controlled stand-in for the theory's nonconstructive level bounds."""
-
-    n_default: int = 8
-    n_max: int = 24
-    window: int = 2
-
-    def __post_init__(self):
-        if not 3 <= self.n_default <= self.n_max:
-            raise ValueError("need 3 <= n_default <= n_max")
-        if self.window < 2:
-            raise ValueError("stabilization window must be >= 2")
 
 
 @dataclass
@@ -400,6 +385,8 @@ def hilbert_stratum_check(ideal, F, r, level=None):
     Ftab = dict(enumerate(F)) if isinstance(F, (list, tuple)) else dict(F)
     level = level or ideal.level
     hd = analyze_h1(DegreeSpans(ideal.truncated(level), level).h1_values())
+    if hd.status == "dim_0":
+        raise ValueError("the ideal is zero-dimensional: it cuts out no curve")
     if hd.status != "ok":
         raise LevelError(f"Hilbert data {hd.status} at level {level}; raise the level")
     e0, e1 = hd.e0, hd.e1

@@ -187,6 +187,14 @@ class TestNormallyFlatCompare:
         rep = normally_flat_fiber_compare([cusp, node], 6)
         assert rep.constant and rep.polynomials_agree
 
+    def test_zero_dimensional_fiber_has_no_polynomial(self):
+        curve = IdealPresentation.parse(["x2^2 - x1^3"], 2, QQ, 6)
+        point = IdealPresentation.parse(["x1^2", "x2^2"], 2, QQ, 6)
+        rep = normally_flat_fiber_compare([curve, point], 6)
+        assert [hd.status for hd in rep.hilbert] == ["ok", "dim_0"]
+        assert rep.polynomials_agree is None
+        assert not rep.constant and rep.first_mismatch == (1, 2)
+
     def test_single_fiber_trivially_constant(self):
         rep = normally_flat_fiber_compare([param([["t^2", "t^3"]], 20)], 5)
         assert rep.constant and rep.first_mismatch is None

@@ -1,4 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from curvemoduli.cli import main
 
@@ -54,6 +60,18 @@ class TestHilbert:
         code, _, err = run(capsys, "hilbert", "--ideal", "x9", "--N", "2", "--level", "5")
         assert code == 2
         assert "out of range" in err
+
+
+    @pytest.mark.parametrize("n_vars", [2, 3])
+    def test_zero_dimensional_exit_code(self, capsys, n_vars):
+        argv = ["hilbert", "--N", str(n_vars), "--level", "6"]
+        for i in range(1, n_vars + 1):
+            argv += ["--ideal", f"x{i}^2"]
+        code, payload, _ = run_json(capsys, *argv)
+        assert code == 3
+        assert payload["status"] == "dim_0"
+        assert (payload["e0"], payload["e1"], payload["stab_index"]) == (None, None, None)
+        assert "intro_form" not in payload and "tail_form" not in payload
 
 
 class TestDeterminism:
@@ -255,3 +273,59 @@ class TestSubcommands:
             capsys, "enumerate", "--e0", "4", "--n", "12", "--q", "3"
         )
         assert code == 3
+
+
+class TestJobFiles:
+    """`--job` input, run as a user runs it: with ResourceWarning as an
+    error, a leaked file handle shows on stderr."""
+
+    SRC = Path(__file__).resolve().parents[1] / "src"
+
+    def cli(self, *argv):
+        env = dict(os.environ, PYTHONPATH=str(self.SRC))
+        return subprocess.run(
+            [sys.executable, "-W", "error::ResourceWarning", "-m", "curvemoduli.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    def write(self, tmp_path, job):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(job))
+        return str(path)
+
+    def test_param_job_closes_its_file(self, tmp_path):
+        job = self.write(tmp_path, {"branches": [["t^2", "t^3"]], "precision": 24})
+        proc = self.cli("param", "--job", job, "--level", "8")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["kernel_generators"][0] == "-x1^3 + x2^2"
+
+    def test_deform_job_closes_its_file(self, tmp_path):
+        job = self.write(tmp_path, {"base": ["x1^3"], "perturbations": ["x1"], "e0": 3, "level": 8})
+        proc = self.cli("deform", "--job", job)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["family"] is False
+
+    def test_missing_job_file(self, tmp_path):
+        proc = self.cli("param", "--job", str(tmp_path / "absent.json"))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: cannot read job file") and proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("command,job", [
+        ("param", {"precision": 24}),
+        ("deform", {"base": ["x1^3"], "e0": 3, "level": 8}),
+    ])
+    def test_job_without_a_key(self, tmp_path, command, job):
+        proc = self.cli(command, "--job", self.write(tmp_path, job))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: job file") and proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["param", "--level", "8"],
+        ["param", "--branch", "t^2,t^3"],
+        ["deform", "--base", "x1^3", "--perturb", "x1"],
+    ])
+    def test_neither_flags_nor_job(self, argv):
+        proc = self.cli(*argv)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith(f"error: {argv[0]} needs --job or all of")
+        assert proc.stderr.count("\n") == 1

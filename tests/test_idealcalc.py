@@ -100,6 +100,18 @@ class TestHilbertData:
         hd = hilbert_data(zero, 6)
         assert hd.status == "dim_ge_2"
 
+    @pytest.mark.parametrize("n_vars,values", [
+        (2, [1, 3, 4, 4, 4, 4]),
+        (3, [1, 4, 7, 8, 8, 8]),
+    ])
+    def test_zero_dimensional_is_dim_0(self, n_vars, values):
+        squares = [f"x{i}^2" for i in range(1, n_vars + 1)]
+        hd = hilbert_data(ideal(squares, n_vars=n_vars, level=6), 6)
+        assert hd.values == values and hd.graded[-1] == 0
+        assert hd.status == "dim_0"
+        assert (hd.e0, hd.e1, hd.stab_index) == (None, None, None)
+        assert hd.polynomial_forms() is None
+
     def test_level_below_three_rejected(self):
         with pytest.raises(LevelError):
             analyze_h1([1, 3])

@@ -220,3 +220,15 @@ class TestFit:
     def test_impossible_fit_raises(self):
         with pytest.raises(ValueError):
             fit_class_from_counts({2: 5, 3: 10, 5: 26, 7: 50}, 1)
+
+    def test_zero_coefficients_are_read_as_zero(self):
+        cls, warnings = fit_class_from_counts({q: q**3 - 1 for q in (2, 3, 5, 7)}, 3)
+        assert cls.coeffs == {3: 1, 0: -1} and str(cls) == "L^3 - 1"
+        assert warnings == ["polynomial point-count behavior is an assumption, not a verified fact"]
+        cls, warnings = fit_class_from_counts({2: 1, 3: 1}, 1)
+        assert cls == ONE and len(warnings) == 1
+
+    def test_non_integral_fit_names_the_solution(self):
+        with pytest.raises(ValueError) as exc:
+            fit_class_from_counts({2: 3, 4: 4}, 1)
+        assert str(exc.value) == "fit is not integral: [Fraction(2, 1), Fraction(1, 2)]"

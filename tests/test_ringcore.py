@@ -14,6 +14,7 @@ from curvemoduli.ringcore import (
     degree_block,
     echelon_span,
     initial_form,
+    kernel_basis,
     monomial_table,
     monomials_of_degree,
     parse_poly,
@@ -392,3 +393,63 @@ class TestEchelonKernel:
                 assert block.rank == len(want)
             self._check(ech, vectors, field, ncols, rng)
         assert semi_reduced >= 5
+
+
+def _dense_kernel(seed_vecs, images, width, field):
+    """RREF of {c : sum c_j images[j] in span(seed)} by dense elimination: the
+    nullspace of the matrix with columns images + seed, projected onto the
+    image coordinates (no Echelon involved)."""
+    zero, one = field.zero(), field.one()
+    cols = images + seed_vecs
+    matrix = [[v.get(r, zero) for v in cols] for r in range(width)]
+    rref = naive_rref(matrix, field)
+    pivots = {piv for piv, _ in rref}
+    null = []
+    for free in range(len(cols)):
+        if free in pivots:
+            continue
+        x = [zero] * len(cols)
+        x[free] = one
+        for piv, row in rref:
+            x[piv] = field.neg(row[free])
+        null.append(x[:len(images)])
+    return [{j: c for j, c in enumerate(row) if c != zero}
+            for _, row in naive_rref(null, field)]
+
+
+class TestKernelBasis:
+    """kernel_basis against a dense nullspace, over QQ and GF(p)."""
+
+    FIELDS = [QQ, GF(7), GF(32003)]
+
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    @pytest.mark.parametrize("with_seed", [False, True], ids=["no_seed", "seed"])
+    def test_matches_dense_nullspace(self, field, with_seed):
+        rng = random.Random(f"kernel:{field!r}:{with_seed}")
+        nontrivial = 0
+        for _ in range(20):
+            width = rng.randint(3, 9)
+            seed_vecs = ([_random_vector(rng, field, width) for _ in range(rng.randint(1, width))]
+                         if with_seed else [])
+            images = [_random_vector(rng, field, width) for _ in range(rng.randint(1, 12))]
+            seed = Echelon(field)
+            for vec in seed_vecs:
+                seed.add(vec)
+            stored = {piv: dict(row) for piv, row in seed._rows.items()}
+            rank = seed.rank
+
+            basis = kernel_basis(seed, images, width)
+
+            assert seed.rank == rank and seed._rows == stored
+            grown = naive_rank([[v.get(c, field.zero()) for c in range(width)]
+                                for v in seed_vecs + images], field)
+            assert len(basis) == len(images) - (grown - rank)
+            assert basis == _dense_kernel(seed_vecs, images, width, field)
+            for row in basis:
+                combo = {}
+                for j, c in row.items():
+                    for col, x in images[j].items():
+                        combo[col] = field.add(combo.get(col, field.zero()), field.mul(c, x))
+                assert seed.contains({col: x for col, x in combo.items() if x != field.zero()})
+            nontrivial += bool(basis)
+        assert nontrivial >= 10

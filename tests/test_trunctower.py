@@ -10,7 +10,6 @@ from curvemoduli.ringcore import (
 from curvemoduli.trunctower import (
     BudgetExceededError,
     CellIndex,
-    CutoffPolicy,
     TnFailure,
     _length_with_form,
     admissible,
@@ -30,15 +29,6 @@ from curvemoduli.trunctower import (
 
 def ideal(texts, n_vars=2, field=QQ, level=8):
     return IdealPresentation.parse(texts, n_vars, field, level)
-
-
-class TestCutoffPolicy:
-    def test_validation(self):
-        CutoffPolicy(8, 24, 2)
-        with pytest.raises(ValueError):
-            CutoffPolicy(2, 24)
-        with pytest.raises(ValueError):
-            CutoffPolicy(10, 8)
 
 
 class TestCandidateForms:
@@ -360,6 +350,11 @@ class TestHilbertStratum:
         I = ideal(["x2^2 - x1^3"], level=6)
         with pytest.raises(ValueError, match="not admissible"):
             hilbert_stratum_check(I, [1, 3, 6, 8, 10, 12], 1, 6)
+
+    def test_zero_dimensional_ideal_rejected(self):
+        point = ideal(["x1^2", "x2^2"], level=6)
+        with pytest.raises(ValueError, match="zero-dimensional"):
+            hilbert_stratum_check(point, [1, 3, 4, 4, 4, 4], 1, 6)
 
     def test_plane_functions_coincide(self):
         # the node and the cusp share the full plane Hilbert function, so a
