@@ -297,7 +297,7 @@ class _Substitution:
         return ech
 
 
-def ideal_from_param(param, level):
+def ideal_from_param(param, level, sub=None):
     """The truncated defining ideal of the branches, by exact linear algebra.
 
     The span of (I(C)+M^level)/M^level consists of the polynomials of degree
@@ -305,9 +305,10 @@ def ideal_from_param(param, level):
     (not of those whose substitution vanishes: at finite t-precision the
     image of M^level is visible, not zero).  The generators returned are its
     reduced echelon basis, the kernel of the substitution modulo that image;
-    each is post-checked to vanish on every branch modulo the image.
+    each is post-checked to vanish on every branch modulo the image.  A
+    caller that already holds `_Substitution(param, level)` passes it as `sub`.
     """
-    sub = _Substitution(param, level)
+    sub = sub or _Substitution(param, level)
     high_span = sub.span(level)
     table = monomial_table(param.n_vars, level)
     kernel = kernel_basis(high_span, map(sub.image_vector, table.monos), sub.t_cols)
@@ -338,14 +339,15 @@ def evaluate_on_branch(poly, branch):
     return out
 
 
-def hilbert_from_param(param, level):
+def hilbert_from_param(param, level, sub=None):
     """Hilbert data via the substitution ranks (the parametric route).
 
     H1(t) = dim R/(I+M^{t+1}) is the rank of all substituted monomials minus
     the rank of those of degree >= t+1: one echelon pass that starts from
     the span of degree >= level and adds the degrees below it, descending.
+    `sub` is as in `ideal_from_param`.
     """
-    sub = _Substitution(param, level)
+    sub = sub or _Substitution(param, level)
     ech = sub.span(level)
     rank_geq = [0] * level + [ech.rank]
     for d in range(level - 1, -1, -1):

@@ -7,15 +7,16 @@ Exit codes: 0 success, 2 precondition or parse errors, 3 soft outcomes
 (not stabilized, search budget exceeded, divergent intersection) that a
 script can retry at a higher level, and zero-dimensional input ("dim_0").
 
-The environment variable CURVEMODULI_LEVEL supplies the default working
-level when --level is omitted.
+The subcommands are the entries of one table, COMMANDS: name, help line,
+handler and flags.  Flags that several subcommands take are defined once
+and shared.  `main` builds the parser of the chosen subcommand only.
+Where --level or --n-max is omitted it is DEFAULT_LEVEL.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import branches as br
@@ -28,6 +29,7 @@ from . import trunctower as tt
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
 EXIT_SOFT = 3
+DEFAULT_LEVEL = 8
 
 
 def _field(spec):
@@ -36,8 +38,16 @@ def _field(spec):
     return rc.GF(int(spec))
 
 
-def _default_level():
-    return int(os.environ.get("CURVEMODULI_LEVEL", "8"))
+def _ideal(args, texts, level):
+    """The ideal generated by `texts` in --N variables over --field."""
+    return ic.IdealPresentation.parse(texts, args.N, _field(args.field), level)
+
+
+def _poly(args, text, field, level):
+    """A polynomial in --N variables; a blank entry is zero."""
+    if not text.strip():
+        return rc.TruncatedPoly.zero(args.N, field, level)
+    return rc.parse_poly(text, args.N, field, level)
 
 
 def _emit(payload, table_lines=None, as_table=False):
@@ -75,22 +85,20 @@ def _gens_json(ideal):
 def _hilbert_table(hd):
     ts = list(range(len(hd.values)))
     w = max(len(str(v)) for v in hd.values + ts) + 1
-    lines = [
+    return [
         "t  " + "".join(f"{t:>{w}}" for t in ts),
         "H1 " + "".join(f"{v:>{w}}" for v in hd.values),
         "H0 " + "".join(f"{v:>{w}}" for v in hd.graded),
         f"status: {hd.status}  e0: {hd.e0}  e1: {hd.e1}  stab_index: {hd.stab_index}",
     ]
-    return lines
 
 
 def cmd_hilbert(args):
-    field = _field(args.field)
-    ideal = ic.IdealPresentation.parse(args.ideal, args.N, field, args.level)
+    ideal = _ideal(args, args.ideal, args.level)
     hd = ic.hilbert_data(ideal, args.level)
     payload = hd.to_json()
     payload["input"] = {"ideal": _gens_json(ideal), "N": args.N, "level": args.level,
-                        "field": str(field)}
+                        "field": str(ideal.field)}
     forms = hd.polynomial_forms()
     if forms:
         payload.update(forms)
@@ -99,8 +107,7 @@ def cmd_hilbert(args):
 
 
 def cmd_initial(args):
-    field = _field(args.field)
-    ideal = ic.IdealPresentation.parse(args.ideal, args.N, field, args.level)
+    ideal = _ideal(args, args.ideal, args.level)
     data = ic.initial_ideal(ideal, args.level)
     payload = {
         "vstar": data.vstar,
@@ -117,8 +124,7 @@ def cmd_initial(args):
 
 
 def cmd_stdbasis(args):
-    field = _field(args.field)
-    ideal = ic.IdealPresentation.parse(args.ideal, args.N, field, args.level)
+    ideal = _ideal(args, args.ideal, args.level)
     rep = ic.standard_basis_check(ideal, args.level)
     payload = {
         "standard_basis": rep.ok,
@@ -131,16 +137,14 @@ def cmd_stdbasis(args):
 
 
 def cmd_nu(args):
-    field = _field(args.field)
-    ideal = ic.IdealPresentation.parse(args.ideal, args.N, field, args.level)
+    ideal = _ideal(args, args.ideal, args.level)
     _emit({"nu": ic.min_generators(ideal, args.level), "level": args.level})
     return EXIT_OK
 
 
 def cmd_gamma(args):
-    field = _field(args.field)
-    ideal = ic.IdealPresentation.parse(args.ideal, args.N, field, args.n_max)
-    other = ic.IdealPresentation.parse(args.other, args.N, field, args.n_max)
+    ideal = _ideal(args, args.ideal, args.n_max)
+    other = _ideal(args, args.other, args.n_max)
     value = ic.intersection_number(ideal, other, args.n_max)
     if value == ic.INTERSECTION_DIVERGENT:
         _emit({"gamma": "infinity", "divergent_at": args.n_max})
@@ -150,21 +154,17 @@ def cmd_gamma(args):
 
 
 def cmd_tn(args):
-    field = _field(args.field)
-    ideal = ic.IdealPresentation.parse(args.ideal, args.N, field, args.n)
+    ideal = _ideal(args, args.ideal, args.n)
     res = tt.tn_membership(ideal, args.n, args.e0)
-    if isinstance(res, tt.TnFailure):
-        _emit(res.to_json())
-    else:
-        payload = res.to_json()
+    payload = res.to_json()
+    if not isinstance(res, tt.TnFailure):
         payload["member"] = True
-        _emit(payload)
+    _emit(payload)
     return EXIT_OK
 
 
 def cmd_shape(args):
-    field = _field(args.field)
-    ideal = ic.IdealPresentation.parse(args.ideal, args.N, field, args.n)
+    ideal = _ideal(args, args.ideal, args.n)
     rep = tt.shape_check(ideal, args.n, args.e0)
     _emit({
         "ok": rep.ok,
@@ -176,8 +176,7 @@ def cmd_shape(args):
 
 
 def cmd_jtilde(args):
-    field = _field(args.field)
-    ideal = ic.IdealPresentation.parse(args.ideal, args.N, field, args.n)
+    ideal = _ideal(args, args.ideal, args.n)
     res = tt.jtilde(ideal, args.n, args.e0)
     _emit({
         "generators": _gens_json(res.ideal),
@@ -199,8 +198,7 @@ def cmd_admissible(args):
 
 
 def cmd_stratum(args):
-    field = _field(args.field)
-    ideal = ic.IdealPresentation.parse(args.ideal, args.N, field, args.level)
+    ideal = _ideal(args, args.ideal, args.level)
     F = [int(x) for x in args.F.split(",")]
     ok, mismatch = tt.hilbert_stratum_check(ideal, F, args.r, args.level)
     _emit({"member": ok, "first_mismatch_t": mismatch})
@@ -208,10 +206,9 @@ def cmd_stratum(args):
 
 
 def cmd_superficial(args):
-    field = _field(args.field)
     level = max(args.level, args.e0 + 1)
-    ideal = ic.IdealPresentation.parse(args.ideal, args.N, field, level)
-    L = rc.parse_poly(args.L, args.N, field, level)
+    ideal = _ideal(args, args.ideal, level)
+    L = rc.parse_poly(args.L, args.N, ideal.field, level)
     ok, cert = tt.cm_superficial_test(ideal, L, args.e0)
     payload = cert.to_json()
     payload["superficial_and_cm"] = ok
@@ -220,8 +217,7 @@ def cmd_superficial(args):
 
 
 def cmd_cells(args):
-    field = _field(args.field)
-    ideal = ic.IdealPresentation.parse(args.ideal, args.N, field, args.n)
+    ideal = _ideal(args, args.ideal, args.n)
     cell = tt.CellIndex(
         [int(x) for x in args.i.split(",")],
         [int(x) for x in args.j.split(",")],
@@ -257,8 +253,9 @@ def cmd_param(args):
         branch_texts = [b.split(",") for b in args.branch]
         precision = args.precision
     param = br.Parametrization.parse(branch_texts, precision, field)
-    hd = br.hilbert_from_param(param, args.level)
-    ideal = br.ideal_from_param(param, args.level)
+    sub = br._Substitution(param, args.level)
+    hd = br.hilbert_from_param(param, args.level, sub=sub)
+    ideal = br.ideal_from_param(param, args.level, sub=sub)
     payload = hd.to_json()
     payload["kernel_generators"] = _gens_json(ideal)
     payload["branch_count"] = param.r
@@ -281,15 +278,14 @@ def cmd_semigroup(args):
 
 def cmd_normflat(args):
     field = _field(args.field)
-    fibers = []
-    for b in args.fiber or []:
-        fibers.append(br.Parametrization.parse([b.split(",")], args.precision, field))
-    for texts in args.fiber_ideal or []:
-        fibers.append(ic.IdealPresentation.parse(texts.split(";"), args.N, field, args.level))
+    if args.fiber and args.precision is None:
+        raise ValueError("normflat --fiber needs --precision")
+    fibers = [br.Parametrization.parse([b.split(",")], args.precision, field)
+              for b in args.fiber or []]
+    fibers += [ic.IdealPresentation.parse(texts.split(";"), args.N, field, args.level)
+               for texts in args.fiber_ideal or []]
     rep = br.normally_flat_fiber_compare(fibers, args.level)
-    lines = []
-    for i, hd in enumerate(rep.hilbert):
-        lines.append(f"fiber {i}: H1 = {hd.values}")
+    lines = [f"fiber {i}: H1 = {hd.values}" for i, hd in enumerate(rep.hilbert)]
     lines.append(
         "verdict: Hilbert-function-constant" if rep.constant
         else f"verdict: mismatch at fiber {rep.first_mismatch[0]}, t = {rep.first_mismatch[1]}"
@@ -308,8 +304,7 @@ def cmd_deform(args):
         base_texts, pert_texts = args.base, args.perturb
         e0, level = args.e0, args.level
     base = ic.IdealPresentation.parse(base_texts, args.N, field, level)
-    perts = [rc.parse_poly(t, args.N, field, level) if t.strip() not in ("", "0")
-             else rc.TruncatedPoly.zero(args.N, field, level) for t in pert_texts]
+    perts = [_poly(args, t, field, level) for t in pert_texts]
     d = df.FirstOrderDeformation(base, perts, e0)
     fam, verdicts = df.is_family_first_order(d)
     flat, dims = df.flatness_direct(d, e0 + 1)
@@ -324,9 +319,8 @@ def cmd_deform(args):
 
 
 def cmd_colon(args):
-    field = _field(args.field)
-    ideal = ic.IdealPresentation.parse(args.ideal, args.N, field, max(args.level, 2))
-    other = ic.IdealPresentation.parse(args.K, args.N, field, max(args.level, 2))
+    ideal = _ideal(args, args.ideal, max(args.level, 2))
+    other = _ideal(args, args.K, max(args.level, 2))
     cs = df.colon(ideal, other, args.level)
     _emit({
         "dimension": cs.dimension,
@@ -338,16 +332,8 @@ def cmd_colon(args):
 
 def cmd_determinantal(args):
     field = _field(args.field)
-    rows = []
-    for row_text in args.matrix.split(";"):
-        row = []
-        for entry in row_text.split(","):
-            entry = entry.strip()
-            if entry in ("0", ""):
-                row.append(rc.TruncatedPoly.zero(args.N, field, args.level))
-            else:
-                row.append(rc.parse_poly(entry, args.N, field, args.level))
-        rows.append(row)
+    rows = [[_poly(args, entry, field, args.level) for entry in row.split(",")]
+            for row in args.matrix.split(";")]
     ideal = df.determinantal_ideal(rows)
     _emit({"minors": _gens_json(ideal)})
     return EXIT_OK
@@ -387,167 +373,119 @@ def cmd_specialize(args):
     return EXIT_OK
 
 
-def build_parser():
+def _flag(name, **settings):
+    return name, settings
+
+
+def _like(flag, **changes):
+    """A shared flag with some settings changed (help=None: no help line)."""
+    name, settings = flag
+    return name, {**settings, **changes}
+
+
+N = _flag("--N", type=int, default=2, help="ambient variable count")
+FIELD = _flag("--field", default="rational", help="'rational' or a prime p")
+TABLE = _flag("--table", action="store_true", help="aligned table output")
+LEVEL = _flag("--level", type=int, default=DEFAULT_LEVEL)
+TRUNC_N = _flag("--n", type=int, required=True, help="truncation level n")
+E0 = _flag("--e0", type=int, required=True)
+E1 = _flag("--e1", type=int, default=None)
+Q = _flag("--q", type=int, required=True)
+IDEAL = _flag("--ideal", action="append", required=True)
+PRECISION = _flag("--precision", type=int, default=None)
+AT_LEVEL = (N, FIELD, TABLE, LEVEL)
+AT_N = (N, FIELD, TABLE, TRUNC_N, E0, IDEAL)
+
+# name -> (help line, handler, flags in the order --help lists them)
+COMMANDS = {
+    "hilbert": ("Hilbert-Samuel data of R/(I+M^level)", cmd_hilbert, (*AT_LEVEL, IDEAL)),
+    "initial": ("initial ideal slices, v*, and nu", cmd_initial, (*AT_LEVEL, IDEAL)),
+    "stdbasis": ("standard-basis check up to the level", cmd_stdbasis, (*AT_LEVEL, IDEAL)),
+    "nu": ("minimal generator count at the level", cmd_nu, (*AT_LEVEL, IDEAL)),
+    "gamma": ("intersection number dim R/(I+X)", cmd_gamma, (
+        N, FIELD, TABLE, IDEAL,
+        _flag("--other", action="append", required=True),
+        _flag("--n-max", type=int, default=DEFAULT_LEVEL))),
+    "tn": ("T_n membership with superficial certificate", cmd_tn, AT_N),
+    "shape": ("generator-degree gap check for J*", cmd_shape, AT_N),
+    "jtilde": ("degree <= e0 part of the initial ideal", cmd_jtilde, AT_N),
+    "admissible": ("admissible (b, e0, e1) ranges", cmd_admissible, (
+        _flag("--b", type=int, required=True), E0, E1)),
+    "stratum": ("Hilbert stratum membership", cmd_stratum, (
+        *AT_LEVEL, IDEAL,
+        _flag("--F", required=True, help="comma-separated H1 values"),
+        _flag("--r", type=int, required=True))),
+    "superficial": ("CM + superficial test for a form L", cmd_superficial, (
+        *AT_LEVEL, E0, IDEAL, _flag("--L", required=True))),
+    "cells": ("Grassmannian cell membership", cmd_cells, (
+        *AT_N,
+        _flag("--i", required=True, help="comma-separated 1-based monomial indices"),
+        _flag("--j", required=True, help="comma-separated 1-based monomial indices"),
+        _like(Q, help="candidate form index (0-based)"))),
+    "enumerate": ("exhaustive T_n enumeration over F_q", cmd_enumerate, (
+        _like(N, help=None), E0, _like(TRUNC_N, help=None), Q, E1, _like(TABLE, help=None))),
+    "param": ("Hilbert data and ideal from a parametrization", cmd_param, (
+        *AT_LEVEL,
+        _flag("--branch", action="append", help="comma-separated components in t"),
+        PRECISION,
+        _flag("--job", default=None, help="JSON file {branches, precision}"))),
+    "semigroup": ("numerical semigroup gaps and delta", cmd_semigroup, (
+        _flag("--gens", required=True, help="comma-separated generators"),)),
+    "normflat": ("fiberwise Hilbert-function comparison", cmd_normflat, (
+        *AT_LEVEL,
+        _flag("--fiber", action="append", help="branch components in t"),
+        _flag("--fiber-ideal", action="append", help="semicolon-separated generators"),
+        PRECISION)),
+    "deform": ("first-order deformation family check", cmd_deform, (
+        *AT_LEVEL,
+        _flag("--base", action="append"),
+        _flag("--perturb", action="append"),
+        _like(E0, required=False),
+        _flag("--job", default=None, help="JSON file {base, perturbations, e0, level}"))),
+    "colon": ("colon space (I+M^a : K+M^a)", cmd_colon, (
+        *AT_LEVEL, IDEAL, _flag("--K", action="append", required=True))),
+    "determinantal": ("maximal minors of an a x (a-1) matrix", cmd_determinantal, (
+        *AT_LEVEL,
+        _flag("--matrix", required=True, help="rows separated by ';', entries by ','"))),
+    "mps": ("motivic Poincare series and expansion", cmd_mps, (
+        _flag("--class0", required=True, help="Laurent polynomial in L"),
+        _flag("--n0", type=int, required=True),
+        _like(N, required=True, help=None),
+        E0,
+        _flag("--expand", type=int, default=8))),
+    "volume": ("partial motivic volume with tail bound", cmd_volume, (
+        _flag("--terms", required=True, help="s:class pairs separated by ';'"),)),
+    "specialize": ("point-count specialization L -> q", cmd_specialize, (
+        _flag("--class", required=True), Q)),
+}
+
+
+def build_parser(names=COMMANDS):
+    """The parser of the named subcommands, by default all of them.  Usage
+    lines list every name either way."""
     top = argparse.ArgumentParser(
         prog="curvemoduli",
         description="Exact finite-level invariants of embedded curve singularities.",
     )
-    sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p, level=True, n=False, e0=False):
-        p.add_argument("--N", type=int, default=2, help="ambient variable count")
-        p.add_argument("--field", default="rational", help="'rational' or a prime p")
-        p.add_argument("--table", action="store_true", help="aligned table output")
-        if level:
-            p.add_argument("--level", type=int, default=_default_level())
-        if n:
-            p.add_argument("--n", type=int, required=True, help="truncation level n")
-        if e0:
-            p.add_argument("--e0", type=int, required=True)
-
-    p = sub.add_parser("hilbert", help="Hilbert-Samuel data of R/(I+M^level)")
-    common(p)
-    p.add_argument("--ideal", action="append", required=True)
-    p.set_defaults(func=cmd_hilbert)
-
-    p = sub.add_parser("initial", help="initial ideal slices, v*, and nu")
-    common(p)
-    p.add_argument("--ideal", action="append", required=True)
-    p.set_defaults(func=cmd_initial)
-
-    p = sub.add_parser("stdbasis", help="standard-basis check up to the level")
-    common(p)
-    p.add_argument("--ideal", action="append", required=True)
-    p.set_defaults(func=cmd_stdbasis)
-
-    p = sub.add_parser("nu", help="minimal generator count at the level")
-    common(p)
-    p.add_argument("--ideal", action="append", required=True)
-    p.set_defaults(func=cmd_nu)
-
-    p = sub.add_parser("gamma", help="intersection number dim R/(I+X)")
-    common(p, level=False)
-    p.add_argument("--ideal", action="append", required=True)
-    p.add_argument("--other", action="append", required=True)
-    p.add_argument("--n-max", type=int, default=_default_level(), dest="n_max")
-    p.set_defaults(func=cmd_gamma)
-
-    p = sub.add_parser("tn", help="T_n membership with superficial certificate")
-    common(p, level=False, n=True, e0=True)
-    p.add_argument("--ideal", action="append", required=True)
-    p.set_defaults(func=cmd_tn)
-
-    p = sub.add_parser("shape", help="generator-degree gap check for J*")
-    common(p, level=False, n=True, e0=True)
-    p.add_argument("--ideal", action="append", required=True)
-    p.set_defaults(func=cmd_shape)
-
-    p = sub.add_parser("jtilde", help="degree <= e0 part of the initial ideal")
-    common(p, level=False, n=True, e0=True)
-    p.add_argument("--ideal", action="append", required=True)
-    p.set_defaults(func=cmd_jtilde)
-
-    p = sub.add_parser("admissible", help="admissible (b, e0, e1) ranges")
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--e0", type=int, required=True)
-    p.add_argument("--e1", type=int, default=None)
-    p.set_defaults(func=cmd_admissible)
-
-    p = sub.add_parser("stratum", help="Hilbert stratum membership")
-    common(p)
-    p.add_argument("--ideal", action="append", required=True)
-    p.add_argument("--F", required=True, help="comma-separated H1 values")
-    p.add_argument("--r", type=int, required=True)
-    p.set_defaults(func=cmd_stratum)
-
-    p = sub.add_parser("superficial", help="CM + superficial test for a form L")
-    common(p, e0=True)
-    p.add_argument("--ideal", action="append", required=True)
-    p.add_argument("--L", required=True)
-    p.set_defaults(func=cmd_superficial)
-
-    p = sub.add_parser("cells", help="Grassmannian cell membership")
-    common(p, level=False, n=True, e0=True)
-    p.add_argument("--ideal", action="append", required=True)
-    p.add_argument("--i", required=True, help="comma-separated 1-based monomial indices")
-    p.add_argument("--j", required=True, help="comma-separated 1-based monomial indices")
-    p.add_argument("--q", type=int, required=True, help="candidate form index (0-based)")
-    p.set_defaults(func=cmd_cells)
-
-    p = sub.add_parser("enumerate", help="exhaustive T_n enumeration over F_q")
-    p.add_argument("--N", type=int, default=2)
-    p.add_argument("--e0", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--e1", type=int, default=None)
-    p.add_argument("--table", action="store_true")
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("param", help="Hilbert data and ideal from a parametrization")
-    common(p)
-    p.add_argument("--branch", action="append", help="comma-separated components in t")
-    p.add_argument("--precision", type=int, default=None)
-    p.add_argument("--job", default=None, help="JSON file {branches, precision}")
-    p.set_defaults(func=cmd_param)
-
-    p = sub.add_parser("semigroup", help="numerical semigroup gaps and delta")
-    p.add_argument("--gens", required=True, help="comma-separated generators")
-    p.set_defaults(func=cmd_semigroup)
-
-    p = sub.add_parser("normflat", help="fiberwise Hilbert-function comparison")
-    common(p)
-    p.add_argument("--fiber", action="append", help="branch components in t")
-    p.add_argument("--fiber-ideal", action="append", dest="fiber_ideal",
-                   help="semicolon-separated generators")
-    p.add_argument("--precision", type=int, default=None)
-    p.set_defaults(func=cmd_normflat)
-
-    p = sub.add_parser("deform", help="first-order deformation family check")
-    common(p, e0=False)
-    p.add_argument("--base", action="append")
-    p.add_argument("--perturb", action="append")
-    p.add_argument("--e0", type=int)
-    p.add_argument("--job", default=None,
-                   help="JSON file {base, perturbations, e0, level}")
-    p.set_defaults(func=cmd_deform)
-
-    p = sub.add_parser("colon", help="colon space (I+M^a : K+M^a)")
-    common(p)
-    p.add_argument("--ideal", action="append", required=True)
-    p.add_argument("--K", action="append", required=True)
-    p.set_defaults(func=cmd_colon)
-
-    p = sub.add_parser("determinantal", help="maximal minors of an a x (a-1) matrix")
-    common(p)
-    p.add_argument("--matrix", required=True,
-                   help="rows separated by ';', entries by ','")
-    p.set_defaults(func=cmd_determinantal)
-
-    p = sub.add_parser("mps", help="motivic Poincare series and expansion")
-    p.add_argument("--class0", required=True, help="Laurent polynomial in L")
-    p.add_argument("--n0", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--e0", type=int, required=True)
-    p.add_argument("--expand", type=int, default=8)
-    p.set_defaults(func=cmd_mps)
-
-    p = sub.add_parser("volume", help="partial motivic volume with tail bound")
-    p.add_argument("--terms", required=True, help="s:class pairs separated by ';'")
-    p.set_defaults(func=cmd_volume)
-
-    p = sub.add_parser("specialize", help="point-count specialization L -> q")
-    p.add_argument("--class", required=True, dest="class")
-    p.add_argument("--q", type=int, required=True)
-    p.set_defaults(func=cmd_specialize)
-
+    # a metavar would also rename "command" in the errors for a missing or
+    # unknown command, which only the full parser reports
+    every = None if len(names) == len(COMMANDS) else "{" + ",".join(COMMANDS) + "}"
+    sub = top.add_subparsers(dest="command", required=True, metavar=every)
+    for name in names:
+        help_line, _, flags = COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        for flag, settings in flags:
+            p.add_argument(flag, **settings)
     return top
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # top-level help and an unknown command list every subcommand: build all
+    chosen = argv[:1] if argv and argv[0] in COMMANDS else COMMANDS
+    args = build_parser(chosen).parse_args(argv)
     try:
-        return args.func(args)
+        return COMMANDS[args.command][1](args)
     except (rc.ParseError, rc.LevelError, rc.FieldTooSmallError,
             br.PrecisionError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

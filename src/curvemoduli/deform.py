@@ -165,9 +165,6 @@ class FirstOrderDeformation:
                 f" (fails at degree {self.standard.failing_degree})"
             )
 
-    def duals(self):
-        return [DualPoly(f, g) for f, g in zip(self.base.generators, self.perturbations)]
-
 
 def is_family_first_order(deformation, e0=None):
     """Colon-criterion verdict: every g_i in (I+M^{e0+1} : I+M^{e0+1-v_i}).

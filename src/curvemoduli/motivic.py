@@ -42,10 +42,6 @@ class MotivicClass:
     def L(cls, exponent=1):
         return cls({exponent: 1})
 
-    @classmethod
-    def from_int(cls, n):
-        return cls({0: n})
-
     def is_zero(self):
         return not self.coeffs
 
@@ -161,7 +157,9 @@ class RationalSeries:
         self.denominator = tuple(sorted(den))
 
     def expand(self, k):
-        """Taylor coefficients in T up to T^k, exactly."""
+        """Taylor coefficients in T up to T^k (k >= 0), exactly."""
+        if k < 0:
+            raise ValueError(f"expansion order must be >= 0, got {k}")
         coeffs = [self.numerator.get(i, MotivicClass.zero()) for i in range(k + 1)]
         for a, b in self.denominator:
             # multiply by the geometric series of (1 - L^a T^b)^{-1}

@@ -5,6 +5,7 @@ import pytest
 from curvemoduli.branches import (
     Parametrization,
     PrecisionError,
+    _Substitution,
     delta_from_param,
     hilbert_from_param,
     ideal_from_param,
@@ -140,6 +141,13 @@ class TestTwoRouteAgreement:
         P = param([[f"t^{g}" for g in gens]], prec)
         hd = hilbert_from_param(P, level)
         assert hd.values == valuation_h1(gens, level - 1)
+
+    def test_shared_substitution_gives_the_same_results(self):
+        P = param([["t^3", "t^4 + t^5", "t^5"], ["t", "t^2", "t^3"]], 30)
+        sub = _Substitution(P, 6)
+        assert hilbert_from_param(P, 6, sub=sub) == hilbert_from_param(P, 6)
+        assert ideal_from_param(P, 6, sub=sub).generators == ideal_from_param(P, 6).generators
+        assert hilbert_from_param(P, 6, sub=sub) == hilbert_from_param(P, 6)
 
     def test_kernel_route_equals_ideal_route(self):
         P = param([["t^3", "t^4", "t^5"]], 30)

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from curvemoduli.cli import main
+from curvemoduli import branches as br
+from curvemoduli.cli import DEFAULT_LEVEL, build_parser, main
 
 
 def run(capsys, *argv):
@@ -267,6 +268,50 @@ class TestSubcommands:
     def test_specialize(self, capsys):
         code, payload, _ = run_json(capsys, "specialize", "--class", "L^2 - 1", "--q", "3")
         assert code == 0 and payload["value"] == "8"
+
+    def test_normflat_branch_fiber_needs_precision(self, capsys):
+        code, out, err = run(capsys, "normflat", "--fiber", "t^2,t^3")
+        assert (code, out, err) == (2, "", "error: normflat --fiber needs --precision\n")
+
+    def test_mps_rejects_negative_expansion(self, capsys):
+        code, out, err = run(
+            capsys, "mps", "--class0", "1", "--n0", "3", "--N", "2", "--e0", "2", "--expand", "-1"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: expansion order must be >= 0, got -1\n"
+
+    def test_param_builds_one_substitution(self, capsys, monkeypatch):
+        built = []
+        init = br._Substitution.__init__
+
+        def counting_init(self, param, level):
+            built.append(level)
+            init(self, param, level)
+
+        monkeypatch.setattr(br._Substitution, "__init__", counting_init)
+        code, payload, _ = run_json(
+            capsys, "param", "--N", "3", "--level", "8", "--branch", "t^3,t^4,t^5",
+            "--precision", "40",
+        )
+        assert code == 0 and payload["kernel_generators"]
+        assert built == [8]
+
+    def test_level_default_is_eight_whatever_the_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("CURVEMODULI_LEVEL", "5")
+        code, payload, _ = run_json(capsys, "hilbert", "--ideal", "x1^3")
+        assert code == 0 and payload["input"]["level"] == DEFAULT_LEVEL == 8
+
+    def test_main_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["curvemoduli", "admissible", "--b", "3", "--e0", "3"])
+        code = main()
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0 and (payload["rho0"], payload["rho1"]) == (2, 2)
+
+    def test_one_command_parser_keeps_the_full_usage(self):
+        full, one = build_parser(), build_parser(["hilbert"])
+        assert one.format_usage() == full.format_usage()
+        hilbert = ["hilbert", "--ideal", "x1^3"]
+        assert vars(one.parse_args(hilbert)) == vars(full.parse_args(hilbert))
 
     def test_budget_exit_code(self, capsys):
         code, payload, _ = run_json(

@@ -150,6 +150,12 @@ class TestSeriesExpand:
         g = RationalSeries({0: ONE}, [(1, 1)])
         assert [str(c) for c in g.expand(3)] == ["1", "L", "L^2", "L^3"]
 
+    def test_negative_order_is_rejected(self):
+        g = RationalSeries({0: ONE}, [(1, 1)])
+        with pytest.raises(ValueError, match="must be >= 0"):
+            g.expand(-1)
+        assert g.expand(0) == [ONE]
+
     def test_empty_denominator(self):
         s = RationalSeries({2: L(5)})
         coeffs = s.expand(4)
