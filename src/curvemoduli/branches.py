@@ -7,9 +7,7 @@ rank of the substituted monomials of degree <= t, and for monomial branches
 it must agree with a pure valuation count on the semigroup.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from .ringcore import (
@@ -20,7 +18,7 @@ from .ringcore import (
     parse_poly,
     poly_str,
 )
-from .idealcalc import IdealPresentation, analyze_h1
+from .idealcalc import IdealPresentation, analyze_h1, hilbert_data
 
 
 class PrecisionError(ValueError):
@@ -31,14 +29,8 @@ class PrecisionError(ValueError):
 # Numerical semigroups.
 
 
-@dataclass
-class SemigroupData:
-    generators: list
-    elements: list  # all elements <= bound
-    gaps: list
-    delta: int
-    conductor: int
-    bound: int
+# `elements` lists all elements <= bound.
+SemigroupData = namedtuple("SemigroupData", "generators elements gaps delta conductor bound")
 
 
 def semigroup(gens, bound=None):
@@ -172,17 +164,19 @@ class Branch:
         return f"Branch(({comps}); precision={self.precision})"
 
 
-@dataclass
 class Parametrization:
-    branches: list
+    """One or more branches in a common ambient over a common field."""
 
-    def __post_init__(self):
-        if not self.branches:
+    __slots__ = ("branches",)
+
+    def __init__(self, branches):
+        if not branches:
             raise ValueError("need at least one branch")
-        n = self.branches[0].n_vars
-        f = self.branches[0].field
-        if any(b.n_vars != n or b.field != f for b in self.branches):
+        n = branches[0].n_vars
+        f = branches[0].field
+        if any(b.n_vars != n or b.field != f for b in branches):
             raise ValueError("branches disagree on ambient or field")
+        self.branches = branches
 
     @property
     def r(self):
@@ -435,12 +429,13 @@ def delta_from_param(param):
 # Fiberwise normal-flatness comparison.
 
 
-@dataclass
-class FiberCompareReport:
-    hilbert: list  # HilbertData per fiber
-    constant: bool
-    first_mismatch: tuple | None  # (fiber index, t)
-    polynomials_agree: bool | None  # all fibers share (e0, e1); None if some not stabilized
+class FiberCompareReport(namedtuple(
+        "FiberCompareReport", "hilbert constant first_mismatch polynomials_agree")):
+    """Fiberwise Hilbert comparison: one HilbertData per fiber in hilbert;
+    first_mismatch is (fiber index, t) or None; polynomials_agree says all
+    fibers share (e0, e1), None if some fiber is not stabilized."""
+
+    __slots__ = ()
 
     def to_json(self):
         return {
@@ -465,7 +460,6 @@ def normally_flat_fiber_compare(fibers, level):
         if isinstance(f, Parametrization):
             data.append(hilbert_from_param(f, level))
         else:
-            from .idealcalc import hilbert_data
             data.append(hilbert_data(f, level))
     constant = True
     mismatch = None

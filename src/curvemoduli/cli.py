@@ -13,8 +13,6 @@ and shared.  `main` builds the parser of the chosen subcommand only.
 Where --level or --n-max is omitted it is DEFAULT_LEVEL.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys
@@ -357,7 +355,10 @@ def cmd_volume(args):
     terms = {}
     for piece in args.terms.split(";"):
         s, cls = piece.split(":", 1)
-        terms[int(s)] = mv.parse_motivic(cls)
+        s = int(s)
+        if s in terms:
+            raise ValueError(f"term index s = {s} given twice")
+        terms[s] = mv.parse_motivic(cls)
     total, bound = mv.volume_partial(terms)
     _emit({
         "partial_sum": str(total),

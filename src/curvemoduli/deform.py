@@ -11,9 +11,7 @@ k-dimension of the special fiber.  The two must agree whenever the base
 generators are a standard basis, and the test suite leans on that.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .ringcore import (
     Echelon,
@@ -65,21 +63,20 @@ class DualPoly:
         return f"({poly_str(self.re)}) + eps*({poly_str(self.eps)})"
 
 
-@dataclass
-class ColonSpace:
-    """Echelon basis of { h mod M^a : h * K is contained in I + M^a }."""
+class ColonSpace(namedtuple("ColonSpace", "level basis dimension echelon table")):
+    """Echelon basis of { h mod M^a : h * K is contained in I + M^a }.
 
-    level: int
-    basis: list  # TruncatedPoly, reduced echelon rows
-    dimension: int
-    _echelon: Echelon
-    _table: object
+    basis holds the reduced echelon rows as TruncatedPolys; echelon is their
+    span over the monomial table `table`, for membership tests.
+    """
+
+    __slots__ = ()
 
     def contains(self, poly):
         p = poly.truncate_to(self.level) if poly.level > self.level else poly
         if p.level < self.level:
             raise LevelError("membership needs the value at the colon level")
-        return self._echelon.contains(self._table.vector_of(p))
+        return self.echelon.contains(self.table.vector_of(p))
 
 
 def colon(ideal, other, level):
@@ -300,12 +297,11 @@ def determinantal_ideal(matrix):
 # Fiberwise family check for one-parameter families.
 
 
-@dataclass
-class FiberwiseReport:
-    samples: list
-    hilbert: list
-    constant: bool
-    first_mismatch: object  # sample value or None
+class FiberwiseReport(namedtuple("FiberwiseReport", "samples hilbert constant first_mismatch")):
+    """Per-sample HilbertData; first_mismatch is the first sample value whose
+    (e0, e1) differs, or None."""
+
+    __slots__ = ()
 
     def to_json(self):
         return {

@@ -14,13 +14,10 @@ its canonical rows do not depend on the insertion order, and this order was
 measured the cheapest.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field as dc_field
+from collections import namedtuple
 
 from .ringcore import (
     LevelError,
-    TruncatedPoly,
     count_monomials_upto,
     degree_slice,
     initial_form,
@@ -133,22 +130,17 @@ class DegreeSpans:
 # Hilbert-Samuel data.
 
 
-@dataclass
-class HilbertData:
+class HilbertData(namedtuple(
+        "HilbertData", "values graded e0 e1 stab_index status level")):
     """H1 values, graded differences, and the stabilized (e0, e1) when found.
 
     e1 follows the convention H1(t) = e0*(t+1) - e1 on the stabilized tail
     (the one that gives plane curves e1 = e0(e0-1)/2); reports also show the
-    other display form e0*T - e1.
+    other display form e0*T - e1.  status: "ok", "not_stabilized",
+    "dim_ge_2" or "dim_0".
     """
 
-    values: list
-    graded: list
-    e0: int | None
-    e1: int | None
-    stab_index: int | None
-    status: str  # "ok" | "not_stabilized" | "dim_ge_2" | "dim_0"
-    level: int
+    __slots__ = ()
 
     def to_json(self):
         return {
@@ -205,8 +197,8 @@ def hilbert_data(ideal, level):
 # Initial ideal, Hironaka v*, minimal generator count.
 
 
-@dataclass
-class InitialIdealData:
+class InitialIdealData(namedtuple(
+        "InitialIdealData", "slices vstar nu min_generators level")):
     """Graded slices of the initial ideal I* with its minimal generators.
 
     vstar is the multiset (sorted list) of degrees of a minimal homogeneous
@@ -217,14 +209,12 @@ class InitialIdealData:
     nu here counts minimal generators of the initial ideal; a minimal
     standard basis can be redundant as a generating set, so this can
     strictly exceed min_generators(I) (e.g. (x1^2 - x2^3, x1*x2^2) needs
-    the extra initial form x2^5 but no third generator).
+    the extra initial form x2^5 but no third generator).  slices has one
+    DegreeSlice per degree < level; min_generators maps a degree to its
+    homogeneous TruncatedPolys.
     """
 
-    slices: list  # DegreeSlice per degree < level
-    vstar: list
-    nu: int
-    min_generators: dict  # degree -> list of homogeneous TruncatedPoly
-    level: int
+    __slots__ = ()
 
     def slice_dims(self):
         return [s.dimension for s in self.slices]
@@ -269,12 +259,12 @@ def min_generators(ideal, level):
 # Standard basis verification.
 
 
-@dataclass
-class StandardBasisReport:
-    ok: bool
-    failing_degree: int | None = None
-    missing_initial_form: TruncatedPoly | None = None
-    vstar: list = dc_field(default_factory=list)
+class StandardBasisReport(namedtuple(
+        "StandardBasisReport", "ok failing_degree missing_initial_form vstar")):
+    """Standard-basis verdict: on failure, the least failing degree and one
+    missing initial form (a TruncatedPoly) as witness, else both None."""
+
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok

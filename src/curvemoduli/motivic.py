@@ -10,9 +10,7 @@ either symbolically or as polynomials fitted from point counts over a few
 finite fields; the fit is labeled the heuristic it is.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .ringcore import QQ, Echelon
@@ -123,15 +121,17 @@ def _two_power(k):
     return Fraction(2) ** k if k >= 0 else Fraction(1, 2 ** (-k))
 
 
-@dataclass(frozen=True)
-class MeasureContext:
+class MeasureContext(namedtuple("MeasureContext", "n_vars e0")):
     """Ambient data for the cylinder measure: fibration rank c = (N-1)e0."""
 
-    n_vars: int
-    e0: int
+    __slots__ = ()
 
     @property
     def c(self):
+        if self.n_vars < 1:
+            raise ValueError("N must be >= 1")
+        if self.e0 < 1:
+            raise ValueError("e0 must be >= 1")
         return (self.n_vars - 1) * self.e0
 
 
@@ -230,9 +230,10 @@ def mps(class0, n0, ctx):
     """
     if n0 < 1:
         raise ValueError("n0 must be >= 1")
+    c = ctx.c
     if class0.is_zero():
         return RationalSeries({}, [])
-    return RationalSeries({n0: class0.shift(ctx.c * n0)}, [(ctx.c, 1)])
+    return RationalSeries({n0: class0.shift(c * n0)}, [(c, 1)])
 
 
 def volume_partial(terms):

@@ -8,9 +8,7 @@ truncation level is explicit everywhere and no operation silently extends
 precision.  All values are immutable after construction.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, gcd
 from operator import add
@@ -244,14 +242,6 @@ class TruncatedPoly:
     @classmethod
     def constant(cls, value, n_vars, field, level):
         return cls(n_vars, field, level, {(0,) * n_vars: value})
-
-    @classmethod
-    def variable(cls, i, n_vars, field, level):
-        """The variable x_i, 1-based."""
-        if not 1 <= i <= n_vars:
-            raise ValueError(f"variable index {i} out of range 1..{n_vars}")
-        expo = tuple(1 if j == i - 1 else 0 for j in range(n_vars))
-        return cls(n_vars, field, level, {expo: field.one()})
 
     # -- predicates ---------------------------------------------------------
 
@@ -794,13 +784,9 @@ def span_of_multiples(table, field, polys, lo=0, hi=None):
     return ech
 
 
-@dataclass
-class DegreeSlice:
-    """Reduced echelon basis of one graded block of a span."""
-
-    degree: int
-    basis: list  # TruncatedPoly, homogeneous of this degree
-    dimension: int
+# Reduced echelon basis of one graded block of a span: `basis` holds
+# TruncatedPolys, homogeneous of this degree.
+DegreeSlice = namedtuple("DegreeSlice", "degree basis dimension")
 
 
 def degree_block(table, field, ech, d):

@@ -15,10 +15,8 @@ The nonconstructive "n large enough" bounds of the theory are replaced by
 an explicit level argument; every verdict records the level it was checked at.
 """
 
-from __future__ import annotations
-
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
 from .ringcore import (
@@ -34,21 +32,15 @@ from .ringcore import (
     poly_str,
     span_of_multiples,
 )
-from .idealcalc import (
-    DegreeSpans,
-    HilbertData,
-    IdealPresentation,
-    analyze_h1,
-    initial_ideal,
-)
+from .idealcalc import DegreeSpans, IdealPresentation, hilbert_data, initial_ideal
 
 
 class BudgetExceededError(RuntimeError):
     """An enumeration or search exceeded its configured budget."""
 
 
-@dataclass
-class SuperficialCertificate:
+class SuperficialCertificate(namedtuple(
+        "SuperficialCertificate", "L length_with_L iso_range e0 level")):
     """Witness that L is superficial for the tested truncation.
 
     length_with_L is dim R/(J+(L)) at the checked level; iso_range lists the
@@ -56,11 +48,7 @@ class SuperficialCertificate:
     e0-dimensional slices.
     """
 
-    L: TruncatedPoly
-    length_with_L: int
-    iso_range: list
-    e0: int
-    level: int
+    __slots__ = ()
 
     def to_json(self):
         return {
@@ -72,13 +60,11 @@ class SuperficialCertificate:
         }
 
 
-@dataclass
-class TnFailure:
-    """First failing T_n condition, as a value rather than an exception."""
+class TnFailure(namedtuple("TnFailure", "condition degree detail")):
+    """First failing T_n condition (1 or 2), as a value rather than an
+    exception; degree is None when no single degree is to blame."""
 
-    condition: int  # 1 or 2
-    degree: int | None
-    detail: str
+    __slots__ = ()
 
     def __bool__(self):
         return False
@@ -86,6 +72,12 @@ class TnFailure:
     def to_json(self):
         return {"member": False, "condition": self.condition,
                 "degree": self.degree, "detail": self.detail}
+
+
+def _check_e0(e0):
+    """A curve has multiplicity e0 >= 1."""
+    if e0 < 1:
+        raise ValueError("e0 must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +155,7 @@ def cm_superficial_test(ideal, L, e0):
     >= e0, with equality exactly when the ring is Cohen-Macaulay and L is a
     degree-one superficial element.
     """
+    _check_e0(e0)
     level = e0 + 1
     if ideal.level < level:
         raise LevelError(f"ideal known to level {ideal.level} < {level}")
@@ -198,6 +191,7 @@ def tn_membership(ideal, n, e0, forms=None, spans=None):
     span of J + M^n: `spans`, the DegreeSpans of ideal.truncated(n) at level
     n, when the caller already has it, otherwise built here.
     """
+    _check_e0(e0)
     if n < e0 + 2:
         raise LevelError(f"T_n needs n >= e0+2 = {e0 + 2}, got {n}")
     if ideal.level < n:
@@ -239,12 +233,11 @@ def tn_membership(ideal, n, e0, forms=None, spans=None):
 # Shape of the initial ideal and the truncated tangent cone generator set.
 
 
-@dataclass
-class ShapeReport:
-    ok: bool
-    vstar: list
-    forbidden_degrees: list  # minimal generator degrees inside {e0+1..n-1}
-    slice_identity_ok: bool
+class ShapeReport(namedtuple("ShapeReport", "ok vstar forbidden_degrees slice_identity_ok")):
+    """Shape verdict on J*; forbidden_degrees are the minimal generator
+    degrees inside {e0+1..n-1}."""
+
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok
@@ -258,6 +251,7 @@ def shape_check(ideal, n, e0):
     bookkeeping; for members of T_n a mismatch would be a bug, not an input
     condition).
     """
+    _check_e0(e0)
     J = ideal.truncated(n)
     data = initial_ideal(J, n)
     forbidden = sorted({d for d in data.vstar if e0 + 1 <= d <= n - 1})
@@ -271,13 +265,9 @@ def shape_check(ideal, n, e0):
     return ShapeReport(not forbidden, data.vstar, forbidden, identity_ok)
 
 
-@dataclass
-class JtildeResult:
-    ideal: IdealPresentation  # homogeneous generators of degree <= e0
-    verified: bool
-    slice_match: bool
-    multiplicity_ok: bool
-    hilbert: HilbertData | None
+# `ideal` holds the homogeneous generators of degree <= e0; `hilbert` is
+# the HilbertData of the graded ring they cut out.
+JtildeResult = namedtuple("JtildeResult", "ideal verified slice_match multiplicity_ok hilbert")
 
 
 def jtilde(ideal, n, e0):
@@ -299,7 +289,7 @@ def jtilde(ideal, n, e0):
     tilde = IdealPresentation(gens, J.n_vars, J.field, n)
     tilde_data = initial_ideal(tilde, n)
     slice_match = tilde_data.slice_dims() == data.slice_dims()
-    hd = analyze_h1(DegreeSpans(tilde, n).h1_values())
+    hd = hilbert_data(tilde, n)
     mult_ok = hd.status == "ok" and hd.e0 == e0
     return JtildeResult(tilde, slice_match and mult_ok, slice_match, mult_ok, hd)
 
@@ -308,13 +298,7 @@ def jtilde(ideal, n, e0):
 # Admissible Hilbert polynomials (exact integer arithmetic throughout).
 
 
-@dataclass
-class AdmissibleRange:
-    b: int
-    e0: int
-    r: int
-    rho0: int
-    rho1: int
+AdmissibleRange = namedtuple("AdmissibleRange", "b e0 r rho0 rho1")
 
 
 def admissible_range(b, e0):
@@ -384,7 +368,7 @@ def hilbert_stratum_check(ideal, F, r, level=None):
     """
     Ftab = dict(enumerate(F)) if isinstance(F, (list, tuple)) else dict(F)
     level = level or ideal.level
-    hd = analyze_h1(DegreeSpans(ideal.truncated(level), level).h1_values())
+    hd = hilbert_data(ideal.truncated(level), level)
     if hd.status == "dim_0":
         raise ValueError("the ideal is zero-dimensional: it cuts out no curve")
     if hd.status != "ok":
@@ -411,8 +395,7 @@ def hilbert_stratum_check(ideal, F, r, level=None):
 # Grassmannian cells.
 
 
-@dataclass
-class CellIndex:
+class CellIndex(namedtuple("CellIndex", "i_indices j_indices q")):
     """Indices of a cell D_n(i., j., q) of the level-n Grassmannian.
 
     Monomials are numbered 1-based in ascending degree-lex order (the
@@ -421,9 +404,7 @@ class CellIndex:
     0-based index into the candidate linear forms.
     """
 
-    i_indices: list
-    j_indices: list
-    q: int
+    __slots__ = ()
 
 
 def cell_membership(ideal, n, cell, e0, forms=None):
@@ -473,14 +454,8 @@ def cell_membership(ideal, n, cell, e0, forms=None):
 # Exhaustive enumerator over tiny finite fields.
 
 
-@dataclass
-class EnumerationResult:
-    count: int
-    ideals: list  # canonical IdealPresentations (echelon span rows)
-    n: int
-    e0: int
-    e1: int
-    q: int
+# `ideals` holds canonical IdealPresentations (echelon span rows).
+EnumerationResult = namedtuple("EnumerationResult", "count ideals n e0 e1 q")
 
 
 def _span_key(ech):
@@ -502,6 +477,7 @@ def enumerate_xi(n_vars, e0, n, field, e1=None, budget=2_000_000):
     ideal is emitted once, keyed by the canonical reduced echelon form of
     its span, and the T_n verdict scans every q-rational linear form.
     """
+    _check_e0(e0)
     if field.char == 0:
         raise ValueError("enumeration needs a finite field")
     q = field.char

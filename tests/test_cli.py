@@ -280,6 +280,25 @@ class TestSubcommands:
         assert (code, out) == (2, "")
         assert err == "error: expansion order must be >= 0, got -1\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--e0", "0", "--n", "3", "--q", "2"],
+        ["enumerate", "--e0", "-1", "--n", "3", "--q", "2"],
+        ["tn", "--ideal", "x2^2 - x1^3", "--n", "5", "--e0", "0"],
+        ["shape", "--ideal", "x2^2 - x1^3", "--n", "5", "--e0", "0"],
+        ["superficial", "--ideal", "x2^2 - x1^3", "--L", "x1", "--e0", "0"],
+        ["mps", "--class0", "1", "--n0", "1", "--N", "2", "--e0", "0"],
+    ], ids=["enumerate-0", "enumerate-minus-1", "tn", "shape", "superficial", "mps"])
+    def test_multiplicity_below_one_is_rejected(self, capsys, argv):
+        assert run(capsys, *argv) == (2, "", "error: e0 must be >= 1\n")
+
+    def test_mps_rejects_an_empty_ambient(self, capsys):
+        code, out, err = run(capsys, "mps", "--class0", "1", "--n0", "1", "--N", "0", "--e0", "2")
+        assert (code, out, err) == (2, "", "error: N must be >= 1\n")
+
+    def test_volume_rejects_a_repeated_index(self, capsys):
+        code, out, err = run(capsys, "volume", "--terms", "1:L;2:1;01:L")
+        assert (code, out, err) == (2, "", "error: term index s = 1 given twice\n")
+
     def test_param_builds_one_substitution(self, capsys, monkeypatch):
         built = []
         init = br._Substitution.__init__

@@ -131,6 +131,14 @@ class TestMps:
             for n in range(n0):
                 assert coeffs[n].is_zero()
 
+    @pytest.mark.parametrize("n_vars, e0, name", [(2, 0, "e0"), (2, -1, "e0"), (0, 2, "N")])
+    def test_context_outside_the_domain_is_rejected(self, n_vars, e0, name):
+        ctx = MeasureContext(n_vars, e0)
+        for use in (lambda: mps(ONE, 1, ctx), lambda: mps(MotivicClass.zero(), 1, ctx),
+                    lambda: measure_of_level(ONE, 1, ctx)):
+            with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+                use()
+
     def test_zero_class_gives_zero_series(self):
         ctx = MeasureContext(2, 2)
         series = mps(MotivicClass.zero(), 3, ctx)

@@ -150,6 +150,15 @@ class TestTnMembership:
         assert res.length_with_L == 3
         assert res.iso_range == [2, 3, 4]
 
+    @pytest.mark.parametrize("check", [
+        lambda I: tn_membership(I, 5, 0),
+        lambda I: shape_check(I, 5, 0),
+        lambda I: cm_superficial_test(I, parse_poly("x1", 2, QQ, 8), 0),
+    ], ids=["tn_membership", "shape_check", "cm_superficial_test"])
+    def test_multiplicity_zero_is_rejected(self, check):
+        with pytest.raises(ValueError, match="e0 must be >= 1"):
+            check(ideal(["x2^2 - x1^3"]))
+
     def test_punctual_scheme_fails_dimension(self):
         res = tn_membership(ideal(["x1^2"], level=3), 3, 1)
         assert isinstance(res, TnFailure)
@@ -430,6 +439,11 @@ class TestEnumerate:
             assert not isinstance(out, TnFailure)
             survivors.append(";".join(poly_str(g) for g in J.generators))
         assert sorted(survivors) == keys
+
+    @pytest.mark.parametrize("e0", [0, -1])
+    def test_multiplicity_below_one_is_rejected(self, e0):
+        with pytest.raises(ValueError, match="e0 must be >= 1"):
+            enumerate_xi(2, e0, 3, GF(2))
 
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
