@@ -18,7 +18,7 @@ from .ringcore import (
     parse_poly,
     poly_str,
 )
-from .idealcalc import IdealPresentation, analyze_h1, hilbert_data
+from .idealcalc import IdealPresentation, analyze_h1, check_level, hilbert_data
 
 
 class PrecisionError(ValueError):
@@ -210,6 +210,7 @@ class _Substitution:
     """
 
     def __init__(self, param, level):
+        check_level(level)
         need = _required_precision(param, level)
         for b in param.branches:
             if b.precision < need:

@@ -18,7 +18,6 @@ from collections import namedtuple
 
 from .ringcore import (
     LevelError,
-    count_monomials_upto,
     degree_slice,
     initial_form,
     monomial_table,
@@ -26,6 +25,12 @@ from .ringcore import (
     parse_poly,
     span_of_multiples,
 )
+
+
+def check_level(level):
+    """A truncation level is at least 1: R/M^0 is the zero ring."""
+    if level < 1:
+        raise LevelError(f"level must be >= 1, got {level}")
 
 
 class IdealPresentation:
@@ -61,6 +66,8 @@ class IdealPresentation:
 
     @classmethod
     def parse(cls, texts, n_vars, field, level):
+        # a level below 1 would truncate every generator to zero: name it first
+        check_level(level)
         return cls([parse_poly(t, n_vars, field, level) for t in texts], n_vars, field, level)
 
     def truncated(self, level):
@@ -78,8 +85,7 @@ class IdealPresentation:
 
 
 def _check_span_level(ideal, level):
-    if level < 1:
-        raise LevelError("level must be >= 1")
+    check_level(level)
     if ideal.level < level:
         raise LevelError(f"generator level {ideal.level} too low for span level {level}")
 
@@ -95,21 +101,33 @@ class DegreeSpans:
 
     def __init__(self, ideal, level):
         _check_span_level(ideal, level)
+        table = monomial_table(ideal.n_vars, level)
+        self._hold(ideal, table, span_of_multiples(table, ideal.field, ideal.generators))
+
+    @classmethod
+    def of_echelon(cls, ideal, table, ech):
+        """The DegreeSpans of `ideal` at `table.level` when the caller has
+        already built its span as `ech` (kept, not copied)."""
+        spans = cls.__new__(cls)
+        spans._hold(ideal, table, ech)
+        return spans
+
+    def _hold(self, ideal, table, ech):
         self.ideal = ideal
-        self.level = level
-        self.table = monomial_table(ideal.n_vars, level)
-        self.ech = span_of_multiples(self.table, ideal.field, ideal.generators)
-        self._pivots_by_degree = [0] * level
-        for piv in self.ech.pivots():
-            self._pivots_by_degree[self.table.degree_of_col(piv)] += 1
+        self.level = table.level
+        self.table = table
+        self.ech = ech
+        self._pivots_by_degree = [0] * table.level
+        for piv in ech.pivots():
+            self._pivots_by_degree[table.degree_of_col(piv)] += 1
 
     def span_dim(self, d):
         """dim (I+M^{d+1})/M^{d+1} inside R/M^{d+1}, for d < level."""
         return sum(self._pivots_by_degree[: d + 1])
 
     def h1(self, t):
-        """H1(t) = dim R/(I+M^{t+1})."""
-        return count_monomials_upto(self.ideal.n_vars, t) - self.span_dim(t)
+        """H1(t) = dim R/(I+M^{t+1}), for t < level."""
+        return self.table.offset[t + 1] - self.span_dim(t)
 
     def h1_values(self):
         return [self.h1(t) for t in range(self.level)]
@@ -171,9 +189,9 @@ def analyze_h1(values):
     graded piece stays zero and the quotient is finite dimensional.
     """
     n = len(values)
-    graded = [values[0]] + [values[t] - values[t - 1] for t in range(1, n)]
     if n < 3:
         raise LevelError(f"need level >= 3 to analyze, got {n}")
+    graded = [values[0]] + [values[t] - values[t - 1] for t in range(1, n)]
     if graded[-1] == 0:
         return HilbertData(values, graded, None, None, None, "dim_0", n)
     if graded[-1] == graded[-2]:

@@ -136,10 +136,19 @@ def all_projective_linear_forms(n_vars, field, level):
 # Superficial / Cohen-Macaulay test and T_n membership.
 
 
-def _length_with_form(spans, L):
+def _length_with_form(spans, L, prefix=None):
     """dim R/(J + (L) + M^level) for the ideal J of `spans`: H1 at the top
-    degree less the rank the multiples x^a*L add modulo the span of J."""
+    degree less the rank the multiples x^a*L add modulo the span of J.
+
+    Under an enumerator `prefix` (a _PrefixSpans), whose span with L holds
+    every row of J + (L) but the generator f, it is the monomial count less
+    the rank of that span, less one more when f is not in it.
+    """
     J, level, table = spans.ideal, spans.level, spans.table
+    if prefix is not None:
+        with_L = prefix.with_form(L)
+        (f,) = J.generators
+        return table.offset[level] - with_L.rank - (not with_L.contains(table.vector_of(f)))
     # L is checked like any generator: zero after truncation or a unit is rejected
     L = IdealPresentation([L.truncate_to(level)], J.n_vars, J.field, level).generators[0]
     image = Echelon(J.field)
@@ -168,20 +177,20 @@ def _slice_mult_rank(spans, L, t):
     """Rank of multiplication by L1 (the linear part of L) from degree t to t+1,
     computed modulo the initial-ideal slices of the span.  Only the standard
     monomials of degree t are mapped: they span the domain modulo J*_t, and
-    L1*J*_t lies in J*_{t+1}."""
+    L1*J*_t lies in J*_{t+1}.  The rank is what the products add to the
+    rank of J*_{t+1}."""
     table = spans.table
-    field = spans.ideal.field
-    target = degree_block(table, field, spans.ech, t + 1)
+    image = degree_block(table, spans.ideal.field, spans.ech, t + 1)
+    target_rank = image.rank
     L1 = L.homogeneous_part(1)
     pivots = spans.ech.pivots()
-    image = Echelon(field)
     for c in range(table.offset[t], table.offset[t + 1]):
         if c not in pivots:
-            image.add(target.reduce(multiple_vector(table, L1, table.monos[c])))
-    return image.rank
+            image.add(multiple_vector(table, L1, table.monos[c]))
+    return image.rank - target_rank
 
 
-def tn_membership(ideal, n, e0, forms=None, spans=None):
+def tn_membership(ideal, n, e0, forms=None, spans=None, prefix=None):
     """Search for a linear form certifying J + M^n in T_n.
 
     Scans the candidate forms in order; the first one that passes the length
@@ -189,7 +198,9 @@ def tn_membership(ideal, n, e0, forms=None, spans=None):
     first success wins.  Failure is returned as a value carrying the first
     failing condition and degree.  Both conditions are ranks against one
     span of J + M^n: `spans`, the DegreeSpans of ideal.truncated(n) at level
-    n, when the caller already has it, otherwise built here.
+    n, when the caller already has it, otherwise built here.  `enumerate_xi`
+    also passes the _PrefixSpans its candidate was scanned under, whose
+    spans the length condition then reads.
     """
     _check_e0(e0)
     if n < e0 + 2:
@@ -208,7 +219,7 @@ def tn_membership(ideal, n, e0, forms=None, spans=None):
         forms = candidate_forms(J.n_vars, e0, J.field, n)
     best_length = None
     for L in forms:
-        length = _length_with_form(spans, L)
+        length = _length_with_form(spans, L, prefix)
         if best_length is None or length < best_length:
             best_length = length
         if length > e0:
@@ -459,8 +470,50 @@ EnumerationResult = namedtuple("EnumerationResult", "count ideals n e0 e1 q")
 
 
 def _span_key(ech):
-    """Frozen canonical rows of an echelon span (the dedup key)."""
+    """Frozen canonical rows of an echelon span (the sort key)."""
     return tuple(tuple(sorted(ech.rows[piv].items())) for piv in sorted(ech.rows))
+
+
+class _PrefixSpans:
+    """The spans that the enumerator's candidates f = prefix + top block share.
+
+    Truncation at M^n drops the top block (degree n-1) from every multiple
+    x^a*f with |a| >= 1, so those multiples are the prefix's own: `base` is
+    their echelon, and the span of J = (f) + M^n is base plus the one row
+    f.  `with_form(L)` is the echelon of base and the multiples x^a*L,
+    |a| <= n-2, built on first use from the enumerator's span of the latter
+    (`form_spans`); the span of J + (L) is it plus f.  Both maps are keyed
+    by id(L), the enumerator's own form objects: a TruncatedPoly hashes all
+    its terms on every lookup.
+
+    The residual of f modulo base has its pivot at f's first lead monomial,
+    with coefficient 1, below every pivot of base (those lie in degrees
+    > e0), and base rows vanish there; so a candidate's canonical rows are
+    that residual and the canonical rows of base (`canonical()`).
+    """
+
+    def __init__(self, table, field, prefix, form_spans):
+        self.table, self.field = table, field
+        self.base = span_of_multiples(table, field, [prefix], lo=1)
+        self._form_spans = form_spans
+        self._with_form = {}
+        self._canonical = None
+
+    def canonical(self):
+        """The canonical rows of base, frozen and as polynomials, built on
+        first use."""
+        if self._canonical is None:
+            self._canonical = (_span_key(self.base),
+                               [self.table.poly_of(row, self.field) for row in self.base.basis()])
+        return self._canonical
+
+    def with_form(self, L):
+        ech = self._with_form.get(id(L))
+        if ech is None:
+            ech = self._with_form[id(L)] = self._form_spans[id(L)].copy()
+            for row in self.base.rows.values():
+                ech.add(row)
+        return ech
 
 
 def enumerate_xi(n_vars, e0, n, field, e1=None, budget=2_000_000):
@@ -473,9 +526,19 @@ def enumerate_xi(n_vars, e0, n, field, e1=None, budget=2_000_000):
     exhaustive.  The scan fixes the initial form projectively and restricts
     each tail degree e0+k to a transversal of S_k*f_{e0}: multiplying by a
     unit 1+u_1+u_2+... adjusts the degree-(e0+k) part by S_k*f_{e0} without
-    touching lower degrees, so every unit-orbit still meets the scan.  Each
-    ideal is emitted once, keyed by the canonical reduced echelon form of
-    its span, and the T_n verdict scans every q-rational linear form.
+    touching lower degrees, so every unit-orbit meets the scan, and it meets
+    it once (a unit relating two scanned f has u_k*f_{e0} on the transversal,
+    so u_k = 0 degree by degree).  Members come out sorted by the canonical
+    reduced echelon form of their span, and the T_n verdict scans every
+    q-rational linear form.
+
+    The scan runs prefix by prefix (the initial form and every tail block
+    below degree n-1).  Siblings differ only in the top block, which no
+    multiple x^a*f with |a| >= 1 keeps below M^n, so they share every
+    multiple except f itself (_PrefixSpans): a candidate's span is a copy
+    of the prefix's plus one row, and dim R/(J+(L)+M^n) is the monomial
+    count less the rank of the prefix's span with the multiples of L, less
+    one when f is not in that span.
     """
     _check_e0(e0)
     if field.char == 0:
@@ -502,20 +565,25 @@ def enumerate_xi(n_vars, e0, n, field, e1=None, budget=2_000_000):
         raise BudgetExceededError(f"{n_classes} candidates exceed the budget of {budget}")
     scalars = list(range(q))
     forms = all_projective_linear_forms(n_vars, field, n)
+    form_spans = {id(L): span_of_multiples(table, field, [L], hi=n - 2) for L in forms}
     p_values = [e0 * (t + 1) - e1 for t in range(n)]
+
+    def with_coeffs(terms, monos, coeffs):
+        terms = dict(terms)
+        for m, c in zip(monos, coeffs):
+            if c:
+                terms[m] = field.of(c)
+        return terms
 
     def lead_reps():
         # projective representatives: first nonzero coefficient equal to 1
         for first in range(n_lead):
             for rest in itertools.product(scalars, repeat=n_lead - first - 1):
-                terms = {lead_monos[first]: field.one()}
-                for m, c in zip(lead_monos[first + 1:], rest):
-                    if c:
-                        terms[m] = field.of(c)
-                yield TruncatedPoly(n_vars, field, n, terms)
+                yield with_coeffs({lead_monos[first]: field.one()}, lead_monos[first + 1:], rest)
 
-    seen = {}
-    for lead in lead_reps():
+    found = []
+    for lead_terms in lead_reps():
+        lead = TruncatedPoly(n_vars, field, n, lead_terms)
         # per tail degree, monomials complementary to the pivots of S_k*lead
         free_monos = []
         for k in range(1, n - e0):
@@ -524,23 +592,28 @@ def enumerate_xi(n_vars, e0, n, field, e1=None, budget=2_000_000):
                 [m for m in monomials_of_degree(n_vars, e0 + k)
                  if table.index[m] not in pivots]
             )
-        flat = [m for block in free_monos for m in block]
+        *lower, top = free_monos
+        flat = [m for block in lower for m in block]
         for coeffs in itertools.product(scalars, repeat=len(flat)):
-            terms = dict(lead.terms)
-            for m, c in zip(flat, coeffs):
-                if c:
-                    terms[m] = field.of(c)
-            f = TruncatedPoly(n_vars, field, n, terms)
-            spans = DegreeSpans(IdealPresentation([f], n_vars, field, n), n)
-            seen.setdefault(_span_key(spans.ech), spans)
+            prefix_terms = with_coeffs(lead_terms, flat, coeffs)
+            prefix = _PrefixSpans(table, field, TruncatedPoly(n_vars, field, n, prefix_terms),
+                                  form_spans)
+            for top_coeffs in itertools.product(scalars, repeat=len(top)):
+                f = TruncatedPoly(n_vars, field, n, with_coeffs(prefix_terms, top, top_coeffs))
+                row = prefix.base.reduce(table.vector_of(f))
+                ech = prefix.base.copy()
+                ech.add(row)
+                spans = DegreeSpans.of_echelon(IdealPresentation([f], n_vars, field, n), table, ech)
+                if spans.h1_values() != p_values:
+                    continue
+                if isinstance(tn_membership(spans.ideal, n, e0, forms=forms, spans=spans,
+                                            prefix=prefix), TnFailure):
+                    continue
+                # the canonical rows of the span, the sort key and the generators
+                base_key, base_gens = prefix.canonical()
+                found.append(((tuple(sorted(row.items())),) + base_key,
+                              [table.poly_of(row, field)] + base_gens))
 
-    members = []
-    for key in sorted(seen):
-        spans = seen[key]
-        if spans.h1_values() != p_values:
-            continue
-        if isinstance(tn_membership(spans.ideal, n, e0, forms=forms, spans=spans), TnFailure):
-            continue
-        members.append(IdealPresentation(
-            [table.poly_of(row, field) for row in spans.ech.basis()], n_vars, field, n))
+    found.sort(key=lambda member: member[0])
+    members = [IdealPresentation(gens, n_vars, field, n) for _, gens in found]
     return EnumerationResult(len(members), members, n, e0, e1, q)

@@ -291,6 +291,27 @@ class TestSubcommands:
     def test_multiplicity_below_one_is_rejected(self, capsys, argv):
         assert run(capsys, *argv) == (2, "", "error: e0 must be >= 1\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["hilbert", "--ideal", "x1", "--level", "0"],
+        ["nu", "--ideal", "x1", "--level", "-2"],
+        ["gamma", "--ideal", "x1", "--other", "x2", "--n-max", "0"],
+        ["tn", "--ideal", "x1^2", "--e0", "1", "--n", "0"],
+        ["normflat", "--fiber-ideal", "x1^2", "--level", "0"],
+        ["normflat", "--fiber", "t^2,t^3", "--precision", "10", "--level", "0"],
+        ["stratum", "--ideal", "x1^2", "--F", "1,2", "--r", "1", "--level", "0"],
+        ["param", "--branch", "t^2,t^3", "--precision", "40", "--level", "0"],
+        ["param", "--branch", "t^2,t^3", "--precision", "40", "--level", "-1"],
+    ], ids=["hilbert", "nu", "gamma", "tn", "normflat-ideal", "normflat-branch", "stratum",
+            "param-0", "param-minus-1"])
+    def test_level_below_one_is_rejected_by_name(self, capsys, argv):
+        # the level is the last argument
+        assert run(capsys, *argv) == (2, "", f"error: level must be >= 1, got {argv[-1]}\n")
+
+    def test_param_below_the_analysis_level(self, capsys):
+        code, out, err = run(capsys, "param", "--branch", "t^2,t^3", "--precision", "40",
+                             "--level", "2")
+        assert (code, out, err) == (2, "", "error: need level >= 3 to analyze, got 2\n")
+
     def test_mps_rejects_an_empty_ambient(self, capsys):
         code, out, err = run(capsys, "mps", "--class0", "1", "--n0", "1", "--N", "0", "--e0", "2")
         assert (code, out, err) == (2, "", "error: N must be >= 1\n")

@@ -116,6 +116,10 @@ class TestHilbertData:
         with pytest.raises(LevelError):
             analyze_h1([1, 3])
 
+    def test_empty_values_rejected_by_level(self):
+        with pytest.raises(LevelError, match="got 0"):
+            analyze_h1([])
+
     def test_kirby_stabilization_index(self):
         # CM fixtures stabilize at e0 - 1
         for gens, n_vars, e0 in [

@@ -459,6 +459,92 @@ class TestEnumerate:
             assert not isinstance(out, TnFailure)
 
 
+def candidate_by_candidate_members(e0, n, q):
+    """The enumerator's scan without shared spans: every candidate f gets a
+    fresh DegreeSpans of (f) + M^n, classes are deduplicated by the
+    canonical rows of that span, and the survivors of the Hilbert filter go
+    through the standalone tn_membership over every q-rational form.
+    Returns the members' generators as strings, sorted by canonical rows."""
+    from curvemoduli.ringcore import monomial_table, monomials_of_degree, span_of_multiples
+
+    field, n_vars = GF(q), 2
+    table = monomial_table(n_vars, n)
+    forms = all_projective_linear_forms(n_vars, field, n)
+    e1 = 0 if e0 == 1 else e0 * (e0 - 1) // 2
+    p_values = [e0 * (t + 1) - e1 for t in range(n)]
+    lead_monos = monomials_of_degree(n_vars, e0)
+    seen = {}
+    for first in range(len(lead_monos)):
+        for rest in itertools.product(range(q), repeat=len(lead_monos) - first - 1):
+            terms = {lead_monos[first]: 1, **dict(zip(lead_monos[first + 1:], rest))}
+            lead = TruncatedPoly(n_vars, field, n, terms)
+            free = []
+            for k in range(1, n - e0):
+                pivots = span_of_multiples(table, field, [lead], lo=k, hi=k).pivots()
+                free += [m for m in monomials_of_degree(n_vars, e0 + k)
+                         if table.index[m] not in pivots]
+            for coeffs in itertools.product(range(q), repeat=len(free)):
+                f = TruncatedPoly(n_vars, field, n, {**terms, **dict(zip(free, coeffs))})
+                spans = DegreeSpans(IdealPresentation([f], n_vars, field, n), n)
+                key = tuple(tuple(sorted(row.items())) for row in spans.ech.basis())
+                seen.setdefault(key, spans)
+    members = []
+    for key in sorted(seen):
+        spans = seen[key]
+        if spans.h1_values() != p_values:
+            continue
+        if isinstance(tn_membership(spans.ideal, n, e0, forms=forms), TnFailure):
+            continue
+        members.append([poly_str(table.poly_of(row, field)) for row in spans.ech.basis()])
+    return members
+
+
+# (e0, q, n): every n from e0+2 while a cell has at most ~150 members, and
+# the first cell (775 members) for e0 = 2 over F_5
+ORACLE_CELLS = [(1, 2, n) for n in range(3, 8)] + [(1, 3, n) for n in range(3, 6)] + [
+    (1, 5, 3), (1, 5, 4), (2, 2, 4), (2, 2, 5), (2, 3, 4), (2, 5, 4)]
+
+
+class TestEnumerateSharedSpans:
+    """The scan shares one span per prefix between sibling candidates; these
+    compare it with the scan that builds every candidate from scratch."""
+
+    @pytest.mark.parametrize("e0, q, n", ORACLE_CELLS, ids=str)
+    def test_ordered_members_equal_the_candidate_by_candidate_scan(self, e0, q, n):
+        res = enumerate_xi(2, e0, n, GF(q))
+        got = [[poly_str(g) for g in J.generators] for J in res.ideals]
+        assert got == candidate_by_candidate_members(e0, n, q)
+        assert res.count == len(got)
+
+    @pytest.mark.parametrize("e0, q, n", [(1, 2, 5), (1, 3, 4), (2, 2, 5), (2, 3, 4)], ids=str)
+    def test_every_verdict_and_length_equal_the_standalone_ones(self, e0, q, n, monkeypatch):
+        # each call the enumerator makes, with its shared spans, must return
+        # what tn_membership returns on the bare ideal (the same form L, the
+        # first in form order that passes the length condition, with the
+        # same length and degrees), and the length it reads for every form
+        # must be dim R/(J+(L)+M^n) computed from a fresh span of J
+        import curvemoduli.trunctower as tt
+
+        standalone = tt.tn_membership
+        in_order = all_projective_linear_forms(2, GF(q), n)
+        calls = []
+
+        def checked(ideal, n_, e0_, forms, spans, prefix):
+            res = standalone(ideal, n_, e0_, forms=forms, spans=spans, prefix=prefix)
+            alone = standalone(ideal, n_, e0_, forms=in_order)
+            fresh = DegreeSpans(ideal, n_)
+            lengths = [tt._length_with_form(spans, L, prefix) for L in forms]
+            calls.append((type(res), res.to_json(), lengths) ==
+                         (type(alone), alone.to_json(),
+                          [tt._length_with_form(fresh, L) for L in in_order]))
+            return res
+
+        monkeypatch.setattr(tt, "tn_membership", checked)
+        res = enumerate_xi(2, e0, n, GF(q))
+        assert calls and all(calls)
+        assert res.count == len(calls)  # e0 <= 2: every class passing the filter is a member
+
+
 def dense_slice_mult_rank(spans, L, t):
     """Rank of x -> L1*x from S_t to S_{t+1}/J*_{t+1}, from dense matrices
     ranked by the naive elimination."""
