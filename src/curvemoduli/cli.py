@@ -233,12 +233,24 @@ def cmd_enumerate(args):
     except tt.BudgetExceededError as exc:
         _emit({"error": str(exc), "budget_exceeded": True})
         return EXIT_SOFT
+    # siblings share their prefix's generator objects: format each once
+    text = {}
+
+    def gens(J):
+        out = []
+        for g in J.generators:
+            s = text.get(id(g))
+            if s is None:
+                s = text[id(g)] = rc.poly_str(g)
+            out.append(s)
+        return out
+
     if args.table:
-        lines = ["; ".join(_gens_json(J)) for J in res.ideals] + [f"count: {res.count}"]
+        lines = ["; ".join(gens(J)) for J in res.ideals] + [f"count: {res.count}"]
         _emit(None, lines, as_table=True)
     else:
         _emit({"count": res.count, "n": res.n, "e0": res.e0, "e1": res.e1, "q": res.q,
-               "ideals": [_gens_json(J) for J in res.ideals]})
+               "ideals": [gens(J) for J in res.ideals]})
     return EXIT_OK
 
 
@@ -330,6 +342,7 @@ def cmd_colon(args):
 
 def cmd_determinantal(args):
     field = _field(args.field)
+    ic.check_level(args.level)
     rows = [[_poly(args, entry, field, args.level) for entry in row.split(",")]
             for row in args.matrix.split(";")]
     ideal = df.determinantal_ideal(rows)

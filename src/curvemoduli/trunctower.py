@@ -136,19 +136,10 @@ def all_projective_linear_forms(n_vars, field, level):
 # Superficial / Cohen-Macaulay test and T_n membership.
 
 
-def _length_with_form(spans, L, prefix=None):
+def _length_with_form(spans, L):
     """dim R/(J + (L) + M^level) for the ideal J of `spans`: H1 at the top
-    degree less the rank the multiples x^a*L add modulo the span of J.
-
-    Under an enumerator `prefix` (a _PrefixSpans), whose span with L holds
-    every row of J + (L) but the generator f, it is the monomial count less
-    the rank of that span, less one more when f is not in it.
-    """
+    degree less the rank the multiples x^a*L add modulo the span of J."""
     J, level, table = spans.ideal, spans.level, spans.table
-    if prefix is not None:
-        with_L = prefix.with_form(L)
-        (f,) = J.generators
-        return table.offset[level] - with_L.rank - (not with_L.contains(table.vector_of(f)))
     # L is checked like any generator: zero after truncation or a unit is rejected
     L = IdealPresentation([L.truncate_to(level)], J.n_vars, J.field, level).generators[0]
     image = Echelon(J.field)
@@ -190,25 +181,24 @@ def _slice_mult_rank(spans, L, t):
     return image.rank - target_rank
 
 
-def tn_membership(ideal, n, e0, forms=None, spans=None, prefix=None):
+def tn_membership(ideal, n, e0, forms=None, prefix=None):
     """Search for a linear form certifying J + M^n in T_n.
 
     Scans the candidate forms in order; the first one that passes the length
     condition (1) is then checked for the slice-isomorphism condition (2),
     first success wins.  Failure is returned as a value carrying the first
     failing condition and degree.  Both conditions are ranks against one
-    span of J + M^n: `spans`, the DegreeSpans of ideal.truncated(n) at level
-    n, when the caller already has it, otherwise built here.  `enumerate_xi`
-    also passes the _PrefixSpans its candidate was scanned under, whose
-    spans the length condition then reads.
+    span of J + M^n, the DegreeSpans of ideal.truncated(n).  `enumerate_xi`
+    passes instead the _PrefixSpans its candidate (f) + M^n was scanned
+    under: the slice dimensions and the ranks of (2) are the prefix's, and
+    only the length (1) is computed for f.
     """
     _check_e0(e0)
     if n < e0 + 2:
         raise LevelError(f"T_n needs n >= e0+2 = {e0 + 2}, got {n}")
     if ideal.level < n:
         raise LevelError(f"ideal known to level {ideal.level} < n = {n}")
-    spans = spans or DegreeSpans(ideal.truncated(n), n)
-    J = spans.ideal
+    spans = prefix.spans if prefix is not None else DegreeSpans(ideal.truncated(n), n)
     h1 = spans.h1_values()
     # slice dimensions are independent of L: check them once up front
     for t in range(e0 - 1, n):
@@ -216,10 +206,13 @@ def tn_membership(ideal, n, e0, forms=None, spans=None, prefix=None):
         if h0 != e0:
             return TnFailure(2, t, f"slice dimension {h0} != e0 = {e0} at degree {t}")
     if forms is None:
-        forms = candidate_forms(J.n_vars, e0, J.field, n)
+        forms = candidate_forms(ideal.n_vars, e0, ideal.field, n)
     best_length = None
     for L in forms:
-        length = _length_with_form(spans, L, prefix)
+        if prefix is None:
+            length = _length_with_form(spans, L)
+        else:
+            length = prefix.length_with_form(ideal, L)
         if best_length is None or length < best_length:
             best_length = length
         if length > e0:
@@ -227,7 +220,8 @@ def tn_membership(ideal, n, e0, forms=None, spans=None, prefix=None):
         iso_range = []
         bad = None
         for t in range(e0 - 1, n - 1):
-            if _slice_mult_rank(spans, L, t) != e0:
+            rank = _slice_mult_rank(spans, L, t) if prefix is None else prefix.slice_rank(L, t)
+            if rank != e0:
                 bad = t
                 break
             iso_range.append(t)
@@ -475,16 +469,26 @@ def _span_key(ech):
 
 
 class _PrefixSpans:
-    """The spans that the enumerator's candidates f = prefix + top block share.
+    """What the enumerator's candidates f = prefix + top block share.
 
     Truncation at M^n drops the top block (degree n-1) from every multiple
     x^a*f with |a| >= 1, so those multiples are the prefix's own: `base` is
     their echelon, and the span of J = (f) + M^n is base plus the one row
     f.  `with_form(L)` is the echelon of base and the multiples x^a*L,
     |a| <= n-2, built on first use from the enumerator's span of the latter
-    (`form_spans`); the span of J + (L) is it plus f.  Both maps are keyed
-    by id(L), the enumerator's own form objects: a TruncatedPoly hashes all
-    its terms on every lookup.
+    (`form_spans`); the span of J + (L) is it plus f.
+
+    Every sibling has the initial ideal of the prefix.  `base` has order
+    > e0, so an element of J with a nonzero coefficient on f has order e0
+    and initial form the lead form, and the elements of higher order are
+    base's own: J*_e0 is spanned by the lead form and J*_d, d > e0, is
+    base's initial slice.  Hence the H1 values, the slice dimensions and
+    every rank of condition (2) (`slice_rank`, memoized) are read off
+    `spans`, the span of the prefix itself (the top = 0 sibling); only the
+    length of condition (1), which asks whether f lies in base with the
+    L-multiples, depends on the top block (`length_with_form`).  The maps
+    are keyed by id(L), the enumerator's own form objects: a TruncatedPoly
+    hashes all its terms on every lookup.
 
     The residual of f modulo base has its pivot at f's first lead monomial,
     with coefficient 1, below every pivot of base (those lie in degrees
@@ -495,8 +499,12 @@ class _PrefixSpans:
     def __init__(self, table, field, prefix, form_spans):
         self.table, self.field = table, field
         self.base = span_of_multiples(table, field, [prefix], lo=1)
+        ech = self.base.copy()
+        ech.add(table.vector_of(prefix))
+        self.spans = DegreeSpans.of_echelon(IdealPresentation([prefix]), table, ech)
         self._form_spans = form_spans
         self._with_form = {}
+        self._slice_ranks = {}
         self._canonical = None
 
     def canonical(self):
@@ -514,6 +522,23 @@ class _PrefixSpans:
             for row in self.base.rows.values():
                 ech.add(row)
         return ech
+
+    def length_with_form(self, ideal, L):
+        """dim R/(J + (L) + M^n) for a sibling's J = (f) + M^n: the monomial
+        count less the rank of base with the L-multiples, less one more when
+        f is not in that span."""
+        with_L = self.with_form(L)
+        (f,) = ideal.generators
+        return self.table.offset[self.table.level] - with_L.rank - (
+            not with_L.contains(self.table.vector_of(f)))
+
+    def slice_rank(self, L, t):
+        """_slice_mult_rank(spans, L, t), computed on first use."""
+        key = (id(L), t)
+        rank = self._slice_ranks.get(key)
+        if rank is None:
+            rank = self._slice_ranks[key] = _slice_mult_rank(self.spans, L, t)
+        return rank
 
 
 def enumerate_xi(n_vars, e0, n, field, e1=None, budget=2_000_000):
@@ -535,10 +560,16 @@ def enumerate_xi(n_vars, e0, n, field, e1=None, budget=2_000_000):
     The scan runs prefix by prefix (the initial form and every tail block
     below degree n-1).  Siblings differ only in the top block, which no
     multiple x^a*f with |a| >= 1 keeps below M^n, so they share every
-    multiple except f itself (_PrefixSpans): a candidate's span is a copy
-    of the prefix's plus one row, and dim R/(J+(L)+M^n) is the monomial
-    count less the rank of the prefix's span with the multiples of L, less
-    one when f is not in that span.
+    multiple except f itself (_PrefixSpans).  They also share the initial
+    ideal: an element of J with a nonzero coefficient on f has order e0,
+    since those multiples have order > e0, so J*_e0 is spanned by the lead
+    form and J*_d, d > e0, is the multiples' own.  The H1 filter, the slice
+    dimensions and the ranks of the slice isomorphisms are therefore read
+    once per prefix, off the prefix's own span.  Per candidate only the
+    length dim R/(J+(L)+M^n) is computed: the monomial count less the rank
+    of the shared multiples with those of L, less one when f is not in
+    that span.  Every candidate that passes the filter still gets its
+    verdict from `tn_membership`, with the forms in their fixed order.
     """
     _check_e0(e0)
     if field.char == 0:
@@ -550,7 +581,7 @@ def enumerate_xi(n_vars, e0, n, field, e1=None, budget=2_000_000):
     if not admissible_for_some_b(e0, e1, b_max=n_vars):
         return EnumerationResult(0, [], n, e0, e1, q)
     if n_vars != 2:
-        raise BudgetExceededError("exhaustive search implemented for the plane only")
+        raise ValueError("exhaustive search implemented for the plane only")
     if e1 != plane_e1:
         # admissible for some b <= 2 but not realizable in the plane
         return EnumerationResult(0, [], n, e0, e1, q)
@@ -598,18 +629,15 @@ def enumerate_xi(n_vars, e0, n, field, e1=None, budget=2_000_000):
             prefix_terms = with_coeffs(lead_terms, flat, coeffs)
             prefix = _PrefixSpans(table, field, TruncatedPoly(n_vars, field, n, prefix_terms),
                                   form_spans)
+            if prefix.spans.h1_values() != p_values:
+                continue
             for top_coeffs in itertools.product(scalars, repeat=len(top)):
                 f = TruncatedPoly(n_vars, field, n, with_coeffs(prefix_terms, top, top_coeffs))
-                row = prefix.base.reduce(table.vector_of(f))
-                ech = prefix.base.copy()
-                ech.add(row)
-                spans = DegreeSpans.of_echelon(IdealPresentation([f], n_vars, field, n), table, ech)
-                if spans.h1_values() != p_values:
-                    continue
-                if isinstance(tn_membership(spans.ideal, n, e0, forms=forms, spans=spans,
-                                            prefix=prefix), TnFailure):
+                J = IdealPresentation([f], n_vars, field, n)
+                if isinstance(tn_membership(J, n, e0, forms=forms, prefix=prefix), TnFailure):
                     continue
                 # the canonical rows of the span, the sort key and the generators
+                row = prefix.base.reduce(table.vector_of(f))
                 base_key, base_gens = prefix.canonical()
                 found.append(((tuple(sorted(row.items())),) + base_key,
                               [table.poly_of(row, field)] + base_gens))

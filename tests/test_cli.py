@@ -301,8 +301,9 @@ class TestSubcommands:
         ["stratum", "--ideal", "x1^2", "--F", "1,2", "--r", "1", "--level", "0"],
         ["param", "--branch", "t^2,t^3", "--precision", "40", "--level", "0"],
         ["param", "--branch", "t^2,t^3", "--precision", "40", "--level", "-1"],
+        ["determinantal", "--matrix", "x1;x2", "--level", "0"],
     ], ids=["hilbert", "nu", "gamma", "tn", "normflat-ideal", "normflat-branch", "stratum",
-            "param-0", "param-minus-1"])
+            "param-0", "param-minus-1", "determinantal"])
     def test_level_below_one_is_rejected_by_name(self, capsys, argv):
         # the level is the last argument
         assert run(capsys, *argv) == (2, "", f"error: level must be >= 1, got {argv[-1]}\n")
@@ -358,6 +359,13 @@ class TestSubcommands:
             capsys, "enumerate", "--e0", "4", "--n", "12", "--q", "3"
         )
         assert code == 3
+
+    @pytest.mark.parametrize("n_vars", ["1", "3"])
+    def test_enumerate_outside_the_plane_is_a_precondition_error(self, capsys, n_vars):
+        # no level helps, so this is not the retry-at-a-higher-level exit 3
+        code, out, err = run(capsys, "enumerate", "--N", n_vars, "--e0", "1", "--n", "3", "--q", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: exhaustive search implemented for the plane only\n"
 
 
 class TestJobFiles:

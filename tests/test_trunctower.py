@@ -189,21 +189,27 @@ class TestTnMembership:
             rep = shape_check(I, n, e0)
             assert rep.ok and rep.slice_identity_ok, (gens, rep)
 
-    def test_given_spans_give_the_same_verdict(self):
+    def test_standalone_verdicts_are_pinned(self):
+        # members in two and three variables, a slice-dimension failure and
+        # a length failure under one given form
         cases = [
-            (["x1^3"], 2, 6, 3, None),
-            (["x2^2 - x1^3"], 2, 6, 2, None),
-            (["x1^2"], 2, 3, 1, None),
-            (["x1^3"], 2, 6, 3, ["x1"]),
-            (["x1*x3 - x2^2", "x1^3 - x2*x3", "x1^2*x2 - x3^2"], 3, 8, 3, None),
+            (["x1^3"], 2, 6, 3, None,
+             {"L": "x1 + x2", "e0": 3, "iso_range": [2, 3, 4], "length_with_L": 3, "level": 6}),
+            (["x2^2 - x1^3"], 2, 6, 2, None,
+             {"L": "x1", "e0": 2, "iso_range": [1, 2, 3, 4], "length_with_L": 2, "level": 6}),
+            (["x1^2"], 2, 3, 1, None,
+             {"condition": 2, "degree": 1, "detail": "slice dimension 2 != e0 = 1 at degree 1",
+              "member": False}),
+            (["x1^3"], 2, 6, 3, ["x1"],
+             {"condition": 1, "degree": None,
+              "detail": "no candidate form reaches length <= 3 (best was 6)", "member": False}),
+            (["x1*x3 - x2^2", "x1^3 - x2*x3", "x1^2*x2 - x3^2"], 3, 8, 3, None,
+             {"L": "x1", "e0": 3, "iso_range": [2, 3, 4, 5, 6], "length_with_L": 3, "level": 8}),
         ]
-        for gens, n_vars, n, e0, form_texts in cases:
+        for gens, n_vars, n, e0, form_texts, expected in cases:
             I = ideal(gens, n_vars=n_vars, level=n + 1)
             forms = form_texts and [parse_poly(t, n_vars, QQ, n) for t in form_texts]
-            alone = tn_membership(I, n, e0, forms=forms)
-            given = tn_membership(I, n, e0, forms=forms, spans=DegreeSpans(I.truncated(n), n))
-            assert given.to_json() == alone.to_json(), gens
-        assert alone.iso_range  # the last case is a member
+            assert tn_membership(I, n, e0, forms=forms).to_json() == expected, gens
 
     def test_zero_or_unit_form_rejected(self):
         # both ideals pass the slice-dimension check, so condition (1) is reached
@@ -459,21 +465,15 @@ class TestEnumerate:
             assert not isinstance(out, TnFailure)
 
 
-def candidate_by_candidate_members(e0, n, q):
-    """The enumerator's scan without shared spans: every candidate f gets a
-    fresh DegreeSpans of (f) + M^n, classes are deduplicated by the
-    canonical rows of that span, and the survivors of the Hilbert filter go
-    through the standalone tn_membership over every q-rational form.
-    Returns the members' generators as strings, sorted by canonical rows."""
+def scanned_prefixes(e0, n, q):
+    """The enumerator's scan, prefix by prefix, rebuilt here: yields each
+    prefix (the initial form and every tail block below degree n-1) with
+    its candidates f = prefix + top block, in scan order."""
     from curvemoduli.ringcore import monomial_table, monomials_of_degree, span_of_multiples
 
     field, n_vars = GF(q), 2
     table = monomial_table(n_vars, n)
-    forms = all_projective_linear_forms(n_vars, field, n)
-    e1 = 0 if e0 == 1 else e0 * (e0 - 1) // 2
-    p_values = [e0 * (t + 1) - e1 for t in range(n)]
     lead_monos = monomials_of_degree(n_vars, e0)
-    seen = {}
     for first in range(len(lead_monos)):
         for rest in itertools.product(range(q), repeat=len(lead_monos) - first - 1):
             terms = {lead_monos[first]: 1, **dict(zip(lead_monos[first + 1:], rest))}
@@ -481,13 +481,36 @@ def candidate_by_candidate_members(e0, n, q):
             free = []
             for k in range(1, n - e0):
                 pivots = span_of_multiples(table, field, [lead], lo=k, hi=k).pivots()
-                free += [m for m in monomials_of_degree(n_vars, e0 + k)
-                         if table.index[m] not in pivots]
-            for coeffs in itertools.product(range(q), repeat=len(free)):
-                f = TruncatedPoly(n_vars, field, n, {**terms, **dict(zip(free, coeffs))})
-                spans = DegreeSpans(IdealPresentation([f], n_vars, field, n), n)
-                key = tuple(tuple(sorted(row.items())) for row in spans.ech.basis())
-                seen.setdefault(key, spans)
+                free.append([m for m in monomials_of_degree(n_vars, e0 + k)
+                             if table.index[m] not in pivots])
+            *lower, top = free
+            flat = [m for block in lower for m in block]
+            for coeffs in itertools.product(range(q), repeat=len(flat)):
+                prefix_terms = {**terms, **dict(zip(flat, coeffs))}
+                siblings = [TruncatedPoly(n_vars, field, n, {**prefix_terms, **dict(zip(top, c))})
+                            for c in itertools.product(range(q), repeat=len(top))]
+                yield TruncatedPoly(n_vars, field, n, prefix_terms), siblings
+
+
+def candidate_by_candidate_members(e0, n, q):
+    """The enumerator's scan without shared spans: every candidate f gets a
+    fresh DegreeSpans of (f) + M^n, classes are deduplicated by the
+    canonical rows of that span, and the survivors of the Hilbert filter go
+    through the standalone tn_membership over every q-rational form.
+    Returns the members' generators as strings, sorted by canonical rows."""
+    from curvemoduli.ringcore import monomial_table
+
+    field, n_vars = GF(q), 2
+    table = monomial_table(n_vars, n)
+    forms = all_projective_linear_forms(n_vars, field, n)
+    e1 = 0 if e0 == 1 else e0 * (e0 - 1) // 2
+    p_values = [e0 * (t + 1) - e1 for t in range(n)]
+    seen = {}
+    for _, siblings in scanned_prefixes(e0, n, q):
+        for f in siblings:
+            spans = DegreeSpans(IdealPresentation([f], n_vars, field, n), n)
+            key = tuple(tuple(sorted(row.items())) for row in spans.ech.basis())
+            seen.setdefault(key, spans)
     members = []
     for key in sorted(seen):
         spans = seen[key]
@@ -529,11 +552,11 @@ class TestEnumerateSharedSpans:
         in_order = all_projective_linear_forms(2, GF(q), n)
         calls = []
 
-        def checked(ideal, n_, e0_, forms, spans, prefix):
-            res = standalone(ideal, n_, e0_, forms=forms, spans=spans, prefix=prefix)
+        def checked(ideal, n_, e0_, forms, prefix):
+            res = standalone(ideal, n_, e0_, forms=forms, prefix=prefix)
             alone = standalone(ideal, n_, e0_, forms=in_order)
             fresh = DegreeSpans(ideal, n_)
-            lengths = [tt._length_with_form(spans, L, prefix) for L in forms]
+            lengths = [prefix.length_with_form(ideal, L) for L in forms]
             calls.append((type(res), res.to_json(), lengths) ==
                          (type(alone), alone.to_json(),
                           [tt._length_with_form(fresh, L) for L in in_order]))
@@ -543,6 +566,53 @@ class TestEnumerateSharedSpans:
         res = enumerate_xi(2, e0, n, GF(q))
         assert calls and all(calls)
         assert res.count == len(calls)  # e0 <= 2: every class passing the filter is a member
+
+    @pytest.mark.parametrize("e0, q, n", [
+        (1, 2, 3), (1, 2, 4), (1, 3, 3), (1, 3, 4), (2, 2, 4), (2, 2, 5), (2, 3, 4), (3, 2, 5),
+    ], ids=str)
+    def test_siblings_have_the_initial_ideal_of_their_prefix(self, e0, q, n):
+        # the H1 values and every slice rank of condition (2) are read once
+        # per prefix; each candidate's own span must give the same values,
+        # for every form and degree (e0 = 3 included, where no candidate
+        # passes the enumerator's filter)
+        from curvemoduli.ringcore import monomial_table, span_of_multiples
+        from curvemoduli.trunctower import _PrefixSpans, _slice_mult_rank
+
+        field = GF(q)
+        table = monomial_table(2, n)
+        forms = all_projective_linear_forms(2, field, n)
+        form_spans = {id(L): span_of_multiples(table, field, [L], hi=n - 2) for L in forms}
+        for prefix_poly, siblings in scanned_prefixes(e0, n, q):
+            prefix = _PrefixSpans(table, field, prefix_poly, form_spans)
+            h1 = prefix.spans.h1_values()
+            ranks = [prefix.slice_rank(L, t) for L in forms for t in range(n - 1)]
+            assert ranks == [dense_slice_mult_rank(prefix.spans, L, t)
+                             for L in forms for t in range(n - 1)]
+            for f in siblings:
+                spans = DegreeSpans(IdealPresentation([f], 2, field, n), n)
+                assert spans.h1_values() == h1
+                assert [_slice_mult_rank(spans, L, t) for L in forms for t in range(n - 1)] == ranks
+                assert [dense_slice_mult_rank(spans, L, t)
+                        for L in forms for t in range(n - 1)] == ranks
+
+    def test_slice_ranks_are_computed_once_per_prefix(self, monkeypatch):
+        # at most once per prefix, form and degree t = e0-1 .. n-2; ranking
+        # every candidate anew makes 3159 calls here
+        import curvemoduli.trunctower as tt
+
+        e0, q, n = 2, 3, 5
+        calls = []
+        rank = tt._slice_mult_rank
+
+        def counted(spans, L, t):
+            calls.append(t)
+            return rank(spans, L, t)
+
+        monkeypatch.setattr(tt, "_slice_mult_rank", counted)
+        res = enumerate_xi(2, e0, n, GF(q))
+        prefixes = sum(1 for _ in scanned_prefixes(e0, n, q))
+        assert res.count == 1053 and calls
+        assert len(calls) <= prefixes * (q + 1) * (n - e0)
 
 
 def dense_slice_mult_rank(spans, L, t):
