@@ -88,18 +88,10 @@ def valuation_h1(gens, t_max):
     independent oracle for the kernel route on monomial branches.
     """
     sg = semigroup(gens)
-    m = min(gens)
     # all sums of t_max+1 elements stay visible below this bound
-    bound = sg.conductor + (t_max + 1) * m + max(gens)
-    member = [False] * (bound + 1)
-    member[0] = True
-    for v in range(1, bound + 1):
-        for x in sg.generators:
-            if x <= v and member[v - x]:
-                member[v] = True
-                break
-    positives = [v for v in range(1, bound + 1) if member[v]]
-    sums = [set(positives)]
+    bound = sg.conductor + (t_max + 1) * min(gens) + max(gens)
+    gamma = semigroup(gens, bound).elements
+    sums = [set(gamma[1:])]
     for _ in range(t_max):
         nxt = set()
         prev = sums[-1]
@@ -108,7 +100,6 @@ def valuation_h1(gens, t_max):
                 if s + x <= bound:
                     nxt.add(s + x)
         sums.append(nxt)
-    gamma = [v for v in range(bound + 1) if member[v]]
     return [sum(1 for v in gamma if v not in sums[t]) for t in range(t_max + 1)]
 
 

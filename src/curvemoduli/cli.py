@@ -263,6 +263,8 @@ def cmd_param(args):
         branch_texts = [b.split(",") for b in args.branch]
         precision = args.precision
     param = br.Parametrization.parse(branch_texts, precision, field)
+    if args.N is not None and args.N != param.n_vars:
+        raise ValueError(f"--N {args.N} but the branches have {param.n_vars} components")
     sub = br._Substitution(param, args.level)
     hd = br.hilbert_from_param(param, args.level, sub=sub)
     ideal = br.ideal_from_param(param, args.level, sub=sub)
@@ -439,7 +441,7 @@ COMMANDS = {
     "enumerate": ("exhaustive T_n enumeration over F_q", cmd_enumerate, (
         _like(N, help=None), E0, _like(TRUNC_N, help=None), Q, E1, _like(TABLE, help=None))),
     "param": ("Hilbert data and ideal from a parametrization", cmd_param, (
-        *AT_LEVEL,
+        _like(N, default=None), FIELD, TABLE, LEVEL,
         _flag("--branch", action="append", help="comma-separated components in t"),
         PRECISION,
         _flag("--job", default=None, help="JSON file {branches, precision}"))),

@@ -13,7 +13,7 @@ finite fields; the fit is labeled the heuristic it is.
 from collections import namedtuple
 from fractions import Fraction
 
-from .ringcore import QQ, Echelon
+from .ringcore import _TOKEN, QQ, Echelon
 
 
 class MotivicClass:
@@ -260,63 +260,51 @@ def volume_partial(terms):
 
 
 def parse_motivic(text):
-    """Parse a Laurent polynomial in L: e.g. "3*L^2 - L + 1 + 2*L^-1"."""
-    s = text.strip()
-    if not s:
+    """Parse a Laurent polynomial in L: e.g. "3*L^2 - L + 1 + 2*L^-1".
+
+        class := ("-" term | term) (("+" | "-") term)*
+        term  := uint ("*"? "L" ("^" int)?)? | "L" ("^" int)?
+        int   := ("+" | "-")? uint       (no space after the sign)
+
+    Tokens, the token stack and error positions are as in `ringcore.parse_poly`.
+    """
+    toks = [("", len(text))] + [(m.group(), m.start()) for m in _TOKEN.finditer(text)][::-1]
+    if len(toks) == 1:
         raise ValueError("empty class")
-    pos = 0
-    out = {}
-
-    def skip():
-        nonlocal pos
-        while pos < len(s) and s[pos].isspace():
-            pos += 1
-
-    def read_int(allow_sign=False):
-        nonlocal pos
-        skip()
-        start = pos
-        if allow_sign and pos < len(s) and s[pos] in "+-":
-            pos += 1
-        while pos < len(s) and s[pos].isdigit():
-            pos += 1
-        if pos == start or s[start:pos] in "+-":
-            raise ValueError(f"expected an integer at position {start} in {text!r}")
-        return int(s[start:pos])
-
-    first = True
-    while True:
-        skip()
-        if pos >= len(s):
-            if first:
-                raise ValueError("empty class")
-            break
-        sign = 1
-        if s[pos] in "+-":
-            if first and s[pos] == "+":
-                raise ValueError("unexpected leading '+'")
-            sign = -1 if s[pos] == "-" else 1
-            pos += 1
-            skip()
-        elif not first:
-            raise ValueError(f"expected '+' or '-' at position {pos} in {text!r}")
-        first = False
-        coeff = 1
-        if pos < len(s) and s[pos].isdigit():
-            coeff = read_int()
-            skip()
-            if pos < len(s) and s[pos] == "*":
-                pos += 1
-                skip()
-        exp = 0
-        if pos < len(s) and s[pos] == "L":
-            pos += 1
+    if toks[-1][0] == "+":
+        raise ValueError("unexpected leading '+'")
+    if toks[-1][0] != "-":
+        toks.append(("+", None))  # the first term's sign is optional
+    out, defect = {}, None
+    while len(toks) > 1:
+        sign = 1 if toks.pop()[0] == "+" else -1
+        coeff, exp, star = 1, 0, False
+        numbered = toks[-1][0].isdecimal()
+        if numbered:
+            coeff = int(toks.pop()[0])
+            star = toks[-1][0] == "*"
+            if star:
+                toks.pop()
+        if toks[-1][0] == "L":
+            toks.pop()
             exp = 1
-            skip()
-            if pos < len(s) and s[pos] == "^":
-                pos += 1
-                exp = read_int(allow_sign=True)
+            if toks[-1][0] == "^":
+                toks.pop()
+                tok, at = toks.pop()
+                if tok in ("+", "-") and toks[-1][1] == at + 1:
+                    tok += toks.pop()[0]
+                if not tok.lstrip("+-").isdecimal():
+                    raise ValueError(f"expected an integer at position {at} in {text!r}")
+                exp = int(tok)
+        elif star or not numbered:
+            what = "'L' after '*'" if star else "a term"
+            defect = defect or f"expected {what} at position {toks[-1][1]}"
+        tok, at = toks[-1]
+        if tok not in ("", "+", "-"):
+            raise ValueError(f"expected '+' or '-' at position {at} in {text!r}")
         out[exp] = out.get(exp, 0) + sign * coeff
+    if defect:  # raised last, so a syntax error further on is reported first
+        raise ValueError(f"{defect} in {text!r}")
     return MotivicClass(out)
 
 

@@ -8,6 +8,7 @@ truncation level is explicit everywhere and no operation silently extends
 precision.  All values are immutable after construction.
 """
 
+import re
 from collections import namedtuple
 from fractions import Fraction
 from math import comb, gcd
@@ -366,140 +367,97 @@ def initial_form(f):
 
 
 # ---------------------------------------------------------------------------
-# DSL parsing and printing.
+# DSL parsing and printing.  Both input languages, this one and the classes of
+# `motivic.parse_motivic`, are read as the tokens of _TOKEN: a run of digits
+# or one non-space character, so whitespace may stand between any two tokens.
+# An error position is the start of a token, or len(text) at the end, and an
+# error quotes the first character of the token it found.
 #
-#   poly    := sign? term (sign term)*
-#   term    := coeff ("*" powprod)? | powprod
+#   poly    := ("-" term | factors) (sign term)*
+#   term    := sign? factors
+#   factors := coeff "*"? powprod | coeff | powprod
 #   powprod := var ("^" uint)? ("*" var ("^" uint)?)*
-#   var     := "x" uint          (1-based; "t" when parsing one-variable input)
-#   coeff   := int | int "/" uint
+#   var     := "x" uint          (1-based; a bare "t" in one-variable input)
+#   coeff   := uint ("/" uint)?
+#   sign    := "+" | "-"
 #
-# Whitespace is insignificant.
+# The sign that may open a term is one extra unary sign, so substituted
+# coefficients like "+ -1*x2" stay grammatical.  Over F_p the denominator of
+# a coefficient, in lowest terms, must be prime to p.
+
+_TOKEN = re.compile(r"\d+|\S")
 
 
 def parse_poly(text, n_vars, field, level, var="x"):
     """Parse the polynomial DSL into a TruncatedPoly (terms >= level dropped)."""
-    s = text
-    pos = 0
+    # a stack: the next token is toks[-1], and the end ("", len(text)) stays
+    toks = [("", len(text))] + [(m.group(), m.start()) for m in _TOKEN.finditer(text)][::-1]
+    if len(toks) == 1:
+        raise ParseError("empty polynomial", len(text))
+    if toks[-1][0] == "+":
+        raise ParseError("unexpected '+'", toks[-1][1])
+    if toks[-1][0] != "-":
+        toks.append(("+", None))  # the first term's sign is optional
 
-    def skip_ws():
-        nonlocal pos
-        while pos < len(s) and s[pos].isspace():
-            pos += 1
+    def number():
+        tok, at = toks.pop()
+        if not tok.isdecimal():
+            raise ParseError("expected a number", at)
+        return int(tok)
 
-    def peek():
-        skip_ws()
-        return s[pos] if pos < len(s) else ""
-
-    def read_uint():
-        nonlocal pos
-        skip_ws()
-        start = pos
-        while pos < len(s) and s[pos].isdigit():
-            pos += 1
-        if pos == start:
-            raise ParseError("expected a number", start)
-        return int(s[start:pos])
-
-    def read_coeff(sign):
-        nonlocal pos
-        num = read_uint()
-        if peek() == "/":
-            pos += 1
-            den = read_uint()
-            if den == 0:
-                raise ParseError("zero denominator", pos)
-            value = Fraction(num, den)
-        else:
-            value = Fraction(num)
-        return -value if sign < 0 else value
-
-    def read_varpow():
-        nonlocal pos
-        skip_ws()
-        here = pos
-        pos += 1  # the variable prefix, already peeked
-        if var == "t":
-            idx = 1
-        else:
-            idx = read_uint()
-            if not 1 <= idx <= n_vars:
-                raise ParseError(f"variable index out of range: {var}{idx}", here)
-        if peek() == "^":
-            pos += 1
-            exp = read_uint()
-        else:
-            exp = 1
-        return idx, exp
+    def star():
+        """Consume an optional '*', which a variable must follow."""
+        found = toks[-1][0] == "*"
+        if found:
+            toks.pop()
+            tok, at = toks[-1]
+            if tok != var:
+                raise ParseError(f"expected variable after '*', found {tok[:1]!r}", at)
+        return found
 
     terms = {}
-    zero = (0,) * n_vars
-
-    def add_term(mono, coeff):
-        c = field.of(coeff)
-        cur = terms.get(mono, field.zero())
-        s_ = field.add(cur, c)
-        if s_ == field.zero():
+    while len(toks) > 1:
+        tok, at = toks.pop()
+        if tok not in ("+", "-"):
+            raise ParseError(f"expected '+' or '-', found {tok[:1]!r}", at)
+        coeff = Fraction(1 if tok == "+" else -1)
+        if toks[-1][0] in ("+", "-"):
+            coeff = coeff if toks.pop()[0] == "+" else -coeff
+        at, expo = toks[-1][1], [0] * n_vars
+        seen = toks[-1][0].isdecimal()
+        if seen:
+            coeff *= number()
+            if toks[-1][0] == "/":
+                toks.pop()
+                tok, den_at = toks[-1]
+                den = number()
+                if not den:
+                    raise ParseError("zero denominator", den_at + len(tok))
+                coeff /= den
+            star()
+        while toks[-1][0] == var:
+            var_at = toks.pop()[1]
+            idx = 1 if var == "t" else number()
+            if not 1 <= idx <= n_vars:
+                raise ParseError(f"variable index out of range: {var}{idx}", var_at)
+            exp = 1
+            if toks[-1][0] == "^":
+                toks.pop()
+                exp = number()
+            expo[idx - 1] += exp
+            seen = True
+            if not star():
+                break
+        if not seen:
+            raise ParseError(f"expected a term, found {toks[-1][0]!r}", at)
+        if field.char and coeff.denominator % field.char == 0:
+            raise ParseError(f"denominator divisible by {field.char}", at)
+        mono = tuple(expo)
+        c = field.add(terms.get(mono, field.zero()), field.of(coeff))
+        if c == field.zero():
             terms.pop(mono, None)
         else:
-            terms[mono] = s_
-
-    first = True
-    while True:
-        skip_ws()
-        if pos >= len(s):
-            if first:
-                raise ParseError("empty polynomial", pos)
-            break
-        sign = 1
-        ch = peek()
-        if ch in "+-":
-            if first and ch == "+":
-                raise ParseError("unexpected '+'", pos)
-            sign = -1 if ch == "-" else 1
-            pos += 1
-            skip_ws()
-        elif not first:
-            raise ParseError(f"expected '+' or '-', found {ch!r}", pos)
-        first = False
-
-        # one extra unary sign, so substituted coefficients like "+ -1*x2"
-        # stay grammatical
-        ch = peek()
-        if ch in "+-":
-            if ch == "-":
-                sign = -sign
-            pos += 1
-            skip_ws()
-
-        ch = peek()
-        coeff = Fraction(sign)
-        expo = list(zero)
-        saw_factor = False
-        if ch.isdigit():
-            coeff = read_coeff(sign)
-            saw_factor = True
-            if peek() == "*":
-                pos += 1
-                ch = peek()
-                if ch != var:
-                    raise ParseError(f"expected variable after '*', found {ch!r}", pos)
-        ch = peek()
-        while ch == var:
-            idx, exp = read_varpow()
-            expo[idx - 1] += exp
-            saw_factor = True
-            if peek() == "*":
-                pos += 1
-                ch = peek()
-                if ch != var:
-                    raise ParseError(f"expected variable after '*', found {ch!r}", pos)
-                continue
-            break
-        if not saw_factor:
-            raise ParseError(f"expected a term, found {peek()!r}", pos)
-        add_term(tuple(expo), coeff)
-
+            terms[mono] = c
     return TruncatedPoly(n_vars, field, level, terms)
 
 

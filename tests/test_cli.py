@@ -63,6 +63,12 @@ class TestHilbert:
         assert "out of range" in err
 
 
+    @pytest.mark.parametrize("ideal,position", [("1/7*x1^2", 0), ("x2 - 2/14*x1^2", 5)])
+    def test_denominator_divisible_by_the_characteristic(self, capsys, ideal, position):
+        code, out, err = run(capsys, "hilbert", "--field", "7", "--ideal", ideal, "--level", "5")
+        assert (code, out) == (2, "")
+        assert err == f"error: denominator divisible by 7 (at position {position})\n"
+
     @pytest.mark.parametrize("n_vars", [2, 3])
     def test_zero_dimensional_exit_code(self, capsys, n_vars):
         argv = ["hilbert", "--N", str(n_vars), "--level", "6"]
@@ -268,6 +274,24 @@ class TestSubcommands:
     def test_specialize(self, capsys):
         code, payload, _ = run_json(capsys, "specialize", "--class", "L^2 - 1", "--q", "3")
         assert code == 0 and payload["value"] == "8"
+
+    @pytest.mark.parametrize("argv", [
+        ["mps", "--class0", "L -", "--n0", "1", "--N", "2", "--e0", "1"],
+        ["specialize", "--class", "2*", "--q", "3"],
+        ["volume", "--terms", "0:--L"],
+    ], ids=["mps", "specialize", "volume"])
+    def test_malformed_class_is_rejected(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: expected ") and err.count("\n") == 1
+
+    def test_param_rejects_a_component_count_other_than_n(self, capsys):
+        code, out, err = run(capsys, "param", "--N", "5", "--branch", "t^2,t^3",
+                             "--precision", "20", "--level", "6")
+        assert (code, out, err) == (2, "", "error: --N 5 but the branches have 2 components\n")
+        code, payload, _ = run_json(capsys, "param", "--N", "2", "--branch", "t^2,t^3",
+                                    "--precision", "20", "--level", "6")
+        assert code == 0 and payload["e0"] == 2
 
     def test_normflat_branch_fiber_needs_precision(self, capsys):
         code, out, err = run(capsys, "normflat", "--fiber", "t^2,t^3")

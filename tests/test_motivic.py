@@ -63,6 +63,56 @@ class TestClassArithmetic:
             assert parse_motivic(str(a)) == a
 
 
+# The accepted language of parse_motivic: each input with its printed class
+# or its exact error.  Recorded from the character scanner that the token loop
+# replaced; only the entries marked "fixed" differ from that record.
+CLASS_TABLE = [
+    ("L^+2", "L^2"),
+    ("3*L^2 - L + 1 + 2*L^-1", "3*L^2 - L + 1 + 2*L^-1"),
+    ("L^ -2", "L^-2"),
+    ("2 L", "2*L"),
+    ("2 * L", "2*L"),
+    ("-L", "-L"),
+    ("0", "0"),
+    ("0*L", "0"),
+    ("L^0", "1"),
+    ("L - L", "0"),
+    ("  L  ", "L"),
+    ("L^-0", "1"),
+    ("12L^3 - 2", "12*L^3 - 2"),
+    ("L^2 + L^2", "2*L^2"),
+    ("L^ - 2", ValueError("expected an integer at position 3 in 'L^ - 2'")),
+    ("1/2", ValueError("expected '+' or '-' at position 1 in '1/2'")),
+    ("", ValueError("empty class")),
+    ("  ", ValueError("empty class")),
+    ("+L", ValueError("unexpected leading '+'")),
+    ("L^", ValueError("expected an integer at position 2 in 'L^'")),
+    ("LL", ValueError("expected '+' or '-' at position 1 in 'LL'")),
+    ("L2", ValueError("expected '+' or '-' at position 1 in 'L2'")),
+    ("L^L", ValueError("expected an integer at position 2 in 'L^L'")),
+    ("2 * 3", ValueError("expected '+' or '-' at position 4 in '2 * 3'")),
+    # a syntax error further on is reported before an empty term
+    ("L - x - ", ValueError("expected '+' or '-' at position 4 in 'L - x - '")),
+    # fixed: an empty term or a dangling '*' was read as a coefficient
+    ("L -", ValueError("expected a term at position 3 in 'L -'")),
+    ("-", ValueError("expected a term at position 1 in '-'")),
+    ("--L", ValueError("expected a term at position 1 in '--L'")),
+    ("2*", ValueError("expected 'L' after '*' at position 2 in '2*'")),
+    # fixed: the position indexes the text as given, not the stripped text
+    (" - 11x", ValueError("expected '+' or '-' at position 5 in ' - 11x'")),
+]
+
+
+@pytest.mark.parametrize("text,expected", CLASS_TABLE, ids=[repr(t) for t, _ in CLASS_TABLE])
+def test_parse_table(text, expected):
+    if isinstance(expected, ValueError):
+        with pytest.raises(ValueError) as err:
+            parse_motivic(text)
+        assert (type(err.value), str(err.value)) == (ValueError, str(expected))
+    else:
+        assert str(parse_motivic(text)) == expected
+
+
 class TestSpecialize:
     def test_point_count(self):
         assert (L(2) - ONE).specialize(3) == 8

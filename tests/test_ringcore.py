@@ -102,6 +102,66 @@ class TestParsePrint:
         assert poly_str(p, var="t") == "t^7 + t^6"
 
 
+def parse_case(text, expected, field=QQ, var="x"):
+    return pytest.param(text, field, var, expected, id=repr(text))
+
+
+# The accepted language of parse_poly, in two variables at level 5: each input
+# with its printed value or its exact error.  Recorded from the character
+# scanner that the token loop replaced; only the entries marked "fixed" differ
+# from that record.
+PARSE_TABLE = [
+    parse_case("2x1", "2*x1"),
+    parse_case("3 x1", "3*x1"),
+    parse_case("x 1", "x1"),
+    parse_case("x1 ^ 2", "x1^2"),
+    parse_case("1 / 2", "1/2"),
+    parse_case("x1 - - x2", "x1 + x2"),
+    parse_case("--x1", "x1"),
+    parse_case("x1 + -1*x2", "x1 - x2"),
+    parse_case("2*x1*x2^2 - x2", "2*x1*x2^2 - x2"),
+    parse_case("x01^0 + x2", "x2 + 1"),
+    parse_case("x1 - x1", "0"),
+    parse_case("x1^9 + x1", "x1"),
+    parse_case("1/2*x1 - 3/4*x2", "1/2*x1 - 3/4*x2"),
+    parse_case("t^2 + 3t", "t^2 + 3*t", var="t"),
+    parse_case("1/2*x1", "4*x1", field=GF(7)),
+    parse_case("x1x2", ParseError("expected '+' or '-', found 'x'", 2)),
+    parse_case("x1 x2", ParseError("expected '+' or '-', found 'x'", 3)),
+    parse_case("x1 - -- x2", ParseError("expected a term, found '-'", 6)),
+    parse_case("+x1", ParseError("unexpected '+'", 0)),
+    parse_case("x1*", ParseError("expected variable after '*', found ''", 3)),
+    parse_case("2*3", ParseError("expected variable after '*', found '3'", 2)),
+    parse_case("", ParseError("empty polynomial", 0)),
+    parse_case("   ", ParseError("empty polynomial", 3)),
+    parse_case("x3", ParseError("variable index out of range: x3", 0)),
+    parse_case("1/0 + x1", ParseError("zero denominator", 3)),
+    parse_case("1/", ParseError("expected a number", 2)),
+    parse_case("x1 + * x2", ParseError("expected a term, found '*'", 5)),
+    parse_case("x", ParseError("expected a number", 1)),
+    parse_case("x1^", ParseError("expected a number", 3)),
+    parse_case("2 3", ParseError("expected '+' or '-', found '3'", 2)),
+    parse_case("t2", ParseError("expected '+' or '-', found '2'", 1), var="t"),
+    # fixed: the end of the input is position len(text), not one past it
+    parse_case("x1 +", ParseError("expected a term, found ''", 4)),
+    parse_case("-", ParseError("expected a term, found ''", 1)),
+    # fixed: a ParseError at the coefficient, not a ZeroDivisionError
+    parse_case("1/7*x1^2", ParseError("denominator divisible by 7", 0), field=GF(7)),
+    parse_case("x2 - 2/14", ParseError("denominator divisible by 7", 5), field=GF(7)),
+]
+
+
+@pytest.mark.parametrize("text,field,var,expected", PARSE_TABLE)
+def test_parse_table(text, field, var, expected):
+    n_vars = 1 if var == "t" else 2
+    if isinstance(expected, ParseError):
+        with pytest.raises(ParseError) as err:
+            parse_poly(text, n_vars, field, 5, var=var)
+        assert (str(err.value), err.value.position) == (str(expected), expected.position)
+    else:
+        assert poly_str(parse_poly(text, n_vars, field, 5, var=var), var=var) == expected
+
+
 class TestArithmetic:
     def test_product_truncates(self):
         s = parse_poly("x1 + x2", 2, QQ, 2)
