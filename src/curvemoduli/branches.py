@@ -447,6 +447,8 @@ def normally_flat_fiber_compare(fibers, level):
     """
     if len(fibers) < 1:
         raise ValueError("need at least one fiber")
+    if len({(f.n_vars, f.field) for f in fibers}) > 1:
+        raise ValueError("fibers disagree on ambient or field")
     data = []
     for f in fibers:
         if isinstance(f, Parametrization):

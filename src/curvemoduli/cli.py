@@ -30,10 +30,28 @@ EXIT_SOFT = 3
 DEFAULT_LEVEL = 8
 
 
+def _read(flag, expected, convert, text):
+    """convert(text), where a ValueError becomes a precondition error that
+    names the flag and quotes its value."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise ValueError(f"{flag} expects {expected}, got {text!r}") from None
+
+
+def _ints(text):
+    return [int(x) for x in text.split(",")]
+
+
+def _term(piece):
+    s, cls = piece.split(":", 1)
+    return int(s), cls
+
+
 def _field(spec):
     if spec in ("rational", "rationals", "0", "Q"):
         return rc.QQ
-    return rc.GF(int(spec))
+    return rc.GF(_read("--field", "'rational' or a prime", int, spec))
 
 
 def _ideal(args, texts, level):
@@ -197,7 +215,7 @@ def cmd_admissible(args):
 
 def cmd_stratum(args):
     ideal = _ideal(args, args.ideal, args.level)
-    F = [int(x) for x in args.F.split(",")]
+    F = _read("--F", "comma-separated integers", _ints, args.F)
     ok, mismatch = tt.hilbert_stratum_check(ideal, F, args.r, args.level)
     _emit({"member": ok, "first_mismatch_t": mismatch})
     return EXIT_OK
@@ -217,8 +235,8 @@ def cmd_superficial(args):
 def cmd_cells(args):
     ideal = _ideal(args, args.ideal, args.n)
     cell = tt.CellIndex(
-        [int(x) for x in args.i.split(",")],
-        [int(x) for x in args.j.split(",")],
+        _read("--i", "comma-separated integers", _ints, args.i),
+        _read("--j", "comma-separated integers", _ints, args.j),
         args.q,
     )
     member = tt.cell_membership(ideal, args.n, cell, args.e0)
@@ -276,7 +294,7 @@ def cmd_param(args):
 
 
 def cmd_semigroup(args):
-    gens = [int(x) for x in args.gens.split(",")]
+    gens = _read("--gens", "comma-separated integers", _ints, args.gens)
     sg = br.semigroup(gens)
     _emit({
         "generators": sg.generators,
@@ -369,8 +387,7 @@ def cmd_mps(args):
 def cmd_volume(args):
     terms = {}
     for piece in args.terms.split(";"):
-        s, cls = piece.split(":", 1)
-        s = int(s)
+        s, cls = _read("--terms", "s:class pairs with an integer s", _term, piece)
         if s in terms:
             raise ValueError(f"term index s = {s} given twice")
         terms[s] = mv.parse_motivic(cls)

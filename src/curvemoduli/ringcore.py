@@ -584,6 +584,14 @@ class Echelon:
         dup._rows = {p: dict(r) for p, r in self._rows.items()}
         return dup
 
+    def join(self, other):
+        """A new echelon of the sum of both spans: a copy of this one with
+        the stored rows of `other` inserted (no back-substitution)."""
+        joined = self.copy()
+        for row in other._rows.values():
+            joined.add(row)
+        return joined
+
     def _back_substitute(self):
         """Reduce the stored rows in place, largest pivot first, so that each
         row is reduced against rows already reduced; return the canonical
@@ -764,18 +772,3 @@ def degree_slice(table, field, ech, d):
     """The graded block of `ech` in degree d as homogeneous polynomials."""
     basis = [table.poly_of(row, field) for row in degree_block(table, field, ech, d).basis()]
     return DegreeSlice(d, basis, len(basis))
-
-
-def echelon_span(vectors, n_vars, field, level):
-    """Echelonize polynomials and report the graded blocks of the span.
-
-    Input polynomials need not be homogeneous; the slice at degree d is the
-    degree-d graded block of the span filtration.  For homogeneous input
-    this is just the degree-d part of the span.
-    """
-    for p in vectors:
-        if p.level < level:
-            raise LevelError(f"vector at level {p.level} below requested level {level}")
-    table = monomial_table(n_vars, level)
-    ech = span_of_multiples(table, field, vectors, hi=0)
-    return [degree_slice(table, field, ech, d) for d in range(level)]

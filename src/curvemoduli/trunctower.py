@@ -20,7 +20,6 @@ from collections import namedtuple
 from math import comb
 
 from .ringcore import (
-    Echelon,
     FieldTooSmallError,
     LevelError,
     TruncatedPoly,
@@ -84,6 +83,13 @@ def _check_e0(e0):
 # Candidate linear forms.
 
 
+def _linear_form(coeffs, field, level):
+    """The linear form sum_i coeffs[i]*x_i in len(coeffs) variables."""
+    n_vars = len(coeffs)
+    terms = {tuple(int(k == i) for k in range(n_vars)): c for i, c in enumerate(coeffs)}
+    return TruncatedPoly(n_vars, field, level, terms)
+
+
 def candidate_forms(n_vars, e0, field, level):
     """The s = e0(N-1)+1 linear forms L_q = sum_i q^(i-1) x_i at distinct q.
 
@@ -98,15 +104,9 @@ def candidate_forms(n_vars, e0, field, level):
         )
     forms = []
     for j in range(s):
-        q = field.of(j)
-        terms = {}
-        power = field.one()
-        for i in range(n_vars):
-            expo = tuple(1 if k == i else 0 for k in range(n_vars))
-            if power != field.zero():
-                terms[expo] = power
-            power = field.mul(power, q)
-        forms.append(TruncatedPoly(n_vars, field, level, terms))
+        powers = itertools.accumulate(itertools.repeat(field.of(j), n_vars - 1), field.mul,
+                                      initial=field.one())
+        forms.append(_linear_form(list(powers), field, level))
     return forms
 
 
@@ -119,33 +119,13 @@ def all_projective_linear_forms(n_vars, field, level):
     if field.char == 0:
         raise ValueError("only meaningful over a finite field")
     scalars = [field.of(i) for i in range(field.char)]
-    forms = []
-    for lead in range(n_vars):
-        for tail in itertools.product(scalars, repeat=n_vars - lead - 1):
-            coeffs = [field.zero()] * lead + [field.one()] + list(tail)
-            terms = {}
-            for i, c in enumerate(coeffs):
-                if c != field.zero():
-                    expo = tuple(1 if k == i else 0 for k in range(n_vars))
-                    terms[expo] = c
-            forms.append(TruncatedPoly(n_vars, field, level, terms))
-    return forms
+    return [_linear_form([field.zero()] * lead + [field.one(), *tail], field, level)
+            for lead in range(n_vars)
+            for tail in itertools.product(scalars, repeat=n_vars - lead - 1)]
 
 
 # ---------------------------------------------------------------------------
 # Superficial / Cohen-Macaulay test and T_n membership.
-
-
-def _length_with_form(spans, L):
-    """dim R/(J + (L) + M^level) for the ideal J of `spans`: H1 at the top
-    degree less the rank the multiples x^a*L add modulo the span of J."""
-    J, level, table = spans.ideal, spans.level, spans.table
-    # L is checked like any generator: zero after truncation or a unit is rejected
-    L = IdealPresentation([L.truncate_to(level)], J.n_vars, J.field, level).generators[0]
-    image = Echelon(J.field)
-    for a in table.monos[:table.offset[level - L.order()]]:
-        image.add(spans.ech.reduce(multiple_vector(table, L, a)))
-    return spans.h1(level - 1) - image.rank
 
 
 def cm_superficial_test(ideal, L, e0):
@@ -159,7 +139,8 @@ def cm_superficial_test(ideal, L, e0):
     level = e0 + 1
     if ideal.level < level:
         raise LevelError(f"ideal known to level {ideal.level} < {level}")
-    length = _length_with_form(DegreeSpans(ideal.truncated(level), level), L)
+    J = ideal.truncated(level)
+    length = _TnSpans(DegreeSpans(J, level)).length_with_form(J, L)
     cert = SuperficialCertificate(L.truncate_to(level), length, [], e0, level)
     return length <= e0, cert
 
@@ -181,25 +162,113 @@ def _slice_mult_rank(spans, L, t):
     return image.rank - target_rank
 
 
+class _TnSpans:
+    """The spans both T_n conditions on a level-n ideal J are read off.
+
+    `spans` is a DegreeSpans with J's H1 values and initial ideal: the slice
+    dimensions and the ranks of condition (2) (`slice_rank`, memoized) are
+    read off it.  `base` is an echelon inside the span of J + M^n holding
+    every generator of J but at most one, so the length of condition (1) is
+    the monomial count less the rank of base with the multiples x^a*L
+    (`with_form(L)`), less one if a generator of J is outside that span.
+    The span of the x^a*L is built when L is first met, which checks L like
+    any generator, and kept in `form_spans`, which an enumeration shares
+    between its span objects.  The maps are keyed by id(L), the caller's
+    own forms: a TruncatedPoly hashes all its terms on every lookup.
+
+    A standalone J is `_TnSpans(DegreeSpans(J, n))`: base is J's own span.
+    The enumerator builds one per prefix (`of_prefix`) for its candidates
+    f = prefix + top block, the siblings; a standalone J is a prefix with
+    no siblings.  Truncation at M^n drops the top block from every x^a*f
+    with |a| >= 1, so those multiples are the prefix's own: `base` is their
+    echelon, and the span of J = (f) + M^n is base plus the row f.  The
+    siblings share the prefix's initial ideal: base has order > e0, so an
+    element of J with a nonzero coefficient on f has order e0 and initial
+    form the lead form, and the elements of higher order are base's own.
+    So J*_e0 is spanned by the lead form, J*_d (d > e0) is base's slice,
+    and `spans` is the span of the prefix itself (the top = 0 sibling).
+    The residual of f modulo base has its pivot at f's first lead
+    monomial, with coefficient 1, below every pivot of base (those lie in
+    degrees > e0), and base rows vanish there; so a candidate's canonical
+    rows are that residual and the canonical rows of base (`canonical()`).
+    """
+
+    def __init__(self, spans, base=None, form_spans=None):
+        self.spans = spans
+        self.table, self.field = spans.table, spans.ideal.field
+        self.base = spans.ech if base is None else base
+        self._form_spans = {} if form_spans is None else form_spans
+        self._with_form = {}
+        self._slice_ranks = {}
+        self._canonical = None
+
+    @classmethod
+    def of_prefix(cls, table, field, prefix, form_spans):
+        """The span object of the enumerator's candidates prefix + top block."""
+        base = span_of_multiples(table, field, [prefix], lo=1)
+        ech = base.copy()
+        ech.add(table.vector_of(prefix))
+        return cls(DegreeSpans.of_echelon(IdealPresentation([prefix]), table, ech), base,
+                   form_spans)
+
+    def canonical(self):
+        """The canonical rows of base, frozen and as polynomials, built on
+        first use."""
+        if self._canonical is None:
+            self._canonical = (_span_key(self.base),
+                               [self.table.poly_of(row, self.field) for row in self.base.basis()])
+        return self._canonical
+
+    def with_form(self, L):
+        """The echelon of base and the multiples x^a*L, built on first use."""
+        ech = self._with_form.get(id(L))
+        if ech is None:
+            span = self._form_spans.get(id(L))
+            if span is None:
+                level = self.table.level
+                # L is checked like any generator: zero after truncation or a unit is rejected
+                checked = IdealPresentation([L.truncate_to(level)], self.table.n_vars,
+                                            self.field, level)
+                span = self._form_spans[id(L)] = span_of_multiples(self.table, self.field,
+                                                                   checked.generators)
+            ech = self._with_form[id(L)] = span.join(self.base)
+        return ech
+
+    def length_with_form(self, ideal, L):
+        """dim R/(J + (L) + M^n) for the ideal J = `ideal` at level n."""
+        with_L = self.with_form(L)
+        outside = sum(not with_L.contains(self.table.vector_of(g)) for g in ideal.generators)
+        return self.table.offset[self.table.level] - with_L.rank - outside
+
+    def slice_rank(self, L, t):
+        """_slice_mult_rank(spans, L, t), computed on first use."""
+        key = (id(L), t)
+        rank = self._slice_ranks.get(key)
+        if rank is None:
+            rank = self._slice_ranks[key] = _slice_mult_rank(self.spans, L, t)
+        return rank
+
+
 def tn_membership(ideal, n, e0, forms=None, prefix=None):
     """Search for a linear form certifying J + M^n in T_n.
 
     Scans the candidate forms in order; the first one that passes the length
     condition (1) is then checked for the slice-isomorphism condition (2),
     first success wins.  Failure is returned as a value carrying the first
-    failing condition and degree.  Both conditions are ranks against one
-    span of J + M^n, the DegreeSpans of ideal.truncated(n).  `enumerate_xi`
-    passes instead the _PrefixSpans its candidate (f) + M^n was scanned
-    under: the slice dimensions and the ranks of (2) are the prefix's, and
-    only the length (1) is computed for f.
+    failing condition and degree.  Both conditions are read off one
+    _TnSpans: by default the span of J + M^n itself, built from
+    ideal.truncated(n); `enumerate_xi` passes instead the span object of
+    the prefix its candidate (f) + M^n was scanned under.
     """
     _check_e0(e0)
     if n < e0 + 2:
         raise LevelError(f"T_n needs n >= e0+2 = {e0 + 2}, got {n}")
     if ideal.level < n:
         raise LevelError(f"ideal known to level {ideal.level} < n = {n}")
-    spans = prefix.spans if prefix is not None else DegreeSpans(ideal.truncated(n), n)
-    h1 = spans.h1_values()
+    if prefix is None:
+        ideal = ideal.truncated(n)
+        prefix = _TnSpans(DegreeSpans(ideal, n))
+    h1 = prefix.spans.h1_values()
     # slice dimensions are independent of L: check them once up front
     for t in range(e0 - 1, n):
         h0 = h1[t] - (h1[t - 1] if t > 0 else 0)
@@ -209,29 +278,16 @@ def tn_membership(ideal, n, e0, forms=None, prefix=None):
         forms = candidate_forms(ideal.n_vars, e0, ideal.field, n)
     best_length = None
     for L in forms:
-        if prefix is None:
-            length = _length_with_form(spans, L)
-        else:
-            length = prefix.length_with_form(ideal, L)
+        length = prefix.length_with_form(ideal, L)
         if best_length is None or length < best_length:
             best_length = length
         if length > e0:
             continue
-        iso_range = []
-        bad = None
         for t in range(e0 - 1, n - 1):
-            rank = _slice_mult_rank(spans, L, t) if prefix is None else prefix.slice_rank(L, t)
-            if rank != e0:
-                bad = t
-                break
-            iso_range.append(t)
-        if bad is None:
-            return SuperficialCertificate(L, length, iso_range, e0, n)
-        return TnFailure(2, bad, f"product by {poly_str(L)} not an isomorphism at degree {bad}")
-    return TnFailure(
-        1, None,
-        f"no candidate form reaches length <= {e0} (best was {best_length})",
-    )
+            if prefix.slice_rank(L, t) != e0:
+                return TnFailure(2, t, f"product by {poly_str(L)} not an isomorphism at degree {t}")
+        return SuperficialCertificate(L, length, list(range(e0 - 1, n - 1)), e0, n)
+    return TnFailure(1, None, f"no candidate form reaches length <= {e0} (best was {best_length})")
 
 
 # ---------------------------------------------------------------------------
@@ -468,79 +524,6 @@ def _span_key(ech):
     return tuple(tuple(sorted(ech.rows[piv].items())) for piv in sorted(ech.rows))
 
 
-class _PrefixSpans:
-    """What the enumerator's candidates f = prefix + top block share.
-
-    Truncation at M^n drops the top block (degree n-1) from every multiple
-    x^a*f with |a| >= 1, so those multiples are the prefix's own: `base` is
-    their echelon, and the span of J = (f) + M^n is base plus the one row
-    f.  `with_form(L)` is the echelon of base and the multiples x^a*L,
-    |a| <= n-2, built on first use from the enumerator's span of the latter
-    (`form_spans`); the span of J + (L) is it plus f.
-
-    Every sibling has the initial ideal of the prefix.  `base` has order
-    > e0, so an element of J with a nonzero coefficient on f has order e0
-    and initial form the lead form, and the elements of higher order are
-    base's own: J*_e0 is spanned by the lead form and J*_d, d > e0, is
-    base's initial slice.  Hence the H1 values, the slice dimensions and
-    every rank of condition (2) (`slice_rank`, memoized) are read off
-    `spans`, the span of the prefix itself (the top = 0 sibling); only the
-    length of condition (1), which asks whether f lies in base with the
-    L-multiples, depends on the top block (`length_with_form`).  The maps
-    are keyed by id(L), the enumerator's own form objects: a TruncatedPoly
-    hashes all its terms on every lookup.
-
-    The residual of f modulo base has its pivot at f's first lead monomial,
-    with coefficient 1, below every pivot of base (those lie in degrees
-    > e0), and base rows vanish there; so a candidate's canonical rows are
-    that residual and the canonical rows of base (`canonical()`).
-    """
-
-    def __init__(self, table, field, prefix, form_spans):
-        self.table, self.field = table, field
-        self.base = span_of_multiples(table, field, [prefix], lo=1)
-        ech = self.base.copy()
-        ech.add(table.vector_of(prefix))
-        self.spans = DegreeSpans.of_echelon(IdealPresentation([prefix]), table, ech)
-        self._form_spans = form_spans
-        self._with_form = {}
-        self._slice_ranks = {}
-        self._canonical = None
-
-    def canonical(self):
-        """The canonical rows of base, frozen and as polynomials, built on
-        first use."""
-        if self._canonical is None:
-            self._canonical = (_span_key(self.base),
-                               [self.table.poly_of(row, self.field) for row in self.base.basis()])
-        return self._canonical
-
-    def with_form(self, L):
-        ech = self._with_form.get(id(L))
-        if ech is None:
-            ech = self._with_form[id(L)] = self._form_spans[id(L)].copy()
-            for row in self.base.rows.values():
-                ech.add(row)
-        return ech
-
-    def length_with_form(self, ideal, L):
-        """dim R/(J + (L) + M^n) for a sibling's J = (f) + M^n: the monomial
-        count less the rank of base with the L-multiples, less one more when
-        f is not in that span."""
-        with_L = self.with_form(L)
-        (f,) = ideal.generators
-        return self.table.offset[self.table.level] - with_L.rank - (
-            not with_L.contains(self.table.vector_of(f)))
-
-    def slice_rank(self, L, t):
-        """_slice_mult_rank(spans, L, t), computed on first use."""
-        key = (id(L), t)
-        rank = self._slice_ranks.get(key)
-        if rank is None:
-            rank = self._slice_ranks[key] = _slice_mult_rank(self.spans, L, t)
-        return rank
-
-
 def enumerate_xi(n_vars, e0, n, field, e1=None, budget=2_000_000):
     """Exhaustively list the level-n ideals over F_q passing all T_n checks.
 
@@ -558,17 +541,12 @@ def enumerate_xi(n_vars, e0, n, field, e1=None, budget=2_000_000):
     q-rational linear form.
 
     The scan runs prefix by prefix (the initial form and every tail block
-    below degree n-1).  Siblings differ only in the top block, which no
-    multiple x^a*f with |a| >= 1 keeps below M^n, so they share every
-    multiple except f itself (_PrefixSpans).  They also share the initial
-    ideal: an element of J with a nonzero coefficient on f has order e0,
-    since those multiples have order > e0, so J*_e0 is spanned by the lead
-    form and J*_d, d > e0, is the multiples' own.  The H1 filter, the slice
-    dimensions and the ranks of the slice isomorphisms are therefore read
-    once per prefix, off the prefix's own span.  Per candidate only the
-    length dim R/(J+(L)+M^n) is computed: the monomial count less the rank
-    of the shared multiples with those of L, less one when f is not in
-    that span.  Every candidate that passes the filter still gets its
+    below degree n-1).  Siblings, the candidates that differ only in the
+    top block, share every multiple except f itself and they share the
+    initial ideal (`_TnSpans`).  So the H1 filter, the slice dimensions and
+    the ranks of the slice isomorphisms are read once per prefix, off the
+    prefix's own span, and per candidate only the length dim R/(J+(L)+M^n)
+    is computed.  Every candidate that passes the filter still gets its
     verdict from `tn_membership`, with the forms in their fixed order.
     """
     _check_e0(e0)
@@ -596,7 +574,7 @@ def enumerate_xi(n_vars, e0, n, field, e1=None, budget=2_000_000):
         raise BudgetExceededError(f"{n_classes} candidates exceed the budget of {budget}")
     scalars = list(range(q))
     forms = all_projective_linear_forms(n_vars, field, n)
-    form_spans = {id(L): span_of_multiples(table, field, [L], hi=n - 2) for L in forms}
+    form_spans = {}
     p_values = [e0 * (t + 1) - e1 for t in range(n)]
 
     def with_coeffs(terms, monos, coeffs):
@@ -627,8 +605,8 @@ def enumerate_xi(n_vars, e0, n, field, e1=None, budget=2_000_000):
         flat = [m for block in lower for m in block]
         for coeffs in itertools.product(scalars, repeat=len(flat)):
             prefix_terms = with_coeffs(lead_terms, flat, coeffs)
-            prefix = _PrefixSpans(table, field, TruncatedPoly(n_vars, field, n, prefix_terms),
-                                  form_spans)
+            prefix = _TnSpans.of_prefix(table, field,
+                                        TruncatedPoly(n_vars, field, n, prefix_terms), form_spans)
             if prefix.spans.h1_values() != p_values:
                 continue
             for top_coeffs in itertools.product(scalars, repeat=len(top)):

@@ -16,7 +16,7 @@ from curvemoduli.branches import (
     valuation_h1,
 )
 from curvemoduli.idealcalc import DegreeSpans, IdealPresentation, hilbert_data
-from curvemoduli.ringcore import QQ, parse_poly, poly_str
+from curvemoduli.ringcore import GF, QQ, parse_poly, poly_str
 
 
 def param(branches, precision):
@@ -202,6 +202,14 @@ class TestNormallyFlatCompare:
         assert [hd.status for hd in rep.hilbert] == ["ok", "dim_0"]
         assert rep.polynomials_agree is None
         assert not rep.constant and rep.first_mismatch == (1, 2)
+
+    @pytest.mark.parametrize("other", [
+        lambda: IdealPresentation.parse(["x1^2"], 2, QQ, 6),
+        lambda: Parametrization.parse([["t^2", "t^3", "t^4"]], 20, GF(7)),
+    ], ids=["ambient", "field"])
+    def test_fibers_must_share_ambient_and_field(self, other):
+        with pytest.raises(ValueError, match="fibers disagree on ambient or field"):
+            normally_flat_fiber_compare([param([["t^2", "t^3", "t^4"]], 20), other()], 5)
 
     def test_single_fiber_trivially_constant(self):
         rep = normally_flat_fiber_compare([param([["t^2", "t^3"]], 20)], 5)

@@ -345,6 +345,29 @@ class TestSubcommands:
         code, out, err = run(capsys, "volume", "--terms", "1:L;2:1;01:L")
         assert (code, out, err) == (2, "", "error: term index s = 1 given twice\n")
 
+    @pytest.mark.parametrize("argv,message", [
+        (["hilbert", "--field", "abc", "--ideal", "x1"],
+         "--field expects 'rational' or a prime, got 'abc'"),
+        (["semigroup", "--gens", "2,x"], "--gens expects comma-separated integers, got '2,x'"),
+        (["cells", "--ideal", "x1^2", "--n", "4", "--e0", "1", "--i", "1,a", "--j", "2",
+          "--q", "0"], "--i expects comma-separated integers, got '1,a'"),
+        (["cells", "--ideal", "x1^2", "--n", "4", "--e0", "1", "--i", "1", "--j", "2,a",
+          "--q", "0"], "--j expects comma-separated integers, got '2,a'"),
+        (["stratum", "--ideal", "x1^2", "--F", "1,a", "--r", "1"],
+         "--F expects comma-separated integers, got '1,a'"),
+        (["volume", "--terms", "L"], "--terms expects s:class pairs with an integer s, got 'L'"),
+        (["volume", "--terms", "0:1;x:L"],
+         "--terms expects s:class pairs with an integer s, got 'x:L'"),
+    ], ids=["field", "gens", "cells-i", "cells-j", "stratum-F", "volume-no-colon",
+            "volume-index"])
+    def test_malformed_list_flag_is_named(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    def test_normflat_rejects_fibers_in_different_ambients(self, capsys):
+        code, out, err = run(capsys, "normflat", "--fiber", "t^2,t^3,t^4", "--precision", "20",
+                             "--level", "5", "--fiber-ideal", "x1^2")
+        assert (code, out, err) == (2, "", "error: fibers disagree on ambient or field\n")
+
     def test_param_builds_one_substitution(self, capsys, monkeypatch):
         built = []
         init = br._Substitution.__init__

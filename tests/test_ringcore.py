@@ -12,13 +12,14 @@ from curvemoduli.ringcore import (
     ParseError,
     TruncatedPoly,
     degree_block,
-    echelon_span,
+    degree_slice,
     initial_form,
     kernel_basis,
     monomial_table,
     monomials_of_degree,
     parse_poly,
     poly_str,
+    span_of_multiples,
 )
 
 from oracles import naive_rank, naive_rref, random_poly
@@ -233,14 +234,21 @@ class TestInitialForm:
             initial_form(TruncatedPoly.zero(2, QQ, 6))
 
 
+def echelon_slices(polys, n_vars, field, level):
+    """The graded blocks, degrees 0 .. level-1, of the span of `polys`."""
+    table = monomial_table(n_vars, level)
+    ech = span_of_multiples(table, field, polys, hi=0)
+    return [degree_slice(table, field, ech, d) for d in range(level)]
+
+
 class TestEchelonSpan:
     def test_degree_one_slice(self):
         polys = [parse_poly(s, 2, QQ, 2) for s in ("x1", "x2", "x1 + x2")]
-        slices = echelon_span(polys, 2, QQ, 2)
+        slices = echelon_slices(polys, 2, QQ, 2)
         assert slices[1].dimension == 2
 
     def test_empty_input(self):
-        slices = echelon_span([], 2, QQ, 4)
+        slices = echelon_slices([], 2, QQ, 4)
         assert all(s.dimension == 0 for s in slices)
 
     def test_rank_matches_naive_oracle_over_f7(self):
@@ -255,23 +263,23 @@ class TestEchelonSpan:
                 dense.append(row)
                 terms = {m: c for m, c in zip(monos, row) if c}
                 polys.append(TruncatedPoly(3, field, 5, terms))
-            slices = echelon_span(polys, 3, field, 5)
+            slices = echelon_slices(polys, 3, field, 5)
             assert slices[4].dimension == naive_rank(dense, field)
 
     def test_rank_invariant_under_permutation_and_scaling(self):
         rng = random.Random(9)
         polys = [random_poly(rng, 2, QQ, 5, 4) for _ in range(12)]
         polys = [p for p in polys if not p.is_zero()]
-        base = [s.dimension for s in echelon_span(polys, 2, QQ, 5)]
+        base = [s.dimension for s in echelon_slices(polys, 2, QQ, 5)]
         for _ in range(5):
             shuffled = polys[:]
             rng.shuffle(shuffled)
             shuffled = [p.scale(rng.choice([1, 2, -1, 5])) for p in shuffled]
-            assert [s.dimension for s in echelon_span(shuffled, 2, QQ, 5)] == base
+            assert [s.dimension for s in echelon_slices(shuffled, 2, QQ, 5)] == base
 
     def test_slices_of_homogeneous_input_are_graded_pieces(self):
         polys = [parse_poly(s, 2, QQ, 4) for s in ("x1^2", "x1*x2", "x1^2 + x2^2")]
-        slices = echelon_span(polys, 2, QQ, 4)
+        slices = echelon_slices(polys, 2, QQ, 4)
         assert slices[2].dimension == 3
         assert slices[0].dimension == slices[1].dimension == slices[3].dimension == 0
 

@@ -11,7 +11,7 @@ from curvemoduli.trunctower import (
     BudgetExceededError,
     CellIndex,
     TnFailure,
-    _length_with_form,
+    _TnSpans,
     admissible,
     admissible_polys,
     admissible_range,
@@ -136,10 +136,10 @@ class TestLengthWithForm:
         rng = random.Random(17 + n_vars)
         for _ in range(3):
             I, forms = random_ideal_and_forms(rng, n_vars, field, level)
-            spans = DegreeSpans(I, level)
+            spans = _TnSpans(DegreeSpans(I, level))
             for L in forms:
                 want = dense_ideal_h1(I.generators + [L], level)[-1]
-                assert _length_with_form(spans, L) == want, (I, L)
+                assert spans.length_with_form(I, L) == want, (I, L)
 
 
 class TestTnMembership:
@@ -545,8 +545,9 @@ class TestEnumerateSharedSpans:
         # what tn_membership returns on the bare ideal (the same form L, the
         # first in form order that passes the length condition, with the
         # same length and degrees), and the length it reads for every form
-        # must be dim R/(J+(L)+M^n) computed from a fresh span of J
+        # must be dim R/(J+(L)+M^n) computed by dense elimination
         import curvemoduli.trunctower as tt
+        from oracles import dense_ideal_h1
 
         standalone = tt.tn_membership
         in_order = all_projective_linear_forms(2, GF(q), n)
@@ -555,11 +556,10 @@ class TestEnumerateSharedSpans:
         def checked(ideal, n_, e0_, forms, prefix):
             res = standalone(ideal, n_, e0_, forms=forms, prefix=prefix)
             alone = standalone(ideal, n_, e0_, forms=in_order)
-            fresh = DegreeSpans(ideal, n_)
             lengths = [prefix.length_with_form(ideal, L) for L in forms]
             calls.append((type(res), res.to_json(), lengths) ==
                          (type(alone), alone.to_json(),
-                          [tt._length_with_form(fresh, L) for L in in_order]))
+                          [dense_ideal_h1(ideal.generators + [L], n_)[-1] for L in in_order]))
             return res
 
         monkeypatch.setattr(tt, "tn_membership", checked)
@@ -576,14 +576,14 @@ class TestEnumerateSharedSpans:
         # for every form and degree (e0 = 3 included, where no candidate
         # passes the enumerator's filter)
         from curvemoduli.ringcore import monomial_table, span_of_multiples
-        from curvemoduli.trunctower import _PrefixSpans, _slice_mult_rank
+        from curvemoduli.trunctower import _slice_mult_rank
 
         field = GF(q)
         table = monomial_table(2, n)
         forms = all_projective_linear_forms(2, field, n)
         form_spans = {id(L): span_of_multiples(table, field, [L], hi=n - 2) for L in forms}
         for prefix_poly, siblings in scanned_prefixes(e0, n, q):
-            prefix = _PrefixSpans(table, field, prefix_poly, form_spans)
+            prefix = _TnSpans.of_prefix(table, field, prefix_poly, form_spans)
             h1 = prefix.spans.h1_values()
             ranks = [prefix.slice_rank(L, t) for L in forms for t in range(n - 1)]
             assert ranks == [dense_slice_mult_rank(prefix.spans, L, t)
@@ -672,3 +672,100 @@ class TestSliceIsomorphismRank:
             for L in candidate_forms(n_vars, e0, field, n) + [parse_poly("x1", n_vars, field, n)]:
                 for t in range(n - 1):
                     assert _slice_mult_rank(spans, L, t) == dense_slice_mult_rank(spans, L, t)
+
+
+def random_tn_case(rng, n_vars, field):
+    """A seeded (ideal, n, e0, forms) for tn_membership.
+
+    Three times in four the ideal is a curve germ of order e0 for generic
+    coefficients: an equation f in x1, x2, in 3-space also x3 - h with h of
+    order >= 2, and an element of the ideal.  The initial form of f has the
+    factors x1 + q*x2 for q < k, with random k and multiplicities, so the
+    first k candidate forms fail the length condition; the higher terms of
+    f vanish on the last of these lines, which makes its length the largest.
+    Otherwise the ideal has two or three random generators of order 1 or 2,
+    which mostly fail the slice dimensions.  `forms` is None (all candidate
+    forms), the first k candidates, or an ordered part of the candidates.
+    """
+    from oracles import random_poly
+
+    e0 = rng.randint(1, 2 if n_vars == 3 else 3)
+    n = e0 + rng.randint(2, 3)
+    zero = TruncatedPoly(n_vars, field, n, {})
+    # the multiplicity of x1 + q*x2 in the tangent cone, for q < k
+    mults = [1] * rng.randint(0, e0)
+    for _ in range(rng.randint(0, e0 - len(mults)) if mults else 0):
+        mults[rng.randrange(len(mults))] += 1
+    gens = []
+    if rng.random() < 0.25:
+        gens = [g for g in (random_poly(rng, n_vars, field, n, n - 1,
+                                        min_degree=rng.randint(1, 2), density=0.3)
+                            for _ in range(rng.randint(2, 3))) if not g.is_zero()]
+    if not gens:
+        f = zero
+        while f.order() != e0:
+            lead = random_poly(rng, 2, field, n, e0 - sum(mults), min_degree=e0 - sum(mults))
+            for q, m in enumerate(mults):
+                for _ in range(m):
+                    lead = lead * parse_poly(f"x1 + {q}*x2", 2, field, n)
+            q = len(mults) - 1 if mults else rng.randrange(field.char or 5)
+            line = parse_poly(f"x1 + {q}*x2", 2, field, n)
+            tail = line * random_poly(rng, 2, field, n, n - 2, min_degree=e0, density=0.3)
+            f = TruncatedPoly(n_vars, field, n, {m + (0,) * (n_vars - 2): c
+                                                  for m, c in (lead + tail).terms.items()})
+        gens = [f]
+        if n_vars == 3:
+            gens.append(parse_poly("x3", 3, field, n)
+                        - random_poly(rng, 3, field, n, 3, min_degree=2, density=0.3))
+        extra = sum((g * random_poly(rng, n_vars, field, n, 2, density=0.5) for g in gens), zero)
+        gens += [extra] if not extra.is_zero() else []
+    candidates = candidate_forms(n_vars, e0, field, n)
+    forms = rng.choice([None, candidates[:len(mults)] or None,
+                        [L for L in candidates if rng.random() < 0.5] or None])
+    return IdealPresentation(gens, n_vars, field, n), n, e0, forms
+
+
+def dense_tn_verdict(ideal, n, e0, forms):
+    """The to_json() of tn_membership's verdict, recomputed from dense
+    matrices ranked by the naive elimination."""
+    from oracles import dense_ideal_h1
+
+    h1 = dense_ideal_h1(ideal.generators, n)
+    for t in range(e0 - 1, n):
+        h0 = h1[t] - (h1[t - 1] if t > 0 else 0)
+        if h0 != e0:
+            return {"member": False, "condition": 2, "degree": t,
+                    "detail": f"slice dimension {h0} != e0 = {e0} at degree {t}"}
+    spans = DegreeSpans(ideal, n)
+    lengths = []
+    for L in forms:
+        lengths.append(dense_ideal_h1(ideal.generators + [L], n)[-1])
+        if lengths[-1] > e0:
+            continue
+        for t in range(e0 - 1, n - 1):
+            if dense_slice_mult_rank(spans, L, t) != e0:
+                return {"member": False, "condition": 2, "degree": t,
+                        "detail": f"product by {poly_str(L)} not an isomorphism at degree {t}"}
+        return {"L": poly_str(L), "length_with_L": lengths[-1],
+                "iso_range": list(range(e0 - 1, n - 1)), "e0": e0, "level": n}
+    return {"member": False, "condition": 1, "degree": None,
+            "detail": f"no candidate form reaches length <= {e0} (best was {min(lengths)})"}
+
+
+class TestStandaloneVerdictsAgainstDenseOracles:
+    """Seeded random ideals: each standalone verdict, its length and its
+    slice ranks recomputed by dense elimination."""
+
+    @pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+    @pytest.mark.parametrize("n_vars", [2, 3])
+    def test_seeded_random_ideals(self, field, n_vars):
+        rng = random.Random(41 + n_vars)
+        outcomes = set()
+        for _ in range(40):
+            I, n, e0, forms = random_tn_case(rng, n_vars, field)
+            res = tn_membership(I, n, e0, forms=forms)
+            tried = candidate_forms(n_vars, e0, field, n) if forms is None else forms
+            assert res.to_json() == dense_tn_verdict(I, n, e0, tried), (I, n, e0, forms)
+            outcomes.add(getattr(res, "condition", 0))
+        # members, length failures and slice failures all occur
+        assert outcomes == {0, 1, 2}
