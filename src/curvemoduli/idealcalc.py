@@ -288,7 +288,7 @@ class StandardBasisReport(namedtuple(
         return self.ok
 
 
-def standard_basis_check(ideal, level, spans=None):
+def standard_basis_check(ideal, level):
     """Check that the given generators are a standard basis up to the level.
 
     Criterion: the homogeneous ideal generated by the initial forms of the
@@ -296,7 +296,7 @@ def standard_basis_check(ideal, level, spans=None):
     every degree < level.  On failure, reports the least degree where the
     candidate ideal misses part of I*_d and one missing form as witness.
     """
-    spans = spans or DegreeSpans(ideal, level)
+    spans = DegreeSpans(ideal, level)
     data = initial_ideal(ideal, level, spans=spans)
     visible = [g.truncate_to(level) for g in ideal.generators]
     candidate = IdealPresentation(

@@ -311,10 +311,14 @@ def parse_motivic(text):
 def fit_class_from_counts(counts, max_degree):
     """Heuristic: fit a polynomial in L through point counts at several q.
 
-    Needs at least max_degree+1 distinct fields; uses the lowest-degree
-    exact interpolation through all counts.  Returns the class and a list
-    of warnings; a non-integral or non-reproducing fit raises instead,
-    since emitting a wrong class silently would poison everything above.
+    Needs at least two distinct fields, and at least max_degree+1 for the
+    full degree (the degree is lowered otherwise, with a warning); uses the
+    lowest-degree exact interpolation through all counts.  Returns the
+    class and a list of warnings; a non-integral or non-reproducing fit
+    raises instead, since emitting a wrong class silently would poison
+    everything above.  An exactly determined fit (degree+1 counts)
+    reproduces any data, so it is returned with a warning that no count
+    was left to check it.
     """
     qs = sorted(counts)
     if len(qs) < 2:
@@ -328,6 +332,8 @@ def fit_class_from_counts(counts, max_degree):
             f"fit degree lowered to {degree}: only {len(qs)} fields supplied"
         )
     n = degree + 1
+    if len(qs) == n:
+        warnings.append("every count was used by the fit: none is left to check the class")
     # the Vandermonde rows [1, q, .., q^degree | count] are independent, so
     # reduced row j is e_j + c_j e_n with c_j the coefficient of L^j
     ech = Echelon(QQ)

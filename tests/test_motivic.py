@@ -271,6 +271,10 @@ class TestVolume:
             volume_partial({-1: ONE})
 
 
+STANDING = "polynomial point-count behavior is an assumption, not a verified fact"
+UNCHECKED = "every count was used by the fit: none is left to check the class"
+
+
 class TestFit:
     def test_two_points_linear(self):
         cls, warnings = fit_class_from_counts({2: 6, 3: 12}, 2)
@@ -286,11 +290,28 @@ class TestFit:
             fit_class_from_counts({2: 5, 3: 10, 5: 26, 7: 50}, 1)
 
     def test_zero_coefficients_are_read_as_zero(self):
+        # both fits are exactly determined, so neither is checked by a count
         cls, warnings = fit_class_from_counts({q: q**3 - 1 for q in (2, 3, 5, 7)}, 3)
         assert cls.coeffs == {3: 1, 0: -1} and str(cls) == "L^3 - 1"
-        assert warnings == ["polynomial point-count behavior is an assumption, not a verified fact"]
+        assert warnings == [STANDING, UNCHECKED]
         cls, warnings = fit_class_from_counts({2: 1, 3: 1}, 1)
-        assert cls == ONE and len(warnings) == 1
+        assert cls == ONE and warnings == [STANDING, UNCHECKED]
+
+    @pytest.mark.parametrize("counts, max_degree, fitted", [
+        # level-4 smooth plane counts: the true class is L^3 + L^2
+        ({2: 12, 3: 36, 5: 150}, 2, "11*L^2 - 31*L + 30"),
+        # level-3 smooth plane counts: the true class is L^2 + L
+        ({2: 6, 3: 12}, 1, "6*L - 6"),
+    ])
+    def test_exactly_determined_wrong_fit_is_flagged(self, counts, max_degree, fitted):
+        cls, warnings = fit_class_from_counts(counts, max_degree)
+        assert str(cls) == fitted
+        assert warnings == [STANDING, UNCHECKED]
+
+    def test_held_out_count_checks_the_fit(self):
+        cls, warnings = fit_class_from_counts({2: 6, 3: 12, 5: 30, 7: 56}, 2)
+        assert cls == L(2) + L(1)
+        assert warnings == [STANDING]
 
     def test_non_integral_fit_names_the_solution(self):
         with pytest.raises(ValueError) as exc:
