@@ -23,9 +23,14 @@ from .ringcore import (
     multiple_vector,
     parse_poly,
     poly_str,
-    span_of_multiples,
 )
-from .idealcalc import DegreeSpans, IdealPresentation, hilbert_data, standard_basis_check
+from .idealcalc import (
+    DegreeSpans,
+    IdealPresentation,
+    _check_span_level,
+    hilbert_data,
+    standard_basis_check,
+)
 
 
 class DualPoly:
@@ -82,10 +87,11 @@ class ColonSpace(namedtuple("ColonSpace", "level basis dimension echelon table")
 def colon(ideal, other, level):
     """The colon space (I + M^a : K + M^a) inside R/M^a, a = level.
 
-    Solved as a kernel over the unknown coefficients of h: for every span
-    generator k_j of (K+M^a)/M^a the product h*k_j must reduce to zero
-    against the span of I+M^a, so the image of x^a is the tuple of residuals
-    of x^a*k_j.  The result depends only on the two ideals, not on their
+    Solved as a kernel over the unknown coefficients of h: for every
+    generator k_j of K the product h*k_j must reduce to zero against the
+    span of I+M^a, so the image of x^a is the tuple of residuals of x^a*k_j.
+    That is the whole condition, because I+M^a is an ideal and h*M^a lies in
+    M^a.  The result depends only on the two ideals, not on their
     presentations.
     """
     if (ideal.n_vars, ideal.field) != (other.n_vars, other.field):
@@ -95,20 +101,20 @@ def colon(ideal, other, level):
     n_vars, field = ideal.n_vars, ideal.field
     table = monomial_table(n_vars, level)
     target = DegreeSpans(ideal.truncated(min(level, ideal.level)), level)
-    kbasis = [
-        table.poly_of(dict(row), field)
-        for row in DegreeSpans(other.truncated(min(level, other.level)), level).ech.basis()
-    ]
+    kgens = other.truncated(min(level, other.level))
+    _check_span_level(kgens, level)
     n_mon = len(table.monos)
     images = (
         {j * n_mon + c: v
-         for j, k in enumerate(kbasis)
+         for j, k in enumerate(kgens.generators)
          for c, v in target.ech.reduce(multiple_vector(table, k, mono)).items()}
         for mono in table.monos
     )
-    kernel = kernel_basis(Echelon(field), images, len(kbasis) * n_mon)
+    kernel = kernel_basis(Echelon(field), images, len(kgens.generators) * n_mon)
+    member_ech = Echelon(field)
+    for row in kernel:
+        member_ech.add(row)
     basis = [table.poly_of(row, field) for row in kernel]
-    member_ech = span_of_multiples(table, field, basis, hi=0)
     return ColonSpace(level, basis, len(basis), member_ech, table)
 
 
@@ -171,10 +177,12 @@ def is_family_first_order(deformation, e0=None):
     d = deformation
     e0 = d.e0 if e0 is None else e0
     level = e0 + 1
+    colons = {}  # one colon per distinct generator order
     verdicts = []
     for g, v in zip(d.perturbations, d.orders):
-        cs = colon(d.base, ideal_plus_power(d.base, e0 + 1 - v, level), level)
-        verdicts.append(cs.contains(g))
+        if v not in colons:
+            colons[v] = colon(d.base, ideal_plus_power(d.base, e0 + 1 - v, level), level)
+        verdicts.append(colons[v].contains(g))
     return all(verdicts), verdicts
 
 
@@ -223,13 +231,8 @@ def cm_colon_identity(ideal, e0, vlist, level=None):
     for v in vlist:
         cs = colon(ideal, ideal_plus_power(ideal, e0 + 1 - v, level), level)
         expected = DegreeSpans(ideal_plus_power(ideal, v, level), level)
-        # span equality: equal dimension plus one-sided containment
-        same_dim = cs.dimension == expected.ech.rank
-        contained = all(
-            cs.contains(expected.table.poly_of(dict(row), ideal.field))
-            for row in expected.ech.basis()
-        )
-        out[v] = same_dim and contained
+        # equal spans over one monomial table have equal canonical rows
+        out[v] = cs.echelon.basis() == expected.ech.basis()
     return out
 
 

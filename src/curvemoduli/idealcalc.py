@@ -18,6 +18,7 @@ from collections import namedtuple
 
 from .ringcore import (
     LevelError,
+    degree_block,
     degree_slice,
     initial_form,
     monomial_table,
@@ -102,23 +103,12 @@ class DegreeSpans:
     def __init__(self, ideal, level):
         _check_span_level(ideal, level)
         table = monomial_table(ideal.n_vars, level)
-        self._hold(ideal, table, span_of_multiples(table, ideal.field, ideal.generators))
-
-    @classmethod
-    def of_echelon(cls, ideal, table, ech):
-        """The DegreeSpans of `ideal` at `table.level` when the caller has
-        already built its span as `ech` (kept, not copied)."""
-        spans = cls.__new__(cls)
-        spans._hold(ideal, table, ech)
-        return spans
-
-    def _hold(self, ideal, table, ech):
         self.ideal = ideal
-        self.level = table.level
+        self.level = level
         self.table = table
-        self.ech = ech
-        self._pivots_by_degree = [0] * table.level
-        for piv in ech.pivots():
+        self.ech = span_of_multiples(table, ideal.field, ideal.generators)
+        self._pivots_by_degree = [0] * level
+        for piv in self.ech.pivots():
             self._pivots_by_degree[table.degree_of_col(piv)] += 1
 
     def span_dim(self, d):
@@ -303,16 +293,15 @@ def standard_basis_check(ideal, level):
         [initial_form(g) for g in visible if not g.is_zero()],
         ideal.n_vars, ideal.field, level,
     )
-    cand_spans = DegreeSpans(candidate, level)
+    cand_ech = DegreeSpans(candidate, level).ech
     table = spans.table
     for d in range(level):
-        have = cand_spans.initial_slice(d)
+        have = degree_block(table, ideal.field, cand_ech, d)
         want = data.slices[d]
-        if have.dimension == want.dimension:
+        if have.rank == want.dimension:
             continue
-        ech = span_of_multiples(table, ideal.field, have.basis, hi=0)
         for p in want.basis:
-            if not ech.contains(table.vector_of(p)):
+            if not have.contains(table.vector_of(p)):
                 return StandardBasisReport(False, d, p, data.vstar)
         raise AssertionError("slice dims differ but no missing form found")
     return StandardBasisReport(True, None, None, data.vstar)

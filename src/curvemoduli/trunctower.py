@@ -32,7 +32,7 @@ from .ringcore import (
     poly_str,
     span_of_multiples,
 )
-from .idealcalc import DegreeSpans, IdealPresentation, hilbert_data, initial_ideal
+from .idealcalc import DegreeSpans, IdealPresentation, analyze_h1, hilbert_data, initial_ideal
 
 
 class BudgetExceededError(RuntimeError):
@@ -79,6 +79,13 @@ def _check_e0(e0):
     """A curve has multiplicity e0 >= 1."""
     if e0 < 1:
         raise ValueError("e0 must be >= 1")
+
+
+def _check_tn_level(n, e0):
+    """T_n is defined for e0 >= 1 and n >= e0+2."""
+    _check_e0(e0)
+    if n < e0 + 2:
+        raise LevelError(f"T_n needs n >= e0+2 = {e0 + 2}, got {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +149,7 @@ def cm_superficial_test(ideal, L, e0):
     if ideal.level < level:
         raise LevelError(f"ideal known to level {ideal.level} < {level}")
     J = ideal.truncated(level)
-    length = _TnSpans(DegreeSpans(J, level)).length_with_form(J, L)
+    length = _TnSpans.of_ideal(J, level).length_with_form(J, L)
     cert = SuperficialCertificate(L.truncate_to(level), length, [], e0, level)
     return length <= e0, cert
 
@@ -150,18 +157,18 @@ def cm_superficial_test(ideal, L, e0):
 class _TnSpans:
     """The spans both T_n conditions on a level-n ideal J are read off.
 
-    `spans` is a DegreeSpans with J's H1 values: the slice dimensions are
-    read off it, and with the length they decide condition (2).  `base` is
-    an echelon inside the span of J + M^n holding every generator of J but
-    at most one, so the length of condition (1) is the monomial count less
-    the rank of base with the multiples x^a*L (`with_form(L)`), less one
-    if a generator of J is outside that span.
+    `h1` lists J's H1 values: the slice dimensions are read off it, and
+    with the length they decide condition (2).  `base` is an echelon
+    inside the span of J + M^n holding every generator of J but at most
+    one, so the length of condition (1) is the monomial count less the
+    rank of base with the multiples x^a*L (`with_form(L)`), less one if a
+    generator of J is outside that span.
     The span of the x^a*L is built when L is first met, which checks L like
     any generator, and kept in `form_spans`, which an enumeration shares
     between its span objects.  The maps are keyed by id(L), the caller's
     own forms: a TruncatedPoly hashes all its terms on every lookup.
 
-    A standalone J is `_TnSpans(DegreeSpans(J, n))`: base is J's own span.
+    A standalone J is `_TnSpans.of_ideal(J, n)`: base is J's own span.
     The enumerator builds one per prefix (`of_prefix`) for its candidates
     f = prefix + top block, the siblings; a standalone J is a prefix with
     no siblings.  Truncation at M^n drops the top block from every x^a*f
@@ -170,30 +177,36 @@ class _TnSpans:
     siblings share the prefix's initial ideal: base has order > e0, so an
     element of J with a nonzero coefficient on f has order e0 and initial
     form the lead form, and the elements of higher order are base's own.
-    So J*_e0 is spanned by the lead form, J*_d (d > e0) is base's slice,
-    and `spans` is the span of the prefix itself (the top = 0 sibling).
+    So J*_e0 is spanned by the lead form and J*_d (d > e0) is base's slice.
     The residual of f modulo base has its pivot at f's first lead
     monomial, with coefficient 1, below every pivot of base (those lie in
     degrees > e0), and base rows vanish there; so a candidate's canonical
-    rows are that residual and the canonical rows of base (`canonical()`).
+    rows are that residual and the canonical rows of base (`canonical()`),
+    and its pivots are base's and one in degree e0, which give `h1`.
     """
 
-    def __init__(self, spans, base=None, form_spans=None):
-        self.spans = spans
-        self.table, self.field = spans.table, spans.ideal.field
-        self.base = spans.ech if base is None else base
+    def __init__(self, table, base, h1, form_spans=None):
+        self.table, self.field, self.base, self.h1 = table, base.field, base, h1
         self._form_spans = {} if form_spans is None else form_spans
         self._with_form = {}
         self._canonical = None
 
     @classmethod
+    def of_ideal(cls, ideal, n):
+        """The span object of a standalone J = `ideal` at level n."""
+        spans = DegreeSpans(ideal, n)
+        return cls(spans.table, spans.ech, spans.h1_values())
+
+    @classmethod
     def of_prefix(cls, table, field, prefix, form_spans):
         """The span object of the enumerator's candidates prefix + top block."""
         base = span_of_multiples(table, field, [prefix], lo=1)
-        ech = base.copy()
-        ech.add(table.vector_of(prefix))
-        return cls(DegreeSpans.of_echelon(IdealPresentation([prefix]), table, ech), base,
-                   form_spans)
+        dims = [0] * table.level  # pivots of a candidate's span, per degree
+        dims[prefix.order()] = 1
+        for piv in base.pivots():
+            dims[table.degree_of_col(piv)] += 1
+        h1 = [end - rank for end, rank in zip(table.offset[1:], itertools.accumulate(dims))]
+        return cls(table, base, h1, form_spans)
 
     def canonical(self):
         """The canonical rows of base, frozen and as polynomials, built on
@@ -250,15 +263,13 @@ def tn_membership(ideal, n, e0, forms=None, prefix=None):
     - A form with no linear part kills M^{n-2}A, of dimension 2*e0, so it
       never reaches length e0.
     """
-    _check_e0(e0)
-    if n < e0 + 2:
-        raise LevelError(f"T_n needs n >= e0+2 = {e0 + 2}, got {n}")
+    _check_tn_level(n, e0)
     if ideal.level < n:
         raise LevelError(f"ideal known to level {ideal.level} < n = {n}")
     if prefix is None:
         ideal = ideal.truncated(n)
-        prefix = _TnSpans(DegreeSpans(ideal, n))
-    h1 = prefix.spans.h1_values()
+        prefix = _TnSpans.of_ideal(ideal, n)
+    h1 = prefix.h1
     # slice dimensions are independent of L: check them once up front
     for t in range(e0 - 1, n):
         h0 = h1[t] - (h1[t - 1] if t > 0 else 0)
@@ -282,7 +293,9 @@ def tn_membership(ideal, n, e0, forms=None, prefix=None):
 
 class ShapeReport(namedtuple("ShapeReport", "ok vstar forbidden_degrees slice_identity_ok")):
     """Shape verdict on J*; forbidden_degrees are the minimal generator
-    degrees inside {e0+1..n-1}."""
+    degrees inside {e0+1..n-1}.  slice_identity_ok, the slice identity
+    J*_t = S_1 J*_{t-1} on that window, equals ok by construction: a minimal
+    generator of degree t is a vector of J*_t outside S_1 J*_{t-1}."""
 
     __slots__ = ()
 
@@ -291,25 +304,12 @@ class ShapeReport(namedtuple("ShapeReport", "ok vstar forbidden_degrees slice_id
 
 
 def shape_check(ideal, n, e0):
-    """Minimal generator degrees of J* must avoid {e0+1, ..., n-1}.
-
-    Additionally verifies the slice identity J*_t = S_1 J*_{t-1} on the same
-    window by a direct span comparison (independent of the minimal-generator
-    bookkeeping; for members of T_n a mismatch would be a bug, not an input
-    condition).
-    """
-    _check_e0(e0)
-    J = ideal.truncated(n)
-    data = initial_ideal(J, n)
+    """Minimal generator degrees of J* must avoid {e0+1, ..., n-1}; the
+    window is that of T_n, so n >= e0+2."""
+    _check_tn_level(n, e0)
+    data = initial_ideal(ideal.truncated(n), n)
     forbidden = sorted({d for d in data.vstar if e0 + 1 <= d <= n - 1})
-    table = monomial_table(J.n_vars, n)
-    identity_ok = True
-    for t in range(e0 + 1, n):
-        s1span = span_of_multiples(table, J.field, data.slices[t - 1].basis, lo=1, hi=1)
-        if s1span.rank != data.slices[t].dimension:
-            identity_ok = False
-            break
-    return ShapeReport(not forbidden, data.vstar, forbidden, identity_ok)
+    return ShapeReport(not forbidden, data.vstar, forbidden, not forbidden)
 
 
 # `ideal` holds the homogeneous generators of degree <= e0; `hilbert` is
@@ -323,10 +323,13 @@ def jtilde(ideal, n, e0):
     Post-verifies that they regenerate every slice of J* below the level
     (i.e. Jtilde + M^n = J*) and that the graded ring they cut out is
     one-dimensional of multiplicity e0 as far as the level shows.  A failed
-    verification means the level sits below the theoretical cutoff.
+    verification means the level sits below the theoretical cutoff.  Equal
+    H1 values are equal slice dimensions, degree by degree.
     """
+    _check_tn_level(n, e0)
     J = ideal.truncated(n)
-    data = initial_ideal(J, n)
+    spans = DegreeSpans(J, n)
+    data = initial_ideal(J, n, spans=spans)
     gens = []
     for d in sorted(data.min_generators):
         if d <= e0:
@@ -334,9 +337,9 @@ def jtilde(ideal, n, e0):
     if not gens:
         raise ValueError("no minimal generators of degree <= e0 below the level")
     tilde = IdealPresentation(gens, J.n_vars, J.field, n)
-    tilde_data = initial_ideal(tilde, n)
-    slice_match = tilde_data.slice_dims() == data.slice_dims()
-    hd = hilbert_data(tilde, n)
+    tilde_h1 = DegreeSpans(tilde, n).h1_values()
+    slice_match = tilde_h1 == spans.h1_values()
+    hd = analyze_h1(tilde_h1)
     mult_ok = hd.status == "ok" and hd.e0 == e0
     return JtildeResult(tilde, slice_match and mult_ok, slice_match, mult_ok, hd)
 
@@ -479,12 +482,11 @@ def cell_membership(ideal, n, cell, e0):
         raise ValueError(f"q must index one of the {len(forms)} candidate forms")
     L = forms[cell.q]
 
-    table = monomial_table(n_vars, n)
     expected_colength = len(i_set) + e0 * (n - e0)
     spans = DegreeSpans(J, n)
-    if table.offset[n] - spans.ech.rank != expected_colength:
+    table, ech = spans.table, spans.ech
+    if table.offset[n] - ech.rank != expected_colength:
         return False
-    ech = spans.ech.copy()
     vectors = [{table.index[table.monos[i - 1]]: field.one()} for i in i_set]
     power = TruncatedPoly.constant(1, n_vars, field, n)
     for r in range(n - e0):
@@ -593,7 +595,7 @@ def enumerate_xi(n_vars, e0, n, field, e1=None, budget=2_000_000):
             prefix_terms = with_coeffs(lead_terms, flat, coeffs)
             prefix = _TnSpans.of_prefix(table, field,
                                         TruncatedPoly(n_vars, field, n, prefix_terms), form_spans)
-            if prefix.spans.h1_values() != p_values:
+            if prefix.h1 != p_values:
                 continue
             for top_coeffs in itertools.product(scalars, repeat=len(top)):
                 f = TruncatedPoly(n_vars, field, n, with_coeffs(prefix_terms, top, top_coeffs))

@@ -309,11 +309,18 @@ class TestSubcommands:
         ["enumerate", "--e0", "-1", "--n", "3", "--q", "2"],
         ["tn", "--ideal", "x2^2 - x1^3", "--n", "5", "--e0", "0"],
         ["shape", "--ideal", "x2^2 - x1^3", "--n", "5", "--e0", "0"],
+        ["jtilde", "--ideal", "x2^2 - x1^3", "--n", "5", "--e0", "0"],
         ["superficial", "--ideal", "x2^2 - x1^3", "--L", "x1", "--e0", "0"],
         ["mps", "--class0", "1", "--n0", "1", "--N", "2", "--e0", "0"],
-    ], ids=["enumerate-0", "enumerate-minus-1", "tn", "shape", "superficial", "mps"])
+    ], ids=["enumerate-0", "enumerate-minus-1", "tn", "shape", "jtilde", "superficial", "mps"])
     def test_multiplicity_below_one_is_rejected(self, capsys, argv):
         assert run(capsys, *argv) == (2, "", "error: e0 must be >= 1\n")
+
+    @pytest.mark.parametrize("command", ["tn", "shape", "jtilde"])
+    def test_level_below_the_tn_window_is_rejected(self, capsys, command):
+        # at n = e0+1 the window e0+1 .. n-1 is empty: no vacuous verdict
+        code, out, err = run(capsys, command, "--ideal", "x1^3 + x2^4", "--n", "4", "--e0", "3")
+        assert (code, out, err) == (2, "", "error: T_n needs n >= e0+2 = 5, got 4\n")
 
     @pytest.mark.parametrize("argv", [
         ["hilbert", "--ideal", "x1", "--level", "0"],

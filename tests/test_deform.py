@@ -1,5 +1,6 @@
 import random
 import zlib
+from math import comb
 
 import pytest
 
@@ -15,8 +16,8 @@ from curvemoduli.deform import (
     ideal_plus_power,
     is_family_first_order,
 )
-from curvemoduli.idealcalc import DegreeSpans, IdealPresentation, initial_ideal
-from curvemoduli.ringcore import QQ, TruncatedPoly, parse_poly, poly_str
+from curvemoduli.idealcalc import DegreeSpans, IdealPresentation, hilbert_data, initial_ideal
+from curvemoduli.ringcore import GF, QQ, LevelError, TruncatedPoly, parse_poly, poly_str
 
 from oracles import random_poly
 
@@ -91,6 +92,98 @@ class TestColon:
         assert a.dimension == b.dimension
         for p in a.basis:
             assert b.contains(p)
+
+
+def dense_colon_basis(I, K, a):
+    """Reduced basis of {h mod M^a : h*k_j in I+M^a for every generator k_j
+    of K}, as dense rows over the monomials of degree < a.  Built with
+    naive_rref only: residuals modulo the rref of the span of I+M^a, the
+    null space of the map h -> (h*k_j mod I+M^a)_j read off the free
+    columns of its rref, and that null space brought to rref."""
+    from curvemoduli.ringcore import monomials_of_degree
+    from oracles import dense_multiple_rows, naive_rref
+
+    field = I.field
+    monos = [m for d in range(a) for m in monomials_of_degree(I.n_vars, d)]
+    index = {m: i for i, m in enumerate(monos)}
+    span = naive_rref(dense_multiple_rows(I.generators, a), field)
+
+    def residual(poly):
+        vec = [field.zero()] * len(monos)
+        for m, c in poly.terms.items():
+            vec[index[m]] = c
+        for piv, row in span:
+            c = vec[piv]
+            if c != field.zero():
+                vec = [field.sub(x, field.mul(c, y)) for x, y in zip(vec, row)]
+        return vec
+
+    gens = [k.truncate_to(a) for k in K.generators]
+    # column m of the map is the image of x^m
+    images = [[x for k in gens for x in residual(k.mul_monomial(m))] for m in monos]
+    matrix = [list(col) for col in zip(*images)]
+    pivoted = naive_rref(matrix, field)
+    pivot_cols = [piv for piv, _ in pivoted]
+    null = []
+    for free in (c for c in range(len(monos)) if c not in pivot_cols):
+        vec = [field.zero()] * len(monos)
+        vec[free] = field.one()
+        for piv, row in pivoted:
+            vec[piv] = field.neg(row[free])
+        null.append(vec)
+    return [row for _, row in naive_rref(null, field)]
+
+
+def dense_rows(polys, n_vars, a):
+    from curvemoduli.ringcore import monomials_of_degree
+
+    monos = [m for d in range(a) for m in monomials_of_degree(n_vars, d)]
+    return [[p.terms.get(m, p.field.zero()) for m in monos] for p in polys]
+
+
+def random_colon_case(rng, n_vars, field, a):
+    """Seeded I and K at level a + 1 (K's generators vanish at the origin)."""
+    def gens(count, top):
+        out = []
+        while not out:
+            out = [g for g in (random_poly(rng, n_vars, field, a + 1, top,
+                                           min_degree=rng.randint(1, 2), density=0.4)
+                               for _ in range(count)) if not g.is_zero()]
+        return IdealPresentation(out, n_vars, field, a + 1)
+
+    return gens(rng.randint(1, 2), a), gens(rng.randint(1, 2), 3)
+
+
+class TestColonAgainstDenseOracle:
+    @pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+    @pytest.mark.parametrize("n_vars", [2, 3])
+    def test_basis_is_the_dense_kernel(self, field, n_vars):
+        rng = random.Random(53 + n_vars + field.char)
+        proper = 0
+        for a in range(2, 6):
+            for _ in range(4):
+                I, K = random_colon_case(rng, n_vars, field, a)
+                cs = colon(I, K, a)
+                want = dense_colon_basis(I, K, a)
+                assert dense_rows(cs.basis, n_vars, a) == want, (I, K, a)
+                assert cs.dimension == len(want)
+                proper += 0 < cs.dimension < comb(n_vars + a - 1, n_vars)
+                # a redundant generator and the canonical rows of K+M^a give the same space
+                k1, k2 = K.generators[0], K.generators[-1]
+                x1 = TruncatedPoly(n_vars, field, K.level, {(1,) + (0,) * (n_vars - 1): 1})
+                redundant = k1 + x1 * k2
+                if not redundant.is_zero():
+                    more = IdealPresentation(K.generators + [redundant], n_vars, field, K.level)
+                    assert colon(I, more, a).basis == cs.basis
+                spans = DegreeSpans(K.truncated(a), a)
+                rows = IdealPresentation([spans.table.poly_of(row, field)
+                                          for row in spans.ech.basis()], n_vars, field, a)
+                assert colon(I, rows, a).basis == cs.basis
+        assert proper > 0
+
+    def test_k_known_below_the_level_is_rejected(self):
+        with pytest.raises(LevelError, match="generator level 3 too low for span level 4"):
+            colon(ideal(["x1^3"]), ideal(["x1", "x2"], level=3), 4)
 
 
 class TestFamilyCriterion:
@@ -180,6 +273,14 @@ class TestCmColonIdentity:
         assert cm_colon_identity(I, 6, [2, 5]) == {2: True, 5: True}
         I2 = ideal(["x3^2", "x2*x3", "x1^2*x2"], n_vars=3, level=6)
         assert cm_colon_identity(I2, 4, [2, 3]) == {2: True, 3: True}
+
+    @pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+    def test_triple_line_with_embedded_point_fails(self, field):
+        # a triple line with an embedded point, so not Cohen-Macaulay:
+        # hilbert_data reads e0 = 3 and the identity fails from v = 2 on
+        I = ideal(["x1*x3", "x2*x3", "x3^2", "x2^3"], n_vars=3, field=field, level=8)
+        assert hilbert_data(I, 8).e0 == 3
+        assert cm_colon_identity(I, 3, [1, 2, 3]) == {1: True, 2: False, 3: False}
 
 
 class TestDeterminantal:

@@ -137,7 +137,7 @@ class TestLengthWithForm:
         rng = random.Random(17 + n_vars)
         for _ in range(3):
             I, forms = random_ideal_and_forms(rng, n_vars, field, level)
-            spans = _TnSpans(DegreeSpans(I, level))
+            spans = _TnSpans.of_ideal(I, level)
             for L in forms:
                 want = dense_ideal_h1(I.generators + [L], level)[-1]
                 assert spans.length_with_form(I, L) == want, (I, L)
@@ -273,6 +273,64 @@ class TestShapeAndJtilde:
         assert sorted(poly_str(g) for g in res.ideal.generators) == [
             "x1^2*x2", "x2*x3", "x3^2"
         ]
+
+
+def dense_slice_bases(gens, d):
+    """A basis of J*_d as dense rows over the monomials of degree d: the
+    rows of the naive rref of the span of J + M^(d+1) pivoted in degree d.
+    With columns in ascending degree those rows vanish below degree d."""
+    from curvemoduli.ringcore import count_monomials_upto
+    from oracles import dense_multiple_rows, naive_rref
+
+    lo = count_monomials_upto(gens[0].n_vars, d - 1)
+    rows = dense_multiple_rows(gens, d + 1)
+    return [row[lo:] for piv, row in naive_rref(rows, gens[0].field) if piv >= lo]
+
+
+def dense_fresh_count(gens, d):
+    """dim J*_d - rank(S_1 * J*_(d-1)), by dense elimination."""
+    from curvemoduli.ringcore import monomials_of_degree
+    from oracles import naive_rank
+
+    n_vars, field = gens[0].n_vars, gens[0].field
+    below, here = monomials_of_degree(n_vars, d - 1), monomials_of_degree(n_vars, d)
+    index = {m: i for i, m in enumerate(here)}
+    products = []
+    for row in (dense_slice_bases(gens, d - 1) if d > 0 else []):
+        for i in range(n_vars):
+            prod = [field.zero()] * len(here)
+            for m, c in zip(below, row):
+                prod[index[tuple(e + (k == i) for k, e in enumerate(m))]] = c
+            products.append(prod)
+    return len(dense_slice_bases(gens, d)) - (naive_rank(products, field) if products else 0)
+
+
+class TestVstarAgainstDenseOracle:
+    """shape_check reads the slice identity J*_t = S_1 J*_(t-1) off v*; v*
+    itself is checked here against dense spans of J*_d and S_1 J*_(d-1)."""
+
+    @pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+    @pytest.mark.parametrize("n_vars", [2, 3])
+    def test_vstar_counts_the_fresh_slice_vectors(self, field, n_vars):
+        from oracles import random_poly
+
+        rng = random.Random(41 + 3 * n_vars + field.char)
+        identity_seen = set()
+        for _ in range(12 if n_vars == 2 else 6):
+            e0 = rng.randint(1, 3 if n_vars == 2 else 2)
+            n = e0 + rng.randint(2, 3)
+            gens = []
+            while not gens:
+                gens = [g for g in (random_poly(rng, n_vars, field, n, n - 1,
+                                                min_degree=rng.randint(1, 2), density=0.4)
+                                    for _ in range(rng.randint(1, 3))) if not g.is_zero()]
+            rep = shape_check(IdealPresentation(gens, n_vars, field, n), n, e0)
+            for d in range(n):
+                assert rep.vstar.count(d) == dense_fresh_count(gens, d), (gens, d)
+            no_window_degree = not any(e0 + 1 <= d <= n - 1 for d in rep.vstar)
+            assert rep.slice_identity_ok == rep.ok == no_window_degree
+            identity_seen.add(rep.slice_identity_ok)
+        assert identity_seen == {True, False}
 
 
 class TestTruncate:
@@ -580,7 +638,7 @@ class TestEnumerateSharedSpans:
         field = GF(q)
         table = monomial_table(2, n)
         for prefix_poly, siblings in scanned_prefixes(e0, n, q):
-            h1 = _TnSpans.of_prefix(table, field, prefix_poly, {}).spans.h1_values()
+            h1 = _TnSpans.of_prefix(table, field, prefix_poly, {}).h1
             for f in siblings:
                 spans = DegreeSpans(IdealPresentation([f], 2, field, n), n)
                 assert spans.h1_values() == h1
