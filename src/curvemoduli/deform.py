@@ -224,8 +224,12 @@ def cm_colon_identity(ideal, e0, vlist, level=None):
 
     This is the graded Cohen-Macaulay identity (m^{e0+1} : m^{e0+1-v}) = m^v
     pulled back to R; the caller asserts CM-ness of the associated graded
-    ring, the routine just decides the span equality.
+    ring, the routine just decides the span equality.  Every v must lie in
+    1..e0: outside it one side is I + M^w with w <= 0, which is all of R.
     """
+    for v in vlist:
+        if not 1 <= v <= e0:
+            raise ValueError(f"order v must be in 1..e0 = 1..{e0}, got v = {v}")
     level = level or e0 + 1
     out = {}
     for v in vlist:

@@ -12,12 +12,32 @@ span, and every other span of monomial multiples here, comes from the one
 kernel `ringcore.span_of_multiples`, which inserts generator by generator:
 its canonical rows do not depend on the insertion order, and this order was
 measured the cheapest.
+
+The kernel skips the multiples that the earlier generators already account
+for (Faugere's F5 criterion in the truncated local setting).  With hi=None
+the span S of the x^b * f_j, j < i, |b| >= lo, is an ideal of R/M^n.  When
+the column of x^a is a pivot of S, some g in S has x^a as its lowest
+column, and c*x^a*f_i = g*f_i - (g - c*x^a)*f_i: g*f_i lies in S, and the
+rest is multiples x^m*f_i at later columns, so |m| >= |a| >= lo, which are
+in the span by downward induction on the column.  So x^a*f_i is left out
+and the span is unchanged.  With hi set, g*f_i needs multipliers above hi
+and nothing is skipped.  On a complete intersection of two generators
+whose initial forms are a regular sequence this leaves one insert per rank.
+
+`initial_ideal` reads the minimal generators of I* against the ideal
+generated by the ones found before them: that ideal's degree-d part is
+S_1 * I*_{d-1} until a generator of degree d joins it, and a fresh slice
+vector adds its multiples to it at once, under the same skip rule.  That
+ideal lies inside I*, so a degree where it already has the slice's
+dimension holds no fresh vector and is not tested.
 """
 
 from collections import namedtuple
 
 from .ringcore import (
+    Echelon,
     LevelError,
+    _add_multiples,
     degree_block,
     degree_slice,
     initial_form,
@@ -233,23 +253,34 @@ def initial_ideal(ideal, level, spans=None):
 
     Uses (I+M^{d+1})*_d = I*_d for d < level: the degree-d graded piece of
     the span filtration is exactly the degree-d piece of the initial ideal.
+    A slice vector is a minimal generator when it lies outside the ideal
+    generated by the minimal generators found before it, whose degree-d
+    part is S_1 * I*_{d-1} plus the earlier fresh vectors of degree d.
     """
     spans = spans or DegreeSpans(ideal, level)
     table = spans.table
     slices = []
     mingens = {}
     vstar = []
-    prev_basis = []
+    gen_ech = Echelon(ideal.field)  # the ideal of the minimal generators so far
     for d in range(level):
         sl = spans.initial_slice(d)
         slices.append(sl)
-        # span of S_1 * I*_{d-1}
-        gen_ech = span_of_multiples(table, ideal.field, prev_basis, lo=1, hi=1)
-        fresh = [p for p in sl.basis if gen_ech.add(table.vector_of(p))]
+        # the generator ideal lies inside I*: once its degree-d part has the
+        # slice's dimension, no later slice vector of degree d is fresh
+        pivots = gen_ech.pivots()
+        have = sum(col in pivots for col in range(table.offset[d], table.offset[d + 1]))
+        fresh = []
+        for p in sl.basis:
+            if have == sl.dimension:
+                break
+            if not gen_ech.contains(table.vector_of(p)):
+                fresh.append(p)
+                _add_multiples(table, gen_ech, p)
+                have += 1
         if fresh:
             mingens[d] = fresh
             vstar.extend([d] * len(fresh))
-        prev_basis = sl.basis
     return InitialIdealData(slices, sorted(vstar), len(vstar), mingens, level)
 
 

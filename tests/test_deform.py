@@ -282,6 +282,13 @@ class TestCmColonIdentity:
         assert hilbert_data(I, 8).e0 == 3
         assert cm_colon_identity(I, 3, [1, 2, 3]) == {1: True, 2: False, 3: False}
 
+    @pytest.mark.parametrize("vlist", [[0], [4], [2, 4, 1], [-1, 2]], ids=str)
+    def test_order_outside_1_to_e0_rejected_by_name(self, vlist):
+        I = ideal(["x1^3 + x2^4"], level=5)
+        bad = next(v for v in vlist if not 1 <= v <= 3)
+        with pytest.raises(ValueError, match=rf"1\.\.3, got v = {bad}$"):
+            cm_colon_identity(I, 3, vlist)
+
 
 class TestDeterminantal:
     def test_example_matrix(self):

@@ -13,7 +13,15 @@ from curvemoduli.idealcalc import (
     min_generators,
     standard_basis_check,
 )
-from curvemoduli.ringcore import GF, QQ, LevelError, parse_poly, poly_str
+from curvemoduli.ringcore import (
+    GF,
+    QQ,
+    Echelon,
+    LevelError,
+    parse_poly,
+    poly_str,
+    span_of_multiples,
+)
 
 from oracles import (
     dense_ideal_h1,
@@ -192,6 +200,80 @@ class TestInitialIdeal:
             mixed = random_generator_mix(rng, base)
             assert DegreeSpans(mixed, 8).h1_values() == want_h1
             assert initial_ideal(mixed, 8).slice_dims() == want_dims
+
+
+def initial_ideal_by_s1_loop(ideal, level):
+    """Reference for `initial_ideal`: per degree, the span of S_1 * I*_{d-1}
+    is built afresh from the previous slice, and a slice vector is a minimal
+    generator when it raises that span's rank."""
+    spans = DegreeSpans(ideal, level)
+    table = spans.table
+    slices, mingens, prev = [], {}, []
+    for d in range(level):
+        sl = spans.initial_slice(d)
+        slices.append(sl)
+        below = span_of_multiples(table, ideal.field, prev, lo=1, hi=1)
+        fresh = [p for p in sl.basis if below.add(table.vector_of(p))]
+        if fresh:
+            mingens[d] = fresh
+        prev = sl.basis
+    return slices, mingens
+
+
+def printed(polys):
+    return [poly_str(p) for p in polys]
+
+
+class TestInitialIdealAgainstS1Loop:
+    """`initial_ideal` tests slice vectors against the ideal generated by the
+    minimal generators found so far; the old per-degree S_1 loop must pick
+    the same generators in the same order."""
+
+    @pytest.mark.parametrize("field", [QQ, GF(2), GF(32003)], ids=str)
+    def test_same_slices_and_minimal_generators(self, field):
+        rng = random.Random(f"s1-loop:{field}")
+        ideals = [I for _, I in random_n3_ideals(field, seed=47, count=4)]
+        ideals.append(IdealPresentation.parse(["x1^2 - x2^3", "x1*x2^2"], 2, field, 9))
+        for _ in range(6):
+            level = rng.randint(5, 9)
+            gens = [random_poly(rng, 2, field, level, 5, min_degree=rng.randint(1, 3),
+                                density=0.4) for _ in range(3)]
+            gens = [g for g in gens if not g.is_zero()]
+            if gens:
+                ideals.append(IdealPresentation(gens + [gens[0]], 2, field, level))
+        for I in ideals:
+            data = initial_ideal(I, I.level)
+            slices, mingens = initial_ideal_by_s1_loop(I, I.level)
+            assert [printed(s.basis) for s in data.slices] == [printed(s.basis) for s in slices]
+            assert {d: printed(ps) for d, ps in data.min_generators.items()} == \
+                {d: printed(ps) for d, ps in mingens.items()}
+            assert data.vstar == sorted(d for d, ps in mingens.items() for _ in ps)
+            assert data.nu == len(data.vstar)
+
+    def test_generator_found_through_the_generator_ideal(self):
+        # x2^5 = x1 * x1*x2^2 - x2^2 * (x1^2 - x2^3) is in I*_5 but not in
+        # S_1 * I*_4, whose monomials are all divisible by x1
+        data = initial_ideal(ideal(["x1^2 - x2^3", "x1*x2^2"], field=GF(32003), level=9), 9)
+        assert data.vstar == [2, 3, 5]
+        assert printed(data.min_generators[5]) == ["x2^5"]
+
+
+class TestInsertCount:
+    """On a two-generator complete intersection every multiple the kernel inserts
+    raises the rank: the Koszul multiples x^a*f2 with x^a a pivot of the
+    span of f1's multiples are skipped before any reduction."""
+
+    @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
+    @pytest.mark.parametrize("level, rank", [(12, 301), (18, 1041)])
+    def test_one_add_per_rank(self, monkeypatch, field, level, rank):
+        calls = []
+        add = Echelon.add
+        monkeypatch.setattr(Echelon, "add", lambda ech, vec: calls.append(1) or add(ech, vec))
+        I = ideal(["x1^2 + 3*x1*x3 - 2*x1^4", "x2^3 - 5*x2^2*x3 + 7*x2^2*x3^2"],
+                  n_vars=3, field=field, level=level)
+        spans = DegreeSpans(I, level)
+        assert spans.ech.rank == rank
+        assert len(calls) == rank
 
 
 class TestStandardBasis:

@@ -22,7 +22,7 @@ from curvemoduli.ringcore import (
     span_of_multiples,
 )
 
-from oracles import naive_rank, naive_rref, random_poly
+from oracles import dense_multiple_rows, naive_rank, naive_rref, random_poly
 
 
 class TestField:
@@ -282,6 +282,43 @@ class TestEchelonSpan:
         slices = echelon_slices(polys, 2, QQ, 4)
         assert slices[2].dimension == 3
         assert slices[0].dimension == slices[1].dimension == slices[3].dimension == 0
+
+
+def skip_rule_generators(rng, n_vars, field, level):
+    """Random generators with the cases the skip rule must survive: an order-1
+    generator, a redundant one (x1*g1), a duplicate and a monomial."""
+    gens = []
+    while len(gens) < 2:
+        gens = [random_poly(rng, n_vars, field, level, k + 2, min_degree=k, density=0.4)
+                for k in (1, rng.randint(1, 2), rng.randint(2, 3))]
+        gens = [g for g in gens if not g.is_zero()]
+    x1 = (1,) + (0,) * (n_vars - 1)
+    extra = [gens[0].mul_monomial(x1), rng.choice(gens),
+             TruncatedPoly(n_vars, field, level,
+                           {rng.choice(monomials_of_degree(n_vars, 2)): field.one()})]
+    gens += [g for g in extra if not g.is_zero()]
+    rng.shuffle(gens)
+    return gens
+
+
+class TestSpanOfMultiples:
+    """With hi=None the kernel skips x^a*p when x^a is a pivot of the span of
+    the earlier generators' multiples; the span must still be that of every
+    multiple x^a*p with |a| >= lo."""
+
+    @pytest.mark.parametrize("n_vars", [2, 3])
+    @pytest.mark.parametrize("field", [QQ, GF(5), GF(32003)], ids=repr)
+    def test_basis_matches_dense_rref_of_every_multiple(self, field, n_vars):
+        rng = random.Random(f"skip:{field!r}:{n_vars}")
+        level = 6 if n_vars == 2 else 5
+        table = monomial_table(n_vars, level)
+        for _ in range(8):
+            gens = skip_rule_generators(rng, n_vars, field, level)
+            for lo in (0, 1, 2):
+                dense = dense_multiple_rows(gens, level, min_shift=lo)
+                expected = [{c: x for c, x in enumerate(row) if x != field.zero()}
+                            for _, row in naive_rref(dense, field)]
+                assert span_of_multiples(table, field, gens, lo=lo).basis() == expected
 
 
 class TestMonomialTable:
