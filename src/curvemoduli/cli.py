@@ -128,7 +128,7 @@ def cmd_initial(args):
     payload = {
         "vstar": data.vstar,
         "nu": data.nu,
-        "slice_dims": data.slice_dims(),
+        "slice_dims": data.slice_dims,
         "min_generators": {
             str(d): [rc.poly_str(p) for p in polys]
             for d, polys in sorted(data.min_generators.items())
@@ -519,8 +519,7 @@ def main(argv=None):
     args = build_parser(chosen).parse_args(argv)
     try:
         return COMMANDS[args.command][1](args)
-    except (rc.ParseError, rc.LevelError, rc.FieldTooSmallError,
-            br.PrecisionError, ValueError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PRECONDITION
     except tt.BudgetExceededError as exc:

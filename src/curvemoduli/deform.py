@@ -28,6 +28,7 @@ from .idealcalc import (
     DegreeSpans,
     IdealPresentation,
     _check_span_level,
+    check_level,
     hilbert_data,
     standard_basis_check,
 )
@@ -230,7 +231,9 @@ def cm_colon_identity(ideal, e0, vlist, level=None):
     for v in vlist:
         if not 1 <= v <= e0:
             raise ValueError(f"order v must be in 1..e0 = 1..{e0}, got v = {v}")
-    level = level or e0 + 1
+    if level is None:
+        level = e0 + 1
+    check_level(level)
     out = {}
     for v in vlist:
         cs = colon(ideal, ideal_plus_power(ideal, e0 + 1 - v, level), level)

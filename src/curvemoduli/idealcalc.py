@@ -7,21 +7,23 @@ v*), standard-basis verification, minimal generator counts, and the
 The workhorse is a single echelon span of all monomial multiples
 of the generators at the working level, with columns ordered by ascending
 degree: pivots in degrees <= d then give both dim (I+M^{d+1})/M^{d+1} and
-an explicit basis of the degree-d graded piece of the initial ideal.  That
-span, and every other span of monomial multiples here, comes from the one
-kernel `ringcore.span_of_multiples`, which inserts generator by generator:
-its canonical rows do not depend on the insertion order, and this order was
+an explicit basis of the degree-d graded piece of the initial ideal.  A
+slice stays an echelon block (`ringcore.degree_block`); a row becomes a
+polynomial only where a report prints it, as a minimal generator or as the
+witness of a failed standard-basis check.  That span, and every other span
+of monomial multiples here, comes from the one kernel
+`ringcore.span_of_multiples`, which inserts generator by generator: its
+canonical rows do not depend on the insertion order, and this order was
 measured the cheapest.
 
 The kernel skips the multiples that the earlier generators already account
-for (Faugere's F5 criterion in the truncated local setting).  With hi=None
-the span S of the x^b * f_j, j < i, |b| >= lo, is an ideal of R/M^n.  When
+for (Faugere's F5 criterion in the truncated local setting).  The span S
+of the x^b * f_j, j < i, |b| >= lo, is an ideal of R/M^n.  When
 the column of x^a is a pivot of S, some g in S has x^a as its lowest
 column, and c*x^a*f_i = g*f_i - (g - c*x^a)*f_i: g*f_i lies in S, and the
 rest is multiples x^m*f_i at later columns, so |m| >= |a| >= lo, which are
 in the span by downward induction on the column.  So x^a*f_i is left out
-and the span is unchanged.  With hi set, g*f_i needs multipliers above hi
-and nothing is skipped.  On a complete intersection of two generators
+and the span is unchanged.  On a complete intersection of two generators
 whose initial forms are a regular sequence this leaves one insert per rank.
 
 `initial_ideal` reads the minimal generators of I* against the ideal
@@ -39,7 +41,6 @@ from .ringcore import (
     LevelError,
     _add_multiples,
     degree_block,
-    degree_slice,
     initial_form,
     monomial_table,
     multiple_vector,
@@ -149,10 +150,6 @@ class DegreeSpans:
             raise LevelError("membership needs the poly at the span level")
         return self.ech.contains(self.table.vector_of(p))
 
-    def initial_slice(self, d):
-        """Echelon basis of the degree-d graded piece I*_d of the initial ideal."""
-        return degree_slice(self.table, self.ideal.field, self.ech, d)
-
 
 # ---------------------------------------------------------------------------
 # Hilbert-Samuel data.
@@ -226,7 +223,7 @@ def hilbert_data(ideal, level):
 
 
 class InitialIdealData(namedtuple(
-        "InitialIdealData", "slices vstar nu min_generators level")):
+        "InitialIdealData", "slice_dims vstar nu min_generators level")):
     """Graded slices of the initial ideal I* with its minimal generators.
 
     vstar is the multiset (sorted list) of degrees of a minimal homogeneous
@@ -237,15 +234,12 @@ class InitialIdealData(namedtuple(
     nu here counts minimal generators of the initial ideal; a minimal
     standard basis can be redundant as a generating set, so this can
     strictly exceed min_generators(I) (e.g. (x1^2 - x2^3, x1*x2^2) needs
-    the extra initial form x2^5 but no third generator).  slices has one
-    DegreeSlice per degree < level; min_generators maps a degree to its
+    the extra initial form x2^5 but no third generator).  slice_dims holds
+    dim I*_d for each degree d < level; min_generators maps a degree to its
     homogeneous TruncatedPolys.
     """
 
     __slots__ = ()
-
-    def slice_dims(self):
-        return [s.dimension for s in self.slices]
 
 
 def initial_ideal(ideal, level, spans=None):
@@ -259,29 +253,30 @@ def initial_ideal(ideal, level, spans=None):
     """
     spans = spans or DegreeSpans(ideal, level)
     table = spans.table
-    slices = []
+    dims = []
     mingens = {}
     vstar = []
     gen_ech = Echelon(ideal.field)  # the ideal of the minimal generators so far
     for d in range(level):
-        sl = spans.initial_slice(d)
-        slices.append(sl)
+        block = degree_block(table, spans.ech, d)
+        dims.append(block.rank)
         # the generator ideal lies inside I*: once its degree-d part has the
         # slice's dimension, no later slice vector of degree d is fresh
         pivots = gen_ech.pivots()
         have = sum(col in pivots for col in range(table.offset[d], table.offset[d + 1]))
         fresh = []
-        for p in sl.basis:
-            if have == sl.dimension:
+        for row in block.basis():
+            if have == block.rank:
                 break
-            if not gen_ech.contains(table.vector_of(p)):
+            if not gen_ech.contains(row):
+                p = table.poly_of(row, ideal.field)
                 fresh.append(p)
                 _add_multiples(table, gen_ech, p)
                 have += 1
         if fresh:
             mingens[d] = fresh
             vstar.extend([d] * len(fresh))
-    return InitialIdealData(slices, sorted(vstar), len(vstar), mingens, level)
+    return InitialIdealData(dims, sorted(vstar), len(vstar), mingens, level)
 
 
 def min_generators(ideal, level):
@@ -327,13 +322,12 @@ def standard_basis_check(ideal, level):
     cand_ech = DegreeSpans(candidate, level).ech
     table = spans.table
     for d in range(level):
-        have = degree_block(table, ideal.field, cand_ech, d)
-        want = data.slices[d]
-        if have.rank == want.dimension:
+        have = degree_block(table, cand_ech, d)
+        if have.rank == data.slice_dims[d]:
             continue
-        for p in want.basis:
-            if not have.contains(table.vector_of(p)):
-                return StandardBasisReport(False, d, p, data.vstar)
+        for row in degree_block(table, spans.ech, d).basis():
+            if not have.contains(row):
+                return StandardBasisReport(False, d, table.poly_of(row, ideal.field), data.vstar)
         raise AssertionError("slice dims differ but no missing form found")
     return StandardBasisReport(True, None, None, data.vstar)
 

@@ -9,7 +9,6 @@ precision.  All values are immutable after construction.
 """
 
 import re
-from collections import namedtuple
 from fractions import Fraction
 from math import comb, gcd
 from operator import add
@@ -188,9 +187,9 @@ class MonomialTable:
         """Sparse column vector {index: coeff} of a TruncatedPoly."""
         return {self.index[m]: c for m, c in poly.terms.items()}
 
-    def poly_of(self, vec, field, level=None):
+    def poly_of(self, vec, field):
         terms = {self.monos[i]: c for i, c in vec.items()}
-        return TruncatedPoly(self.n_vars, field, level or self.level, terms)
+        return TruncatedPoly(self.n_vars, field, self.level, terms)
 
 
 _tables = {}
@@ -728,67 +727,52 @@ def multiple_vector(table, p, a):
     return {index[mono_mul(m, a)]: c for m, c in p.terms.items() if sum(m) < cut}
 
 
-def span_of_multiples(table, field, polys, lo=0, hi=None):
-    """Echelon span of all x^a * p, p in polys, lo <= |a| <= hi.
+def span_of_multiples(table, field, polys, lo=0):
+    """Echelon span of all x^a * p, p in polys, |a| >= lo, cut at `table.level`.
 
-    hi=None keeps every multiple that survives truncation at `table.level`.
     Multiples go in generator by generator, multiplier degree ascending.  The
     canonical rows do not depend on that order, but the cost does: on N=3
     complete intersections this order measured 3-6x cheaper than inserting
-    all generators degree by degree.  With hi=None the span before each
-    generator is an ideal, so `_add_multiples` skips the multiples that it
-    already accounts for.
+    all generators degree by degree.  The span before each generator is an
+    ideal, so `_add_multiples` skips the multiples that it already accounts
+    for.
     """
     ech = Echelon(field)
     for p in polys:
-        _add_multiples(table, ech, p, lo, hi)
+        _add_multiples(table, ech, p, lo)
     return ech
 
 
-def _add_multiples(table, ech, p, lo=0, hi=None):
-    """Insert x^a * p, lo <= |a| <= hi, into `ech`, multiplier column ascending.
+def _add_multiples(table, ech, p, lo=0):
+    """Insert x^a * p, |a| >= lo, into `ech`, multiplier column ascending.
 
-    With hi=None the caller guarantees that `ech` spans an ideal of R/M^n
-    (the multiples x^b * q, |b| >= lo, of earlier polynomials q), and x^a * p
-    is skipped when the column of x^a is a pivot of `ech` before p: some g
-    in the ideal has x^a as its lowest column, and x^a*p is a combination
-    of g*p and of the x^m*p at later columns, so the span is unchanged (the
-    proof is in the `idealcalc` module docstring).  With hi set, g*p can
-    need multipliers above hi, so nothing is skipped.
+    The caller guarantees that `ech` spans an ideal of R/M^n (the multiples
+    x^b * q, |b| >= lo, of earlier polynomials q), and x^a * p is skipped
+    when the column of x^a is a pivot of `ech` before p: some g in the
+    ideal has x^a as its lowest column, and x^a*p is a combination of g*p
+    and of the x^m*p at later columns, so the span is unchanged (the proof
+    is in the `idealcalc` module docstring).
     """
     if p.is_zero():
         return
     top = table.level - 1 - p.order()
-    if hi is not None:
-        top = min(top, hi)
     if lo > top:
         return
-    known = set(ech.pivots()) if hi is None else ()
+    known = set(ech.pivots())
     monos = table.monos
     for col in range(table.offset[lo], table.offset[top + 1]):
         if col not in known:
             ech.add(multiple_vector(table, p, monos[col]))
 
 
-# Reduced echelon basis of one graded block of a span: `basis` holds
-# TruncatedPolys, homogeneous of this degree.
-DegreeSlice = namedtuple("DegreeSlice", "degree basis dimension")
-
-
-def degree_block(table, field, ech, d):
+def degree_block(table, ech, d):
     """The rows of `ech` pivoted in degree d, cut to degree d, as an Echelon.
     Row support starts at the pivot, so the cut rows are homogeneous and in
     echelon form; rows pivoted above degree d vanish there, so the cut
     stored rows span the same block as the cut canonical rows and the
     block's own `rows` are the canonical ones."""
     lo, hi = table.offset[d], table.offset[d + 1]
-    block = Echelon(field)
+    block = Echelon(ech.field)
     block._rows = {piv: {c: v for c, v in row.items() if c < hi}
                    for piv, row in ech._rows.items() if lo <= piv < hi}
     return block
-
-
-def degree_slice(table, field, ech, d):
-    """The graded block of `ech` in degree d as homogeneous polynomials."""
-    basis = [table.poly_of(row, field) for row in degree_block(table, field, ech, d).basis()]
-    return DegreeSlice(d, basis, len(basis))

@@ -417,7 +417,8 @@ def hilbert_stratum_check(ideal, F, r, level=None):
     r = e0+1 is the whole moduli space, so the check is vacuously true.
     """
     Ftab = dict(enumerate(F)) if isinstance(F, (list, tuple)) else dict(F)
-    level = level or ideal.level
+    if level is None:
+        level = ideal.level
     hd = hilbert_data(ideal.truncated(level), level)
     if hd.status == "dim_0":
         raise ValueError("the ideal is zero-dimensional: it cuts out no curve")
@@ -581,14 +582,11 @@ def enumerate_xi(n_vars, e0, n, field, e1=None, budget=2_000_000):
     found = []
     for lead_terms in lead_reps():
         lead = TruncatedPoly(n_vars, field, n, lead_terms)
-        # per tail degree, monomials complementary to the pivots of S_k*lead
-        free_monos = []
-        for k in range(1, n - e0):
-            pivots = span_of_multiples(table, field, [lead], lo=k, hi=k).pivots()
-            free_monos.append(
-                [m for m in monomials_of_degree(n_vars, e0 + k)
-                 if table.index[m] not in pivots]
-            )
+        # x^a*lead is homogeneous: the span's pivots in degree e0+k are those of S_k*lead
+        pivots = span_of_multiples(table, field, [lead], lo=1).pivots()
+        # per tail degree, monomials complementary to those pivots
+        free_monos = [[m for m in monomials_of_degree(n_vars, e0 + k) if table.index[m] not in pivots]
+                      for k in range(1, n - e0)]
         *lower, top = free_monos
         flat = [m for block in lower for m in block]
         for coeffs in itertools.product(scalars, repeat=len(flat)):

@@ -289,6 +289,11 @@ class TestCmColonIdentity:
         with pytest.raises(ValueError, match=rf"1\.\.3, got v = {bad}$"):
             cm_colon_identity(I, 3, vlist)
 
+    def test_level_zero_rejected(self):
+        I = ideal(["x2^2 - x1^3"], level=8)
+        with pytest.raises(LevelError, match=r"level must be >= 1, got 0$"):
+            cm_colon_identity(I, 2, [1, 2], level=0)
+
 
 class TestDeterminantal:
     def test_example_matrix(self):
@@ -361,7 +366,7 @@ class TestDeterminantal:
         # initial ideals of the fibers with the central one
         lvl = 8
         center = ideal(["x3^2", "x2*x3", "x1^2*x2"], n_vars=3, level=lvl)
-        want = initial_ideal(center, lvl).slice_dims()
+        want = initial_ideal(center, lvl).slice_dims
         for u in (1, 2, -1):
             z = TruncatedPoly.zero(3, QQ, lvl)
 
@@ -374,7 +379,7 @@ class TestDeterminantal:
                 [z, p("x2") + p("x1*x3").scale(u)],
             ]
             fiber = determinantal_ideal(mat)
-            assert initial_ideal(fiber, lvl).slice_dims() == want, u
+            assert initial_ideal(fiber, lvl).slice_dims == want, u
 
 
 class TestFiberwise:

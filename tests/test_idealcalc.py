@@ -18,9 +18,11 @@ from curvemoduli.ringcore import (
     QQ,
     Echelon,
     LevelError,
+    degree_block,
+    monomials_of_degree,
+    multiple_vector,
     parse_poly,
     poly_str,
-    span_of_multiples,
 )
 
 from oracles import (
@@ -164,7 +166,7 @@ class TestInitialIdeal:
 
     def test_slices_contain_s1_times_previous(self):
         data = initial_ideal(ideal(["x1^2 - x2^3", "x1*x2^2"], level=8), 8)
-        dims = data.slice_dims()
+        dims = data.slice_dims
         for d in range(1, 8):
             # new minimal generators account exactly for the dimension jumps
             fresh = len(data.min_generators.get(d, []))
@@ -181,7 +183,7 @@ class TestInitialIdeal:
         for d in range(8):
             span_d = count_monomials_upto(2, d) - h1[d]
             span_prev = count_monomials_upto(2, d - 1) - h1[d - 1] if d else 0
-            assert data.slices[d].dimension == span_d - span_prev, d
+            assert data.slice_dims[d] == span_d - span_prev, d
 
     def test_sampled_combinations_stay_inside_slices(self):
         gens = [parse_poly("x1^2 - x2^3", 2, QQ, 8), parse_poly("x1*x2^2", 2, QQ, 8)]
@@ -189,35 +191,41 @@ class TestInitialIdeal:
         data = initial_ideal(I, 8)
         sampled = sampled_initial_slices(gens, 8, trials=400, seed=13)
         for d in range(8):
-            assert sampled.get(d, 0) <= data.slices[d].dimension, d
+            assert sampled.get(d, 0) <= data.slice_dims[d], d
 
     def test_presentation_independence(self):
         rng = random.Random(21)
         base = ideal(["x1^2 - x2^3", "x1*x2^2"], level=8)
-        want_dims = initial_ideal(base, 8).slice_dims()
+        want_dims = initial_ideal(base, 8).slice_dims
         want_h1 = DegreeSpans(base, 8).h1_values()
         for _ in range(6):
             mixed = random_generator_mix(rng, base)
             assert DegreeSpans(mixed, 8).h1_values() == want_h1
-            assert initial_ideal(mixed, 8).slice_dims() == want_dims
+            assert initial_ideal(mixed, 8).slice_dims == want_dims
 
 
 def initial_ideal_by_s1_loop(ideal, level):
     """Reference for `initial_ideal`: per degree, the span of S_1 * I*_{d-1}
-    is built afresh from the previous slice, and a slice vector is a minimal
-    generator when it raises that span's rank."""
+    is built afresh from the x_i-multiples of the previous slice, and a
+    slice vector is a minimal generator when it raises that span's rank.
+    Returns the slice dimensions and the minimal generators."""
     spans = DegreeSpans(ideal, level)
     table = spans.table
-    slices, mingens, prev = [], {}, []
+    field = ideal.field
+    variables = monomials_of_degree(ideal.n_vars, 1)
+    dims, mingens, prev = [], {}, []
     for d in range(level):
-        sl = spans.initial_slice(d)
-        slices.append(sl)
-        below = span_of_multiples(table, ideal.field, prev, lo=1, hi=1)
-        fresh = [p for p in sl.basis if below.add(table.vector_of(p))]
+        rows = degree_block(table, spans.ech, d).basis()
+        dims.append(len(rows))
+        below = Echelon(field)
+        for p in prev:
+            for x in variables:
+                below.add(multiple_vector(table, p, x))
+        fresh = [table.poly_of(row, field) for row in rows if below.add(row)]
         if fresh:
             mingens[d] = fresh
-        prev = sl.basis
-    return slices, mingens
+        prev = [table.poly_of(row, field) for row in rows]
+    return dims, mingens
 
 
 def printed(polys):
@@ -243,8 +251,8 @@ class TestInitialIdealAgainstS1Loop:
                 ideals.append(IdealPresentation(gens + [gens[0]], 2, field, level))
         for I in ideals:
             data = initial_ideal(I, I.level)
-            slices, mingens = initial_ideal_by_s1_loop(I, I.level)
-            assert [printed(s.basis) for s in data.slices] == [printed(s.basis) for s in slices]
+            dims, mingens = initial_ideal_by_s1_loop(I, I.level)
+            assert data.slice_dims == dims
             assert {d: printed(ps) for d, ps in data.min_generators.items()} == \
                 {d: printed(ps) for d, ps in mingens.items()}
             assert data.vstar == sorted(d for d, ps in mingens.items() for _ in ps)
@@ -293,7 +301,7 @@ class TestStandardBasis:
     def test_redundant_presentation_same_slices(self):
         lean = ideal(["x1^2 - x2^3"], level=8)
         fat = ideal(["x1^2 - x2^3", "x1^2*x2^2 - x2^5"], level=8)
-        assert initial_ideal(lean, 8).slice_dims() == initial_ideal(fat, 8).slice_dims()
+        assert initial_ideal(lean, 8).slice_dims == initial_ideal(fat, 8).slice_dims
         assert standard_basis_check(fat, 8).ok
 
     def test_space_curve_345_is_standard(self):

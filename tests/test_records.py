@@ -7,7 +7,6 @@ from curvemoduli.branches import FiberCompareReport, SemigroupData
 from curvemoduli.deform import ColonSpace, FiberwiseReport
 from curvemoduli.idealcalc import HilbertData, InitialIdealData, StandardBasisReport
 from curvemoduli.motivic import MeasureContext
-from curvemoduli.ringcore import DegreeSlice
 from curvemoduli.trunctower import (
     AdmissibleRange,
     CellIndex,
@@ -19,9 +18,8 @@ from curvemoduli.trunctower import (
 )
 
 FIELDS = {
-    DegreeSlice: "degree basis dimension",
     HilbertData: "values graded e0 e1 stab_index status level",
-    InitialIdealData: "slices vstar nu min_generators level",
+    InitialIdealData: "slice_dims vstar nu min_generators level",
     StandardBasisReport: "ok failing_degree missing_initial_form vstar",
     SuperficialCertificate: "L length_with_L iso_range e0 level",
     TnFailure: "condition degree detail",

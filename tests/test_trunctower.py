@@ -439,6 +439,11 @@ class TestHilbertStratum:
         ok, _ = hilbert_stratum_check(cusp, node_hd.values, 1, 6)
         assert ok
 
+    def test_level_zero_rejected(self):
+        I = ideal(["x2^2 - x1^3"], level=8)
+        with pytest.raises(LevelError, match=r"level must be >= 1, got 0$"):
+            hilbert_stratum_check(I, [1, 2, 2, 2, 2, 2, 2, 2], 3, level=0)
+
 
 class TestCells:
     def test_plane_standard_cell(self):
@@ -524,31 +529,70 @@ class TestEnumerate:
             assert not isinstance(out, TnFailure)
 
 
+def lead_forms(e0, n, q):
+    """The enumerator's projective lead forms of degree e0 in the plane, at
+    level n over F_q, in scan order: first nonzero coefficient 1."""
+    from curvemoduli.ringcore import monomials_of_degree
+
+    lead_monos = monomials_of_degree(2, e0)
+    for first in range(len(lead_monos)):
+        for rest in itertools.product(range(q), repeat=len(lead_monos) - first - 1):
+            terms = {lead_monos[first]: 1, **dict(zip(lead_monos[first + 1:], rest))}
+            yield TruncatedPoly(2, GF(q), n, terms)
+
+
+def graded_piece_pivots(table, lead, k):
+    """Pivot columns of S_k*lead, from an Echelon of the multiples x^m*lead
+    over the monomials m of degree k."""
+    from curvemoduli.ringcore import Echelon, monomials_of_degree, multiple_vector
+
+    ech = Echelon(lead.field)
+    for m in monomials_of_degree(lead.n_vars, k):
+        ech.add(multiple_vector(table, lead, m))
+    return set(ech.pivots())
+
+
 def scanned_prefixes(e0, n, q):
     """The enumerator's scan, prefix by prefix, rebuilt here: yields each
     prefix (the initial form and every tail block below degree n-1) with
     its candidates f = prefix + top block, in scan order."""
-    from curvemoduli.ringcore import monomial_table, monomials_of_degree, span_of_multiples
+    from curvemoduli.ringcore import monomial_table, monomials_of_degree
 
     field, n_vars = GF(q), 2
     table = monomial_table(n_vars, n)
-    lead_monos = monomials_of_degree(n_vars, e0)
-    for first in range(len(lead_monos)):
-        for rest in itertools.product(range(q), repeat=len(lead_monos) - first - 1):
-            terms = {lead_monos[first]: 1, **dict(zip(lead_monos[first + 1:], rest))}
-            lead = TruncatedPoly(n_vars, field, n, terms)
-            free = []
-            for k in range(1, n - e0):
-                pivots = span_of_multiples(table, field, [lead], lo=k, hi=k).pivots()
-                free.append([m for m in monomials_of_degree(n_vars, e0 + k)
-                             if table.index[m] not in pivots])
-            *lower, top = free
-            flat = [m for block in lower for m in block]
-            for coeffs in itertools.product(range(q), repeat=len(flat)):
-                prefix_terms = {**terms, **dict(zip(flat, coeffs))}
-                siblings = [TruncatedPoly(n_vars, field, n, {**prefix_terms, **dict(zip(top, c))})
-                            for c in itertools.product(range(q), repeat=len(top))]
-                yield TruncatedPoly(n_vars, field, n, prefix_terms), siblings
+    for lead in lead_forms(e0, n, q):
+        free = []
+        for k in range(1, n - e0):
+            pivots = graded_piece_pivots(table, lead, k)
+            free.append([m for m in monomials_of_degree(n_vars, e0 + k)
+                         if table.index[m] not in pivots])
+        *lower, top = free
+        flat = [m for block in lower for m in block]
+        for coeffs in itertools.product(range(q), repeat=len(flat)):
+            prefix_terms = {**lead.terms, **dict(zip(flat, coeffs))}
+            siblings = [TruncatedPoly(n_vars, field, n, {**prefix_terms, **dict(zip(top, c))})
+                        for c in itertools.product(range(q), repeat=len(top))]
+            yield TruncatedPoly(n_vars, field, n, prefix_terms), siblings
+
+
+class TestTransversal:
+    """enumerate_xi reads the pivots of every S_k*lead off one span of the
+    x^a*lead, |a| >= 1: each multiple is homogeneous, so the span is graded
+    and its pivots in degree e0+k are those of S_k*lead."""
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    @pytest.mark.parametrize("e0", [1, 2, 3])
+    def test_graded_pivots_of_one_span(self, e0, q):
+        from curvemoduli.ringcore import monomial_table, span_of_multiples
+
+        for n in range(e0 + 2, 8):
+            table = monomial_table(2, n)
+            for lead in lead_forms(e0, n, q):
+                got = {}
+                for col in span_of_multiples(table, GF(q), [lead], lo=1).pivots():
+                    got.setdefault(table.degree_of_col(col) - e0, set()).add(col)
+                want = {k: graded_piece_pivots(table, lead, k) for k in range(1, n - e0)}
+                assert got == want, (n, poly_str(lead))
 
 
 def candidate_by_candidate_members(e0, n, q):
@@ -647,7 +691,7 @@ class TestEnumerateSharedSpans:
 def dense_slice_mult_rank(spans, L, t):
     """Rank of x -> L1*x from S_t to S_{t+1}/J*_{t+1}, from dense matrices
     ranked by the naive elimination."""
-    from curvemoduli.ringcore import monomials_of_degree
+    from curvemoduli.ringcore import degree_block, monomials_of_degree
     from oracles import naive_rank
 
     field = spans.ideal.field
@@ -660,7 +704,8 @@ def dense_slice_mult_rank(spans, L, t):
             row[index_next[mono]] = c
         return row
 
-    target_rows = [dense(p) for p in spans.initial_slice(t + 1).basis]
+    target_rows = [dense(spans.table.poly_of(row, field))
+                   for row in degree_block(spans.table, spans.ech, t + 1).basis()]
     L1 = L.homogeneous_part(1)
     image_rows = target_rows + [dense(L1.mul_monomial(m))
                                 for m in monomials_of_degree(spans.ideal.n_vars, t)]
