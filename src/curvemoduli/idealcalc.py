@@ -74,12 +74,13 @@ class IdealPresentation:
             level = g0.level if level is None else level
         if n_vars is None or field is None or level is None:
             raise ValueError("empty presentation needs explicit n_vars, field, level")
+        constant = (0,) * n_vars  # a nonzero generator of order 0 has this term
         for g in generators:
             if (g.n_vars, g.field, g.level) != (n_vars, field, level):
                 raise LevelError("generators disagree on ambient, field, or level")
             if g.is_zero():
                 raise ValueError("zero generator")
-            if g.order() < 1:
+            if constant in g.terms:
                 raise ValueError(f"generator {g} is a unit: order must be >= 1")
         self.generators = generators
         self.n_vars = n_vars

@@ -10,6 +10,7 @@ precision.  All values are immutable after construction.
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd
 from operator import add
 
@@ -222,14 +223,15 @@ class TruncatedPoly:
         self.n_vars = n_vars
         self.field = field
         self.level = level
+        zero, coerce = field.zero(), field.of
         clean = {}
         for m, c in (terms or {}).items():
             if len(m) != n_vars:
                 raise ValueError(f"monomial {m} does not have {n_vars} exponents")
             if sum(m) >= level:
                 continue
-            c = field.of(c)
-            if c != field.zero():
+            c = coerce(c)
+            if c != zero:
                 clean[m] = c
         self.terms = clean
 
@@ -460,28 +462,37 @@ def parse_poly(text, n_vars, field, level, var="x"):
     return TruncatedPoly(n_vars, field, level, terms)
 
 
+@lru_cache(maxsize=4096)
+def _mono_text(m, var):
+    """The factors of the monomial m as printed, e.g. "x1^2*x3" ("" for 1)."""
+    factors = []
+    for j, e in enumerate(m):
+        if e == 0:
+            continue
+        name = "t" if var == "t" else f"x{j + 1}"
+        factors.append(name if e == 1 else f"{name}^{e}")
+    return "*".join(factors)
+
+
 def poly_str(p, var="x"):
     """Canonical printing: decreasing deg-lex order, canonical signs."""
     if not p.terms:
         return "0"
-    items = sorted(p.terms.items(), key=lambda mc: deglex_key(mc[0]), reverse=True)
+    terms = p.terms
     pieces = []
     rational = p.field.char == 0
-    for i, (m, c) in enumerate(items):
+    one = p.field.one()
+    for i, m in enumerate(sorted(terms, key=deglex_key, reverse=True)):
+        c = terms[m]
         neg = rational and c < 0
         mag = -c if neg else c
-        factors = []
-        for j, e in enumerate(m):
-            if e == 0:
-                continue
-            name = "t" if var == "t" else f"x{j + 1}"
-            factors.append(name if e == 1 else f"{name}^{e}")
-        if not factors:
+        mono = _mono_text(m, var)
+        if not mono:
             body = str(mag)
-        elif mag == p.field.one():
-            body = "*".join(factors)
+        elif mag == one:
+            body = mono
         else:
-            body = str(mag) + "*" + "*".join(factors)
+            body = str(mag) + "*" + mono
         if i == 0:
             pieces.append(("-" if neg else "") + body)
         else:
@@ -582,14 +593,6 @@ class Echelon:
         dup = Echelon(self.field)
         dup._rows = {p: dict(r) for p, r in self._rows.items()}
         return dup
-
-    def join(self, other):
-        """A new echelon of the sum of both spans: a copy of this one with
-        the stored rows of `other` inserted (no back-substitution)."""
-        joined = self.copy()
-        for row in other._rows.values():
-            joined.add(row)
-        return joined
 
     def _back_substitute(self):
         """Reduce the stored rows in place, largest pivot first, so that each

@@ -25,6 +25,7 @@ from .ringcore import (
     FieldTooSmallError,
     LevelError,
     TruncatedPoly,
+    _add_multiples,
     count_monomials_upto,
     monomial_table,
     monomials_of_degree,
@@ -149,7 +150,8 @@ def cm_superficial_test(ideal, L, e0):
     if ideal.level < level:
         raise LevelError(f"ideal known to level {ideal.level} < {level}")
     J = ideal.truncated(level)
-    length = _TnSpans.of_ideal(J, level).length_with_form(J, L)
+    spans = _TnSpans.of_ideal(J, level)
+    length = spans.length_with_form([spans.table.vector_of(g) for g in J.generators], L)
     cert = SuperficialCertificate(L.truncate_to(level), length, [], e0, level)
     return length <= e0, cert
 
@@ -158,15 +160,23 @@ class _TnSpans:
     """The spans both T_n conditions on a level-n ideal J are read off.
 
     `h1` lists J's H1 values: the slice dimensions are read off it, and
-    with the length they decide condition (2).  `base` is an echelon
-    inside the span of J + M^n holding every generator of J but at most
-    one, so the length of condition (1) is the monomial count less the
-    rank of base with the multiples x^a*L (`with_form(L)`), less one if a
+    with the length they decide condition (2).  The span object has
+    generators `gens` taken with multipliers of degree >= `lo`: J's own
+    generators at lo = 0 (`of_ideal`), or the prefix at lo = 1
+    (`of_prefix`).  `base` is the echelon of their multiples, inside the
+    span of J + M^n and holding every generator of J but at most one.  So
+    the length of condition (1) is the monomial count less the rank of
+    base with the multiples x^a*L (`with_form(L)`), less one if a
     generator of J is outside that span.
     The span of the x^a*L is built when L is first met, which checks L like
     any generator, and kept in `form_spans`, which an enumeration shares
     between its span objects.  The maps are keyed by id(L), the caller's
     own forms: a TruncatedPoly hashes all its terms on every lookup.
+    `with_form(L)` is a copy of the span of (L) with the multiples of
+    `gens` added by the span kernel's pivot skip (`ringcore._add_multiples`):
+    (L) is an ideal, so x^a*g is left out when x^a is a pivot of (L) or of
+    the multiples of an earlier generator (the lemma of the kernel), and
+    the result is the span of base and (L), built without reading base.
 
     A standalone J is `_TnSpans.of_ideal(J, n)`: base is J's own span.
     The enumerator builds one per prefix (`of_prefix`) for its candidates
@@ -178,15 +188,21 @@ class _TnSpans:
     element of J with a nonzero coefficient on f has order e0 and initial
     form the lead form, and the elements of higher order are base's own.
     So J*_e0 is spanned by the lead form and J*_d (d > e0) is base's slice.
-    The residual of f modulo base has its pivot at f's first lead
-    monomial, with coefficient 1, below every pivot of base (those lie in
-    degrees > e0), and base rows vanish there; so a candidate's canonical
-    rows are that residual and the canonical rows of base (`canonical()`),
-    and its pivots are base's and one in degree e0, which give `h1`.
+    The pivots of base in degree d are those of S_(d-e0)*lead: an element
+    of base is g*prefix cut at M^n for some g in M, with initial form
+    in(g)*lead (the graded ring is a domain).  The scan puts f's tail on
+    their complement, its transversal, and f's lead form in degree e0,
+    below every pivot of base; so f vanishes at every pivot of base and is
+    its own residual modulo base, with pivot at its first lead monomial,
+    where its coefficient is 1 and base rows vanish.  So a candidate's
+    canonical rows are f and the canonical rows of base (`canonical()`),
+    with no elimination, and its pivots are base's and one in degree e0,
+    which give `h1`.
     """
 
-    def __init__(self, table, base, h1, form_spans=None):
+    def __init__(self, table, base, h1, gens, lo, form_spans=None):
         self.table, self.field, self.base, self.h1 = table, base.field, base, h1
+        self.gens, self.lo = gens, lo
         self._form_spans = {} if form_spans is None else form_spans
         self._with_form = {}
         self._canonical = None
@@ -195,7 +211,7 @@ class _TnSpans:
     def of_ideal(cls, ideal, n):
         """The span object of a standalone J = `ideal` at level n."""
         spans = DegreeSpans(ideal, n)
-        return cls(spans.table, spans.ech, spans.h1_values())
+        return cls(spans.table, spans.ech, spans.h1_values(), ideal.generators, 0)
 
     @classmethod
     def of_prefix(cls, table, field, prefix, form_spans):
@@ -206,7 +222,7 @@ class _TnSpans:
         for piv in base.pivots():
             dims[table.degree_of_col(piv)] += 1
         h1 = [end - rank for end, rank in zip(table.offset[1:], itertools.accumulate(dims))]
-        return cls(table, base, h1, form_spans)
+        return cls(table, base, h1, [prefix], 1, form_spans)
 
     def canonical(self):
         """The canonical rows of base, frozen and as polynomials, built on
@@ -217,7 +233,8 @@ class _TnSpans:
         return self._canonical
 
     def with_form(self, L):
-        """The echelon of base and the multiples x^a*L, built on first use."""
+        """The echelon of the span of base and the multiples x^a*L: the span
+        of (L) and the pivot-skipped multiples of `gens`, built on first use."""
         ech = self._with_form.get(id(L))
         if ech is None:
             span = self._form_spans.get(id(L))
@@ -228,13 +245,16 @@ class _TnSpans:
                                             self.field, level)
                 span = self._form_spans[id(L)] = span_of_multiples(self.table, self.field,
                                                                    checked.generators)
-            ech = self._with_form[id(L)] = span.join(self.base)
+            ech = self._with_form[id(L)] = span.copy()
+            for g in self.gens:
+                _add_multiples(self.table, ech, g, self.lo)
         return ech
 
-    def length_with_form(self, ideal, L):
-        """dim R/(J + (L) + M^n) for the ideal J = `ideal` at level n."""
+    def length_with_form(self, vectors, L):
+        """dim R/(J + (L) + M^n) for the ideal J at level n whose generators
+        have the column vectors `vectors`."""
         with_L = self.with_form(L)
-        outside = sum(not with_L.contains(self.table.vector_of(g)) for g in ideal.generators)
+        outside = sum(not with_L.contains(v) for v in vectors)
         return self.table.offset[self.table.level] - with_L.rank - outside
 
 
@@ -277,9 +297,10 @@ def tn_membership(ideal, n, e0, forms=None, prefix=None):
             return TnFailure(2, t, f"slice dimension {h0} != e0 = {e0} at degree {t}")
     if forms is None:
         forms = candidate_forms(ideal.n_vars, e0, ideal.field, n)
+    vectors = [prefix.table.vector_of(g) for g in ideal.generators]
     best_length = None
     for L in forms:
-        length = prefix.length_with_form(ideal, L)
+        length = prefix.length_with_form(vectors, L)
         if best_length is None or length < best_length:
             best_length = length
         if length <= e0:
@@ -509,7 +530,8 @@ EnumerationResult = namedtuple("EnumerationResult", "count ideals n e0 e1 q")
 
 def _span_key(ech):
     """Frozen canonical rows of an echelon span (the sort key)."""
-    return tuple(tuple(sorted(ech.rows[piv].items())) for piv in sorted(ech.rows))
+    rows = ech.rows
+    return tuple(tuple(sorted(rows[piv].items())) for piv in sorted(rows))
 
 
 def enumerate_xi(n_vars, e0, n, field, e1=None, budget=2_000_000):
@@ -536,7 +558,8 @@ def enumerate_xi(n_vars, e0, n, field, e1=None, budget=2_000_000):
     only the length dim R/(J+(L)+M^n) is computed; with the slice
     dimensions it decides condition (2) as well (`tn_membership`).  Every
     candidate that passes the filter still gets its verdict from
-    `tn_membership`, with the forms in their fixed order.
+    `tn_membership`, with the forms in their fixed order.  A member's
+    canonical rows are f itself and its prefix's rows (`_TnSpans`).
     """
     _check_e0(e0)
     if field.char == 0:
@@ -601,10 +624,9 @@ def enumerate_xi(n_vars, e0, n, field, e1=None, budget=2_000_000):
                 if isinstance(tn_membership(J, n, e0, forms=forms, prefix=prefix), TnFailure):
                     continue
                 # the canonical rows of the span, the sort key and the generators
-                row = prefix.base.reduce(table.vector_of(f))
                 base_key, base_gens = prefix.canonical()
-                found.append(((tuple(sorted(row.items())),) + base_key,
-                              [table.poly_of(row, field)] + base_gens))
+                found.append(((tuple(sorted(table.vector_of(f).items())),) + base_key,
+                              [f] + base_gens))
 
     found.sort(key=lambda member: member[0])
     members = [IdealPresentation(gens, n_vars, field, n) for _, gens in found]

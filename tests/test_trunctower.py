@@ -138,9 +138,10 @@ class TestLengthWithForm:
         for _ in range(3):
             I, forms = random_ideal_and_forms(rng, n_vars, field, level)
             spans = _TnSpans.of_ideal(I, level)
+            vectors = [spans.table.vector_of(g) for g in I.generators]
             for L in forms:
                 want = dense_ideal_h1(I.generators + [L], level)[-1]
-                assert spans.length_with_form(I, L) == want, (I, L)
+                assert spans.length_with_form(vectors, L) == want, (I, L)
 
 
 class TestTnMembership:
@@ -659,7 +660,8 @@ class TestEnumerateSharedSpans:
         def checked(ideal, n_, e0_, forms, prefix):
             res = standalone(ideal, n_, e0_, forms=forms, prefix=prefix)
             alone = standalone(ideal, n_, e0_, forms=in_order)
-            lengths = [prefix.length_with_form(ideal, L) for L in forms]
+            vectors = [prefix.table.vector_of(g) for g in ideal.generators]
+            lengths = [prefix.length_with_form(vectors, L) for L in forms]
             calls.append((type(res), res.to_json(), lengths) ==
                          (type(alone), alone.to_json(),
                           [dense_ideal_h1(ideal.generators + [L], n_)[-1] for L in in_order]))
@@ -686,6 +688,22 @@ class TestEnumerateSharedSpans:
             for f in siblings:
                 spans = DegreeSpans(IdealPresentation([f], 2, field, n), n)
                 assert spans.h1_values() == h1
+
+    @pytest.mark.parametrize("e0, q, n", ORACLE_CELLS, ids=str)
+    def test_every_sibling_is_its_own_residual_modulo_base(self, e0, q, n):
+        # a member's first canonical row is taken to be f itself: the prefix
+        # is its own residual modulo base, and the top block lies off base's
+        # pivots, so prefix plus top block must be the residual of f
+        from curvemoduli.ringcore import monomial_table
+
+        table = monomial_table(2, n)
+        for prefix_poly, siblings in scanned_prefixes(e0, n, q):
+            base = _TnSpans.of_prefix(table, GF(q), prefix_poly, {}).base
+            pres = base.reduce(table.vector_of(prefix_poly))
+            assert pres == table.vector_of(prefix_poly), poly_str(prefix_poly)
+            for f in siblings:
+                top = {table.index[m]: c for m, c in f.terms.items() if m not in prefix_poly.terms}
+                assert {**pres, **top} == base.reduce(table.vector_of(f)), poly_str(f)
 
 
 def dense_slice_mult_rank(spans, L, t):
