@@ -121,12 +121,10 @@ def colon(ideal, other, level):
 
 def ideal_plus_power(ideal, power, level):
     """Presentation of I + M^power at the given level."""
-    gens = [g.truncate_to(level) for g in ideal.generators]
-    gens = [g for g in gens if not g.is_zero()]
+    gens = ideal.truncated(level).generators
     if power < level:
-        field = ideal.field
         for m in monomials_of_degree(ideal.n_vars, power):
-            gens.append(TruncatedPoly(ideal.n_vars, field, level, {m: field.one()}))
+            gens.append(TruncatedPoly(ideal.n_vars, ideal.field, level, {m: 1}))
     return IdealPresentation(gens, ideal.n_vars, ideal.field, level)
 
 
@@ -170,13 +168,13 @@ class FirstOrderDeformation:
             )
 
 
-def is_family_first_order(deformation, e0=None):
+def is_family_first_order(deformation):
     """Colon-criterion verdict: every g_i in (I+M^{e0+1} : I+M^{e0+1-v_i}).
 
     Returns the overall verdict and the per-generator membership list.
     """
     d = deformation
-    e0 = d.e0 if e0 is None else e0
+    e0 = d.e0
     level = e0 + 1
     colons = {}  # one colon per distinct generator order
     verdicts = []

@@ -8,9 +8,11 @@ The workhorse is a single echelon span of all monomial multiples
 of the generators at the working level, with columns ordered by ascending
 degree: pivots in degrees <= d then give both dim (I+M^{d+1})/M^{d+1} and
 an explicit basis of the degree-d graded piece of the initial ideal.  A
-slice stays an echelon block (`ringcore.degree_block`); a row becomes a
-polynomial only where a report prints it, as a minimal generator or as the
-witness of a failed standard-basis check.  That span, and every other span
+slice's dimension is its pivot count (`DegreeSpans.slice_dims`); its rows
+are cut out as an echelon block (`ringcore.degree_block`) only where they
+are read, for fresh minimal generators and for the witness of a failed
+standard-basis check, and a row becomes a polynomial only where a report
+prints it.  That span, and every other span
 of monomial multiples here, comes from the one kernel
 `ringcore.span_of_multiples`, which inserts generator by generator: its
 canonical rows do not depend on the insertion order, and this order was
@@ -129,13 +131,14 @@ class DegreeSpans:
         self.level = level
         self.table = table
         self.ech = span_of_multiples(table, ideal.field, ideal.generators)
-        self._pivots_by_degree = [0] * level
+        # slice_dims[d] = dim I*_d, the number of pivots in degree d
+        self.slice_dims = [0] * level
         for piv in self.ech.pivots():
-            self._pivots_by_degree[table.degree_of_col(piv)] += 1
+            self.slice_dims[table.degree_of_col(piv)] += 1
 
     def span_dim(self, d):
         """dim (I+M^{d+1})/M^{d+1} inside R/M^{d+1}, for d < level."""
-        return sum(self._pivots_by_degree[: d + 1])
+        return sum(self.slice_dims[: d + 1])
 
     def h1(self, t):
         """H1(t) = dim R/(I+M^{t+1}), for t < level."""
@@ -254,29 +257,28 @@ def initial_ideal(ideal, level, spans=None):
     """
     spans = spans or DegreeSpans(ideal, level)
     table = spans.table
-    dims = []
+    dims = spans.slice_dims[:level]
     mingens = {}
     vstar = []
     gen_ech = Echelon(ideal.field)  # the ideal of the minimal generators so far
-    for d in range(level):
-        block = degree_block(table, spans.ech, d)
-        dims.append(block.rank)
+    for d, dim in enumerate(dims):
         # the generator ideal lies inside I*: once its degree-d part has the
-        # slice's dimension, no later slice vector of degree d is fresh
+        # slice's dimension, no later slice vector of degree d is fresh, and
+        # the slice's rows are not read
         pivots = gen_ech.pivots()
         have = sum(col in pivots for col in range(table.offset[d], table.offset[d + 1]))
-        fresh = []
-        for row in block.basis():
-            if have == block.rank:
-                break
+        if have == dim:
+            continue
+        fresh = mingens[d] = []
+        for row in degree_block(table, spans.ech, d).basis():
             if not gen_ech.contains(row):
                 p = table.poly_of(row, ideal.field)
                 fresh.append(p)
                 _add_multiples(table, gen_ech, p)
                 have += 1
-        if fresh:
-            mingens[d] = fresh
-            vstar.extend([d] * len(fresh))
+                if have == dim:
+                    break
+        vstar.extend([d] * len(fresh))
     return InitialIdealData(dims, sorted(vstar), len(vstar), mingens, level)
 
 
@@ -315,17 +317,16 @@ def standard_basis_check(ideal, level):
     """
     spans = DegreeSpans(ideal, level)
     data = initial_ideal(ideal, level, spans=spans)
-    visible = [g.truncate_to(level) for g in ideal.generators]
     candidate = IdealPresentation(
-        [initial_form(g) for g in visible if not g.is_zero()],
+        [initial_form(g) for g in ideal.truncated(level).generators],
         ideal.n_vars, ideal.field, level,
     )
-    cand_ech = DegreeSpans(candidate, level).ech
+    cand = DegreeSpans(candidate, level)
     table = spans.table
     for d in range(level):
-        have = degree_block(table, cand_ech, d)
-        if have.rank == data.slice_dims[d]:
+        if cand.slice_dims[d] == data.slice_dims[d]:
             continue
+        have = degree_block(table, cand.ech, d)
         for row in degree_block(table, spans.ech, d).basis():
             if not have.contains(row):
                 return StandardBasisReport(False, d, table.poly_of(row, ideal.field), data.vstar)
@@ -352,7 +353,7 @@ def intersection_number(ideal, other, n_max):
     if level < n_max:
         raise LevelError(f"generators known only to level {level} < n_max {n_max}")
     combined = IdealPresentation(
-        [g.truncate_to(n_max) for g in ideal.generators + other.generators],
+        ideal.truncated(n_max).generators + other.truncated(n_max).generators,
         ideal.n_vars, ideal.field, n_max,
     )
     spans = DegreeSpans(combined, n_max)

@@ -79,7 +79,7 @@ class MotivicClass:
         """2^(-order); the zero class has norm 0."""
         if not self.coeffs:
             return Fraction(0)
-        return _two_power(-self.order())
+        return Fraction(2) ** -self.order()
 
     def specialize(self, q):
         """Point-count realization L -> q (exact; rational for negative powers)."""
@@ -115,10 +115,6 @@ class MotivicClass:
 
     def __repr__(self):
         return f"MotivicClass({self})"
-
-
-def _two_power(k):
-    return Fraction(2) ** k if k >= 0 else Fraction(1, 2 ** (-k))
 
 
 class MeasureContext(namedtuple("MeasureContext", "n_vars e0")):
@@ -256,7 +252,7 @@ def volume_partial(terms):
         if s < 0:
             raise ValueError("term indices are s >= 0")
         total = total + cls.shift(-s)
-    return total, _two_power(-(S + 1 - D))
+    return total, Fraction(2) ** (D - S - 1)
 
 
 def parse_motivic(text):

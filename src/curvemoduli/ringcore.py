@@ -45,8 +45,10 @@ def _is_prime(p):
 class Field:
     """Exact coefficient field: the rationals (char 0) or F_p (char p prime).
 
-    Elements are `Fraction` values for char 0 and ints in [0, p) otherwise;
-    the field object supplies the arithmetic.
+    Elements are `Fraction` values for char 0 and ints in [0, p) otherwise.
+    `of` is the one place where a coefficient enters the field: arithmetic
+    on coefficients uses the native operators of int and Fraction, and
+    `TruncatedPoly` coerces the result once, on construction.
     """
 
     __slots__ = ("char",)
@@ -80,25 +82,6 @@ class Field:
                 raise ZeroDivisionError(f"denominator divisible by {self.char}")
             return value.numerator * pow(den, -1, self.char) % self.char
         raise TypeError(f"coefficient must be an int or a Fraction, got {type(value).__name__}")
-
-    def add(self, a, b):
-        return a + b if self.char == 0 else (a + b) % self.char
-
-    def sub(self, a, b):
-        return a - b if self.char == 0 else (a - b) % self.char
-
-    def mul(self, a, b):
-        return a * b if self.char == 0 else (a * b) % self.char
-
-    def neg(self, a):
-        return -a if self.char == 0 else (-a) % self.char
-
-    def inv(self, a):
-        if self.char == 0:
-            if a == 0:
-                raise ZeroDivisionError("inverse of zero")
-            return 1 / Fraction(a)
-        return pow(a, -1, self.char)
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.char == other.char
@@ -193,14 +176,11 @@ class MonomialTable:
         return TruncatedPoly(self.n_vars, field, self.level, terms)
 
 
-_tables = {}
-
-
+@lru_cache(maxsize=64)
 def monomial_table(n_vars, level):
-    key = (n_vars, level)
-    if key not in _tables:
-        _tables[key] = MonomialTable(n_vars, level)
-    return _tables[key]
+    """The shared MonomialTable of (n_vars, level), kept for the 64 most
+    recently used pairs."""
+    return MonomialTable(n_vars, level)
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +191,11 @@ class TruncatedPoly:
     """Sparse polynomial over an exact field, a representative modulo M^level.
 
     Terms of degree >= level are discarded on construction, so arithmetic is
-    automatically arithmetic in R/M^level.  Instances are treated as
-    immutable.
+    automatically arithmetic in R/M^level.  The constructor is the one place
+    where coefficients are reduced: it coerces each one with `Field.of` and
+    drops the zeros, so the operations combine coefficients with the native
+    int and Fraction operators and hand it the raw term map.  Instances are
+    treated as immutable.
     """
 
     __slots__ = ("n_vars", "field", "level", "terms")
@@ -223,7 +206,7 @@ class TruncatedPoly:
         self.n_vars = n_vars
         self.field = field
         self.level = level
-        zero, coerce = field.zero(), field.of
+        coerce = field.of
         clean = {}
         for m, c in (terms or {}).items():
             if len(m) != n_vars:
@@ -231,7 +214,7 @@ class TruncatedPoly:
             if sum(m) >= level:
                 continue
             c = coerce(c)
-            if c != zero:
+            if c:
                 clean[m] = c
         self.terms = clean
 
@@ -261,62 +244,40 @@ class TruncatedPoly:
 
     def __add__(self, other):
         self._check_compatible(other)
-        f = self.field
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            s = f.add(terms.get(m, f.zero()), c)
-            if s == f.zero():
-                terms.pop(m, None)
-            else:
-                terms[m] = s
-        return TruncatedPoly(self.n_vars, f, self.level, terms)
+            terms[m] = terms.get(m, 0) + c
+        return TruncatedPoly(self.n_vars, self.field, self.level, terms)
 
     def __neg__(self):
-        f = self.field
-        return TruncatedPoly(
-            self.n_vars, f, self.level, {m: f.neg(c) for m, c in self.terms.items()}
-        )
+        return TruncatedPoly(self.n_vars, self.field, self.level,
+                             {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         self._check_compatible(other)
-        f = self.field
         level = self.level
         acc = {}
         for m1, c1 in self.terms.items():
             d1 = sum(m1)
             for m2, c2 in other.terms.items():
-                if d1 + sum(m2) >= level:
-                    continue
-                m = mono_mul(m1, m2)
-                s = f.add(acc.get(m, f.zero()), f.mul(c1, c2))
-                if s == f.zero():
-                    acc.pop(m, None)
-                else:
-                    acc[m] = s
-        return TruncatedPoly(self.n_vars, f, level, acc)
+                if d1 + sum(m2) < level:
+                    m = mono_mul(m1, m2)
+                    acc[m] = acc.get(m, 0) + c1 * c2
+        return TruncatedPoly(self.n_vars, self.field, level, acc)
 
     def scale(self, c):
-        f = self.field
-        c = f.of(c)
-        if c == f.zero():
-            return TruncatedPoly.zero(self.n_vars, f, self.level)
-        return TruncatedPoly(
-            self.n_vars, f, self.level, {m: f.mul(v, c) for m, v in self.terms.items()}
-        )
+        return TruncatedPoly(self.n_vars, self.field, self.level,
+                             {m: v * c for m, v in self.terms.items()})
 
     def mul_monomial(self, mono, coeff=None):
-        """Multiply by coeff * x^mono, re-truncating."""
-        f = self.field
-        c = f.one() if coeff is None else f.of(coeff)
-        d = sum(mono)
-        terms = {}
-        for m, v in self.terms.items():
-            if sum(m) + d < self.level:
-                terms[mono_mul(m, mono)] = f.mul(v, c)
-        return TruncatedPoly(self.n_vars, f, self.level, terms)
+        """Multiply by coeff * x^mono (coeff 1 when None), re-truncating."""
+        c = 1 if coeff is None else coeff
+        cut = self.level - sum(mono)
+        terms = {mono_mul(m, mono): v * c for m, v in self.terms.items() if sum(m) < cut}
+        return TruncatedPoly(self.n_vars, self.field, self.level, terms)
 
     # -- structure ----------------------------------------------------------
 
@@ -454,11 +415,7 @@ def parse_poly(text, n_vars, field, level, var="x"):
         if field.char and coeff.denominator % field.char == 0:
             raise ParseError(f"denominator divisible by {field.char}", at)
         mono = tuple(expo)
-        c = field.add(terms.get(mono, field.zero()), field.of(coeff))
-        if c == field.zero():
-            terms.pop(mono, None)
-        else:
-            terms[mono] = c
+        terms[mono] = terms.get(mono, 0) + coeff
     return TruncatedPoly(n_vars, field, level, terms)
 
 

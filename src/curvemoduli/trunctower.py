@@ -112,12 +112,7 @@ def candidate_forms(n_vars, e0, field, level):
         raise FieldTooSmallError(
             f"need {s} distinct scalars, field has {field.char}"
         )
-    forms = []
-    for j in range(s):
-        powers = itertools.accumulate(itertools.repeat(field.of(j), n_vars - 1), field.mul,
-                                      initial=field.one())
-        forms.append(_linear_form(list(powers), field, level))
-    return forms
+    return [_linear_form([j ** i for i in range(n_vars)], field, level) for j in range(s)]
 
 
 def all_projective_linear_forms(n_vars, field, level):
@@ -128,10 +123,9 @@ def all_projective_linear_forms(n_vars, field, level):
     """
     if field.char == 0:
         raise ValueError("only meaningful over a finite field")
-    scalars = [field.of(i) for i in range(field.char)]
-    return [_linear_form([field.zero()] * lead + [field.one(), *tail], field, level)
+    return [_linear_form([0] * lead + [1, *tail], field, level)
             for lead in range(n_vars)
-            for tail in itertools.product(scalars, repeat=n_vars - lead - 1)]
+            for tail in itertools.product(range(field.char), repeat=n_vars - lead - 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -589,18 +583,11 @@ def enumerate_xi(n_vars, e0, n, field, e1=None, budget=2_000_000):
     form_spans = {}
     p_values = [e0 * (t + 1) - e1 for t in range(n)]
 
-    def with_coeffs(terms, monos, coeffs):
-        terms = dict(terms)
-        for m, c in zip(monos, coeffs):
-            if c:
-                terms[m] = field.of(c)
-        return terms
-
     def lead_reps():
         # projective representatives: first nonzero coefficient equal to 1
         for first in range(n_lead):
             for rest in itertools.product(scalars, repeat=n_lead - first - 1):
-                yield with_coeffs({lead_monos[first]: field.one()}, lead_monos[first + 1:], rest)
+                yield dict(zip(lead_monos[first:], (1, *rest)))
 
     found = []
     for lead_terms in lead_reps():
@@ -613,13 +600,13 @@ def enumerate_xi(n_vars, e0, n, field, e1=None, budget=2_000_000):
         *lower, top = free_monos
         flat = [m for block in lower for m in block]
         for coeffs in itertools.product(scalars, repeat=len(flat)):
-            prefix_terms = with_coeffs(lead_terms, flat, coeffs)
+            prefix_terms = lead_terms | dict(zip(flat, coeffs))
             prefix = _TnSpans.of_prefix(table, field,
                                         TruncatedPoly(n_vars, field, n, prefix_terms), form_spans)
             if prefix.h1 != p_values:
                 continue
             for top_coeffs in itertools.product(scalars, repeat=len(top)):
-                f = TruncatedPoly(n_vars, field, n, with_coeffs(prefix_terms, top, top_coeffs))
+                f = TruncatedPoly(n_vars, field, n, prefix_terms | dict(zip(top, top_coeffs)))
                 J = IdealPresentation([f], n_vars, field, n)
                 if isinstance(tn_membership(J, n, e0, forms=forms, prefix=prefix), TnFailure):
                     continue

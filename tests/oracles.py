@@ -10,6 +10,7 @@ the tests were produced by these.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from math import comb
 
 from curvemoduli.ringcore import TruncatedPoly, monomials_of_degree
@@ -34,12 +35,12 @@ def naive_rref(matrix_rows, field):
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = field.inv(rows[rank][col])
-        rows[rank] = [field.mul(x, inv) for x in rows[rank]]
+        inv = field.of(Fraction(1, rows[rank][col]))
+        rows[rank] = [field.of(x * inv) for x in rows[rank]]
         for i in range(len(rows)):
             if i != rank and rows[i][col] != field.zero():
                 c = rows[i][col]
-                rows[i] = [field.sub(x, field.mul(c, y)) for x, y in zip(rows[i], rows[rank])]
+                rows[i] = [field.of(x - c * y) for x, y in zip(rows[i], rows[rank])]
         pivots.append(col)
         if len(pivots) == len(rows):
             break

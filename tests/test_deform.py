@@ -115,7 +115,7 @@ def dense_colon_basis(I, K, a):
         for piv, row in span:
             c = vec[piv]
             if c != field.zero():
-                vec = [field.sub(x, field.mul(c, y)) for x, y in zip(vec, row)]
+                vec = [field.of(x - c * y) for x, y in zip(vec, row)]
         return vec
 
     gens = [k.truncate_to(a) for k in K.generators]
@@ -129,7 +129,7 @@ def dense_colon_basis(I, K, a):
         vec = [field.zero()] * len(monos)
         vec[free] = field.one()
         for piv, row in pivoted:
-            vec[piv] = field.neg(row[free])
+            vec[piv] = field.of(-row[free])
         null.append(vec)
     return [row for _, row in naive_rref(null, field)]
 

@@ -392,3 +392,9 @@ class TestIntersectionNumber:
         I = ideal(["x2^2 - x1^3"], level=8)
         X = ideal(["x2"], level=8)
         assert intersection_number(I, X, 8) == 3
+
+    def test_generator_killed_by_truncation(self):
+        # x1^9 vanishes below n_max = 8 and drops out; the contact stays 3
+        I = ideal(["x1^9", "x2^2 - x1^3"], level=10)
+        X = ideal(["x2"], level=10)
+        assert intersection_number(I, X, 8) == 3
