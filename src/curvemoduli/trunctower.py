@@ -22,6 +22,7 @@ from collections import namedtuple
 from math import comb
 
 from .ringcore import (
+    Echelon,
     FieldTooSmallError,
     LevelError,
     TruncatedPoly,
@@ -156,12 +157,12 @@ class _TnSpans:
     `h1` lists J's H1 values: the slice dimensions are read off it, and
     with the length they decide condition (2).  The span object has
     generators `gens` taken with multipliers of degree >= `lo`: J's own
-    generators at lo = 0 (`of_ideal`), or the prefix at lo = 1
-    (`of_prefix`).  `base` is the echelon of their multiples, inside the
-    span of J + M^n and holding every generator of J but at most one.  So
-    the length of condition (1) is the monomial count less the rank of
-    base with the multiples x^a*L (`with_form(L)`), less one if a
-    generator of J is outside that span.
+    generators at lo = 0 (`of_ideal`), or the enumerator's prefix at
+    lo = 1.  Call `base` the echelon of their multiples, inside the span of
+    J + M^n and holding every generator of J but at most one.  So the
+    length of condition (1) is the monomial count less the rank of base
+    with the multiples x^a*L (`with_form(L)`), less one if a generator of J
+    is outside that span.
     The span of the x^a*L is built when L is first met, which checks L like
     any generator, and kept in `form_spans`, which an enumeration shares
     between its span objects.  The maps are keyed by id(L), the caller's
@@ -170,61 +171,42 @@ class _TnSpans:
     `gens` added by the span kernel's pivot skip (`ringcore._add_multiples`):
     (L) is an ideal, so x^a*g is left out when x^a is a pivot of (L) or of
     the multiples of an earlier generator (the lemma of the kernel), and
-    the result is the span of base and (L), built without reading base.
+    the result is the span of base and (L), built without base itself.
 
-    A standalone J is `_TnSpans.of_ideal(J, n)`: base is J's own span.
-    The enumerator builds one per prefix (`of_prefix`) for its candidates
+    A standalone J is `_TnSpans.of_ideal(J, n)`.  The enumerator builds one
+    per prefix, with gens = [prefix] and lo = 1, for its candidates
     f = prefix + top block, the siblings; a standalone J is a prefix with
     no siblings.  Truncation at M^n drops the top block from every x^a*f
-    with |a| >= 1, so those multiples are the prefix's own: `base` is their
+    with |a| >= 1, so those multiples are the prefix's own: base is their
     echelon, and the span of J = (f) + M^n is base plus the row f.  The
-    siblings share the prefix's initial ideal: base has order > e0, so an
-    element of J with a nonzero coefficient on f has order e0 and initial
-    form the lead form, and the elements of higher order are base's own.
-    So J*_e0 is spanned by the lead form and J*_d (d > e0) is base's slice.
-    The pivots of base in degree d are those of S_(d-e0)*lead: an element
-    of base is g*prefix cut at M^n for some g in M, with initial form
-    in(g)*lead (the graded ring is a domain).  The scan puts f's tail on
-    their complement, its transversal, and f's lead form in degree e0,
-    below every pivot of base; so f vanishes at every pivot of base and is
-    its own residual modulo base, with pivot at its first lead monomial,
-    where its coefficient is 1 and base rows vanish.  So a candidate's
-    canonical rows are f and the canonical rows of base (`canonical()`),
-    with no elimination, and its pivots are base's and one in degree e0,
-    which give `h1`.
+    siblings share the initial ideal of their lead form: base has order
+    > e0, so an element of J with a nonzero coefficient on f has order e0
+    and initial form the lead form, and the elements of higher order are
+    base's own.  So J*_e0 is spanned by the lead form and J*_d (d > e0) is
+    base's slice.  The pivots of base in degree d are those of
+    S_(d-e0)*lead: an element of base is g*prefix cut at M^n for some g in
+    M, with initial form in(g)*lead (the graded ring is a domain).  So `h1`
+    depends on the lead form alone (`_lead_h1`).  The scan puts f's tail
+    off those pivots and its lead form below them, so f is its own residual
+    modulo base, and a candidate's canonical rows are f and base's.  The
+    enumerator takes base's rows from its walk down the tree of tail blocks
+    (`_prefix_tree`), not from base: a multiple x^a*prefix with |a| = j
+    sees only the blocks below degree n-j, so a node of the walk has its
+    parent's multiples, and its canonical rows are its new rows followed
+    by its parent's.
     """
 
-    def __init__(self, table, base, h1, gens, lo, form_spans=None):
-        self.table, self.field, self.base, self.h1 = table, base.field, base, h1
+    def __init__(self, table, field, h1, gens, lo, form_spans=None):
+        self.table, self.field, self.h1 = table, field, h1
         self.gens, self.lo = gens, lo
         self._form_spans = {} if form_spans is None else form_spans
         self._with_form = {}
-        self._canonical = None
 
     @classmethod
     def of_ideal(cls, ideal, n):
         """The span object of a standalone J = `ideal` at level n."""
         spans = DegreeSpans(ideal, n)
-        return cls(spans.table, spans.ech, spans.h1_values(), ideal.generators, 0)
-
-    @classmethod
-    def of_prefix(cls, table, field, prefix, form_spans):
-        """The span object of the enumerator's candidates prefix + top block."""
-        base = span_of_multiples(table, field, [prefix], lo=1)
-        dims = [0] * table.level  # pivots of a candidate's span, per degree
-        dims[prefix.order()] = 1
-        for piv in base.pivots():
-            dims[table.degree_of_col(piv)] += 1
-        h1 = [end - rank for end, rank in zip(table.offset[1:], itertools.accumulate(dims))]
-        return cls(table, base, h1, [prefix], 1, form_spans)
-
-    def canonical(self):
-        """The canonical rows of base, frozen and as polynomials, built on
-        first use."""
-        if self._canonical is None:
-            self._canonical = (_span_key(self.base),
-                               [self.table.poly_of(row, self.field) for row in self.base.basis()])
-        return self._canonical
+        return cls(spans.table, ideal.field, spans.h1_values(), ideal.generators, 0)
 
     def with_form(self, L):
         """The echelon of the span of base and the multiples x^a*L: the span
@@ -528,6 +510,64 @@ def _span_key(ech):
     return tuple(tuple(sorted(rows[piv].items())) for piv in sorted(rows))
 
 
+def _lead_h1(table, lead):
+    """H1 values shared by every candidate over the lead form `lead` (order
+    e0): J*_e0 is spanned by the lead form and the pivots of J* in degree
+    d > e0 are those of S_(d-e0)*lead (`_TnSpans`).  Returns them with
+    those pivots, read off one span of the x^a*lead, |a| >= 1: each
+    multiple is homogeneous, so the span is graded."""
+    pivots = span_of_multiples(table, lead.field, [lead], lo=1).pivots()
+    dims = [0] * table.level  # pivots of a candidate's span, per degree
+    dims[lead.order()] = 1
+    for piv in pivots:
+        dims[table.degree_of_col(piv)] += 1
+    h1 = [end - rank for end, rank in zip(table.offset[1:], itertools.accumulate(dims))]
+    return h1, pivots
+
+
+def _prefix_tree(table, field, lead_terms, blocks, scalars):
+    """Every prefix lead + B_1 + ... + B_m, blocks B_k on the monomials
+    `blocks[k-1]` (degree e0+k, m = n-2-e0), depth first in scan order.
+    Yields (prefix, canonical rows of the span of the x^a*prefix, |a| >= 1,
+    cut at M^n: frozen, and as polynomials).
+
+    A node at depth k holds P_k = lead + B_1 + ... + B_k and the span S of
+    the x^a*P_k, |a| >= j, j = n-1-e0-k, with its echelon and canonical
+    rows.  A multiple with |a| = j sees only the blocks below degree n-j:
+    x^a*B_i has degree e0+i+j >= n for i > k and is cut.  So every
+    descendant has the same multiples with |a| >= j, and a child's span is
+    S plus the new multiples x^a*P_(k+1), |a| = j-1 (j of them in the
+    plane).  Their initial forms x^a*lead lie in degree e0+j-1 and are
+    independent (the graded ring is a domain), below every pivot of S; a
+    canonical row of S starts at its pivot, so it vanishes there.  So the
+    child's canonical rows are its new rows (the new multiples reduced
+    modulo S, then against each other) followed by S's rows, unchanged,
+    and it shares them, their sort key and their polynomials by reference.
+    At depth m, j = 1: the leaves are the prefixes.
+    """
+    n_vars, n = table.n_vars, table.level
+
+    def walk(terms, depth, parent, key, gens):
+        prefix = TruncatedPoly(n_vars, field, n, terms)
+        new = Echelon(field)
+        for a in monomials_of_degree(n_vars, len(blocks) + 1 - depth):
+            new.add(parent.reduce(multiple_vector(table, prefix, a)))
+        key = _span_key(new) + key
+        rows = new.basis()
+        gens = [table.poly_of(row, field) for row in rows] + gens
+        if depth == len(blocks):
+            yield prefix, key, gens
+            return
+        span = parent.copy()
+        for row in rows:
+            span.add(row)
+        block = blocks[depth]
+        for coeffs in itertools.product(scalars, repeat=len(block)):
+            yield from walk(terms | dict(zip(block, coeffs)), depth + 1, span, key, gens)
+
+    return walk(lead_terms, 0, Echelon(field), (), [])
+
+
 def enumerate_xi(n_vars, e0, n, field, e1=None, budget=2_000_000):
     """Exhaustively list the level-n ideals over F_q passing all T_n checks.
 
@@ -544,33 +584,37 @@ def enumerate_xi(n_vars, e0, n, field, e1=None, budget=2_000_000):
     reduced echelon form of their span, and the T_n verdict scans every
     q-rational linear form.
 
-    The scan runs prefix by prefix (the initial form and every tail block
-    below degree n-1).  Siblings, the candidates that differ only in the
-    top block, share every multiple except f itself and they share the
-    initial ideal (`_TnSpans`).  So the H1 filter and the slice dimensions
-    are read once per prefix, off the prefix's own span, and per candidate
+    The level and the plane are checked before e1: a job outside the
+    domain is an error whatever e1 it names.  Per lead form, the H1 filter
+    and the slice dimensions are read once (`_lead_h1`): every candidate
+    over it has the same initial ideal.  The tail blocks below the top
+    degree n-1 are chosen degree by degree, down a tree whose nodes share
+    their spans (`_prefix_tree`): a multiple x^a*f with |a| = j sees only
+    the blocks below degree n-j, and a node's canonical rows are its new
+    rows followed by its parent's.  A leaf is a prefix (the lead form and
+    every lower block); its candidates f = prefix + top block, the
+    siblings, share every multiple but f (`_TnSpans`), so per candidate
     only the length dim R/(J+(L)+M^n) is computed; with the slice
     dimensions it decides condition (2) as well (`tn_membership`).  Every
-    candidate that passes the filter still gets its verdict from
-    `tn_membership`, with the forms in their fixed order.  A member's
-    canonical rows are f itself and its prefix's rows (`_TnSpans`).
+    candidate still gets its verdict from `tn_membership`, with the forms
+    in their fixed order.  A member's canonical rows are f itself and its
+    prefix's rows: f has its lead form below every pivot of the prefix's
+    span and its top block off them, so it is its own residual.
     """
     _check_e0(e0)
     if field.char == 0:
         raise ValueError("enumeration needs a finite field")
+    if n_vars != 2:
+        raise ValueError("exhaustive search implemented for the plane only")
+    if n < e0 + 2:
+        raise LevelError(f"need n >= e0+2 = {e0 + 2}")
     q = field.char
     plane_e1 = 0 if e0 == 1 else e0 * (e0 - 1) // 2
     if e1 is None:
         e1 = plane_e1
-    if not admissible_for_some_b(e0, e1, b_max=n_vars):
-        return EnumerationResult(0, [], n, e0, e1, q)
-    if n_vars != 2:
-        raise ValueError("exhaustive search implemented for the plane only")
     if e1 != plane_e1:
-        # admissible for some b <= 2 but not realizable in the plane
+        # admissible for some b <= 2 but not realizable in the plane, or not admissible
         return EnumerationResult(0, [], n, e0, e1, q)
-    if n < e0 + 2:
-        raise LevelError(f"need n >= e0+2 = {e0 + 2}")
 
     table = monomial_table(n_vars, n)
     lead_monos = monomials_of_degree(n_vars, e0)
@@ -591,29 +635,20 @@ def enumerate_xi(n_vars, e0, n, field, e1=None, budget=2_000_000):
 
     found = []
     for lead_terms in lead_reps():
-        lead = TruncatedPoly(n_vars, field, n, lead_terms)
-        # x^a*lead is homogeneous: the span's pivots in degree e0+k are those of S_k*lead
-        pivots = span_of_multiples(table, field, [lead], lo=1).pivots()
-        # per tail degree, monomials complementary to those pivots
-        free_monos = [[m for m in monomials_of_degree(n_vars, e0 + k) if table.index[m] not in pivots]
-                      for k in range(1, n - e0)]
-        *lower, top = free_monos
-        flat = [m for block in lower for m in block]
-        for coeffs in itertools.product(scalars, repeat=len(flat)):
-            prefix_terms = lead_terms | dict(zip(flat, coeffs))
-            prefix = _TnSpans.of_prefix(table, field,
-                                        TruncatedPoly(n_vars, field, n, prefix_terms), form_spans)
-            if prefix.h1 != p_values:
-                continue
+        h1, pivots = _lead_h1(table, TruncatedPoly(n_vars, field, n, lead_terms))
+        if h1 != p_values:
+            continue
+        # per tail degree, monomials complementary to the pivots of S_k*lead
+        *lower, top = [[m for m in monomials_of_degree(n_vars, e0 + k) if table.index[m] not in pivots]
+                       for k in range(1, n - e0)]
+        for prefix, key, gens in _prefix_tree(table, field, lead_terms, lower, scalars):
+            spans = _TnSpans(table, field, h1, [prefix], 1, form_spans)
             for top_coeffs in itertools.product(scalars, repeat=len(top)):
-                f = TruncatedPoly(n_vars, field, n, prefix_terms | dict(zip(top, top_coeffs)))
+                f = TruncatedPoly(n_vars, field, n, prefix.terms | dict(zip(top, top_coeffs)))
                 J = IdealPresentation([f], n_vars, field, n)
-                if isinstance(tn_membership(J, n, e0, forms=forms, prefix=prefix), TnFailure):
+                if isinstance(tn_membership(J, n, e0, forms=forms, prefix=spans), TnFailure):
                     continue
-                # the canonical rows of the span, the sort key and the generators
-                base_key, base_gens = prefix.canonical()
-                found.append(((tuple(sorted(table.vector_of(f).items())),) + base_key,
-                              [f] + base_gens))
+                found.append(((tuple(sorted(table.vector_of(f).items())),) + key, [f] + gens))
 
     found.sort(key=lambda member: member[0])
     members = [IdealPresentation(gens, n_vars, field, n) for _, gens in found]

@@ -197,3 +197,62 @@ def random_generator_mix(rng, ideal):
     from curvemoduli.idealcalc import IdealPresentation
 
     return IdealPresentation(new, ideal.n_vars, ideal.field, ideal.level)
+
+
+def flat_prefix_scan(e0, q, n):
+    """The plane enumerator with one flat product over the lower tail blocks:
+    every prefix (the lead form and each block below degree n-1) gets its
+    span of the x^a*prefix, |a| >= 1, from scratch, its H1 values from that
+    span's pivots, and its canonical rows from that span's basis.  Each
+    sibling f = prefix + top block that passes the H1 filter gets its
+    verdict from tn_membership over every q-rational form, through a span
+    object with gens = [prefix] and lo = 1.  Returns the members' generator
+    lists (f, then the prefix span's canonical rows), sorted by their rows.
+    """
+    import itertools
+
+    from curvemoduli.idealcalc import IdealPresentation
+    from curvemoduli.ringcore import GF, monomial_table, span_of_multiples
+    from curvemoduli.trunctower import (
+        TnFailure, _TnSpans, all_projective_linear_forms, tn_membership,
+    )
+
+    field, n_vars = GF(q), 2
+    table = monomial_table(n_vars, n)
+    forms = all_projective_linear_forms(n_vars, field, n)
+    e1 = 0 if e0 == 1 else e0 * (e0 - 1) // 2
+    p_values = [e0 * (t + 1) - e1 for t in range(n)]
+    lead_monos = monomials_of_degree(n_vars, e0)
+    form_spans = {}
+    found = []
+    for first in range(len(lead_monos)):
+        for rest in itertools.product(range(q), repeat=len(lead_monos) - first - 1):
+            lead_terms = dict(zip(lead_monos[first:], (1, *rest)))
+            lead = TruncatedPoly(n_vars, field, n, lead_terms)
+            pivots = span_of_multiples(table, field, [lead], lo=1).pivots()
+            *lower, top = [[m for m in monomials_of_degree(n_vars, e0 + k)
+                            if table.index[m] not in pivots] for k in range(1, n - e0)]
+            flat = [m for block in lower for m in block]
+            for coeffs in itertools.product(range(q), repeat=len(flat)):
+                terms = {**lead_terms, **dict(zip(flat, coeffs))}
+                prefix = TruncatedPoly(n_vars, field, n, terms)
+                base = span_of_multiples(table, field, [prefix], lo=1)
+                dims = [0] * n
+                dims[e0] = 1
+                for piv in base.pivots():
+                    dims[table.degree_of_col(piv)] += 1
+                h1 = [table.offset[t + 1] - sum(dims[:t + 1]) for t in range(n)]
+                if h1 != p_values:
+                    continue
+                spans = _TnSpans(table, field, h1, [prefix], 1, form_spans)
+                rows = base.basis()
+                for top_coeffs in itertools.product(range(q), repeat=len(top)):
+                    f = TruncatedPoly(n_vars, field, n, {**terms, **dict(zip(top, top_coeffs))})
+                    J = IdealPresentation([f], n_vars, field, n)
+                    if isinstance(tn_membership(J, n, e0, forms=forms, prefix=spans), TnFailure):
+                        continue
+                    key = tuple(tuple(sorted(row.items()))
+                                for row in [table.vector_of(f)] + rows)
+                    found.append((key, [f] + [table.poly_of(row, field) for row in rows]))
+    found.sort(key=lambda member: member[0])
+    return [gens for _, gens in found]

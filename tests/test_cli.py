@@ -421,6 +421,16 @@ class TestSubcommands:
         assert (code, out) == (2, "")
         assert err == "error: exhaustive search implemented for the plane only\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--N", "2", "--e0", "2", "--n", "3", "--q", "2", "--e1", "5"], "need n >= e0+2 = 4"),
+        (["--N", "3", "--e0", "2", "--n", "5", "--q", "2", "--e1", "99"],
+         "exhaustive search implemented for the plane only"),
+    ], ids=["level", "plane"])
+    def test_enumerate_domain_is_checked_before_e1(self, capsys, argv, message):
+        # an e1 the plane cannot have is answered with count 0 only inside
+        # the domain: a level below e0+2 or N != 2 is an error whatever e1
+        assert run(capsys, "enumerate", *argv) == (2, "", f"error: {message}\n")
+
 
 class TestJobFiles:
     """`--job` input, run as a user runs it: with ResourceWarning as an

@@ -1,7 +1,8 @@
 """`_TnSpans.with_form(L)` builds the span of base and (L) from a copy of the
 span of (L) and the pivot-skipped multiples of the span object's own
-generators; it must be the span that inserting every row of base into the
-span of (L) gives."""
+generators; it must be the span that inserting every row of base (the
+multiples of those generators, built here from scratch) into the span of
+(L) gives."""
 
 import pytest
 
@@ -31,7 +32,7 @@ def polys(draw, n_vars, field, level):
 
 def assert_span_of_base_and_form(spans, L):
     want = span_of_multiples(spans.table, spans.field, [L])
-    for row in spans.base.basis():
+    for row in span_of_multiples(spans.table, spans.field, spans.gens, lo=spans.lo).basis():
         want.add(row)
     got = spans.with_form(L)
     assert (got.rank, got.rows) == (want.rank, want.rows)
@@ -52,8 +53,9 @@ def test_of_ideal(data, n_vars, lo, hi, field):
 @pytest.mark.parametrize("n_vars, lo, hi", AMBIENTS, ids=str)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_of_prefix(data, n_vars, lo, hi, field):
+def test_prefix(data, n_vars, lo, hi, field):
+    # the enumerator's span object of a prefix: gens = [prefix], lo = 1
     level = data.draw(st.integers(lo, hi))
     prefix = data.draw(polys(n_vars, field, level))
-    spans = _TnSpans.of_prefix(monomial_table(n_vars, level), field, prefix, {})
+    spans = _TnSpans(monomial_table(n_vars, level), field, None, [prefix], 1)
     assert_span_of_base_and_form(spans, data.draw(polys(n_vars, field, level)))

@@ -676,15 +676,16 @@ class TestEnumerateSharedSpans:
         (1, 2, 3), (1, 2, 4), (1, 3, 3), (1, 3, 4), (2, 2, 4), (2, 2, 5), (2, 3, 4), (3, 2, 5),
     ], ids=str)
     def test_siblings_have_the_initial_ideal_of_their_prefix(self, e0, q, n):
-        # the H1 values are read once per prefix; each candidate's own span
-        # must give the same values (e0 = 3 included, where no candidate
-        # passes the enumerator's filter)
+        # the H1 values are read once per lead form; each candidate's own
+        # span must give the same values (e0 = 3 included, where no
+        # candidate passes the enumerator's filter)
         from curvemoduli.ringcore import monomial_table
+        from curvemoduli.trunctower import _lead_h1
 
         field = GF(q)
         table = monomial_table(2, n)
         for prefix_poly, siblings in scanned_prefixes(e0, n, q):
-            h1 = _TnSpans.of_prefix(table, field, prefix_poly, {}).h1
+            h1, _ = _lead_h1(table, prefix_poly.homogeneous_part(e0))
             for f in siblings:
                 spans = DegreeSpans(IdealPresentation([f], 2, field, n), n)
                 assert spans.h1_values() == h1
@@ -694,16 +695,76 @@ class TestEnumerateSharedSpans:
         # a member's first canonical row is taken to be f itself: the prefix
         # is its own residual modulo base, and the top block lies off base's
         # pivots, so prefix plus top block must be the residual of f
-        from curvemoduli.ringcore import monomial_table
+        from curvemoduli.ringcore import monomial_table, span_of_multiples
 
         table = monomial_table(2, n)
         for prefix_poly, siblings in scanned_prefixes(e0, n, q):
-            base = _TnSpans.of_prefix(table, GF(q), prefix_poly, {}).base
+            base = span_of_multiples(table, GF(q), [prefix_poly], lo=1)
             pres = base.reduce(table.vector_of(prefix_poly))
             assert pres == table.vector_of(prefix_poly), poly_str(prefix_poly)
             for f in siblings:
                 top = {table.index[m]: c for m, c in f.terms.items() if m not in prefix_poly.terms}
                 assert {**pres, **top} == base.reduce(table.vector_of(f)), poly_str(f)
+
+
+def enum_tier_cells():
+    """Every (e0, q, n) of the benchmark's enum_fq tiers, at n and n+1, as
+    its jobs run them."""
+    import importlib.util
+    import os
+
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    cells = [(e0, q, level) for cells, _ in workloads.ENUM_TIERS for e0, q, n in cells
+             for level in (n, n + 1)]
+    return list(dict.fromkeys(cells))  # (1, 3, 5) is in two tiers
+
+
+# the bench's cells, then (2, 5, 4) (775 members) and two e0 >= 3 cells
+# that the H1 filter leaves empty
+PREFIX_TREE_CELLS = enum_tier_cells() + [(2, 5, 4), (3, 2, 5), (4, 2, 6)]
+
+
+class TestPrefixTree:
+    """The scan shares each prefix's canonical rows down the tree of tail
+    blocks; these compare it with the flat scan that builds every prefix's
+    span from scratch."""
+
+    @pytest.fixture(scope="class")
+    def members(self):
+        cache = {}
+
+        def scan(e0, q, n):
+            if (e0, q, n) not in cache:
+                cache[e0, q, n] = enumerate_xi(2, e0, n, GF(q)).ideals
+            return cache[e0, q, n]
+        return scan
+
+    @pytest.mark.parametrize("e0, q, n", PREFIX_TREE_CELLS, ids=str)
+    def test_members_equal_the_flat_scan(self, members, e0, q, n):
+        from oracles import flat_prefix_scan
+
+        got = [[poly_str(g) for g in J.generators] for J in members(e0, q, n)]
+        assert got == [[poly_str(g) for g in gens] for gens in flat_prefix_scan(e0, q, n)]
+
+    # the cells of at most 500 members: (2, 3, 5) has 1053 and (2, 5, 4) 775
+    @pytest.mark.parametrize("e0, q, n", [cell for cell in PREFIX_TREE_CELLS
+                                          if cell not in ((2, 3, 5), (2, 5, 4))], ids=str)
+    def test_generators_are_the_canonical_rows_of_the_span(self, members, e0, q, n):
+        # each member's generators are the reduced echelon rows of the span
+        # of (f) + M^n, f its first generator, built alone
+        from curvemoduli.ringcore import monomial_table
+
+        ideals = members(e0, q, n)
+        assert len(ideals) <= 500
+        table = monomial_table(2, n)
+        for J in ideals:
+            alone = IdealPresentation(J.generators[:1], 2, GF(q), n)
+            want = DegreeSpans(alone, n).ech.basis()
+            assert [table.vector_of(g) for g in J.generators] == want, poly_str(J.generators[0])
 
 
 def dense_slice_mult_rank(spans, L, t):
