@@ -19,6 +19,7 @@ an explicit level argument; every verdict records the level it was checked at.
 
 import itertools
 from collections import namedtuple
+from fractions import Fraction
 from math import comb
 
 from .ringcore import (
@@ -26,7 +27,6 @@ from .ringcore import (
     FieldTooSmallError,
     LevelError,
     TruncatedPoly,
-    _add_multiples,
     count_monomials_upto,
     monomial_table,
     monomials_of_degree,
@@ -144,107 +144,51 @@ def cm_superficial_test(ideal, L, e0):
     level = e0 + 1
     if ideal.level < level:
         raise LevelError(f"ideal known to level {ideal.level} < {level}")
-    J = ideal.truncated(level)
-    spans = _TnSpans.of_ideal(J, level)
-    length = spans.length_with_form([spans.table.vector_of(g) for g in J.generators], L)
+    length = _length_with_form(ideal.truncated(level), L)
     cert = SuperficialCertificate(L.truncate_to(level), length, [], e0, level)
     return length <= e0, cert
 
 
-class _TnSpans:
-    """The spans both T_n conditions on a level-n ideal J are read off.
+def _length_with_form(J, L):
+    """dim R/(J + (L) + M^n) for an ideal J at level n.
 
-    `h1` lists J's H1 values: the slice dimensions are read off it, and
-    with the length they decide condition (2).  The span object has
-    generators `gens` taken with multipliers of degree >= `lo`: J's own
-    generators at lo = 0 (`of_ideal`), or the enumerator's prefix at
-    lo = 1.  Call `base` the echelon of their multiples, inside the span of
-    J + M^n and holding every generator of J but at most one.  So the
-    length of condition (1) is the monomial count less the rank of base
-    with the multiples x^a*L (`with_form(L)`), less one if a generator of J
-    is outside that span.
-    The span of the x^a*L is built when L is first met, which checks L like
-    any generator, and kept in `form_spans`, which an enumeration shares
-    between its span objects.  The maps are keyed by id(L), the caller's
-    own forms: a TruncatedPoly hashes all its terms on every lookup.
-    `with_form(L)` is a copy of the span of (L) with the multiples of
-    `gens` added by the span kernel's pivot skip (`ringcore._add_multiples`):
-    (L) is an ideal, so x^a*g is left out when x^a is a pivot of (L) or of
-    the multiples of an earlier generator (the lemma of the kernel), and
-    the result is the span of base and (L), built without base itself.
-
-    A standalone J is `_TnSpans.of_ideal(J, n)`.  The enumerator builds one
-    per prefix, with gens = [prefix] and lo = 1, for its candidates
-    f = prefix + top block, the siblings; a standalone J is a prefix with
-    no siblings.  Truncation at M^n drops the top block from every x^a*f
-    with |a| >= 1, so those multiples are the prefix's own: base is their
-    echelon, and the span of J = (f) + M^n is base plus the row f.  The
-    siblings share the initial ideal of their lead form: base has order
-    > e0, so an element of J with a nonzero coefficient on f has order e0
-    and initial form the lead form, and the elements of higher order are
-    base's own.  So J*_e0 is spanned by the lead form and J*_d (d > e0) is
-    base's slice.  The pivots of base in degree d are those of
-    S_(d-e0)*lead: an element of base is g*prefix cut at M^n for some g in
-    M, with initial form in(g)*lead (the graded ring is a domain).  So `h1`
-    depends on the lead form alone (`_lead_h1`).  The scan puts f's tail
-    off those pivots and its lead form below them, so f is its own residual
-    modulo base, and a candidate's canonical rows are f and base's.  The
-    enumerator takes base's rows from its walk down the tree of tail blocks
-    (`_prefix_tree`), not from base: a multiple x^a*prefix with |a| = j
-    sees only the blocks below degree n-j, so a node of the walk has its
-    parent's multiples, and its canonical rows are its new rows followed
-    by its parent's.
+    Plane route: L = a*x1 + b*x2 is a nonzero linear form in N = 2.  Then
+    R/(L) = k[u] by x1 -> c*u, x2 -> u with c = -b/a (x1 -> u, x2 -> 0 when
+    a = 0), the image of J is (u^k) for k the least order of a generator's
+    image, and the length is min(n, k).
+    Span route, for every other L: the colength at degree n-1 of the span
+    of (L) + J, with L first, so the kernel's pivot skip leaves out J's
+    multiples x^a*g at the pivots of (L).  L is checked like any
+    generator: a level below n, a zero or a unit is rejected.
     """
-
-    def __init__(self, table, field, h1, gens, lo, form_spans=None):
-        self.table, self.field, self.h1 = table, field, h1
-        self.gens, self.lo = gens, lo
-        self._form_spans = {} if form_spans is None else form_spans
-        self._with_form = {}
-
-    @classmethod
-    def of_ideal(cls, ideal, n):
-        """The span object of a standalone J = `ideal` at level n."""
-        spans = DegreeSpans(ideal, n)
-        return cls(spans.table, ideal.field, spans.h1_values(), ideal.generators, 0)
-
-    def with_form(self, L):
-        """The echelon of the span of base and the multiples x^a*L: the span
-        of (L) and the pivot-skipped multiples of `gens`, built on first use."""
-        ech = self._with_form.get(id(L))
-        if ech is None:
-            span = self._form_spans.get(id(L))
-            if span is None:
-                level = self.table.level
-                # L is checked like any generator: zero after truncation or a unit is rejected
-                checked = IdealPresentation([L.truncate_to(level)], self.table.n_vars,
-                                            self.field, level)
-                span = self._form_spans[id(L)] = span_of_multiples(self.table, self.field,
-                                                                   checked.generators)
-            ech = self._with_form[id(L)] = span.copy()
-            for g in self.gens:
-                _add_multiples(self.table, ech, g, self.lo)
-        return ech
-
-    def length_with_form(self, vectors, L):
-        """dim R/(J + (L) + M^n) for the ideal J at level n whose generators
-        have the column vectors `vectors`."""
-        with_L = self.with_form(L)
-        outside = sum(not with_L.contains(v) for v in vectors)
-        return self.table.offset[self.table.level] - with_L.rank - outside
+    n, field = J.level, J.field
+    linear = L.terms and all(sum(m) == 1 for m in L.terms)
+    if linear and (J.n_vars, L.n_vars, L.field) == (2, 2, field) and L.level >= n:
+        a, b = L.terms.get((1, 0), 0), L.terms.get((0, 1), 0)
+        u1, u2 = (field.of(Fraction(-b, a)), 1) if a else (1, 0)
+        k = n
+        for g in J.generators:
+            image = {}  # coefficient of u^d in g(u1*u, u2*u), for d < k
+            for (i, j), v in g.terms.items():
+                if i + j < k:
+                    image[i + j] = image.get(i + j, 0) + v * u1 ** i * u2 ** j
+            k = min((d for d, v in image.items() if field.of(v)), default=k)
+        return k
+    spans = DegreeSpans(IdealPresentation([L.truncate_to(n)] + J.generators, J.n_vars, field, n), n)
+    return spans.h1(n - 1)
 
 
-def tn_membership(ideal, n, e0, forms=None, prefix=None):
+def tn_membership(ideal, n, e0, forms=None, h1=None):
     """Search for a linear form certifying J + M^n in T_n.
 
     Checks the slice dimensions, then scans the candidate forms in order:
     the first one that passes the length condition (1) wins, and condition
     (2) holds for it on iso_range = e0-1 .. n-2.  Failure is returned as a
-    value carrying the first failing condition and degree.  Both
-    conditions are read off one _TnSpans: by default the span of J + M^n
-    itself, built from ideal.truncated(n); `enumerate_xi` passes instead
-    the span object of the prefix its candidate (f) + M^n was scanned
-    under.
+    value carrying the first failing condition and degree.  The slice
+    dimensions are read off `h1`, J's H1 values: by default those of the
+    span of J + M^n, while `enumerate_xi` passes the values it read once
+    for every candidate over a lead form (`_lead_h1`).  Each length is
+    `_length_with_form` of J, truncated to level n.
 
     Why (1) implies (2).  Let A = R/(J+M^n), so M^t A/M^{t+1} A is the
     slice of degree t, of dimension e0 for e0-1 <= t <= n-1.
@@ -262,10 +206,10 @@ def tn_membership(ideal, n, e0, forms=None, prefix=None):
     _check_tn_level(n, e0)
     if ideal.level < n:
         raise LevelError(f"ideal known to level {ideal.level} < n = {n}")
-    if prefix is None:
+    if ideal.level > n:
         ideal = ideal.truncated(n)
-        prefix = _TnSpans.of_ideal(ideal, n)
-    h1 = prefix.h1
+    if h1 is None:
+        h1 = DegreeSpans(ideal, n).h1_values()
     # slice dimensions are independent of L: check them once up front
     for t in range(e0 - 1, n):
         h0 = h1[t] - (h1[t - 1] if t > 0 else 0)
@@ -273,10 +217,9 @@ def tn_membership(ideal, n, e0, forms=None, prefix=None):
             return TnFailure(2, t, f"slice dimension {h0} != e0 = {e0} at degree {t}")
     if forms is None:
         forms = candidate_forms(ideal.n_vars, e0, ideal.field, n)
-    vectors = [prefix.table.vector_of(g) for g in ideal.generators]
     best_length = None
     for L in forms:
-        length = prefix.length_with_form(vectors, L)
+        length = _length_with_form(ideal, L)
         if best_length is None or length < best_length:
             best_length = length
         if length <= e0:
@@ -504,18 +447,19 @@ def cell_membership(ideal, n, cell, e0):
 EnumerationResult = namedtuple("EnumerationResult", "count ideals n e0 e1 q")
 
 
-def _span_key(ech):
-    """Frozen canonical rows of an echelon span (the sort key)."""
-    rows = ech.rows
-    return tuple(tuple(sorted(rows[piv].items())) for piv in sorted(rows))
-
-
 def _lead_h1(table, lead):
-    """H1 values shared by every candidate over the lead form `lead` (order
-    e0): J*_e0 is spanned by the lead form and the pivots of J* in degree
-    d > e0 are those of S_(d-e0)*lead (`_TnSpans`).  Returns them with
-    those pivots, read off one span of the x^a*lead, |a| >= 1: each
-    multiple is homogeneous, so the span is graded."""
+    """H1 values shared by every candidate f over the lead form `lead`
+    (order e0), with the pivots of their initial ideal J* above degree e0.
+
+    Let base be the span of the x^a*f, |a| >= 1, cut at M^n.  It has order
+    > e0, so an element of J = (f) + M^n with a nonzero coefficient on f has
+    order e0 and initial form the lead form, and the elements of higher
+    order are base's own.  So J*_e0 is spanned by the lead form and J*_d
+    (d > e0) is base's slice.  An element of base is g*f cut at M^n for some
+    g in M, with initial form in(g)*lead (the graded ring is a domain), so
+    the pivots of base in degree d are those of S_(d-e0)*lead.  They are
+    read off one span of the x^a*lead, |a| >= 1: each multiple is
+    homogeneous, so the span is graded."""
     pivots = span_of_multiples(table, lead.field, [lead], lo=1).pivots()
     dims = [0] * table.level  # pivots of a candidate's span, per degree
     dims[lead.order()] = 1
@@ -529,7 +473,7 @@ def _prefix_tree(table, field, lead_terms, blocks, scalars):
     """Every prefix lead + B_1 + ... + B_m, blocks B_k on the monomials
     `blocks[k-1]` (degree e0+k, m = n-2-e0), depth first in scan order.
     Yields (prefix, canonical rows of the span of the x^a*prefix, |a| >= 1,
-    cut at M^n: frozen, and as polynomials).
+    cut at M^n, as polynomials).
 
     A node at depth k holds P_k = lead + B_1 + ... + B_k and the span S of
     the x^a*P_k, |a| >= j, j = n-1-e0-k, with its echelon and canonical
@@ -542,30 +486,29 @@ def _prefix_tree(table, field, lead_terms, blocks, scalars):
     canonical row of S starts at its pivot, so it vanishes there.  So the
     child's canonical rows are its new rows (the new multiples reduced
     modulo S, then against each other) followed by S's rows, unchanged,
-    and it shares them, their sort key and their polynomials by reference.
+    and it shares their polynomials by reference.
     At depth m, j = 1: the leaves are the prefixes.
     """
     n_vars, n = table.n_vars, table.level
 
-    def walk(terms, depth, parent, key, gens):
+    def walk(terms, depth, parent, gens):
         prefix = TruncatedPoly(n_vars, field, n, terms)
         new = Echelon(field)
         for a in monomials_of_degree(n_vars, len(blocks) + 1 - depth):
             new.add(parent.reduce(multiple_vector(table, prefix, a)))
-        key = _span_key(new) + key
         rows = new.basis()
         gens = [table.poly_of(row, field) for row in rows] + gens
         if depth == len(blocks):
-            yield prefix, key, gens
+            yield prefix, gens
             return
         span = parent.copy()
         for row in rows:
             span.add(row)
         block = blocks[depth]
         for coeffs in itertools.product(scalars, repeat=len(block)):
-            yield from walk(terms | dict(zip(block, coeffs)), depth + 1, span, key, gens)
+            yield from walk(terms | dict(zip(block, coeffs)), depth + 1, span, gens)
 
-    return walk(lead_terms, 0, Echelon(field), (), [])
+    return walk(lead_terms, 0, Echelon(field), [])
 
 
 def enumerate_xi(n_vars, e0, n, field, e1=None, budget=2_000_000):
@@ -592,14 +535,15 @@ def enumerate_xi(n_vars, e0, n, field, e1=None, budget=2_000_000):
     their spans (`_prefix_tree`): a multiple x^a*f with |a| = j sees only
     the blocks below degree n-j, and a node's canonical rows are its new
     rows followed by its parent's.  A leaf is a prefix (the lead form and
-    every lower block); its candidates f = prefix + top block, the
-    siblings, share every multiple but f (`_TnSpans`), so per candidate
-    only the length dim R/(J+(L)+M^n) is computed; with the slice
-    dimensions it decides condition (2) as well (`tn_membership`).  Every
-    candidate still gets its verdict from `tn_membership`, with the forms
-    in their fixed order.  A member's canonical rows are f itself and its
-    prefix's rows: f has its lead form below every pivot of the prefix's
-    span and its top block off them, so it is its own residual.
+    every lower block); its candidates are f = prefix + top block.  Every
+    candidate gets its verdict from `tn_membership`, with its lead form's
+    H1 values and the forms in their fixed order, so per form only the
+    length dim R/(J+(L)+M^n) is computed (`_length_with_form`); with the
+    slice dimensions it decides condition (2) as well.  A member's
+    canonical rows are f itself and its prefix's rows: f has its lead form
+    below every pivot of the prefix's span and its top block off them, so
+    it is its own residual.  Distinct members have distinct f, so sorting
+    by f's row alone sorts them by all their rows.
     """
     _check_e0(e0)
     if field.char == 0:
@@ -624,7 +568,6 @@ def enumerate_xi(n_vars, e0, n, field, e1=None, budget=2_000_000):
         raise BudgetExceededError(f"{n_classes} candidates exceed the budget of {budget}")
     scalars = list(range(q))
     forms = all_projective_linear_forms(n_vars, field, n)
-    form_spans = {}
     p_values = [e0 * (t + 1) - e1 for t in range(n)]
 
     def lead_reps():
@@ -641,14 +584,13 @@ def enumerate_xi(n_vars, e0, n, field, e1=None, budget=2_000_000):
         # per tail degree, monomials complementary to the pivots of S_k*lead
         *lower, top = [[m for m in monomials_of_degree(n_vars, e0 + k) if table.index[m] not in pivots]
                        for k in range(1, n - e0)]
-        for prefix, key, gens in _prefix_tree(table, field, lead_terms, lower, scalars):
-            spans = _TnSpans(table, field, h1, [prefix], 1, form_spans)
+        for prefix, gens in _prefix_tree(table, field, lead_terms, lower, scalars):
             for top_coeffs in itertools.product(scalars, repeat=len(top)):
                 f = TruncatedPoly(n_vars, field, n, prefix.terms | dict(zip(top, top_coeffs)))
                 J = IdealPresentation([f], n_vars, field, n)
-                if isinstance(tn_membership(J, n, e0, forms=forms, prefix=spans), TnFailure):
+                if isinstance(tn_membership(J, n, e0, forms=forms, h1=h1), TnFailure):
                     continue
-                found.append(((tuple(sorted(table.vector_of(f).items())),) + key, [f] + gens))
+                found.append((sorted(table.vector_of(f).items()), [f] + gens))
 
     found.sort(key=lambda member: member[0])
     members = [IdealPresentation(gens, n_vars, field, n) for _, gens in found]

@@ -205,16 +205,16 @@ def flat_prefix_scan(e0, q, n):
     span of the x^a*prefix, |a| >= 1, from scratch, its H1 values from that
     span's pivots, and its canonical rows from that span's basis.  Each
     sibling f = prefix + top block that passes the H1 filter gets its
-    verdict from tn_membership over every q-rational form, through a span
-    object with gens = [prefix] and lo = 1.  Returns the members' generator
-    lists (f, then the prefix span's canonical rows), sorted by their rows.
+    verdict from tn_membership over every q-rational form, with the
+    prefix's H1 values.  Returns the members' generator lists (f, then the
+    prefix span's canonical rows), sorted by all their rows.
     """
     import itertools
 
     from curvemoduli.idealcalc import IdealPresentation
     from curvemoduli.ringcore import GF, monomial_table, span_of_multiples
     from curvemoduli.trunctower import (
-        TnFailure, _TnSpans, all_projective_linear_forms, tn_membership,
+        TnFailure, all_projective_linear_forms, tn_membership,
     )
 
     field, n_vars = GF(q), 2
@@ -223,7 +223,6 @@ def flat_prefix_scan(e0, q, n):
     e1 = 0 if e0 == 1 else e0 * (e0 - 1) // 2
     p_values = [e0 * (t + 1) - e1 for t in range(n)]
     lead_monos = monomials_of_degree(n_vars, e0)
-    form_spans = {}
     found = []
     for first in range(len(lead_monos)):
         for rest in itertools.product(range(q), repeat=len(lead_monos) - first - 1):
@@ -244,12 +243,11 @@ def flat_prefix_scan(e0, q, n):
                 h1 = [table.offset[t + 1] - sum(dims[:t + 1]) for t in range(n)]
                 if h1 != p_values:
                     continue
-                spans = _TnSpans(table, field, h1, [prefix], 1, form_spans)
                 rows = base.basis()
                 for top_coeffs in itertools.product(range(q), repeat=len(top)):
                     f = TruncatedPoly(n_vars, field, n, {**terms, **dict(zip(top, top_coeffs))})
                     J = IdealPresentation([f], n_vars, field, n)
-                    if isinstance(tn_membership(J, n, e0, forms=forms, prefix=spans), TnFailure):
+                    if isinstance(tn_membership(J, n, e0, forms=forms, h1=h1), TnFailure):
                         continue
                     key = tuple(tuple(sorted(row.items()))
                                 for row in [table.vector_of(f)] + rows)

@@ -1,0 +1,124 @@
+"""`_length_with_form(J, L)` is dim R/(J+(L)+M^n) for an ideal J at level n.
+A linear L in the plane takes the plane route: R/(L) = k[u], and the
+length is min(n, k) for (u^k) the image of J.  Every other L takes the
+span route: the colength of the span of (L) + J at degree n-1.  Both must
+give the dense H1 of J + (L) at the top degree, which builds no span."""
+
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from curvemoduli.idealcalc import IdealPresentation  # noqa: E402
+from curvemoduli.ringcore import (  # noqa: E402
+    GF, QQ, LevelError, TruncatedPoly, monomials_of_degree, parse_poly,
+)
+from curvemoduli.trunctower import _length_with_form, all_projective_linear_forms  # noqa: E402
+from oracles import dense_ideal_h1  # noqa: E402
+
+# (field, index of the form among the projective forms): every form over
+# GF(2), GF(3) and GF(5)
+PROJECTIVE_FORMS = [(GF(q), i) for q in (2, 3, 5) for i in range(q + 1)]
+FIELDS = [QQ, GF(5)]
+
+
+@st.composite
+def polys(draw, n_vars, field, level, lo=1, hi=None):
+    """A nonzero polynomial with up to five terms in degrees lo .. hi-1
+    (hi = level by default), coefficients in -4..4."""
+    monos = [m for d in range(lo, level if hi is None else hi)
+             for m in monomials_of_degree(n_vars, d)]
+    support = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=5, unique=True))
+    coeffs = draw(st.lists(st.integers(-4, 4).filter(field.of), min_size=len(support),
+                           max_size=len(support)))
+    return TruncatedPoly(n_vars, field, level, dict(zip(support, coeffs)))
+
+
+@st.composite
+def multiples(draw, L):
+    """A multiple h*L, h of order below level - order(L): it vanishes where
+    L does, and it is nonzero, since its lowest form is L's times h's."""
+    return L * draw(polys(L.n_vars, L.field, L.level, lo=0, hi=L.level - L.order()))
+
+
+def ideal_with_multiples(data, L):
+    """J: up to three random generators and up to two multiples of L (on
+    the line L = 0 when L is linear)."""
+    n_vars, field, level = L.n_vars, L.field, L.level
+    gens = data.draw(st.lists(polys(n_vars, field, level), max_size=3))
+    gens += data.draw(st.lists(multiples(L), max_size=2))
+    return IdealPresentation(gens, n_vars, field, level)
+
+
+def assert_dense_length(J, L):
+    assert _length_with_form(J, L) == dense_ideal_h1(J.generators + [L], J.level)[-1]
+
+
+@pytest.mark.parametrize("field, index", PROJECTIVE_FORMS, ids=str)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_plane_route_every_projective_form(data, field, index):
+    level = data.draw(st.integers(3, 8))
+    L = all_projective_linear_forms(2, field, level)[index]
+    assert_dense_length(ideal_with_multiples(data, L), L)
+
+
+@st.composite
+def rational_linear_forms(draw, level):
+    """a*x1 + b*x2 with a, b small fractions, not both zero (a = 0 included)."""
+    coeff = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    a, b = draw(st.tuples(coeff, coeff).filter(any))
+    return TruncatedPoly(2, QQ, level, {(1, 0): a, (0, 1): b})
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_plane_route_rational_forms(data):
+    level = data.draw(st.integers(3, 8))
+    L = data.draw(rational_linear_forms(level))
+    assert_dense_length(ideal_with_multiples(data, L), L)
+
+
+@pytest.mark.parametrize("field, index", PROJECTIVE_FORMS, ids=str)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_generators_on_the_line_give_length_n(data, field, index):
+    level = data.draw(st.integers(3, 8))
+    L = all_projective_linear_forms(2, field, level)[index]
+    J = IdealPresentation(data.draw(st.lists(multiples(L), max_size=3)), 2, field, level)
+    assert _length_with_form(J, L) == level
+    assert_dense_length(J, L)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_span_route_plane_nonlinear_form(data, field):
+    level = data.draw(st.integers(3, 7))
+    L = data.draw(polys(2, field, level).filter(lambda p: any(sum(m) > 1 for m in p.terms)))
+    assert_dense_length(ideal_with_multiples(data, L), L)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_span_route_three_variables(data, field):
+    level = data.draw(st.integers(3, 5))
+    L = data.draw(polys(3, field, level))
+    assert_dense_length(ideal_with_multiples(data, L), L)
+
+
+@pytest.mark.parametrize("text, match", [("0", "zero generator"), ("1 + x1", "is a unit")],
+                         ids=["zero", "unit"])
+def test_form_is_checked_like_a_generator(text, match):
+    J = IdealPresentation([parse_poly("x1^3", 2, QQ, 6)])
+    with pytest.raises(ValueError, match=match):
+        _length_with_form(J, parse_poly(text, 2, QQ, 6))
+
+
+def test_form_below_the_level_is_rejected():
+    J = IdealPresentation([parse_poly("x1^3", 2, QQ, 6)])
+    with pytest.raises(LevelError):
+        _length_with_form(J, parse_poly("x1 + x2", 2, QQ, 4))

@@ -12,7 +12,7 @@ from curvemoduli.trunctower import (
     BudgetExceededError,
     CellIndex,
     TnFailure,
-    _TnSpans,
+    _length_with_form,
     admissible,
     admissible_polys,
     admissible_range,
@@ -127,8 +127,9 @@ def random_ideal_and_forms(rng, n_vars, field, level):
 
 
 class TestLengthWithForm:
-    """dim R/(J+(L)+M^n) read as a rank modulo the span of J must equal the
-    dense H1 of J+(L) at the top degree."""
+    """dim R/(J+(L)+M^n), read on the line L = 0 for a linear L in the
+    plane and as a colength of the span of (L) + J otherwise, must equal
+    the dense H1 of J+(L) at the top degree."""
 
     @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
     @pytest.mark.parametrize("n_vars,level", [(2, 7), (3, 5)])
@@ -137,11 +138,9 @@ class TestLengthWithForm:
         rng = random.Random(17 + n_vars)
         for _ in range(3):
             I, forms = random_ideal_and_forms(rng, n_vars, field, level)
-            spans = _TnSpans.of_ideal(I, level)
-            vectors = [spans.table.vector_of(g) for g in I.generators]
             for L in forms:
                 want = dense_ideal_h1(I.generators + [L], level)[-1]
-                assert spans.length_with_form(vectors, L) == want, (I, L)
+                assert _length_with_form(I, L) == want, (I, L)
 
 
 class TestTnMembership:
@@ -633,8 +632,9 @@ ORACLE_CELLS = [(1, 2, n) for n in range(3, 8)] + [(1, 3, n) for n in range(3, 6
 
 
 class TestEnumerateSharedSpans:
-    """The scan shares one span per prefix between sibling candidates; these
-    compare it with the scan that builds every candidate from scratch."""
+    """The scan shares each lead form's H1 values and each prefix's rows
+    between sibling candidates; these compare it with the scan that builds
+    every candidate from scratch."""
 
     @pytest.mark.parametrize("e0, q, n", ORACLE_CELLS, ids=str)
     def test_ordered_members_equal_the_candidate_by_candidate_scan(self, e0, q, n):
@@ -645,11 +645,12 @@ class TestEnumerateSharedSpans:
 
     @pytest.mark.parametrize("e0, q, n", [(1, 2, 5), (1, 3, 4), (2, 2, 5), (2, 3, 4)], ids=str)
     def test_every_verdict_and_length_equal_the_standalone_ones(self, e0, q, n, monkeypatch):
-        # each call the enumerator makes, with its shared spans, must return
-        # what tn_membership returns on the bare ideal (the same form L, the
-        # first in form order that passes the length condition, with the
-        # same length and degrees), and the length it reads for every form
-        # must be dim R/(J+(L)+M^n) computed by dense elimination
+        # each call the enumerator makes, with its lead form's H1 values,
+        # must return what tn_membership returns on the bare ideal (the same
+        # form L, the first in form order that passes the length condition,
+        # with the same length and degrees); those H1 values must be the
+        # ideal's own, and the length of every form must be
+        # dim R/(J+(L)+M^n) computed by dense elimination
         import curvemoduli.trunctower as tt
         from oracles import dense_ideal_h1
 
@@ -657,13 +658,12 @@ class TestEnumerateSharedSpans:
         in_order = all_projective_linear_forms(2, GF(q), n)
         calls = []
 
-        def checked(ideal, n_, e0_, forms, prefix):
-            res = standalone(ideal, n_, e0_, forms=forms, prefix=prefix)
+        def checked(ideal, n_, e0_, forms, h1):
+            res = standalone(ideal, n_, e0_, forms=forms, h1=h1)
             alone = standalone(ideal, n_, e0_, forms=in_order)
-            vectors = [prefix.table.vector_of(g) for g in ideal.generators]
-            lengths = [prefix.length_with_form(vectors, L) for L in forms]
-            calls.append((type(res), res.to_json(), lengths) ==
-                         (type(alone), alone.to_json(),
+            lengths = [_length_with_form(ideal, L) for L in forms]
+            calls.append((type(res), res.to_json(), h1, lengths) ==
+                         (type(alone), alone.to_json(), DegreeSpans(ideal, n_).h1_values(),
                           [dense_ideal_h1(ideal.generators + [L], n_)[-1] for L in in_order]))
             return res
 
