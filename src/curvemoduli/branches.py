@@ -486,9 +486,9 @@ def is_rigid_known(e0, e1):
     Sufficient: e0 <= 5, or e1 in {e0-1, e0, e0(e0-1)/2 - 1, e0(e0-1)/2}.
     Never answers "not rigid": absence from the list proves nothing.
     """
-    from .trunctower import admissible_for_some_b
+    from .trunctower import admissible
 
-    if not admissible_for_some_b(e0, e1):
+    if not any(admissible(b, e0, e1) for b in range(1, e0 + 1)):
         raise ValueError(f"(e0, e1) = ({e0}, {e1}) is not admissible for any b")
     top = e0 * (e0 - 1) // 2
     if e0 <= 5 or e1 in {e0 - 1, e0, top - 1, top}:

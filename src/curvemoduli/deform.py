@@ -27,8 +27,6 @@ from .ringcore import (
 from .idealcalc import (
     DegreeSpans,
     IdealPresentation,
-    _check_span_level,
-    check_level,
     hilbert_data,
     standard_basis_check,
 )
@@ -79,10 +77,7 @@ class ColonSpace(namedtuple("ColonSpace", "level basis dimension echelon table")
     __slots__ = ()
 
     def contains(self, poly):
-        p = poly.truncate_to(self.level) if poly.level > self.level else poly
-        if p.level < self.level:
-            raise LevelError("membership needs the value at the colon level")
-        return self.echelon.contains(self.table.vector_of(p))
+        return self.echelon.contains(self.table.vector_of(poly.truncate_to(self.level)))
 
 
 def colon(ideal, other, level):
@@ -93,7 +88,8 @@ def colon(ideal, other, level):
     span of I+M^a, so the image of x^a is the tuple of residuals of x^a*k_j.
     That is the whole condition, because I+M^a is an ideal and h*M^a lies in
     M^a.  The result depends only on the two ideals, not on their
-    presentations.
+    presentations.  Both are taken at `level` by `IdealPresentation.truncated`,
+    so neither may be given below it.
     """
     if (ideal.n_vars, ideal.field) != (other.n_vars, other.field):
         raise LevelError("colon needs a common ambient and field")
@@ -101,9 +97,8 @@ def colon(ideal, other, level):
         raise LevelError("colon level must be >= 2")
     n_vars, field = ideal.n_vars, ideal.field
     table = monomial_table(n_vars, level)
-    target = DegreeSpans(ideal.truncated(min(level, ideal.level)), level)
-    kgens = other.truncated(min(level, other.level))
-    _check_span_level(kgens, level)
+    target = DegreeSpans(ideal, level)
+    kgens = other.truncated(level)
     n_mon = len(table.monos)
     images = (
         {j * n_mon + c: v
@@ -121,7 +116,7 @@ def colon(ideal, other, level):
 
 def ideal_plus_power(ideal, power, level):
     """Presentation of I + M^power at the given level."""
-    gens = ideal.truncated(level).generators
+    gens = list(ideal.truncated(level).generators)
     if power < level:
         for m in monomials_of_degree(ideal.n_vars, power):
             gens.append(TruncatedPoly(ideal.n_vars, ideal.field, level, {m: 1}))
@@ -133,7 +128,8 @@ def ideal_plus_power(ideal, power, level):
 
 
 class FirstOrderDeformation:
-    """Base generators (a standard basis), their orders, and perturbations.
+    """Base generators (a standard basis), their orders, and perturbations:
+    one TruncatedPoly at the base level per generator, or None for zero.
 
     The base must pass the standard-basis check at its level: the colon
     criterion is only a theorem under that hypothesis, and the equivalence
@@ -144,14 +140,16 @@ class FirstOrderDeformation:
         if len(perturbations) != len(base.generators):
             raise ValueError("one perturbation per base generator")
         self.base = base
-        self.perturbations = [
-            p if isinstance(p, TruncatedPoly)
-            else TruncatedPoly.zero(base.n_vars, base.field, base.level)
-            for p in perturbations
-        ]
-        for p in self.perturbations:
+        self.perturbations = []
+        for p in perturbations:
+            if p is None:  # the zero perturbation
+                p = TruncatedPoly.zero(base.n_vars, base.field, base.level)
+            elif not isinstance(p, TruncatedPoly):
+                raise TypeError(
+                    f"a perturbation is a TruncatedPoly or None, got {type(p).__name__}")
             if (p.n_vars, p.field, p.level) != (base.n_vars, base.field, base.level):
                 raise LevelError("perturbations must live at the base level")
+            self.perturbations.append(p)
         self.e0 = e0
         self.orders = [g.order() for g in base.generators]
         if any(v > e0 for v in self.orders):
@@ -196,9 +194,7 @@ def flatness_direct(deformation, n):
     if n < 3:
         raise LevelError("flatness check needs n >= 3")
     d = deformation
-    base = d.base.truncated(n) if d.base.level >= n else None
-    if base is None:
-        raise LevelError(f"base level {d.base.level} < n = {n}")
+    base = d.base.truncated(n)
     n_vars, field = d.base.n_vars, d.base.field
     table = monomial_table(n_vars, n)
     n_mon = len(table.monos)
@@ -231,7 +227,7 @@ def cm_colon_identity(ideal, e0, vlist, level=None):
             raise ValueError(f"order v must be in 1..e0 = 1..{e0}, got v = {v}")
     if level is None:
         level = e0 + 1
-    check_level(level)
+    ideal = ideal.truncated(level)  # the gate checks the level even for an empty vlist
     out = {}
     for v in vlist:
         cs = colon(ideal, ideal_plus_power(ideal, e0 + 1 - v, level), level)

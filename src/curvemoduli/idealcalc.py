@@ -96,9 +96,16 @@ class IdealPresentation:
         return cls([parse_poly(t, n_vars, field, level) for t in texts], n_vars, field, level)
 
     def truncated(self, level):
-        """Re-truncate generators to a lower level, dropping the ones killed."""
+        """The ideal at `level`: the one gate from a presentation to the level
+        a computation works at.  The level must be >= 1 and at most this
+        presentation's, since precision is never extended.  At its own level
+        the presentation itself comes back; below it the generators are cut,
+        dropping the ones killed."""
+        check_level(level)
         if level > self.level:
             raise LevelError(f"cannot extend precision from {self.level} to {level}")
+        if level == self.level:
+            return self
         gens = [g.truncate_to(level) for g in self.generators]
         return IdealPresentation(
             [g for g in gens if not g.is_zero()], self.n_vars, self.field, level
@@ -109,23 +116,19 @@ class IdealPresentation:
         return f"Ideal({gens}; N={self.n_vars}, {self.field}, level={self.level})"
 
 
-def _check_span_level(ideal, level):
-    check_level(level)
-    if ideal.level < level:
-        raise LevelError(f"generator level {ideal.level} too low for span level {level}")
-
-
 class DegreeSpans:
     """Echelonized span of (I+M^n)/M^n with all per-degree data.
 
     The span of (I+M^{d+1})/M^{d+1} is generated by the monomial multiples
     x^a * f_i with |a| + order(f_i) <= d; since every generator has order
     >= 1 the multiples at the top level restrict correctly to every lower
-    level, so one echelon pass serves all degrees at once.
+    level, so one echelon pass serves all degrees at once.  The ideal is
+    taken at `level` by `IdealPresentation.truncated`, and `ideal` holds it
+    there.
     """
 
     def __init__(self, ideal, level):
-        _check_span_level(ideal, level)
+        ideal = ideal.truncated(level)
         table = monomial_table(ideal.n_vars, level)
         self.ideal = ideal
         self.level = level
@@ -149,10 +152,7 @@ class DegreeSpans:
 
     def contains(self, poly):
         """Membership of poly in (I+M^level)/M^level."""
-        p = poly.truncate_to(self.level) if poly.level > self.level else poly
-        if p.level < self.level:
-            raise LevelError("membership needs the poly at the span level")
-        return self.ech.contains(self.table.vector_of(p))
+        return self.ech.contains(self.table.vector_of(poly.truncate_to(self.level)))
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +285,7 @@ def initial_ideal(ideal, level, spans=None):
 def min_generators(ideal, level):
     """nu at the level: dim (I+M^n)/(M*I+M^n), the number of generators that
     raise the rank of the span of M*I+M^n when they go in after it."""
-    _check_span_level(ideal, level)
+    ideal = ideal.truncated(level)
     table = monomial_table(ideal.n_vars, level)
     shifted = span_of_multiples(table, ideal.field, ideal.generators, lo=1)
     origin = (0,) * ideal.n_vars
@@ -315,10 +315,11 @@ def standard_basis_check(ideal, level):
     every degree < level.  On failure, reports the least degree where the
     candidate ideal misses part of I*_d and one missing form as witness.
     """
+    ideal = ideal.truncated(level)
     spans = DegreeSpans(ideal, level)
     data = initial_ideal(ideal, level, spans=spans)
     candidate = IdealPresentation(
-        [initial_form(g) for g in ideal.truncated(level).generators],
+        [initial_form(g) for g in ideal.generators],
         ideal.n_vars, ideal.field, level,
     )
     cand = DegreeSpans(candidate, level)
@@ -349,9 +350,6 @@ def intersection_number(ideal, other, n_max):
     """
     if (ideal.n_vars, ideal.field) != (other.n_vars, other.field):
         raise LevelError("intersection needs a common ambient and field")
-    level = min(ideal.level, other.level)
-    if level < n_max:
-        raise LevelError(f"generators known only to level {level} < n_max {n_max}")
     combined = IdealPresentation(
         ideal.truncated(n_max).generators + other.truncated(n_max).generators,
         ideal.n_vars, ideal.field, n_max,

@@ -296,6 +296,8 @@ class TruncatedPoly:
     def truncate_to(self, level):
         if level > self.level:
             raise LevelError(f"cannot extend precision from {self.level} to {level}")
+        if level == self.level:
+            return self
         return TruncatedPoly(self.n_vars, self.field, level, self.terms)
 
     def __eq__(self, other):

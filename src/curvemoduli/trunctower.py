@@ -142,8 +142,6 @@ def cm_superficial_test(ideal, L, e0):
     """
     _check_e0(e0)
     level = e0 + 1
-    if ideal.level < level:
-        raise LevelError(f"ideal known to level {ideal.level} < {level}")
     length = _length_with_form(ideal.truncated(level), L)
     cert = SuperficialCertificate(L.truncate_to(level), length, [], e0, level)
     return length <= e0, cert
@@ -158,12 +156,14 @@ def _length_with_form(J, L):
     image, and the length is min(n, k).
     Span route, for every other L: the colength at degree n-1 of the span
     of (L) + J, with L first, so the kernel's pivot skip leaves out J's
-    multiples x^a*g at the pivots of (L).  L is checked like any
-    generator: a level below n, a zero or a unit is rejected.
+    multiples x^a*g at the pivots of (L).  L is cut to level n first, so a
+    level below n is rejected; on the span route it is checked like any
+    generator, so a zero or a unit is rejected too.
     """
     n, field = J.level, J.field
+    L = L.truncate_to(n)
     linear = L.terms and all(sum(m) == 1 for m in L.terms)
-    if linear and (J.n_vars, L.n_vars, L.field) == (2, 2, field) and L.level >= n:
+    if linear and (J.n_vars, L.n_vars, L.field) == (2, 2, field):
         a, b = L.terms.get((1, 0), 0), L.terms.get((0, 1), 0)
         u1, u2 = (field.of(Fraction(-b, a)), 1) if a else (1, 0)
         k = n
@@ -174,7 +174,7 @@ def _length_with_form(J, L):
                     image[i + j] = image.get(i + j, 0) + v * u1 ** i * u2 ** j
             k = min((d for d, v in image.items() if field.of(v)), default=k)
         return k
-    spans = DegreeSpans(IdealPresentation([L.truncate_to(n)] + J.generators, J.n_vars, field, n), n)
+    spans = DegreeSpans(IdealPresentation([L] + J.generators, J.n_vars, field, n), n)
     return spans.h1(n - 1)
 
 
@@ -188,7 +188,9 @@ def tn_membership(ideal, n, e0, forms=None, h1=None):
     dimensions are read off `h1`, J's H1 values: by default those of the
     span of J + M^n, while `enumerate_xi` passes the values it read once
     for every candidate over a lead form (`_lead_h1`).  Each length is
-    `_length_with_form` of J, truncated to level n.
+    `_length_with_form` of J at level n, which `IdealPresentation.truncated`
+    gives: the ideal itself when it is already there, as every candidate
+    of the enumerator is.
 
     Why (1) implies (2).  Let A = R/(J+M^n), so M^t A/M^{t+1} A is the
     slice of degree t, of dimension e0 for e0-1 <= t <= n-1.
@@ -204,10 +206,7 @@ def tn_membership(ideal, n, e0, forms=None, h1=None):
       never reaches length e0.
     """
     _check_tn_level(n, e0)
-    if ideal.level < n:
-        raise LevelError(f"ideal known to level {ideal.level} < n = {n}")
-    if ideal.level > n:
-        ideal = ideal.truncated(n)
+    ideal = ideal.truncated(n)
     if h1 is None:
         h1 = DegreeSpans(ideal, n).h1_values()
     # slice dimensions are independent of L: check them once up front
@@ -247,7 +246,7 @@ def shape_check(ideal, n, e0):
     """Minimal generator degrees of J* must avoid {e0+1, ..., n-1}; the
     window is that of T_n, so n >= e0+2."""
     _check_tn_level(n, e0)
-    data = initial_ideal(ideal.truncated(n), n)
+    data = initial_ideal(ideal, n)
     forbidden = sorted({d for d in data.vstar if e0 + 1 <= d <= n - 1})
     return ShapeReport(not forbidden, data.vstar, forbidden, not forbidden)
 
@@ -339,11 +338,6 @@ def admissible_polys(n_vars, e0):
     return out
 
 
-def admissible_for_some_b(e0, e1, b_max=None):
-    b_max = e0 if b_max is None else min(b_max, e0)
-    return any(admissible(b, e0, e1) for b in range(1, b_max + 1))
-
-
 # ---------------------------------------------------------------------------
 # Hilbert strata.
 
@@ -359,7 +353,7 @@ def hilbert_stratum_check(ideal, F, r, level=None):
     Ftab = dict(enumerate(F)) if isinstance(F, (list, tuple)) else dict(F)
     if level is None:
         level = ideal.level
-    hd = hilbert_data(ideal.truncated(level), level)
+    hd = hilbert_data(ideal, level)
     if hd.status == "dim_0":
         raise ValueError("the ideal is zero-dimensional: it cuts out no curve")
     if hd.status != "ok":
@@ -550,8 +544,7 @@ def enumerate_xi(n_vars, e0, n, field, e1=None, budget=2_000_000):
         raise ValueError("enumeration needs a finite field")
     if n_vars != 2:
         raise ValueError("exhaustive search implemented for the plane only")
-    if n < e0 + 2:
-        raise LevelError(f"need n >= e0+2 = {e0 + 2}")
+    _check_tn_level(n, e0)
     q = field.char
     plane_e1 = 0 if e0 == 1 else e0 * (e0 - 1) // 2
     if e1 is None:

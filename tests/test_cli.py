@@ -422,7 +422,7 @@ class TestSubcommands:
         assert err == "error: exhaustive search implemented for the plane only\n"
 
     @pytest.mark.parametrize("argv, message", [
-        (["--N", "2", "--e0", "2", "--n", "3", "--q", "2", "--e1", "5"], "need n >= e0+2 = 4"),
+        (["--N", "2", "--e0", "2", "--n", "3", "--q", "2", "--e1", "5"], "T_n needs n >= e0+2 = 4, got 3"),
         (["--N", "3", "--e0", "2", "--n", "5", "--q", "2", "--e1", "99"],
          "exhaustive search implemented for the plane only"),
     ], ids=["level", "plane"])

@@ -65,6 +65,13 @@ class TestColon:
         for row in spans.ech.basis():
             assert cs.contains(spans.table.poly_of(dict(row), QQ))
 
+    def test_ideal_plus_power_leaves_its_input_unchanged(self):
+        # at the ideal's own level the gate hands back the ideal itself
+        I = ideal(["x1^3"], level=5)
+        plus = ideal_plus_power(I, 2, 5)
+        assert [poly_str(g) for g in I.generators] == ["x1^3"]
+        assert [poly_str(g) for g in plus.generators] == ["x1^3", "x2^2", "x1*x2", "x1^2"]
+
     def test_antitone_in_k(self):
         I = ideal(["x1^3"])
         chain = [ideal_plus_power(I, k, 5) for k in (1, 2, 3)]
@@ -182,7 +189,7 @@ class TestColonAgainstDenseOracle:
         assert proper > 0
 
     def test_k_known_below_the_level_is_rejected(self):
-        with pytest.raises(LevelError, match="generator level 3 too low for span level 4"):
+        with pytest.raises(LevelError, match="cannot extend precision from 3 to 4"):
             colon(ideal(["x1^3"]), ideal(["x1", "x2"], level=3), 4)
 
 
@@ -200,6 +207,11 @@ class TestFamilyCriterion:
         d = FirstOrderDeformation(ideal(["x1^3"]), [P("x2^3")], 3)
         assert is_family_first_order(d)[0]
         assert flatness_direct(d, 4)[0]
+
+    def test_a_perturbation_that_is_not_a_poly_is_rejected(self):
+        # only None is the zero perturbation: a string is not read as zero
+        with pytest.raises(TypeError, match="got str"):
+            FirstOrderDeformation(ideal(["x1^3"]), ["x1"], 3)
 
     def test_trivial_deformation(self):
         d = FirstOrderDeformation(ideal(["x1^3"]), [None], 3)
@@ -293,6 +305,12 @@ class TestCmColonIdentity:
         I = ideal(["x2^2 - x1^3"], level=8)
         with pytest.raises(LevelError, match=r"level must be >= 1, got 0$"):
             cm_colon_identity(I, 2, [1, 2], level=0)
+
+    def test_level_zero_rejected_without_orders(self):
+        # no order to check means no colon, and the level is still refused
+        I = ideal(["x2^2 - x1^3"], level=8)
+        with pytest.raises(LevelError, match=r"level must be >= 1, got 0$"):
+            cm_colon_identity(I, 2, [], level=0)
 
 
 class TestDeterminantal:
