@@ -256,7 +256,7 @@ class _Substitution:
             for mono in frontier:
                 for j in range(n_vars):
                     child = tuple(a + (1 if k == j else 0) for k, a in enumerate(mono))
-                    if child not in self.images and (sum(child) < level or alive(child)):
+                    if sum(child) < level or alive(child):
                         nxt.add(child)
             frontier = sorted(nxt)
             self.by_degree[d] = frontier

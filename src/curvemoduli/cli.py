@@ -522,9 +522,6 @@ def main(argv=None):
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PRECONDITION
-    except tt.BudgetExceededError as exc:
-        sys.stderr.write(f"budget: {exc}\n")
-        return EXIT_SOFT
 
 
 if __name__ == "__main__":

@@ -271,7 +271,9 @@ def determinantal_ideal(matrix):
 
     Entries of positive order only.  Plain entries give an
     IdealPresentation; dual entries give a FirstOrderDeformation whose base
-    is the eps = 0 matrix's minor ideal.
+    is the eps = 0 matrix's minor ideal.  A dual minor whose special fibre
+    is zero but whose eps-part is not has no generator of the base to
+    perturb, so it is rejected rather than dropped.
     """
     dual = any(isinstance(e, DualPoly) for r in matrix for e in r)
     if dual:
@@ -282,15 +284,16 @@ def determinantal_ideal(matrix):
             if not re.is_zero() and re.order() < 1:
                 raise ValueError("matrix entries must lie in the maximal ideal")
     minors = determinantal_minors(matrix)
+    sample = matrix[0][0].re if dual else matrix[0][0]
     if not dual:
         gens = [m for m in minors if not m.is_zero()]
-        sample = matrix[0][0] if not isinstance(matrix[0][0], DualPoly) else matrix[0][0].re
         return IdealPresentation(gens, sample.n_vars, sample.field, sample.level)
+    for i, m in enumerate(minors):
+        if m.re.is_zero() and not m.eps.is_zero():
+            raise ValueError(f"minor {i} (row {i} omitted) is only an eps-part, "
+                             f"eps*({poly_str(m.eps)}): its special fibre is zero")
     keep = [m for m in minors if not m.re.is_zero()]
-    base = IdealPresentation(
-        [m.re for m in keep],
-        matrix[0][0].re.n_vars, matrix[0][0].re.field, matrix[0][0].re.level,
-    )
+    base = IdealPresentation([m.re for m in keep], sample.n_vars, sample.field, sample.level)
     hd = hilbert_data(base, base.level)
     if hd.status != "ok":
         raise LevelError(f"base minors not stabilized at level {base.level}")

@@ -718,8 +718,6 @@ def _add_multiples(table, ech, p, lo=0):
     if p.is_zero():
         return
     top = table.level - 1 - p.order()
-    if lo > top:
-        return
     known = set(ech.pivots())
     monos = table.monos
     for col in range(table.offset[lo], table.offset[top + 1]):

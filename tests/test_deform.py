@@ -346,6 +346,16 @@ class TestDeterminantal:
         with pytest.raises(ValueError, match="maximal ideal"):
             determinantal_ideal([[parse_poly("1 + x1", 2, QQ, lvl)], [z]])
 
+    def test_minor_that_is_only_an_eps_part_is_rejected(self):
+        # minor 0 of [[x1^2], [eps*x2]] is eps*x2: no generator of the base
+        # (x1^2) carries it, so dropping it would test a different family
+        lvl = 8
+        z = TruncatedPoly.zero(2, QQ, lvl)
+        mat = [[DualPoly(parse_poly("x1^2", 2, QQ, lvl))],
+               [DualPoly(z, parse_poly("x2", 2, QQ, lvl))]]
+        with pytest.raises(ValueError, match=r"minor 0 \(row 0 omitted\) is only an eps-part, eps\*\(x2\)"):
+            determinantal_ideal(mat)
+
     def test_eps_free_dual_entries_reduce_to_plain(self):
         lvl = 7
         z = TruncatedPoly.zero(3, QQ, lvl)

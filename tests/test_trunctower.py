@@ -676,16 +676,13 @@ class TestEnumerateSharedSpans:
         (1, 2, 3), (1, 2, 4), (1, 3, 3), (1, 3, 4), (2, 2, 4), (2, 2, 5), (2, 3, 4), (3, 2, 5),
     ], ids=str)
     def test_siblings_have_the_initial_ideal_of_their_prefix(self, e0, q, n):
-        # the H1 values are read once per lead form; each candidate's own
-        # span must give the same values (e0 = 3 included, where no
-        # candidate passes the enumerator's filter)
-        from curvemoduli.ringcore import monomial_table
-        from curvemoduli.trunctower import _lead_h1
-
+        # the H1 values are read once per job, off the span of x2^e0; each
+        # candidate's own span, over every lead form, must give the same
+        # values (e0 = 3 included, where no candidate passes the filter)
         field = GF(q)
-        table = monomial_table(2, n)
-        for prefix_poly, siblings in scanned_prefixes(e0, n, q):
-            h1, _ = _lead_h1(table, prefix_poly.homogeneous_part(e0))
+        x2_e0 = TruncatedPoly(2, field, n, {(0, e0): 1})
+        h1 = DegreeSpans(IdealPresentation([x2_e0], 2, field, n), n).h1_values()
+        for _, siblings in scanned_prefixes(e0, n, q):
             for f in siblings:
                 spans = DegreeSpans(IdealPresentation([f], 2, field, n), n)
                 assert spans.h1_values() == h1
