@@ -13,7 +13,6 @@ from .ringcore import (
     QQ,
     GF,
     Field,
-    FieldTooSmallError,
     LevelError,
     ParseError,
     TruncatedPoly,

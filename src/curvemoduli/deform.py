@@ -136,7 +136,7 @@ class FirstOrderDeformation:
     with the direct flatness count is only asserted then.
     """
 
-    def __init__(self, base, perturbations, e0, check_standard=True):
+    def __init__(self, base, perturbations, e0):
         if len(perturbations) != len(base.generators):
             raise ValueError("one perturbation per base generator")
         self.base = base
@@ -158,11 +158,11 @@ class FirstOrderDeformation:
             )
         if base.level < e0 + 2:
             raise LevelError(f"base level {base.level} < e0+2 = {e0 + 2}")
-        self.standard = standard_basis_check(base, base.level) if check_standard else None
-        if check_standard and not self.standard.ok:
+        standard = standard_basis_check(base, base.level)
+        if not standard.ok:
             raise ValueError(
                 f"base is not a standard basis up to level {base.level}"
-                f" (fails at degree {self.standard.failing_degree})"
+                f" (fails at degree {standard.failing_degree})"
             )
 
 
@@ -309,14 +309,6 @@ class FiberwiseReport(namedtuple("FiberwiseReport", "samples hilbert constant fi
     (e0, e1) differs, or None."""
 
     __slots__ = ()
-
-    def to_json(self):
-        return {
-            "samples": [str(s) for s in self.samples],
-            "fibers": [hd.to_json() for hd in self.hilbert],
-            "constant_e0_e1": self.constant,
-            "first_mismatch_at": None if self.first_mismatch is None else str(self.first_mismatch),
-        }
 
 
 def substitute_parameter(template, value):

@@ -27,10 +27,6 @@ class LevelError(ValueError):
     """Mismatched or insufficient truncation level / ambient / field."""
 
 
-class FieldTooSmallError(ValueError):
-    """A construction needs more distinct scalars than the field has."""
-
-
 def _is_prime(p):
     if p < 2:
         return False
@@ -57,10 +53,6 @@ class Field:
         if char != 0 and not _is_prime(char):
             raise ValueError(f"characteristic must be 0 or prime, got {char}")
         self.char = char
-
-    @property
-    def kind(self):
-        return "Rationals" if self.char == 0 else "PrimeField"
 
     def zero(self):
         return Fraction(0) if self.char == 0 else 0
@@ -159,13 +151,6 @@ class MonomialTable:
     def degree_of_col(self, col):
         m = self.monos[col]
         return sum(m)
-
-    def count_upto(self, d):
-        """Number of columns of degree <= d."""
-        d = min(d, self.level - 1)
-        if d < 0:
-            return 0
-        return self.offset[d + 1]
 
     def vector_of(self, poly):
         """Sparse column vector {index: coeff} of a TruncatedPoly."""

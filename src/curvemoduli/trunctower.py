@@ -24,7 +24,6 @@ from math import comb
 
 from .ringcore import (
     Echelon,
-    FieldTooSmallError,
     LevelError,
     TruncatedPoly,
     count_monomials_upto,
@@ -102,25 +101,33 @@ def _linear_form(coeffs, field, level):
 
 
 def candidate_forms(n_vars, e0, field, level):
-    """The s = e0(N-1)+1 linear forms L_q = sum_i q^(i-1) x_i at distinct q.
+    """The linear forms that T_n membership and the Grassmannian cells scan.
 
-    Points on the moment curve: any N of the forms are independent (their
-    coefficient matrix is Vandermonde), hence so is any subset of N-1.  A
-    prime field must have at least s distinct scalars.
+    Over QQ, or over F_p with p >= s = e0(N-1)+1, they are the s forms
+    L_j = sum_i j^(i-1) x_i, j = 0 .. s-1: points on the moment curve, so
+    any N of them are independent (their coefficient matrix is
+    Vandermonde), hence so is any subset of N-1.  Over a smaller F_p they
+    are every F_p-rational form (`all_projective_linear_forms`): a form
+    over an extension field is not scanned there.
+
+    In the plane the moment-curve forms x1 + j*x2, j <= e0, are the first
+    e0+1 points of P^1(F_p) in the order of `all_projective_linear_forms`.
+    For J = (f) + M^n with f of order e0, a form L has length e0 exactly
+    when f's lead form does not vanish on the line L = 0
+    (`_length_with_form`), and distinct forms have distinct lines.  A
+    nonzero binary form of degree e0 vanishes on no more than e0 of them,
+    so one of the first e0+1 forms passes: the verdict, and the first
+    passing form, are those of the scan over all p+1 forms.
     """
     s = e0 * (n_vars - 1) + 1
-    if field.char != 0 and field.char < s:
-        raise FieldTooSmallError(
-            f"need {s} distinct scalars, field has {field.char}"
-        )
+    if field.char and field.char < s:
+        return all_projective_linear_forms(n_vars, field, level)
     return [_linear_form([j ** i for i in range(n_vars)], field, level) for j in range(s)]
 
 
 def all_projective_linear_forms(n_vars, field, level):
-    """Every nonzero linear form up to scalar, first nonzero coefficient 1.
-
-    Over a small F_q the moment-curve candidates can miss the superficial
-    directions, so the enumerator scans all q-rational forms instead.
+    """Every nonzero linear form up to scalar, first nonzero coefficient 1,
+    in the order of `_projective_points`: `candidate_forms` over a small F_p.
     """
     if field.char == 0:
         raise ValueError("only meaningful over a finite field")
@@ -187,16 +194,18 @@ def _length_with_form(J, L):
 def tn_membership(ideal, n, e0, forms=None, h1=None):
     """Search for a linear form certifying J + M^n in T_n.
 
-    Checks the slice dimensions, then scans the candidate forms in order:
-    the first one that passes the length condition (1) wins, and condition
-    (2) holds for it on iso_range = e0-1 .. n-2.  Failure is returned as a
-    value carrying the first failing condition and degree.  The slice
-    dimensions are read off `h1`, J's H1 values: by default those of the
-    span of J + M^n, while `enumerate_xi` passes the values it read once
-    per job, which every candidate shares.  Each length is
-    `_length_with_form` of J at level n, which `IdealPresentation.truncated`
-    gives: the ideal itself when it is already there, as every candidate
-    of the enumerator is.
+    Checks the slice dimensions, then scans the forms (`candidate_forms` by
+    default) in order: the first one that passes the length condition (1)
+    wins, and condition (2) holds for it on iso_range = e0-1 .. n-2.
+    Failure is returned as a value carrying the first failing condition and
+    degree.  Over an F_p with fewer than s = e0(N-1)+1 scalars only
+    F_p-rational forms are scanned, so the condition-1 detail says that a
+    form over an extension field may still pass.  The slice dimensions are
+    read off `h1`, J's H1 values: by default those of the span of J + M^n,
+    while `enumerate_xi` passes the values it read once per job, which
+    every candidate shares.  Each length is `_length_with_form` of J at
+    level n, which `IdealPresentation.truncated` gives: the ideal itself
+    when it is already there, as every candidate of the enumerator is.
 
     Why (1) implies (2).  Let A = R/(J+M^n), so M^t A/M^{t+1} A is the
     slice of degree t, of dimension e0 for e0-1 <= t <= n-1.
@@ -229,7 +238,12 @@ def tn_membership(ideal, n, e0, forms=None, h1=None):
             best_length = length
         if length <= e0:
             return SuperficialCertificate(L, length, list(range(e0 - 1, n - 1)), e0, n)
-    return TnFailure(1, None, f"no candidate form reaches length <= {e0} (best was {best_length})")
+    detail = f"no candidate form reaches length <= {e0} (best was {best_length})"
+    q, s = ideal.field.char, e0 * (ideal.n_vars - 1) + 1
+    if q and q < s:
+        detail += (f"; only the F_{q}-rational forms were scanned, since F_{q} has fewer"
+                   f" than s = {s} scalars, so non-membership is not proved")
+    return TnFailure(1, None, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +404,8 @@ class CellIndex(namedtuple("CellIndex", "i_indices j_indices q")):
     Monomials are numbered 1-based in ascending degree-lex order (the
     constant monomial is 1).  i_indices picks p(e0-1) monomials of degree
     < e0, j_indices picks e0 monomials of degree exactly e0, and q is a
-    0-based index into the candidate linear forms.
+    0-based index into `candidate_forms`, so over an F_p with fewer than
+    s = e0(N-1)+1 scalars it indexes every F_p-rational form.
     """
 
     __slots__ = ()
@@ -500,9 +515,12 @@ def enumerate_xi(n_vars, e0, n, field, e1=None, budget=2_000_000):
     touching lower degrees, so every unit-orbit meets the scan, and it meets
     it once (a unit relating two scanned f has u_k*f_{e0} on the transversal,
     so u_k = 0 degree by degree).  Members come out sorted by the canonical
-    reduced echelon form of their span, and the T_n verdict scans every
-    q-rational linear form.  The lead forms and the forms are both the
-    points of a projective space over F_q (`_projective_points`).
+    reduced echelon form of their span.  The T_n verdict scans
+    `candidate_forms`, built once per job: all q+1 points of P^1(F_q) when
+    q <= e0, else their first e0+1, and since every candidate has order e0
+    each verdict and first passing form is that of all q+1 (the proof is at
+    `candidate_forms`).  The lead forms are points of a projective space
+    over F_q too (`_projective_points`).
 
     The level and the plane are checked before e1: a job outside the
     domain is an error whatever e1 it names.
@@ -565,7 +583,7 @@ def enumerate_xi(n_vars, e0, n, field, e1=None, budget=2_000_000):
     if h1 != [e0 * (t + 1) - e1 for t in range(n)]:
         return EnumerationResult(0, [], n, e0, e1, q)
     scalars = list(range(q))
-    forms = all_projective_linear_forms(n_vars, field, n)
+    forms = candidate_forms(n_vars, e0, field, n)
 
     found = []
     for point in _projective_points(len(lead_monos), q):

@@ -172,7 +172,7 @@ def test_criterion_7_deformation_equivalence():
                 random_poly(rng, n_vars, QQ, level, e0 + 1, density=0.4)
                 for _ in base.generators
             ]
-            d = FirstOrderDeformation(base, perts, e0, check_standard=False)
+            d = FirstOrderDeformation(base, perts, e0)
             assert is_family_first_order(d)[0] == flatness_direct(d, e0 + 1)[0]
             total += 1
     # the worked counterexample: X1^3 + eps*X1

@@ -146,6 +146,19 @@ class TestSubcommands:
         )
         assert code == 0 and payload["generators"] == ["x1^2"]
 
+    def test_tn_over_a_small_field(self, capsys):
+        # F_3 has fewer than the 4 scalars of the moment curve at e0 = 3
+        code, payload, _ = run_json(
+            capsys, "tn", "--field", "3", "--N", "2", "--n", "6", "--e0", "3",
+            "--ideal", "x1^3 + x2^3"
+        )
+        assert code == 0 and payload["member"] is True and payload["L"] == "x1"
+        code, payload, _ = run_json(
+            capsys, "tn", "--field", "2", "--n", "5", "--e0", "3", "--ideal", "x1^2*x2 + x1*x2^2"
+        )
+        assert code == 0 and payload["member"] is False
+        assert "only the F_2-rational forms were scanned" in payload["detail"]
+
     def test_admissible(self, capsys):
         code, payload, _ = run_json(capsys, "admissible", "--b", "3", "--e0", "3")
         assert code == 0 and payload["rho0"] == 2 and payload["rho1"] == 2

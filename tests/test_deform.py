@@ -256,7 +256,7 @@ class TestEquivalenceSuite:
                 random_poly(rng, n_vars, QQ, level, e0 + 1, density=0.4)
                 for _ in base.generators
             ]
-            d = FirstOrderDeformation(base, perts, e0, check_standard=False)
+            d = FirstOrderDeformation(base, perts, e0)
             fam = is_family_first_order(d)[0]
             flat = flatness_direct(d, e0 + 1)[0]
             assert fam == flat

@@ -6,7 +6,7 @@ import pytest
 
 from curvemoduli.idealcalc import DegreeSpans, IdealPresentation, hilbert_data
 from curvemoduli.ringcore import (
-    GF, QQ, FieldTooSmallError, LevelError, TruncatedPoly, parse_poly, poly_str,
+    GF, QQ, LevelError, TruncatedPoly, parse_poly, poly_str,
 )
 from curvemoduli.trunctower import (
     BudgetExceededError,
@@ -41,9 +41,9 @@ class TestCandidateForms:
         forms = candidate_forms(1, 5, QQ, 4)
         assert len(forms) == 1 and poly_str(forms[0]) == "x1"
 
-    def test_field_too_small(self):
-        with pytest.raises(FieldTooSmallError):
-            candidate_forms(3, 2, GF(2), 4)
+    def test_small_field_scans_every_rational_form(self):
+        # F_2 has fewer than s = 5 scalars for the moment curve
+        assert candidate_forms(3, 2, GF(2), 4) == all_projective_linear_forms(3, GF(2), 4)
 
     def test_vandermonde_independence(self):
         # any N of the forms are linearly independent
@@ -520,8 +520,8 @@ class TestEnumerate:
             enumerate_xi(2, 3, 9, GF(3), budget=10)
 
     def test_members_are_genuine(self):
-        # over F_2 the moment-curve construction cannot supply enough points,
-        # so re-verify membership with the all-forms scan the enumerator uses
+        # re-verify membership with the all-forms scan, which over F_2 at
+        # e0 = 2 is the enumerator's own list
         res = enumerate_xi(2, 2, 4, GF(2))
         forms = all_projective_linear_forms(2, GF(2), 4)
         for J in res.ideals[:5]:
@@ -646,11 +646,12 @@ class TestEnumerateSharedSpans:
     @pytest.mark.parametrize("e0, q, n", [(1, 2, 5), (1, 3, 4), (2, 2, 5), (2, 3, 4)], ids=str)
     def test_every_verdict_and_length_equal_the_standalone_ones(self, e0, q, n, monkeypatch):
         # each call the enumerator makes, with its lead form's H1 values,
-        # must return what tn_membership returns on the bare ideal (the same
-        # form L, the first in form order that passes the length condition,
-        # with the same length and degrees); those H1 values must be the
-        # ideal's own, and the length of every form must be
-        # dim R/(J+(L)+M^n) computed by dense elimination
+        # must return what tn_membership returns on the bare ideal over
+        # every q-rational form (the same form L, the first in form order
+        # that passes the length condition, with the same length and
+        # degrees); the forms passed must be a prefix of that list, those
+        # H1 values must be the ideal's own, and the length of every form
+        # passed must be dim R/(J+(L)+M^n) computed by dense elimination
         import curvemoduli.trunctower as tt
         from oracles import dense_ideal_h1
 
@@ -662,9 +663,10 @@ class TestEnumerateSharedSpans:
             res = standalone(ideal, n_, e0_, forms=forms, h1=h1)
             alone = standalone(ideal, n_, e0_, forms=in_order)
             lengths = [_length_with_form(ideal, L) for L in forms]
-            calls.append((type(res), res.to_json(), h1, lengths) ==
-                         (type(alone), alone.to_json(), DegreeSpans(ideal, n_).h1_values(),
-                          [dense_ideal_h1(ideal.generators + [L], n_)[-1] for L in in_order]))
+            calls.append((type(res), res.to_json(), forms, h1, lengths) ==
+                         (type(alone), alone.to_json(), in_order[:len(forms)],
+                          DegreeSpans(ideal, n_).h1_values(),
+                          [dense_ideal_h1(ideal.generators + [L], n_)[-1] for L in forms]))
             return res
 
         monkeypatch.setattr(tt, "tn_membership", checked)
@@ -864,6 +866,61 @@ def dense_tn_verdict(ideal, n, e0, forms):
                 "iso_range": list(range(e0 - 1, n - 1)), "e0": e0, "level": n}
     return {"member": False, "condition": 1, "degree": None,
             "detail": f"no candidate form reaches length <= {e0} (best was {min(lengths)})"}
+
+
+class TestSmallFields:
+    """Over an F_p with fewer than s = e0(N-1)+1 scalars, T_n membership and
+    the cells scan every F_p-rational form; in the plane a larger F_p scans
+    the first e0+1 of them, with the verdicts of all p+1."""
+
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("n_vars", [2, 3])
+    def test_default_verdict_is_the_all_forms_verdict(self, n_vars, q):
+        field = GF(q)
+        rng = random.Random(67 + 10 * q + n_vars)
+        outcomes = set()
+        for _ in range(40):
+            I, n, e0, _ = random_tn_case(rng, n_vars, field)
+            if n_vars == 3 and q >= 2 * e0 + 1:
+                continue  # the moment curve fits, and off the plane it is another list
+            default = tn_membership(I, n, e0)
+            every = tn_membership(I, n, e0, forms=all_projective_linear_forms(n_vars, field, n))
+            assert default.to_json() == every.to_json(), (I, n, e0)
+            outcomes.add(getattr(default, "condition", 0))
+        assert 0 in outcomes and 2 in outcomes
+
+    @pytest.mark.parametrize("text, q, n, L", [
+        ("x1^3 + x2^3", 3, 6, "x1"),  # (x1 + x2)^3 in characteristic 3
+        ("x1^3", 2, 5, "x1 + x2"),
+    ])
+    def test_member_certified_by_a_rational_form(self, text, q, n, L):
+        res = tn_membership(ideal([text], field=GF(q), level=n), n, 3)
+        assert res.to_json() == {"L": L, "e0": 3, "iso_range": list(range(2, n - 1)),
+                                 "length_with_L": 3, "level": n}
+
+    def test_failure_says_only_rational_forms_were_scanned(self):
+        # the lead form x1*x2*(x1 + x2) vanishes on all three lines of
+        # P^1(F_2); x1 + w*x2 over F_4 would certify
+        res = tn_membership(ideal(["x1^2*x2 + x1*x2^2"], field=GF(2), level=5), 5, 3)
+        assert res.detail == (
+            "no candidate form reaches length <= 3 (best was 5); only the F_2-rational"
+            " forms were scanned, since F_2 has fewer than s = 4 scalars, so"
+            " non-membership is not proved")
+
+    def test_cell_over_f2_answers(self):
+        # q indexes x1, x1 + x2, x2: x1 kills x1^2 in R/(x1^2), the others do not
+        I = ideal(["x1^2"], field=GF(2), level=5)
+        got = [cell_membership(I, 5, CellIndex([1, 2, 3], [4, 5], q), 2) for q in range(3)]
+        assert got == [False, True, True]
+        with pytest.raises(ValueError, match="one of the 3 candidate forms"):
+            cell_membership(I, 5, CellIndex([1, 2, 3], [4, 5], 3), 2)
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    def test_plane_forms_are_a_prefix_of_every_rational_form(self, q):
+        every = all_projective_linear_forms(2, GF(q), 6)
+        for e0 in range(1, q + 2):
+            want = every[:e0 + 1] if q >= e0 + 1 else every
+            assert candidate_forms(2, e0, GF(q), 6) == want, e0
 
 
 class TestStandaloneVerdictsAgainstDenseOracles:
