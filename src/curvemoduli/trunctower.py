@@ -191,21 +191,20 @@ def _length_with_form(J, L):
     return spans.h1(n - 1)
 
 
-def tn_membership(ideal, n, e0, forms=None, h1=None):
+def tn_membership(ideal, n, e0, forms=None):
     """Search for a linear form certifying J + M^n in T_n.
 
     Checks the slice dimensions, then scans the forms (`candidate_forms` by
-    default) in order: the first one that passes the length condition (1)
-    wins, and condition (2) holds for it on iso_range = e0-1 .. n-2.
-    Failure is returned as a value carrying the first failing condition and
-    degree.  Over an F_p with fewer than s = e0(N-1)+1 scalars only
-    F_p-rational forms are scanned, so the condition-1 detail says that a
-    form over an extension field may still pass.  The slice dimensions are
-    read off `h1`, J's H1 values: by default those of the span of J + M^n,
-    while `enumerate_xi` passes the values it read once per job, which
-    every candidate shares.  Each length is `_length_with_form` of J at
-    level n, which `IdealPresentation.truncated` gives: the ideal itself
-    when it is already there, as every candidate of the enumerator is.
+    default; an empty list is rejected) in order: the first one that
+    passes the length condition (1) wins, and condition (2) holds for it on
+    iso_range = e0-1 .. n-2.  Failure is returned as a value carrying the
+    first failing condition and degree.  Over an F_p with fewer than
+    s = e0(N-1)+1 scalars only F_p-rational forms are scanned, so the
+    condition-1 detail says that a form over an extension field may still
+    pass.  The slice dimensions are read off the H1 values of the span of
+    J + M^n.  Each length is `_length_with_form` of J at level n, which
+    `IdealPresentation.truncated` gives: the ideal itself when it is
+    already there, as every lead form's ideal of the enumerator is.
 
     Why (1) implies (2).  Let A = R/(J+M^n), so M^t A/M^{t+1} A is the
     slice of degree t, of dimension e0 for e0-1 <= t <= n-1.
@@ -221,9 +220,10 @@ def tn_membership(ideal, n, e0, forms=None, h1=None):
       never reaches length e0.
     """
     _check_tn_level(n, e0)
+    if forms is not None and not forms:
+        raise ValueError("need at least one candidate form")
     ideal = ideal.truncated(n)
-    if h1 is None:
-        h1 = DegreeSpans(ideal, n).h1_values()
+    h1 = DegreeSpans(ideal, n).h1_values()
     # slice dimensions are independent of L: check them once up front
     for t in range(e0 - 1, n):
         h0 = h1[t] - (h1[t - 1] if t > 0 else 0)
@@ -548,13 +548,25 @@ def enumerate_xi(n_vars, e0, n, field, e1=None, budget=2_000_000):
     x^a*f with |a| = j sees only the blocks below degree n-j, and a node's
     canonical rows are its new rows followed by its parent's.  A leaf is a
     prefix (the lead form and every lower block); its candidates are
-    f = prefix + top block.  Every candidate gets its own verdict from one
-    `tn_membership` call, with the job's H1 values and the forms in their
-    fixed order, so per form only the length dim R/(J+(L)+M^n) is computed
-    (`_length_with_form`); with the slice dimensions it decides condition
-    (2) as well.  One call per candidate keeps the verdict of each
-    candidate its own, and the traced benchmark counts those calls.  A
-    member's canonical rows are f itself and its prefix's rows: f has its
+    f = prefix + top block.
+
+    The T_n verdict is decided once per lead form, by one `tn_membership`
+    call on (lead) + M^n with the forms in their fixed order; a lead form
+    that fails skips its pivots and its whole tree, and every candidate
+    over one that passes is a member, with no verdict of its own.  The
+    slice dimensions of (f) + M^n are the H1 values above, the same for
+    every candidate and for the lead form alone.  The plane length on the
+    line L = 0, through the point (c : 1), is min(n, ord f(c*u, u))
+    (`_length_with_form`; the point is (1 : 0) for L = x2).  That order is
+    >= e0, with equality exactly when f_e0 does not vanish at the point,
+    for f and for f_e0 alike.  So a form reaches length <= e0 for f
+    exactly when it does for f_e0: the verdict and the first passing form,
+    of length e0, depend on f_e0 only.  Corollary: the lifts of a member
+    from n to n+1 are f plus a block on the degree-n transversal of
+    S_(n-e0)*lead, of dimension (n+1) - (n-e0+1) = e0, all over the same
+    lead form, so every fibre has q^e0 points.
+
+    A member's canonical rows are f itself and its prefix's rows: f has its
     lead form below every pivot of the prefix's span and its top block off
     them, so it is its own residual.  Distinct members have distinct f, so
     sorting by f's row alone sorts them by all their rows.
@@ -589,6 +601,9 @@ def enumerate_xi(n_vars, e0, n, field, e1=None, budget=2_000_000):
     for point in _projective_points(len(lead_monos), q):
         lead_terms = dict(zip(lead_monos, point))
         lead = TruncatedPoly(n_vars, field, n, lead_terms)
+        verdict = tn_membership(IdealPresentation([lead], n_vars, field, n), n, e0, forms=forms)
+        if isinstance(verdict, TnFailure):
+            continue  # and so does every candidate over it
         pivots = span_of_multiples(table, field, [lead], lo=1).pivots()
         # per tail degree, monomials complementary to the pivots of S_k*lead
         *lower, top = [[m for m in monomials_of_degree(n_vars, e0 + k) if table.index[m] not in pivots]
@@ -596,9 +611,6 @@ def enumerate_xi(n_vars, e0, n, field, e1=None, budget=2_000_000):
         for prefix, gens in _prefix_tree(table, field, lead_terms, lower, scalars):
             for top_coeffs in itertools.product(scalars, repeat=len(top)):
                 f = TruncatedPoly(n_vars, field, n, prefix.terms | dict(zip(top, top_coeffs)))
-                J = IdealPresentation([f], n_vars, field, n)
-                if isinstance(tn_membership(J, n, e0, forms=forms, h1=h1), TnFailure):
-                    continue
                 found.append((sorted(table.vector_of(f).items()), [f] + gens))
 
     found.sort(key=lambda member: member[0])

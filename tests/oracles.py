@@ -204,10 +204,10 @@ def flat_prefix_scan(e0, q, n):
     every prefix (the lead form and each block below degree n-1) gets its
     span of the x^a*prefix, |a| >= 1, from scratch, its H1 values from that
     span's pivots, and its canonical rows from that span's basis.  Each
-    sibling f = prefix + top block that passes the H1 filter gets its
-    verdict from tn_membership over every q-rational form, with the
-    prefix's H1 values.  Returns the members' generator lists (f, then the
-    prefix span's canonical rows), sorted by all their rows.
+    sibling f = prefix + top block that passes the H1 filter gets its own
+    verdict from tn_membership over every q-rational form.  Returns the
+    members' generator lists (f, then the prefix span's canonical rows),
+    sorted by all their rows.
     """
     import itertools
 
@@ -247,7 +247,7 @@ def flat_prefix_scan(e0, q, n):
                 for top_coeffs in itertools.product(range(q), repeat=len(top)):
                     f = TruncatedPoly(n_vars, field, n, {**terms, **dict(zip(top, top_coeffs))})
                     J = IdealPresentation([f], n_vars, field, n)
-                    if isinstance(tn_membership(J, n, e0, forms=forms, h1=h1), TnFailure):
+                    if isinstance(tn_membership(J, n, e0, forms=forms), TnFailure):
                         continue
                     key = tuple(tuple(sorted(row.items()))
                                 for row in [table.vector_of(f)] + rows)

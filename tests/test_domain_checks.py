@@ -9,7 +9,9 @@ from curvemoduli.branches import Branch, Parametrization, PrecisionError
 from curvemoduli.deform import DualPoly, FirstOrderDeformation, colon, flatness_direct
 from curvemoduli.idealcalc import IdealPresentation
 from curvemoduli.ringcore import QQ, LevelError, parse_poly
-from curvemoduli.trunctower import CellIndex, admissible_range, cell_membership, hilbert_stratum_check
+from curvemoduli.trunctower import (
+    CellIndex, admissible_range, cell_membership, hilbert_stratum_check, tn_membership,
+)
 
 
 def ideal(gens, level, n_vars=2):
@@ -51,6 +53,9 @@ CASES = {
     "cell-q-9": (
         lambda: cell_membership(ideal(["x2^2 - x1^3"], 5), 5, CellIndex((1, 2), (4, 5), 9), 2),
         ValueError, "q must index one of the 3 candidate forms"),
+    "tn-no-candidate-forms": (
+        lambda: tn_membership(ideal(["x2^2 - x1^3"], 6), 6, 2, forms=[]),
+        ValueError, "need at least one candidate form"),
     "stratum-F-missing-in-window": (
         lambda: hilbert_stratum_check(ideal(["x2^2 - x1^3"], 8), {0: 1, 2: 5}, 1),
         ValueError, "F must be given at t = 1 for the window of r = 1"),

@@ -632,9 +632,9 @@ ORACLE_CELLS = [(1, 2, n) for n in range(3, 8)] + [(1, 3, n) for n in range(3, 6
 
 
 class TestEnumerateSharedSpans:
-    """The scan shares each lead form's H1 values and each prefix's rows
-    between sibling candidates; these compare it with the scan that builds
-    every candidate from scratch."""
+    """The scan shares the job's H1 values, each lead form's verdict and
+    each prefix's rows between sibling candidates; these compare it with
+    the scan that builds every candidate from scratch."""
 
     @pytest.mark.parametrize("e0, q, n", ORACLE_CELLS, ids=str)
     def test_ordered_members_equal_the_candidate_by_candidate_scan(self, e0, q, n):
@@ -645,13 +645,13 @@ class TestEnumerateSharedSpans:
 
     @pytest.mark.parametrize("e0, q, n", [(1, 2, 5), (1, 3, 4), (2, 2, 5), (2, 3, 4)], ids=str)
     def test_every_verdict_and_length_equal_the_standalone_ones(self, e0, q, n, monkeypatch):
-        # each call the enumerator makes, with its lead form's H1 values,
-        # must return what tn_membership returns on the bare ideal over
-        # every q-rational form (the same form L, the first in form order
-        # that passes the length condition, with the same length and
-        # degrees); the forms passed must be a prefix of that list, those
-        # H1 values must be the ideal's own, and the length of every form
-        # passed must be dim R/(J+(L)+M^n) computed by dense elimination
+        # the enumerator makes one call per lead form, on (lead) + M^n; its
+        # verdict must be what tn_membership returns on the bare ideal of
+        # every candidate over that lead form over every q-rational form
+        # (the same form L, the first in form order that passes the length
+        # condition, with the same length and degrees); the forms passed
+        # must be a prefix of that list, and the length of every form passed
+        # must be dim R/(J+(L)+M^n) computed by dense elimination
         import curvemoduli.trunctower as tt
         from oracles import dense_ideal_h1
 
@@ -659,20 +659,26 @@ class TestEnumerateSharedSpans:
         in_order = all_projective_linear_forms(2, GF(q), n)
         calls = []
 
-        def checked(ideal, n_, e0_, forms, h1):
-            res = standalone(ideal, n_, e0_, forms=forms, h1=h1)
-            alone = standalone(ideal, n_, e0_, forms=in_order)
-            lengths = [_length_with_form(ideal, L) for L in forms]
-            calls.append((type(res), res.to_json(), forms, h1, lengths) ==
-                         (type(alone), alone.to_json(), in_order[:len(forms)],
-                          DegreeSpans(ideal, n_).h1_values(),
-                          [dense_ideal_h1(ideal.generators + [L], n_)[-1] for L in forms]))
+        def recorded(ideal, n_, e0_, forms):
+            res = standalone(ideal, n_, e0_, forms=forms)
+            calls.append((ideal, res, forms))
             return res
 
-        monkeypatch.setattr(tt, "tn_membership", checked)
+        monkeypatch.setattr(tt, "tn_membership", recorded)
         res = enumerate_xi(2, e0, n, GF(q))
-        assert calls and all(calls)
-        assert res.count == len(calls)  # e0 <= 2: every class passing the filter is a member
+        assert [ideal.generators for ideal, _, _ in calls] == [[lead] for lead in lead_forms(e0, n, q)]
+        candidates = {}
+        for prefix, siblings in scanned_prefixes(e0, n, q):
+            candidates.setdefault(prefix.homogeneous_part(e0), []).extend(siblings)
+        for ideal, verdict, forms in calls:
+            assert forms == in_order[:len(forms)]
+            assert [_length_with_form(ideal, L) for L in forms] == \
+                [dense_ideal_h1(ideal.generators + [L], n)[-1] for L in forms]
+            for f in candidates[ideal.generators[0]]:
+                alone = standalone(IdealPresentation([f], 2, GF(q), n), n, e0, forms=in_order)
+                assert (type(verdict), verdict.to_json()) == (type(alone), alone.to_json()), poly_str(f)
+        # e0 <= 2: every lead form passes, so every candidate is a member
+        assert res.count == sum(len(fs) for fs in candidates.values())
 
     @pytest.mark.parametrize("e0, q, n", [
         (1, 2, 3), (1, 2, 4), (1, 3, 3), (1, 3, 4), (2, 2, 4), (2, 2, 5), (2, 3, 4), (3, 2, 5),
@@ -704,6 +710,57 @@ class TestEnumerateSharedSpans:
             for f in siblings:
                 top = {table.index[m]: c for m, c in f.terms.items() if m not in prefix_poly.terms}
                 assert {**pres, **top} == base.reduce(table.vector_of(f)), poly_str(f)
+
+
+class TestOneVerdictPerLeadForm:
+    """The enumerator decides T_n once per lead form, on (lead) + M^n: the
+    verdict of (f) + M^n depends on f's lead form only."""
+
+    @pytest.mark.parametrize("e0, q, n", [(1, 3, 4), (2, 2, 5), (2, 3, 4)], ids=str)
+    def test_one_call_per_lead_form(self, e0, q, n, monkeypatch):
+        import curvemoduli.trunctower as tt
+
+        standalone = tt.tn_membership
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return standalone(*args, **kwargs)
+
+        monkeypatch.setattr(tt, "tn_membership", counted)
+        enumerate_xi(2, e0, n, GF(q))
+        assert len(calls) == (q ** (e0 + 1) - 1) // (q - 1)
+
+    @pytest.mark.parametrize("e0, q, n, which", [(1, 3, 4, 1), (2, 2, 5, 2), (2, 3, 4, 5)], ids=str)
+    def test_a_failing_lead_form_skips_its_tree(self, e0, q, n, which, monkeypatch):
+        # no lead form fails through the API while the job's H1 filter
+        # returns early for e0 >= 3, so one is made to fail here: its
+        # candidates must leave the members, the others stay as they are,
+        # and its tree of tail blocks must never be walked
+        import curvemoduli.trunctower as tt
+
+        field = GF(q)
+        unpatched = enumerate_xi(2, e0, n, field).ideals
+        failing = list(lead_forms(e0, n, q))[which]
+        standalone, walk = tt.tn_membership, tt._prefix_tree
+        walked = []
+
+        def verdict(ideal, n_, e0_, forms):
+            if ideal.generators == [failing]:
+                return TnFailure(1, None, "failed on purpose")
+            return standalone(ideal, n_, e0_, forms=forms)
+
+        def tree(table, field_, lead_terms, blocks, scalars):
+            walked.append(TruncatedPoly(2, field_, table.level, lead_terms))
+            return walk(table, field_, lead_terms, blocks, scalars)
+
+        monkeypatch.setattr(tt, "tn_membership", verdict)
+        monkeypatch.setattr(tt, "_prefix_tree", tree)
+        got = enumerate_xi(2, e0, n, field).ideals
+        kept = [J for J in unpatched if J.generators[0].homogeneous_part(e0) != failing]
+        assert len(kept) < len(unpatched)
+        assert [J.generators for J in got] == [J.generators for J in kept]
+        assert failing not in walked and len(walked) == (q ** (e0 + 1) - 1) // (q - 1) - 1
 
 
 def enum_tier_cells():
