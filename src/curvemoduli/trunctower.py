@@ -19,13 +19,13 @@ an explicit level argument; every verdict records the level it was checked at.
 
 import itertools
 from collections import namedtuple
-from fractions import Fraction
 from math import comb
 
 from .ringcore import (
     Echelon,
     LevelError,
     TruncatedPoly,
+    _add_multiples,
     count_monomials_upto,
     monomial_table,
     monomials_of_degree,
@@ -113,11 +113,11 @@ def candidate_forms(n_vars, e0, field, level):
     In the plane the moment-curve forms x1 + j*x2, j <= e0, are the first
     e0+1 points of P^1(F_p) in the order of `all_projective_linear_forms`.
     For J = (f) + M^n with f of order e0, a form L has length e0 exactly
-    when f's lead form does not vanish on the line L = 0
-    (`_length_with_form`), and distinct forms have distinct lines.  A
-    nonzero binary form of degree e0 vanishes on no more than e0 of them,
-    so one of the first e0+1 forms passes: the verdict, and the first
-    passing form, are those of the scan over all p+1 forms.
+    when f's lead form does not vanish on the line L = 0 (R/(L) = k[u],
+    the argument at `enumerate_xi`), and distinct forms have distinct
+    lines.  A nonzero binary form of degree e0 vanishes on no more than e0
+    of them, so one of the first e0+1 forms passes: the verdict, and the
+    first passing form, are those of the scan over all p+1 forms.
     """
     s = e0 * (n_vars - 1) + 1
     if field.char and field.char < s:
@@ -151,44 +151,32 @@ def cm_superficial_test(ideal, L, e0):
 
     For a one-dimensional local ring of multiplicity e0 this length is always
     >= e0, with equality exactly when the ring is Cohen-Macaulay and L is a
-    degree-one superficial element.
+    degree-one superficial element.  The length is `_length_with_form` on
+    the span of I at level e0+1.
     """
     _check_e0(e0)
     level = e0 + 1
-    length = _length_with_form(ideal.truncated(level), L)
+    length = _length_with_form(DegreeSpans(ideal, level), L)
     cert = SuperficialCertificate(L.truncate_to(level), length, [], e0, level)
     return length <= e0, cert
 
 
-def _length_with_form(J, L):
-    """dim R/(J + (L) + M^n) for an ideal J at level n.
+def _length_with_form(spans, L):
+    """dim R/(J + (L) + M^n), for `spans` the DegreeSpans of J at level n.
 
-    Plane route: L = a*x1 + b*x2 is a nonzero linear form in N = 2.  Then
-    R/(L) = k[u] by x1 -> c*u, x2 -> u with c = -b/a (x1 -> u, x2 -> 0 when
-    a = 0), the image of J is (u^k) for k the least order of a generator's
-    image, and the length is min(n, k).
-    Span route, for every other L: the colength at degree n-1 of the span
-    of (L) + J, with L first, so the kernel's pivot skip leaves out J's
-    multiples x^a*g at the pivots of (L).  L is cut to level n first, so a
-    level below n is rejected; on the span route it is checked like any
-    generator, so a zero or a unit is rejected too.
+    L is cut to level n, so a level below n is rejected, and checked like a
+    generator of J, so a zero, a unit or another ambient is rejected too.
+    The length is the colength of J's span with L's multiples added to a
+    copy of it: J + M^n spans an ideal of R/M^n, so the kernel's pivot skip
+    leaves out the x^a*L at its pivots (the proof is in the `idealcalc`
+    module docstring), and `spans` is left as it was.
     """
-    n, field = J.level, J.field
+    n, ideal = spans.level, spans.ideal
     L = L.truncate_to(n)
-    linear = L.terms and all(sum(m) == 1 for m in L.terms)
-    if linear and (J.n_vars, L.n_vars, L.field) == (2, 2, field):
-        a, b = L.terms.get((1, 0), 0), L.terms.get((0, 1), 0)
-        u1, u2 = (field.of(Fraction(-b, a)), 1) if a else (1, 0)
-        k = n
-        for g in J.generators:
-            image = {}  # coefficient of u^d in g(u1*u, u2*u), for d < k
-            for (i, j), v in g.terms.items():
-                if i + j < k:
-                    image[i + j] = image.get(i + j, 0) + v * u1 ** i * u2 ** j
-            k = min((d for d, v in image.items() if field.of(v)), default=k)
-        return k
-    spans = DegreeSpans(IdealPresentation([L] + J.generators, J.n_vars, field, n), n)
-    return spans.h1(n - 1)
+    IdealPresentation([L], ideal.n_vars, ideal.field, n)  # raises on a bad generator
+    ech = spans.ech.copy()
+    _add_multiples(spans.table, ech, L)
+    return spans.table.offset[n] - ech.rank
 
 
 def tn_membership(ideal, n, e0, forms=None):
@@ -202,9 +190,8 @@ def tn_membership(ideal, n, e0, forms=None):
     s = e0(N-1)+1 scalars only F_p-rational forms are scanned, so the
     condition-1 detail says that a form over an extension field may still
     pass.  The slice dimensions are read off the H1 values of the span of
-    J + M^n.  Each length is `_length_with_form` of J at level n, which
-    `IdealPresentation.truncated` gives: the ideal itself when it is
-    already there, as every lead form's ideal of the enumerator is.
+    J + M^n, and each form's length off a copy of that same span
+    (`_length_with_form`), so J's multiples are inserted once per call.
 
     Why (1) implies (2).  Let A = R/(J+M^n), so M^t A/M^{t+1} A is the
     slice of degree t, of dimension e0 for e0-1 <= t <= n-1.
@@ -222,8 +209,8 @@ def tn_membership(ideal, n, e0, forms=None):
     _check_tn_level(n, e0)
     if forms is not None and not forms:
         raise ValueError("need at least one candidate form")
-    ideal = ideal.truncated(n)
-    h1 = DegreeSpans(ideal, n).h1_values()
+    spans = DegreeSpans(ideal, n)
+    ideal, h1 = spans.ideal, spans.h1_values()
     # slice dimensions are independent of L: check them once up front
     for t in range(e0 - 1, n):
         h0 = h1[t] - (h1[t - 1] if t > 0 else 0)
@@ -233,7 +220,7 @@ def tn_membership(ideal, n, e0, forms=None):
         forms = candidate_forms(ideal.n_vars, e0, ideal.field, n)
     best_length = None
     for L in forms:
-        length = _length_with_form(ideal, L)
+        length = _length_with_form(spans, L)
         if best_length is None or length < best_length:
             best_length = length
         if length <= e0:
@@ -555,9 +542,11 @@ def enumerate_xi(n_vars, e0, n, field, e1=None, budget=2_000_000):
     that fails skips its pivots and its whole tree, and every candidate
     over one that passes is a member, with no verdict of its own.  The
     slice dimensions of (f) + M^n are the H1 values above, the same for
-    every candidate and for the lead form alone.  The plane length on the
-    line L = 0, through the point (c : 1), is min(n, ord f(c*u, u))
-    (`_length_with_form`; the point is (1 : 0) for L = x2).  That order is
+    every candidate and for the lead form alone.  The line L = 0 passes
+    through a point (c : 1), or (1 : 0) for L = x2, and R/(L) = k[u] by
+    x1 -> c*u, x2 -> u (x1 -> u, x2 -> 0 for L = x2).  The image of J is
+    (u^k), k the order of f's image f(c*u, u), so the length of L is
+    min(n, k).  That order is
     >= e0, with equality exactly when f_e0 does not vanish at the point,
     for f and for f_e0 alike.  So a form reaches length <= e0 for f
     exactly when it does for f_e0: the verdict and the first passing form,

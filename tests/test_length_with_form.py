@@ -1,8 +1,10 @@
-"""`_length_with_form(J, L)` is dim R/(J+(L)+M^n) for an ideal J at level n.
-A linear L in the plane takes the plane route: R/(L) = k[u], and the
-length is min(n, k) for (u^k) the image of J.  Every other L takes the
-span route: the colength of the span of (L) + J at degree n-1.  Both must
-give the dense H1 of J + (L) at the top degree, which builds no span."""
+"""`_length_with_form(spans, L)` is dim R/(J+(L)+M^n), for `spans` the
+DegreeSpans of an ideal J at level n.  There is one route: L's multiples
+are added to a copy of J's span, and the length is the colength of that
+copy.  It must give the dense H1 of J + (L) at the top degree, which
+builds no span.  Each test builds one span per J and reads J's forms off
+it; `test_every_projective_form` reads every projective form off one
+span, so a length that changed the span fails there."""
 
 from fractions import Fraction
 
@@ -11,7 +13,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from curvemoduli.idealcalc import IdealPresentation  # noqa: E402
+from curvemoduli.idealcalc import DegreeSpans, IdealPresentation  # noqa: E402
 from curvemoduli.ringcore import (  # noqa: E402
     GF, QQ, LevelError, TruncatedPoly, monomials_of_degree, parse_poly,
 )
@@ -52,17 +54,22 @@ def ideal_with_multiples(data, L):
     return IdealPresentation(gens, n_vars, field, level)
 
 
-def assert_dense_length(J, L):
-    assert _length_with_form(J, L) == dense_ideal_h1(J.generators + [L], J.level)[-1]
+def assert_dense_length(spans, L):
+    J = spans.ideal
+    assert _length_with_form(spans, L) == dense_ideal_h1(J.generators + [L], J.level)[-1]
 
 
 @pytest.mark.parametrize("field, index", PROJECTIVE_FORMS, ids=str)
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
-def test_plane_route_every_projective_form(data, field, index):
+def test_every_projective_form(data, field, index):
+    # J has multiples of one form; every projective form is read off J's span
     level = data.draw(st.integers(3, 8))
-    L = all_projective_linear_forms(2, field, level)[index]
-    assert_dense_length(ideal_with_multiples(data, L), L)
+    forms = all_projective_linear_forms(2, field, level)
+    J = ideal_with_multiples(data, forms[index])
+    spans = DegreeSpans(J, level)
+    for L in forms:
+        assert_dense_length(spans, L)
 
 
 @st.composite
@@ -75,10 +82,10 @@ def rational_linear_forms(draw, level):
 
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
-def test_plane_route_rational_forms(data):
+def test_rational_linear_forms(data):
     level = data.draw(st.integers(3, 8))
     L = data.draw(rational_linear_forms(level))
-    assert_dense_length(ideal_with_multiples(data, L), L)
+    assert_dense_length(DegreeSpans(ideal_with_multiples(data, L), level), L)
 
 
 @pytest.mark.parametrize("field, index", PROJECTIVE_FORMS, ids=str)
@@ -88,37 +95,38 @@ def test_generators_on_the_line_give_length_n(data, field, index):
     level = data.draw(st.integers(3, 8))
     L = all_projective_linear_forms(2, field, level)[index]
     J = IdealPresentation(data.draw(st.lists(multiples(L), max_size=3)), 2, field, level)
-    assert _length_with_form(J, L) == level
-    assert_dense_length(J, L)
+    spans = DegreeSpans(J, level)
+    assert _length_with_form(spans, L) == level
+    assert_dense_length(spans, L)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_span_route_plane_nonlinear_form(data, field):
+def test_plane_nonlinear_form(data, field):
     level = data.draw(st.integers(3, 7))
     L = data.draw(polys(2, field, level).filter(lambda p: any(sum(m) > 1 for m in p.terms)))
-    assert_dense_length(ideal_with_multiples(data, L), L)
+    assert_dense_length(DegreeSpans(ideal_with_multiples(data, L), level), L)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_span_route_three_variables(data, field):
+def test_three_variables(data, field):
     level = data.draw(st.integers(3, 5))
     L = data.draw(polys(3, field, level))
-    assert_dense_length(ideal_with_multiples(data, L), L)
+    assert_dense_length(DegreeSpans(ideal_with_multiples(data, L), level), L)
 
 
 @pytest.mark.parametrize("text, match", [("0", "zero generator"), ("1 + x1", "is a unit")],
                          ids=["zero", "unit"])
 def test_form_is_checked_like_a_generator(text, match):
-    J = IdealPresentation([parse_poly("x1^3", 2, QQ, 6)])
+    spans = DegreeSpans(IdealPresentation([parse_poly("x1^3", 2, QQ, 6)]), 6)
     with pytest.raises(ValueError, match=match):
-        _length_with_form(J, parse_poly(text, 2, QQ, 6))
+        _length_with_form(spans, parse_poly(text, 2, QQ, 6))
 
 
 def test_form_below_the_level_is_rejected():
-    J = IdealPresentation([parse_poly("x1^3", 2, QQ, 6)])
+    spans = DegreeSpans(IdealPresentation([parse_poly("x1^3", 2, QQ, 6)]), 6)
     with pytest.raises(LevelError):
-        _length_with_form(J, parse_poly("x1 + x2", 2, QQ, 4))
+        _length_with_form(spans, parse_poly("x1 + x2", 2, QQ, 4))

@@ -127,9 +127,9 @@ def random_ideal_and_forms(rng, n_vars, field, level):
 
 
 class TestLengthWithForm:
-    """dim R/(J+(L)+M^n), read on the line L = 0 for a linear L in the
-    plane and as a colength of the span of (L) + J otherwise, must equal
-    the dense H1 of J+(L) at the top degree."""
+    """dim R/(J+(L)+M^n), read off a copy of J's span with L's multiples
+    added, must equal the dense H1 of J+(L) at the top degree; one span of
+    J serves all of J's forms."""
 
     @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
     @pytest.mark.parametrize("n_vars,level", [(2, 7), (3, 5)])
@@ -138,9 +138,10 @@ class TestLengthWithForm:
         rng = random.Random(17 + n_vars)
         for _ in range(3):
             I, forms = random_ideal_and_forms(rng, n_vars, field, level)
+            spans = DegreeSpans(I, level)
             for L in forms:
                 want = dense_ideal_h1(I.generators + [L], level)[-1]
-                assert _length_with_form(I, L) == want, (I, L)
+                assert _length_with_form(spans, L) == want, (I, L)
 
 
 class TestTnMembership:
@@ -218,6 +219,30 @@ class TestTnMembership:
             tn_membership(ideal(["x1^3"], level=6), 6, 3, forms=[parse_poly("1 + x1", 2, QQ, 6)])
         with pytest.raises(ValueError, match="zero generator"):
             tn_membership(ideal(["x2"], level=4), 4, 1, forms=[parse_poly("x1^9", 2, QQ, 12)])
+
+    def test_forms_share_the_span_of_j(self, monkeypatch):
+        # x1 fails first on this curve, so two forms are scanned; each adds
+        # only its own multiples to a copy of J's span, so the whole call
+        # inserts fewer vectors than two spans of J
+        from curvemoduli.ringcore import Echelon
+        I = ideal(["x3^3 - x1*x2", "x2^2 - x1*x3", "x1^2 - x3^2*x2"],
+                  n_vars=3, field=GF(101), level=12)
+        adds = []
+        insert = Echelon.add
+
+        def counted(self, vec):
+            adds.append(1)
+            return insert(self, vec)
+
+        monkeypatch.setattr(Echelon, "add", counted)
+        DegreeSpans(I, 12)
+        one_span = len(adds)
+        adds.clear()
+        res = tn_membership(I, 12, 3)
+        assert not isinstance(res, TnFailure)
+        assert poly_str(res.L) == "x1 + x2 + x3"
+        assert res.length_with_L == 3
+        assert len(adds) < 2 * one_span
 
     def test_membership_survives_truncation(self):
         gens, n_vars, e0 = ["x2^2 - x1^3"], 2, 2
@@ -672,7 +697,8 @@ class TestEnumerateSharedSpans:
             candidates.setdefault(prefix.homogeneous_part(e0), []).extend(siblings)
         for ideal, verdict, forms in calls:
             assert forms == in_order[:len(forms)]
-            assert [_length_with_form(ideal, L) for L in forms] == \
+            spans = DegreeSpans(ideal, n)
+            assert [_length_with_form(spans, L) for L in forms] == \
                 [dense_ideal_h1(ideal.generators + [L], n)[-1] for L in forms]
             for f in candidates[ideal.generators[0]]:
                 alone = standalone(IdealPresentation([f], 2, GF(q), n), n, e0, forms=in_order)
