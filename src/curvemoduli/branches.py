@@ -12,6 +12,7 @@ from math import gcd
 
 from .ringcore import (
     Echelon,
+    LevelError,
     TruncatedPoly,
     kernel_basis,
     monomial_table,
@@ -186,27 +187,31 @@ class Parametrization:
         return cls([Branch.parse(ts, precision, field) for ts in branch_texts])
 
 
-def _required_precision(param, level):
-    return level * max(b.max_order() for b in param.branches)
-
-
 class _Substitution:
     """Images of monomials under the branch substitution, weight-pruned.
 
     A monomial x^a substitutes, on each branch, to a series of order
     sum_i a_i * order(component_i); only monomials whose order stays below
-    some branch precision have a nonzero image, so the enumeration runs over
-    that (finite) weight-bounded set instead of all monomials of a degree.
-    Images are built by one-step products from a parent monomial.  `high`
-    is the echelon span of the images of M^level, built once: the
-    Hilbert pass copies it, the ideal's kernel is seeded with it.  Its
-    images go in top degree first (short images of high t-order first: on
-    the Hilbert pass this measured up to 2x cheaper than ascending).
+    some branch precision (`alive`) have a nonzero image, so the walk keeps
+    every monomial of degree < level and, above it, only the alive ones.
+    That set is closed under lowering an exponent, so each monomial has one
+    parent, itself with its first nonzero exponent lowered, and its image is
+    the parent's times that component.  A parent's children raise an
+    exponent at or before its first nonzero one (the root's, any exponent),
+    so every monomial is built exactly once; the walk holds the series of
+    one degree at a time and stops at the first degree with no children.
+    `vectors[mono]` is each image flattened once by `vector_of`, the one
+    owner of the column layout; `by_degree[d]` lists the degree-d monomials
+    in ascending order.  `high` is the echelon span of the images of
+    M^level, built once: the Hilbert pass copies it, the ideal's kernel is
+    seeded with it.  Its images go in top degree first (short images of
+    high t-order first: on the Hilbert pass this measured up to 2x cheaper
+    than ascending).
     """
 
     def __init__(self, param, level):
         check_level(level)
-        need = _required_precision(param, level)
+        need = level * max(b.max_order() for b in param.branches)
         for b in param.branches:
             if b.precision < need:
                 raise PrecisionError(
@@ -214,7 +219,6 @@ class _Substitution:
                     f" (= level {level} * max t-order)"
                 )
         self.field = param.field
-        n_vars = param.n_vars
         branches = param.branches
         self.offsets = []
         acc = 0
@@ -242,40 +246,37 @@ class _Substitution:
                     return True
             return False
 
-        # enumerate the weight-bounded monomial set, by ascending degree so a
-        # parent with one exponent lowered is always already present
-        root = (0,) * n_vars
-        self.images = {root: [TruncatedPoly.constant(1, 1, self.field, b.precision)
-                              for b in branches]}
-        self.by_degree = {0: [root]}
-        frontier = [root]
+        root = (0,) * param.n_vars
+        series = {root: [TruncatedPoly.constant(1, 1, self.field, b.precision)
+                         for b in branches]}
+        self.vectors = {}
+        self.by_degree = {}
         d = 0
-        while frontier:
-            d += 1
-            nxt = set()
-            for mono in frontier:
-                for j in range(n_vars):
-                    child = tuple(a + (1 if k == j else 0) for k, a in enumerate(mono))
-                    if sum(child) < level or alive(child):
-                        nxt.add(child)
-            frontier = sorted(nxt)
-            self.by_degree[d] = frontier
-            for mono in frontier:
-                j = next(k for k, a in enumerate(mono) if a > 0)
-                parent = tuple(a - (1 if k == j else 0) for k, a in enumerate(mono))
-                self.images[mono] = [
-                    img * b.components[j]
-                    for img, b in zip(self.images[parent], branches)
-                ]
-        self.max_degree = d - 1  # by_degree[d] is the empty last frontier
-        self.high = Echelon(self.field)
-        for d in range(self.max_degree, level - 1, -1):
+        while series:
+            self.by_degree[d] = sorted(series)
             for mono in self.by_degree[d]:
-                self.high.add(self.image_vector(mono))
+                self.vectors[mono] = self.vector_of(series[mono])
+            d += 1
+            children = {}
+            for mono, imgs in series.items():
+                first = next((k for k, a in enumerate(mono) if a), len(mono) - 1)
+                for j in range(first + 1):
+                    child = mono[:j] + (mono[j] + 1,) + mono[j + 1:]
+                    if d < level or alive(child):
+                        children[child] = [
+                            img * b.components[j] for img, b in zip(imgs, branches)
+                        ]
+            series = children
+        self.high = Echelon(self.field)
+        for d in range(len(self.by_degree) - 1, level - 1, -1):
+            for mono in self.by_degree[d]:
+                self.high.add(self.vectors[mono])
 
-    def image_vector(self, mono):
+    def vector_of(self, series):
+        """The column vector of one series per branch: the coefficient of t^k
+        on branch b sits at column offsets[b] + k."""
         vec = {}
-        for off, img in zip(self.offsets, self.images[mono]):
+        for off, img in zip(self.offsets, series):
             for (k,), c in img.terms.items():
                 vec[off + k] = c
         return vec
@@ -295,14 +296,10 @@ def ideal_from_param(param, level, sub=None):
     sub = sub or _Substitution(param, level)
     high_span = sub.high
     table = monomial_table(param.n_vars, level)
-    kernel = kernel_basis(high_span, map(sub.image_vector, table.monos), sub.t_cols)
+    kernel = kernel_basis(high_span, (sub.vectors[m] for m in table.monos), sub.t_cols)
     gens = [table.poly_of(row, param.field) for row in kernel]
     for g in gens:
-        residual = {}
-        for bi, branch in enumerate(param.branches):
-            img = evaluate_on_branch(g, branch)
-            for (k,), c in img.terms.items():
-                residual[sub.offsets[bi] + k] = c
+        residual = sub.vector_of([evaluate_on_branch(g, b) for b in param.branches])
         if not high_span.contains(residual):
             raise AssertionError(
                 f"kernel generator {g} does not vanish on the branches modulo M^{level}"
@@ -311,8 +308,12 @@ def ideal_from_param(param, level, sub=None):
 
 
 def evaluate_on_branch(poly, branch):
-    """Substitute the branch components into a polynomial (truncated in t)."""
+    """Substitute the branch components into a polynomial (truncated in t).
+
+    The polynomial must live in the branch's ambient over its field."""
     field = branch.field
+    if (poly.n_vars, poly.field) != (branch.n_vars, field):
+        raise LevelError("polynomial and branch disagree on ambient or field")
     out = TruncatedPoly.zero(1, field, branch.precision)
     for mono, c in poly.terms.items():
         prod = TruncatedPoly.constant(c, 1, field, branch.precision)
@@ -336,7 +337,7 @@ def hilbert_from_param(param, level, sub=None):
     rank_geq = [0] * level + [ech.rank]
     for d in range(level - 1, -1, -1):
         for mono in sub.by_degree[d]:
-            ech.add(sub.image_vector(mono))
+            ech.add(sub.vectors[mono])
         rank_geq[d] = ech.rank
     return analyze_h1([rank_geq[0] - rank_geq[t + 1] for t in range(level)])
 
@@ -400,14 +401,16 @@ def delta_from_param(param):
         )
         sub = _Substitution(clipped, 1)
         ech = sub.high
-        ech.add(sub.image_vector((0,) * param.n_vars))
-        total = sum(b.precision for b in clipped.branches)
-        codim = total - ech.rank
+        ech.add(sub.vectors[(0,) * param.n_vars])
+        codim = sub.t_cols - ech.rank
+        zero = TruncatedPoly.zero(1, field, m)
         missing_max = -1
-        for off, b in zip(sub.offsets, clipped.branches):
-            for k in range(b.precision):
-                if not ech.contains({off + k: field.one()}):
-                    missing_max = max(missing_max, k)
+        for k in range(m):
+            t_k = TruncatedPoly(1, field, m, {(k,): 1})
+            for bi in range(param.r):
+                if not ech.contains(sub.vector_of([t_k if i == bi else zero
+                                                   for i in range(param.r)])):
+                    missing_max = k
         c = missing_max + 1
         if m - c >= step:
             return codim

@@ -222,9 +222,8 @@ def cmd_stratum(args):
 
 
 def cmd_superficial(args):
-    level = max(args.level, args.e0 + 1)
-    ideal = _ideal(args, args.ideal, level)
-    L = rc.parse_poly(args.L, args.N, ideal.field, level)
+    ideal = _ideal(args, args.ideal, args.level)
+    L = rc.parse_poly(args.L, args.N, ideal.field, args.level)
     ok, cert = tt.cm_superficial_test(ideal, L, args.e0)
     payload = cert.to_json()
     payload["superficial_and_cm"] = ok

@@ -1,12 +1,15 @@
 import random
+from itertools import product
 
 import pytest
 
 from curvemoduli.branches import (
+    Branch,
     Parametrization,
     PrecisionError,
     _Substitution,
     delta_from_param,
+    evaluate_on_branch,
     hilbert_from_param,
     ideal_from_param,
     is_rigid_known,
@@ -16,7 +19,7 @@ from curvemoduli.branches import (
     valuation_h1,
 )
 from curvemoduli.idealcalc import DegreeSpans, IdealPresentation, hilbert_data
-from curvemoduli.ringcore import GF, QQ, parse_poly, poly_str
+from curvemoduli.ringcore import GF, QQ, LevelError, TruncatedPoly, parse_poly, poly_str
 
 
 def param(branches, precision):
@@ -126,6 +129,88 @@ class TestIdealFromParam:
         assert spans.contains(parse_poly("x1*x2", 2, QQ, 5))
         hd = hilbert_from_param(P, 5)
         assert (hd.e0, hd.e1) == (2, 1)
+
+
+def random_substitution_case(rng):
+    """A random parametrization and level: 1-3 branches in N = 2-4 variables
+    over QQ or a GF(p), some components zero, each branch at its own
+    precision (at least the substitution's bound, and above every exponent
+    so that no component is cut)."""
+    n_vars = rng.randint(2, 4)
+    field = rng.choice([QQ, GF(5), GF(101)])
+    level = rng.randint(1, 3)
+    shapes = []
+    for _ in range(rng.randint(1, 3)):
+        nonzero = rng.randint(0, n_vars - 1)
+        # each component as {t-exponent: coefficient}; {} is a zero component
+        shapes.append([
+            {} if j != nonzero and rng.random() < 0.3 else
+            {o: rng.randint(1, 4) for o in (rng.randint(1, 3), rng.randint(2, 5))}
+            for j in range(n_vars)
+        ])
+    need = level * max(max(min(c) for c in comps if c) for comps in shapes)
+    branches = []
+    for comps in shapes:
+        prec = max(need, 6) + rng.randint(0, 3)
+        branches.append(Branch(
+            [TruncatedPoly(1, field, prec, {(k,): c for k, c in comp.items()}) for comp in comps],
+            prec,
+        ))
+    return Parametrization(branches), level
+
+
+class TestSubstitutionWalk:
+    """The one-parent walk against a brute-force count of the monomials it
+    must keep and a direct substitution of each one."""
+
+    @staticmethod
+    def kept(param, level, mono):
+        if sum(mono) < level:
+            return True
+        for b in param.branches:
+            used = [(a, c) for a, c in zip(mono, b.components) if a]
+            if (all(not c.is_zero() for _, c in used)
+                    and sum(a * c.order() for a, c in used) < b.precision):
+                return True
+        return False
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_walk_equals_brute_force(self, seed):
+        P, level = random_substitution_case(random.Random(seed))
+        sub = _Substitution(P, level)
+        # every component has order >= 1, so a kept monomial's degree is
+        # below level or below some precision
+        top = max([level] + [b.precision for b in P.branches])
+        expected = {m for m in product(range(top + 1), repeat=P.n_vars)
+                    if sum(m) <= top and self.kept(P, level, m)}
+        assert set(sub.vectors) == expected
+        assert sorted(sub.by_degree) == list(range(len(sub.by_degree)))
+        for d, monos in sub.by_degree.items():
+            assert monos == sorted(monos) and all(sum(m) == d for m in monos)
+        assert sorted(m for monos in sub.by_degree.values() for m in monos) == sorted(expected)
+        for m, vec in sub.vectors.items():
+            x_m = TruncatedPoly(P.n_vars, P.field, sum(m) + 1, {m: 1})
+            assert vec == sub.vector_of([evaluate_on_branch(x_m, b) for b in P.branches])
+
+    def test_cases_cover_fields_zero_components_and_precisions(self):
+        cases = [random_substitution_case(random.Random(seed))[0] for seed in range(12)]
+        assert {P.field.char for P in cases} == {0, 5, 101}
+        assert any(c.is_zero() for P in cases for b in P.branches for c in b.components)
+        assert any(len({b.precision for b in P.branches}) > 1 for P in cases)
+        assert {P.r for P in cases} == {1, 2, 3}
+        assert {P.n_vars for P in cases} == {2, 3, 4}
+
+
+class TestEvaluateOnBranch:
+    def test_other_ambient_is_rejected(self):
+        b = param([["t", "t^2"]], 6).branches[0]
+        with pytest.raises(LevelError, match="disagree on ambient or field"):
+            evaluate_on_branch(parse_poly("x1 + x3", 3, QQ, 6), b)
+
+    def test_other_field_is_rejected(self):
+        b = param([["t", "t^2"]], 6).branches[0]
+        with pytest.raises(LevelError, match="disagree on ambient or field"):
+            evaluate_on_branch(parse_poly("x1 + 1/2*x2", 2, GF(7), 6), b)
 
 
 class TestTwoRouteAgreement:

@@ -192,6 +192,14 @@ class TestSubcommands:
         )
         assert (code, out, err) == (2, "", "error: zero generator\n")
 
+    def test_superficial_never_extends_precision(self, capsys):
+        # the test runs at level e0+1; terms of degree >= --level are unknown
+        code, out, err = run(
+            capsys, "superficial", "--ideal", "x1^2 - x2^3", "--L", "x1", "--e0", "3",
+            "--level", "3",
+        )
+        assert (code, out, err) == (2, "", "error: cannot extend precision from 3 to 4\n")
+
     def test_cells(self, capsys):
         code, payload, _ = run_json(
             capsys, "cells", "--ideal", "x1^2", "--n", "5", "--e0", "2",
