@@ -8,6 +8,7 @@ it must agree with a pure valuation count on the semigroup.
 """
 
 from collections import namedtuple
+from itertools import accumulate
 from math import gcd
 
 from .ringcore import (
@@ -200,13 +201,14 @@ class _Substitution:
     exponent at or before its first nonzero one (the root's, any exponent),
     so every monomial is built exactly once; the walk holds the series of
     one degree at a time and stops at the first degree with no children.
-    `vectors[mono]` is each image flattened once by `vector_of`, the one
-    owner of the column layout; `by_degree[d]` lists the degree-d monomials
-    in ascending order.  `high` is the echelon span of the images of
-    M^level, built once: the Hilbert pass copies it, the ideal's kernel is
-    seeded with it.  Its images go in top degree first (short images of
-    high t-order first: on the Hilbert pass this measured up to 2x cheaper
-    than ascending).
+    Each image is flattened once by `vector_of`, the one owner of the column
+    layout.  Below the level the images are kept in the column order of
+    `table = monomial_table(N, level)`: `vectors[c]` is the image of
+    `table.monos[c]`.  `high` is the echelon span of the images of M^level,
+    built once: the Hilbert pass copies it, the ideal's kernel is seeded
+    with it.  Its images go in top degree first, ascending within a degree
+    (short images of high t-order first: on the Hilbert pass this measured
+    up to 2x cheaper than ascending), and are dropped once it is built.
     """
 
     def __init__(self, param, level):
@@ -220,42 +222,30 @@ class _Substitution:
                 )
         self.field = param.field
         branches = param.branches
-        self.offsets = []
-        acc = 0
-        for b in branches:
-            self.offsets.append(acc)
-            acc += b.precision
-        self.t_cols = acc
-        # per branch, per variable: order of the component (None for zero)
-        orders = [
-            [None if c.is_zero() else c.order() for c in b.components]
-            for b in branches
-        ]
+        self.offsets = list(accumulate((b.precision for b in branches), initial=0))
+        self.t_cols = self.offsets.pop()
+        # per branch, per variable: the order of the component, or the branch
+        # precision for a zero one, so that a monomial using it dies there
+        orders = [[b.precision if c.is_zero() else c.order() for c in b.components]
+                  for b in branches]
 
         def alive(mono):
-            for bi, b in enumerate(branches):
-                w = 0
-                for a, o in zip(mono, orders[bi]):
-                    if a == 0:
-                        continue
-                    if o is None:
-                        w = None
-                        break
-                    w += a * o
-                if w is not None and w < b.precision:
-                    return True
-            return False
+            return any(sum(a * o for a, o in zip(mono, os)) < b.precision
+                       for b, os in zip(branches, orders))
 
+        self.table = table = monomial_table(param.n_vars, level)
+        self.vectors = [None] * table.offset[level]
+        above = []  # per degree >= level, its images in ascending monomial order
         root = (0,) * param.n_vars
         series = {root: [TruncatedPoly.constant(1, 1, self.field, b.precision)
                          for b in branches]}
-        self.vectors = {}
-        self.by_degree = {}
         d = 0
         while series:
-            self.by_degree[d] = sorted(series)
-            for mono in self.by_degree[d]:
-                self.vectors[mono] = self.vector_of(series[mono])
+            if d < level:
+                for mono, imgs in series.items():
+                    self.vectors[table.index[mono]] = self.vector_of(imgs)
+            else:
+                above.append([self.vector_of(series[mono]) for mono in sorted(series)])
             d += 1
             children = {}
             for mono, imgs in series.items():
@@ -268,9 +258,9 @@ class _Substitution:
                         ]
             series = children
         self.high = Echelon(self.field)
-        for d in range(len(self.by_degree) - 1, level - 1, -1):
-            for mono in self.by_degree[d]:
-                self.high.add(self.vectors[mono])
+        while above:  # top degree first, each freed once inserted
+            for vec in above.pop():
+                self.high.add(vec)
 
     def vector_of(self, series):
         """The column vector of one series per branch: the coefficient of t^k
@@ -294,13 +284,11 @@ def ideal_from_param(param, level, sub=None):
     caller that already holds `_Substitution(param, level)` passes it as `sub`.
     """
     sub = sub or _Substitution(param, level)
-    high_span = sub.high
-    table = monomial_table(param.n_vars, level)
-    kernel = kernel_basis(high_span, (sub.vectors[m] for m in table.monos), sub.t_cols)
-    gens = [table.poly_of(row, param.field) for row in kernel]
+    kernel = kernel_basis(sub.high, sub.vectors, sub.t_cols)
+    gens = [sub.table.poly_of(row, param.field) for row in kernel]
     for g in gens:
         residual = sub.vector_of([evaluate_on_branch(g, b) for b in param.branches])
-        if not high_span.contains(residual):
+        if not sub.high.contains(residual):
             raise AssertionError(
                 f"kernel generator {g} does not vanish on the branches modulo M^{level}"
             )
@@ -334,10 +322,11 @@ def hilbert_from_param(param, level, sub=None):
     """
     sub = sub or _Substitution(param, level)
     ech = sub.high.copy()
+    offset = sub.table.offset
     rank_geq = [0] * level + [ech.rank]
     for d in range(level - 1, -1, -1):
-        for mono in sub.by_degree[d]:
-            ech.add(sub.vectors[mono])
+        for vec in sub.vectors[offset[d]:offset[d + 1]]:
+            ech.add(vec)
         rank_geq[d] = ech.rank
     return analyze_h1([rank_geq[0] - rank_geq[t + 1] for t in range(level)])
 
@@ -378,9 +367,12 @@ def delta_from_param(param):
     m - c is at least the order of some ring element positive on every
     branch, multiplying the witnesses by powers of that element covers all
     higher coordinates at every precision, and the part below c is stable
-    under truncation.  Components are only known to their stated precision,
-    so the scan is capped there and reports honestly when that is not
-    enough.
+    under truncation.  A coordinate lies in the span exactly when the
+    canonical row at its column is that unit vector (a vector of the span
+    with a unit at one pivot and zeros at every other pivot is that pivot's
+    row), so c is read off the rows.  Components are only known to their
+    stated precision, so the scan is capped there and reports honestly when
+    that is not enough.
     """
     cap = min(b.precision for b in param.branches)
     orders = _all_branch_positive_element(param)
@@ -394,24 +386,18 @@ def delta_from_param(param):
         min(c.order() for c in b.components if not c.is_zero()) + 1
         for b in param.branches
     )
-    field = param.field
     for m in range(start, cap + 1):
         clipped = Parametrization(
             [Branch([c.truncate_to(m) for c in b.components], m) for b in param.branches]
         )
         sub = _Substitution(clipped, 1)
         ech = sub.high
-        ech.add(sub.vectors[(0,) * param.n_vars])
+        ech.add(sub.vectors[0])
         codim = sub.t_cols - ech.rank
-        zero = TruncatedPoly.zero(1, field, m)
-        missing_max = -1
-        for k in range(m):
-            t_k = TruncatedPoly(1, field, m, {(k,): 1})
-            for bi in range(param.r):
-                if not ech.contains(sub.vector_of([t_k if i == bi else zero
-                                                   for i in range(param.r)])):
-                    missing_max = k
-        c = missing_max + 1
+        # t^k on one branch sits at column offsets[b] + k = b*m + k
+        rows = ech.rows
+        c = 1 + max((col % m for col in range(sub.t_cols) if rows.get(col) != {col: 1}),
+                    default=-1)
         if m - c >= step:
             return codim
     raise PrecisionError(

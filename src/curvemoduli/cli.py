@@ -73,18 +73,37 @@ def _emit(payload, table_lines=None, as_table=False):
         sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
-def _read_job(path, keys):
-    """The values of `keys` in a JSON job file; a file that cannot be read
-    or lacks a key is a precondition error."""
+def _is_texts(value):
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
+# what each key of a job file holds: (its description, its test); a bool is
+# not an integer
+INTEGER = ("an integer", lambda value: isinstance(value, int) and not isinstance(value, bool))
+TEXTS = ("a list of strings", _is_texts)
+BRANCHES = ("a list of lists of strings",
+            lambda value: isinstance(value, list) and all(map(_is_texts, value)))
+
+
+def _read_job(path, shapes):
+    """The values of the keys of `shapes` ({key: shape}) in a JSON job file.
+    A file that cannot be read, is not JSON, lacks a key or holds a value
+    of another shape is a precondition error that names the file."""
     try:
         with open(path) as fh:
             job = json.load(fh)
     except OSError as exc:
         raise ValueError(f"cannot read job file {path}: {exc.strerror}") from None
-    missing = [k for k in keys if not isinstance(job, dict) or k not in job]
+    except ValueError as exc:  # not JSON, or not text
+        raise ValueError(f"job file {path} is not JSON: {exc}") from None
+    missing = [k for k in shapes if not isinstance(job, dict) or k not in job]
     if missing:
         raise ValueError(f"job file {path} lacks {', '.join(missing)}")
-    return [job[k] for k in keys]
+    for key, (expected, fits) in shapes.items():
+        if not fits(job[key]):
+            raise ValueError(
+                f"job file {path}: {key} expects {expected}, got {json.dumps(job[key])}")
+    return [job[k] for k in shapes]
 
 
 def _require(args, *flags):
@@ -274,7 +293,7 @@ def cmd_enumerate(args):
 def cmd_param(args):
     field = _field(args.field)
     if args.job:
-        branch_texts, precision = _read_job(args.job, ["branches", "precision"])
+        branch_texts, precision = _read_job(args.job, {"branches": BRANCHES, "precision": INTEGER})
     else:
         _require(args, "branch", "precision")
         branch_texts = [b.split(",") for b in args.branch]
@@ -327,7 +346,7 @@ def cmd_deform(args):
     field = _field(args.field)
     if args.job:
         base_texts, pert_texts, e0, level = _read_job(
-            args.job, ["base", "perturbations", "e0", "level"])
+            args.job, {"base": TEXTS, "perturbations": TEXTS, "e0": INTEGER, "level": INTEGER})
     else:
         _require(args, "base", "perturb", "e0")
         base_texts, pert_texts = args.base, args.perturb

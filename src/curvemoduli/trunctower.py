@@ -31,7 +31,6 @@ from .ringcore import (
     monomials_of_degree,
     multiple_vector,
     poly_str,
-    span_of_multiples,
 )
 from .idealcalc import DegreeSpans, IdealPresentation, analyze_h1, hilbert_data, initial_ideal
 
@@ -526,9 +525,12 @@ def enumerate_xi(n_vars, e0, n, field, e1=None, budget=2_000_000):
     t < n, also at t < e0-1, where no plane curve of multiplicity e0 >= 3
     meets it: for e0 >= 3 the job returns count 0, a known defect that the
     benchmark probes, kept byte for byte until the filter is cut to
-    t >= e0-1 together with that probe.  Per lead form only the pivots of
-    the x^a*lead, |a| >= 1, are read: each multiple is homogeneous, so the
-    span is graded, and its pivots pick the transversal of every tail degree.
+    t >= e0-1 together with that probe.  Per lead form the transversal of
+    S_k*lead in degree e0+k is the monomials of that degree that low, the
+    lowest monomial of lead, does not divide: tuple order is a monomial
+    order, so x^a*lead has lowest monomial x^a*low, distinct for distinct
+    a, and those are the pivots of S_k*lead.  `_projective_points` puts a
+    1 first, so low sits at the index of the first 1.
 
     The tail blocks below the top degree n-1 are chosen degree by degree,
     down a tree whose nodes share their spans (`_prefix_tree`): a multiple
@@ -593,9 +595,10 @@ def enumerate_xi(n_vars, e0, n, field, e1=None, budget=2_000_000):
         verdict = tn_membership(IdealPresentation([lead], n_vars, field, n), n, e0, forms=forms)
         if isinstance(verdict, TnFailure):
             continue  # and so does every candidate over it
-        pivots = span_of_multiples(table, field, [lead], lo=1).pivots()
-        # per tail degree, monomials complementary to the pivots of S_k*lead
-        *lower, top = [[m for m in monomials_of_degree(n_vars, e0 + k) if table.index[m] not in pivots]
+        low = lead_monos[point.index(1)]
+        # per tail degree, the monomials that lead's lowest monomial does not divide
+        *lower, top = [[m for m in monomials_of_degree(n_vars, e0 + k)
+                        if any(a < b for a, b in zip(m, low))]
                        for k in range(1, n - e0)]
         for prefix, gens in _prefix_tree(table, field, lead_terms, lower, scalars):
             for top_coeffs in itertools.product(scalars, repeat=len(top)):

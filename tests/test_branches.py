@@ -19,7 +19,9 @@ from curvemoduli.branches import (
     valuation_h1,
 )
 from curvemoduli.idealcalc import DegreeSpans, IdealPresentation, hilbert_data
-from curvemoduli.ringcore import GF, QQ, LevelError, TruncatedPoly, parse_poly, poly_str
+from curvemoduli.ringcore import (
+    GF, QQ, Echelon, LevelError, TruncatedPoly, monomial_table, parse_poly, poly_str,
+)
 
 
 def param(branches, precision):
@@ -161,7 +163,9 @@ def random_substitution_case(rng):
 
 class TestSubstitutionWalk:
     """The one-parent walk against a brute-force count of the monomials it
-    must keep and a direct substitution of each one."""
+    must keep and a direct substitution of each one: below the level the
+    images in the monomial table's column order, at or above it the span
+    `high` of all of them."""
 
     @staticmethod
     def kept(param, level, mono):
@@ -183,14 +187,19 @@ class TestSubstitutionWalk:
         top = max([level] + [b.precision for b in P.branches])
         expected = {m for m in product(range(top + 1), repeat=P.n_vars)
                     if sum(m) <= top and self.kept(P, level, m)}
-        assert set(sub.vectors) == expected
-        assert sorted(sub.by_degree) == list(range(len(sub.by_degree)))
-        for d, monos in sub.by_degree.items():
-            assert monos == sorted(monos) and all(sum(m) == d for m in monos)
-        assert sorted(m for monos in sub.by_degree.values() for m in monos) == sorted(expected)
-        for m, vec in sub.vectors.items():
+
+        def image(m):
             x_m = TruncatedPoly(P.n_vars, P.field, sum(m) + 1, {m: 1})
-            assert vec == sub.vector_of([evaluate_on_branch(x_m, b) for b in P.branches])
+            return sub.vector_of([evaluate_on_branch(x_m, b) for b in P.branches])
+
+        table = monomial_table(P.n_vars, level)
+        assert sub.table is table
+        assert sub.vectors == [image(m) for m in table.monos]
+        high = Echelon(P.field)
+        for m in expected:
+            if sum(m) >= level:
+                high.add(image(m))
+        assert sub.high.basis() == high.basis()
 
     def test_cases_cover_fields_zero_components_and_precisions(self):
         cases = [random_substitution_case(random.Random(seed))[0] for seed in range(12)]

@@ -497,6 +497,38 @@ class TestJobFiles:
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith("error: job file") and proc.stderr.count("\n") == 1
 
+    CUSP = {"branches": [["t^2", "t^3"]], "precision": 9}
+    DEFORM = {"base": ["x1^3"], "perturbations": ["x1"], "e0": 3, "level": 8}
+
+    @pytest.mark.parametrize("command,job,message", [
+        ("param", {**CUSP, "precision": "9"}, 'precision expects an integer, got "9"'),
+        ("param", {**CUSP, "precision": True}, "precision expects an integer, got true"),
+        ("param", {**CUSP, "branches": [[2, 3]]},
+         "branches expects a list of lists of strings, got [[2, 3]]"),
+        ("param", {**CUSP, "branches": "t^2,t^3"},
+         'branches expects a list of lists of strings, got "t^2,t^3"'),
+        ("deform", {**DEFORM, "level": "8"}, 'level expects an integer, got "8"'),
+        ("deform", {**DEFORM, "e0": "3"}, 'e0 expects an integer, got "3"'),
+        ("deform", {**DEFORM, "base": "x1^3"}, 'base expects a list of strings, got "x1^3"'),
+        ("deform", {**DEFORM, "perturbations": [1]},
+         "perturbations expects a list of strings, got [1]"),
+    ], ids=["precision-string", "precision-bool", "branches-numbers", "branches-string",
+            "level-string", "e0-string", "base-string", "perturbations-numbers"])
+    def test_job_value_of_another_shape(self, tmp_path, command, job, message):
+        # a value is never coerced: it must have its key's shape
+        path = self.write(tmp_path, job)
+        proc = self.cli(command, "--level", "3", "--job", path)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: job file {path}: {message}\n"
+
+    def test_job_file_that_is_not_json(self, tmp_path):
+        path = tmp_path / "job.json"
+        path.write_text("branches: t^2,t^3\n")
+        proc = self.cli("param", "--level", "3", "--job", str(path))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            f"error: job file {path} is not JSON: Expecting value: line 1 column 1 (char 0)\n")
+
     @pytest.mark.parametrize("argv", [
         ["param", "--level", "8"],
         ["param", "--branch", "t^2,t^3"],

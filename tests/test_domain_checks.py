@@ -1,21 +1,31 @@
 """Input outside a function's domain is rejected with its own message.
 
 One table of out-of-domain calls, each with the exception type and the
-exact message it must raise."""
+exact message it must raise, and the read errors of a job file, whose
+messages name the file."""
+
+import json
+from fractions import Fraction
 
 import pytest
 
-from curvemoduli.branches import Branch, Parametrization, PrecisionError
+from curvemoduli.branches import Branch, Parametrization, PrecisionError, milnor, semigroup
+from curvemoduli.cli import INTEGER, _read_job
 from curvemoduli.deform import DualPoly, FirstOrderDeformation, colon, flatness_direct
-from curvemoduli.idealcalc import IdealPresentation
-from curvemoduli.ringcore import QQ, LevelError, parse_poly
+from curvemoduli.idealcalc import IdealPresentation, intersection_number
+from curvemoduli.motivic import (
+    MeasureContext, MotivicClass, RationalSeries, fit_class_from_counts, mps,
+)
+from curvemoduli.ringcore import GF, QQ, LevelError, TruncatedPoly, parse_poly
 from curvemoduli.trunctower import (
-    CellIndex, admissible_range, cell_membership, hilbert_stratum_check, tn_membership,
+    CellIndex, admissible_range, all_projective_linear_forms, cell_membership, enumerate_xi,
+    hilbert_stratum_check, tn_membership,
 )
 
 
-def ideal(gens, level, n_vars=2):
-    return IdealPresentation([parse_poly(g, n_vars, QQ, level) for g in gens], n_vars, QQ, level)
+def ideal(gens, level, n_vars=2, field=QQ):
+    return IdealPresentation([parse_poly(g, n_vars, field, level) for g in gens],
+                             n_vars, field, level)
 
 
 def cusp_deformation():
@@ -86,6 +96,57 @@ CASES = {
     "admissible-b-1-e0-2": (
         lambda: admissible_range(1, 2),
         ValueError, "embedding dimension 1 forces e0 = 1"),
+    "semigroup-zero-generator": (
+        lambda: semigroup([0, 3]),
+        ValueError, "generators must be positive integers"),
+    "milnor-negative-delta": (
+        lambda: milnor(-1, 1),
+        ValueError, "need delta >= 0 and r >= 1"),
+    "branch-two-variable-component": (
+        lambda: Branch([parse_poly("x1", 2, QQ, 6)], 6),
+        ValueError, "branch components are one-variable series"),
+    "branch-component-below-precision": (
+        lambda: Branch([parse_poly("t^2", 1, QQ, 4, var="t")], 6),
+        PrecisionError, "component precision 4 below branch precision 6"),
+    "presentation-empty-without-ambient": (
+        lambda: IdealPresentation([]),
+        ValueError, "empty presentation needs explicit n_vars, field, level"),
+    "presentation-mixed-levels": (
+        lambda: IdealPresentation([parse_poly("x1", 2, QQ, 4), parse_poly("x2", 2, QQ, 5)]),
+        LevelError, "generators disagree on ambient, field, or level"),
+    "intersection-across-fields": (
+        lambda: intersection_number(ideal(["x1"], 4), ideal(["x2"], 4, field=GF(5)), 4),
+        LevelError, "intersection needs a common ambient and field"),
+    "deformation-perturbation-count": (
+        lambda: FirstOrderDeformation(ideal(["x2^2 - x1^3"], 6), [None, None], 2),
+        ValueError, "one perturbation per base generator"),
+    "deformation-perturbation-at-another-level": (
+        lambda: FirstOrderDeformation(ideal(["x2^2 - x1^3"], 6), [parse_poly("x1", 2, QQ, 7)], 2),
+        LevelError, "perturbations must live at the base level"),
+    "series-denominator-b-0": (
+        lambda: RationalSeries({}, [(1, 0)]),
+        ValueError, "denominator factors are (1 - L^a T^b) with a >= 0, b >= 1"),
+    "mps-n0-0": (
+        lambda: mps(MotivicClass.one(), 0, MeasureContext(2, 2)),
+        ValueError, "n0 must be >= 1"),
+    "fit-one-field": (
+        lambda: fit_class_from_counts({2: 1}, 1),
+        ValueError, "need counts for at least two fields"),
+    "gf7-denominator-7": (
+        lambda: GF(7).of(Fraction(1, 7)),
+        ZeroDivisionError, "denominator divisible by 7"),
+    "poly-level-below-0": (
+        lambda: TruncatedPoly(2, QQ, -1),
+        LevelError, "level must be >= 0, got -1"),
+    "poly-monomial-of-another-length": (
+        lambda: TruncatedPoly(2, QQ, 3, {(1,): 1}),
+        ValueError, "monomial (1,) does not have 2 exponents"),
+    "enumerate-over-qq": (
+        lambda: enumerate_xi(2, 2, 4, QQ),
+        ValueError, "enumeration needs a finite field"),
+    "projective-forms-over-qq": (
+        lambda: all_projective_linear_forms(2, QQ, 4),
+        ValueError, "only meaningful over a finite field"),
 }
 
 
@@ -96,3 +157,15 @@ def test_out_of_domain_call_is_rejected(case):
         call()
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+def test_job_file_that_cannot_be_read_or_lacks_a_key(tmp_path):
+    absent = tmp_path / "absent.json"
+    with pytest.raises(ValueError) as info:
+        _read_job(absent, {"precision": INTEGER})
+    assert str(info.value) == f"cannot read job file {absent}: No such file or directory"
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"level": 8}))
+    with pytest.raises(ValueError) as info:
+        _read_job(job, {"precision": INTEGER, "e0": INTEGER, "level": INTEGER})
+    assert str(info.value) == f"job file {job} lacks precision, e0"

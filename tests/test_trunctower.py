@@ -601,14 +601,16 @@ def scanned_prefixes(e0, n, q):
 
 
 class TestTransversal:
-    """enumerate_xi reads the pivots of every S_k*lead off one span of the
-    x^a*lead, |a| >= 1: each multiple is homogeneous, so the span is graded
-    and its pivots in degree e0+k are those of S_k*lead."""
+    """enumerate_xi takes the transversal of every S_k*lead to be the
+    monomials of degree e0+k that lead's lowest monomial does not divide.
+    The pivots of one span of the x^a*lead, |a| >= 1, are graded (each
+    multiple is homogeneous), in degree e0+k they are those of S_k*lead,
+    and those are the multiples x^a*low of the lowest monomial low."""
 
     @pytest.mark.parametrize("q", [2, 3, 5])
     @pytest.mark.parametrize("e0", [1, 2, 3])
     def test_graded_pivots_of_one_span(self, e0, q):
-        from curvemoduli.ringcore import monomial_table, span_of_multiples
+        from curvemoduli.ringcore import monomial_table, monomials_of_degree, span_of_multiples
 
         for n in range(e0 + 2, 8):
             table = monomial_table(2, n)
@@ -618,6 +620,11 @@ class TestTransversal:
                     got.setdefault(table.degree_of_col(col) - e0, set()).add(col)
                 want = {k: graded_piece_pivots(table, lead, k) for k in range(1, n - e0)}
                 assert got == want, (n, poly_str(lead))
+                low = min(lead.terms)
+                divisible = {k: {table.index[m] for m in monomials_of_degree(2, e0 + k)
+                                 if all(a >= b for a, b in zip(m, low))}
+                             for k in range(1, n - e0)}
+                assert want == divisible, (n, poly_str(lead))
 
 
 def candidate_by_candidate_members(e0, n, q):
