@@ -220,7 +220,7 @@ class _Substitution:
                     f"branch precision {b.precision} below the bound {need}"
                     f" (= level {level} * max t-order)"
                 )
-        self.field = param.field
+        self.param, self.field = param, param.field
         branches = param.branches
         self.offsets = list(accumulate((b.precision for b in branches), initial=0))
         self.t_cols = self.offsets.pop()
@@ -272,6 +272,18 @@ class _Substitution:
         return vec
 
 
+def _substitution(param, level, sub):
+    """`sub`, checked to be `_Substitution(param, level)`; a new one if None."""
+    if sub is None:
+        return _Substitution(param, level)
+    if sub.param is not param or sub.table.level != level:
+        whose = "this" if sub.param is param else "another"
+        raise LevelError(
+            f"sub was built for {whose} parametrization at level {sub.table.level};"
+            f" asked for level {level}")
+    return sub
+
+
 def ideal_from_param(param, level, sub=None):
     """The truncated defining ideal of the branches, by exact linear algebra.
 
@@ -281,9 +293,10 @@ def ideal_from_param(param, level, sub=None):
     image of M^level is visible, not zero).  The generators returned are its
     reduced echelon basis, the kernel of the substitution modulo that image;
     each is post-checked to vanish on every branch modulo the image.  A
-    caller that already holds `_Substitution(param, level)` passes it as `sub`.
+    caller that already holds `_Substitution(param, level)` passes it as `sub`;
+    one built for another parametrization or level raises LevelError.
     """
-    sub = sub or _Substitution(param, level)
+    sub = _substitution(param, level, sub)
     kernel = kernel_basis(sub.high, sub.vectors, sub.t_cols)
     gens = [sub.table.poly_of(row, param.field) for row in kernel]
     for g in gens:
@@ -320,7 +333,7 @@ def hilbert_from_param(param, level, sub=None):
     the span of degree >= level and adds the degrees below it, descending.
     `sub` is as in `ideal_from_param`.
     """
-    sub = sub or _Substitution(param, level)
+    sub = _substitution(param, level, sub)
     ech = sub.high.copy()
     offset = sub.table.offset
     rank_geq = [0] * level + [ech.rank]

@@ -11,18 +11,15 @@ The subcommands are the entries of one table, COMMANDS: name, help line,
 handler and flags.  Flags that several subcommands take are defined once
 and shared.  `main` builds the parser of the chosen subcommand only.
 Where --level or --n-max is omitted it is DEFAULT_LEVEL.
+
+No library module is imported at module level: each handler (and each
+helper that reads one) imports the modules it uses, so a job loads only
+those, and `import curvemoduli.cli` with `build_parser()` loads none.
 """
 
 import argparse
 import json
 import sys
-
-from . import branches as br
-from . import deform as df
-from . import idealcalc as ic
-from . import motivic as mv
-from . import ringcore as rc
-from . import trunctower as tt
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -49,6 +46,8 @@ def _term(piece):
 
 
 def _field(spec):
+    from . import ringcore as rc
+
     if spec in ("rational", "rationals", "0", "Q"):
         return rc.QQ
     return rc.GF(_read("--field", "'rational' or a prime", int, spec))
@@ -56,11 +55,15 @@ def _field(spec):
 
 def _ideal(args, texts, level):
     """The ideal generated by `texts` in --N variables over --field."""
+    from . import idealcalc as ic
+
     return ic.IdealPresentation.parse(texts, args.N, _field(args.field), level)
 
 
 def _poly(args, text, field, level):
     """A polynomial in --N variables; a blank entry is zero."""
+    from . import ringcore as rc
+
     if not text.strip():
         return rc.TruncatedPoly.zero(args.N, field, level)
     return rc.parse_poly(text, args.N, field, level)
@@ -114,6 +117,8 @@ def _require(args, *flags):
 
 
 def _gens_json(ideal):
+    from . import ringcore as rc
+
     return [rc.poly_str(g) for g in ideal.generators]
 
 
@@ -129,6 +134,8 @@ def _hilbert_table(hd):
 
 
 def cmd_hilbert(args):
+    from . import idealcalc as ic
+
     ideal = _ideal(args, args.ideal, args.level)
     hd = ic.hilbert_data(ideal, args.level)
     payload = hd.to_json()
@@ -142,6 +149,9 @@ def cmd_hilbert(args):
 
 
 def cmd_initial(args):
+    from . import idealcalc as ic
+    from . import ringcore as rc
+
     ideal = _ideal(args, args.ideal, args.level)
     data = ic.initial_ideal(ideal, args.level)
     payload = {
@@ -159,6 +169,9 @@ def cmd_initial(args):
 
 
 def cmd_stdbasis(args):
+    from . import idealcalc as ic
+    from . import ringcore as rc
+
     ideal = _ideal(args, args.ideal, args.level)
     rep = ic.standard_basis_check(ideal, args.level)
     payload = {
@@ -172,12 +185,16 @@ def cmd_stdbasis(args):
 
 
 def cmd_nu(args):
+    from . import idealcalc as ic
+
     ideal = _ideal(args, args.ideal, args.level)
     _emit({"nu": ic.min_generators(ideal, args.level), "level": args.level})
     return EXIT_OK
 
 
 def cmd_gamma(args):
+    from . import idealcalc as ic
+
     ideal = _ideal(args, args.ideal, args.n_max)
     other = _ideal(args, args.other, args.n_max)
     value = ic.intersection_number(ideal, other, args.n_max)
@@ -189,6 +206,8 @@ def cmd_gamma(args):
 
 
 def cmd_tn(args):
+    from . import trunctower as tt
+
     ideal = _ideal(args, args.ideal, args.n)
     res = tt.tn_membership(ideal, args.n, args.e0)
     payload = res.to_json()
@@ -199,6 +218,8 @@ def cmd_tn(args):
 
 
 def cmd_shape(args):
+    from . import trunctower as tt
+
     ideal = _ideal(args, args.ideal, args.n)
     rep = tt.shape_check(ideal, args.n, args.e0)
     _emit({
@@ -211,6 +232,8 @@ def cmd_shape(args):
 
 
 def cmd_jtilde(args):
+    from . import trunctower as tt
+
     ideal = _ideal(args, args.ideal, args.n)
     res = tt.jtilde(ideal, args.n, args.e0)
     _emit({
@@ -223,6 +246,8 @@ def cmd_jtilde(args):
 
 
 def cmd_admissible(args):
+    from . import trunctower as tt
+
     if args.e1 is not None:
         _emit({"admissible": tt.admissible(args.b, args.e0, args.e1),
                "b": args.b, "e0": args.e0, "e1": args.e1})
@@ -233,6 +258,8 @@ def cmd_admissible(args):
 
 
 def cmd_stratum(args):
+    from . import trunctower as tt
+
     ideal = _ideal(args, args.ideal, args.level)
     F = _read("--F", "comma-separated integers", _ints, args.F)
     ok, mismatch = tt.hilbert_stratum_check(ideal, F, args.r, args.level)
@@ -241,6 +268,9 @@ def cmd_stratum(args):
 
 
 def cmd_superficial(args):
+    from . import ringcore as rc
+    from . import trunctower as tt
+
     ideal = _ideal(args, args.ideal, args.level)
     L = rc.parse_poly(args.L, args.N, ideal.field, args.level)
     ok, cert = tt.cm_superficial_test(ideal, L, args.e0)
@@ -251,6 +281,8 @@ def cmd_superficial(args):
 
 
 def cmd_cells(args):
+    from . import trunctower as tt
+
     ideal = _ideal(args, args.ideal, args.n)
     cell = tt.CellIndex(
         _read("--i", "comma-separated integers", _ints, args.i),
@@ -263,6 +295,9 @@ def cmd_cells(args):
 
 
 def cmd_enumerate(args):
+    from . import ringcore as rc
+    from . import trunctower as tt
+
     field = _field(str(args.q))
     try:
         res = tt.enumerate_xi(args.N, args.e0, args.n, field, e1=args.e1)
@@ -291,6 +326,8 @@ def cmd_enumerate(args):
 
 
 def cmd_param(args):
+    from . import branches as br
+
     field = _field(args.field)
     if args.job:
         branch_texts, precision = _read_job(args.job, {"branches": BRANCHES, "precision": INTEGER})
@@ -312,6 +349,8 @@ def cmd_param(args):
 
 
 def cmd_semigroup(args):
+    from . import branches as br
+
     gens = _read("--gens", "comma-separated integers", _ints, args.gens)
     sg = br.semigroup(gens)
     _emit({
@@ -325,6 +364,9 @@ def cmd_semigroup(args):
 
 
 def cmd_normflat(args):
+    from . import branches as br
+    from . import idealcalc as ic
+
     field = _field(args.field)
     if args.fiber and args.precision is None:
         raise ValueError("normflat --fiber needs --precision")
@@ -343,6 +385,9 @@ def cmd_normflat(args):
 
 
 def cmd_deform(args):
+    from . import deform as df
+    from . import idealcalc as ic
+
     field = _field(args.field)
     if args.job:
         base_texts, pert_texts, e0, level = _read_job(
@@ -367,6 +412,9 @@ def cmd_deform(args):
 
 
 def cmd_colon(args):
+    from . import deform as df
+    from . import ringcore as rc
+
     ideal = _ideal(args, args.ideal, max(args.level, 2))
     other = _ideal(args, args.K, max(args.level, 2))
     cs = df.colon(ideal, other, args.level)
@@ -379,6 +427,9 @@ def cmd_colon(args):
 
 
 def cmd_determinantal(args):
+    from . import deform as df
+    from . import idealcalc as ic
+
     field = _field(args.field)
     ic.check_level(args.level)
     rows = [[_poly(args, entry, field, args.level) for entry in row.split(",")]
@@ -389,6 +440,8 @@ def cmd_determinantal(args):
 
 
 def cmd_mps(args):
+    from . import motivic as mv
+
     ctx = mv.MeasureContext(args.N, args.e0)
     class0 = mv.parse_motivic(args.class0)
     series = mv.mps(class0, args.n0, ctx)
@@ -403,6 +456,8 @@ def cmd_mps(args):
 
 
 def cmd_volume(args):
+    from . import motivic as mv
+
     terms = {}
     for piece in args.terms.split(";"):
         s, cls = _read("--terms", "s:class pairs with an integer s", _term, piece)
@@ -418,6 +473,8 @@ def cmd_volume(args):
 
 
 def cmd_specialize(args):
+    from . import motivic as mv
+
     cls = mv.parse_motivic(getattr(args, "class"))
     value = cls.specialize(args.q)
     _emit({"value": str(value)})

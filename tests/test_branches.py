@@ -209,6 +209,27 @@ class TestSubstitutionWalk:
         assert {P.r for P in cases} == {1, 2, 3}
         assert {P.n_vars for P in cases} == {2, 3, 4}
 
+    # a substitution built for another level used to give wrong H1 silently
+    # (level 7 for level 6: [1, 4, 7, 10, 13, 19]) or a bare IndexError
+    @pytest.mark.parametrize("route", [hilbert_from_param, ideal_from_param])
+    @pytest.mark.parametrize("built, message", [
+        ("level 7", "sub was built for this parametrization at level 7; asked for level 6"),
+        ("level 5", "sub was built for this parametrization at level 5; asked for level 6"),
+        ("other", "sub was built for another parametrization at level 6; asked for level 6"),
+    ], ids=["level 7", "level 5", "other"])
+    def test_substitution_of_another_level_or_parametrization(self, route, built, message):
+        P = param([["t^3", "t^4", "t^5"]], 40)
+        sub = {"level 7": lambda: _Substitution(P, 7),
+               "level 5": lambda: _Substitution(P, 5),
+               "other": lambda: _Substitution(param([["t^3", "t^4", "t^5"]], 40), 6)}[built]()
+        with pytest.raises(LevelError) as exc:
+            route(P, 6, sub=sub)
+        assert str(exc.value) == message
+
+    def test_substitution_of_its_own_level_is_used(self):
+        P = param([["t^3", "t^4", "t^5"]], 40)
+        assert hilbert_from_param(P, 6, sub=_Substitution(P, 6)).values == [1, 4, 7, 10, 13, 16]
+
 
 class TestEvaluateOnBranch:
     def test_other_ambient_is_rejected(self):
