@@ -33,8 +33,8 @@ _EXPORTS = {
         "milnor", "normally_flat_fiber_compare", "semigroup", "valuation_h1"), "branches"),
     **dict.fromkeys((
         "ColonSpace", "DualPoly", "FirstOrderDeformation", "cm_colon_identity", "colon",
-        "determinantal_ideal", "determinantal_minors", "fiberwise_family_check",
-        "flatness_direct", "ideal_plus_power", "is_family_first_order"), "deform"),
+        "determinantal_ideal", "determinantal_minors", "flatness_direct", "ideal_plus_power",
+        "is_family_first_order"), "deform"),
     **dict.fromkeys((
         "MeasureContext", "MotivicClass", "RationalSeries", "fit_class_from_counts",
         "measure_of_level", "mps", "parse_motivic", "volume_partial"), "motivic"),

@@ -15,10 +15,19 @@ Where --level or --n-max is omitted it is DEFAULT_LEVEL.
 No library module is imported at module level: each handler (and each
 helper that reads one) imports the modules it uses, so a job loads only
 those, and `import curvemoduli.cli` with `build_parser()` loads none.
+
+A process runs one job through `run`, which ends it as soon as `main` has
+returned, the `atexit` callbacks have run and stdout and stderr are
+flushed, without tearing the interpreter down.  Nothing is lost by that:
+the CLI opens files only under `with`, starts no threads and registers no
+`atexit` callbacks of its own, so the report and stderr are all a job
+leaves behind.
 """
 
 import argparse
+import atexit
 import json
+import os
 import sys
 
 EXIT_OK = 0
@@ -599,5 +608,30 @@ def main(argv=None):
         return EXIT_PRECONDITION
 
 
+def run():
+    """The process entry point of `python -m curvemoduli.cli` and of the
+    installed `curvemoduli` script: run `main`, then end the process with
+    its exit code.
+
+    The steps after `main` are those of the interpreter's own shutdown, in
+    its order: the `atexit` callbacks (a `.pth` file may register one),
+    then stdout and stderr are flushed.  Then `os._exit` skips the
+    teardown of every module and object, a fixed cost of several
+    milliseconds per job; that is safe because the CLI holds no open file,
+    thread or exit callback of its own once `main` returns.  A flush that
+    fails (say, a closed pipe) falls back to `sys.exit`, which reports it
+    as the interpreter always has.  An exception from `main`, argparse's
+    exits included, leaves the process the usual way.
+    """
+    code = main()
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

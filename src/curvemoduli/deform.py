@@ -21,7 +21,6 @@ from .ringcore import (
     monomial_table,
     monomials_of_degree,
     multiple_vector,
-    parse_poly,
     poly_str,
 )
 from .idealcalc import (
@@ -298,51 +297,3 @@ def determinantal_ideal(matrix):
     if hd.status != "ok":
         raise LevelError(f"base minors not stabilized at level {base.level}")
     return FirstOrderDeformation(base, [m.eps for m in keep], hd.e0)
-
-
-# ---------------------------------------------------------------------------
-# Fiberwise family check for one-parameter families.
-
-
-class FiberwiseReport(namedtuple("FiberwiseReport", "samples hilbert constant first_mismatch")):
-    """Per-sample HilbertData; first_mismatch is the first sample value whose
-    (e0, e1) differs, or None."""
-
-    __slots__ = ()
-
-
-def substitute_parameter(template, value):
-    """Replace the parameter token "u" by a scalar value, textually.
-
-    The template must stay grammatical after substitution, so "u" may only
-    appear where a coefficient is allowed (e.g. "x1^4 + u*x2^5").
-    """
-    return template.replace("u", f"{value}")
-
-
-def fiberwise_family_check(templates, samples, n_vars, field, level):
-    """Hilbert data of each sampled fiber, and whether (e0, e1) is constant.
-
-    Over a reduced base, fiberwise constancy of the Hilbert polynomial is
-    exactly the family condition, so this is the practical family test for
-    one-parameter deformations given by generator templates in u.
-    """
-    reports = []
-    for s in samples:
-        gens = [substitute_parameter(t, s) for t in templates]
-        polys = []
-        for g in gens:
-            p = parse_poly(g, n_vars, field, level)
-            if not p.is_zero():
-                polys.append(p)
-        ideal = IdealPresentation(polys, n_vars, field, level)
-        reports.append(hilbert_data(ideal, level))
-    pairs = [(hd.e0, hd.e1) if hd.status == "ok" else None for hd in reports]
-    constant = len(set(pairs)) == 1 and pairs[0] is not None
-    mismatch = None
-    if not constant:
-        for s, pair in zip(samples, pairs):
-            if pair != pairs[0]:
-                mismatch = s
-                break
-    return FiberwiseReport(list(samples), reports, constant, mismatch)

@@ -690,7 +690,7 @@ def span_of_multiples(table, field, polys, lo=0):
     return ech
 
 
-def _add_multiples(table, ech, p, lo=0):
+def _add_multiples(table, ech, p, lo=0, modulo=None):
     """Insert x^a * p, |a| >= lo, into `ech`, multiplier column ascending.
 
     The caller guarantees that `ech` spans an ideal of R/M^n (the multiples
@@ -699,15 +699,27 @@ def _add_multiples(table, ech, p, lo=0):
     ideal has x^a as its lowest column, and x^a*p is a combination of g*p
     and of the x^m*p at later columns, so the span is unchanged (the proof
     is in the `idealcalc` module docstring).
+
+    With `modulo`, an Echelon left unchanged, the ideal is the span of
+    `modulo` and `ech` together, and each multiple goes into `ech` as its
+    residual modulo `modulo` (scaled, over QQ): `ech` then holds what p
+    adds to `modulo`'s span without a copy of its rows.  A residual
+    vanishes at `modulo`'s pivots, so the two pivot sets are disjoint and
+    the ranks add up.
     """
     if p.is_zero():
         return
     top = table.level - 1 - p.order()
     known = set(ech.pivots())
+    if modulo is not None:
+        known.update(modulo.pivots())
     monos = table.monos
     for col in range(table.offset[lo], table.offset[top + 1]):
         if col not in known:
-            ech.add(multiple_vector(table, p, monos[col]))
+            vec = multiple_vector(table, p, monos[col])
+            if modulo is not None:
+                vec = modulo._eliminate(vec)[0]
+            ech.add(vec)
 
 
 def degree_block(table, ech, d):

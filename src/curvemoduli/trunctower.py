@@ -165,17 +165,19 @@ def _length_with_form(spans, L):
 
     L is cut to level n, so a level below n is rejected, and checked like a
     generator of J, so a zero, a unit or another ambient is rejected too.
-    The length is the colength of J's span with L's multiples added to a
-    copy of it: J + M^n spans an ideal of R/M^n, so the kernel's pivot skip
-    leaves out the x^a*L at its pivots (the proof is in the `idealcalc`
-    module docstring), and `spans` is left as it was.
+    The residuals of L's multiples modulo J's span go into a fresh Echelon,
+    which reads J's rows without copying them, and the length is the
+    colength of J's span less their rank: J + M^n spans an ideal of R/M^n,
+    so the kernel's pivot skip leaves out the x^a*L at J's pivots (the
+    proof is in the `idealcalc` module docstring), and `spans` is left as
+    it was.
     """
     n, ideal = spans.level, spans.ideal
     L = L.truncate_to(n)
     IdealPresentation([L], ideal.n_vars, ideal.field, n)  # raises on a bad generator
-    ech = spans.ech.copy()
-    _add_multiples(spans.table, ech, L)
-    return spans.table.offset[n] - ech.rank
+    new = Echelon(ideal.field)
+    _add_multiples(spans.table, new, L, modulo=spans.ech)
+    return spans.table.offset[n] - spans.ech.rank - new.rank
 
 
 def tn_membership(ideal, n, e0, forms=None):
@@ -189,7 +191,7 @@ def tn_membership(ideal, n, e0, forms=None):
     s = e0(N-1)+1 scalars only F_p-rational forms are scanned, so the
     condition-1 detail says that a form over an extension field may still
     pass.  The slice dimensions are read off the H1 values of the span of
-    J + M^n, and each form's length off a copy of that same span
+    J + M^n, and each form's length off that same span
     (`_length_with_form`), so J's multiples are inserted once per call.
 
     Why (1) implies (2).  Let A = R/(J+M^n), so M^t A/M^{t+1} A is the

@@ -1,3 +1,6 @@
+import atexit
+import builtins
+import io
 import json
 import os
 import subprocess
@@ -7,7 +10,21 @@ from pathlib import Path
 import pytest
 
 from curvemoduli import branches as br
+from curvemoduli import cli
 from curvemoduli.cli import DEFAULT_LEVEL, build_parser, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_process(*argv, prefix=(), code="from curvemoduli.cli import run; run()"):
+    """A CLI job in its own process, entered through `cli.run` as the
+    installed script does; `prefix` is Python run before it.  Its stdout
+    is buffered, as a user's is by default."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONUNBUFFERED", None)
+    script = "\n".join([*prefix, "import sys", f"sys.argv[1:] = {list(argv)!r}", code])
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
 
 
 def run(capsys, *argv):
@@ -455,12 +472,12 @@ class TestSubcommands:
 
 class TestJobFiles:
     """`--job` input, run as a user runs it: with ResourceWarning as an
-    error, a leaked file handle shows on stderr."""
-
-    SRC = Path(__file__).resolve().parents[1] / "src"
+    error, a handle freed while the job runs shows on stderr.  A job ends
+    without the interpreter's teardown, so a handle kept until the end
+    would not: `test_every_file_opened_is_closed` checks that in process."""
 
     def cli(self, *argv):
-        env = dict(os.environ, PYTHONPATH=str(self.SRC))
+        env = dict(os.environ, PYTHONPATH=str(SRC))
         return subprocess.run(
             [sys.executable, "-W", "error::ResourceWarning", "-m", "curvemoduli.cli", *argv],
             env=env, capture_output=True, text=True, timeout=120,
@@ -482,6 +499,26 @@ class TestJobFiles:
         proc = self.cli("deform", "--job", job)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert json.loads(proc.stdout)["family"] is False
+
+    @pytest.mark.parametrize("command,job", [
+        ("param", {"branches": [["t^2", "t^3"]], "precision": 24}),
+        ("deform", {"base": ["x1^3"], "perturbations": ["x1"], "e0": 3, "level": 8}),
+    ], ids=["param", "deform"])
+    def test_every_file_opened_is_closed(self, capsys, monkeypatch, tmp_path, command, job):
+        opened = []
+
+        def spy(*args, **kwargs):
+            handle = real_open(*args, **kwargs)
+            opened.append(handle)
+            return handle
+
+        real_open = builtins.open
+        monkeypatch.setattr(builtins, "open", spy)
+        path = self.write(tmp_path, job)
+        assert main([command, "--job", path]) == 0
+        assert path in [handle.name for handle in opened]
+        assert all(handle.closed for handle in opened)
+        assert json.loads(capsys.readouterr().out)
 
     def test_missing_job_file(self, tmp_path):
         proc = self.cli("param", "--job", str(tmp_path / "absent.json"))
@@ -539,3 +576,106 @@ class TestJobFiles:
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith(f"error: {argv[0]} needs --job or all of")
         assert proc.stderr.count("\n") == 1
+
+
+class Stream(io.StringIO):
+    """A standard stream that logs its flushes into `steps`, and can fail
+    them with `error`."""
+
+    def __init__(self, name, steps, error=None):
+        super().__init__()
+        self.name, self.steps, self.error = name, steps, error
+
+    def flush(self):
+        self.steps.append(("flush", self.name, self.getvalue()))
+        if self.error:
+            raise self.error
+
+
+class TestRun:
+    """`cli.run` ends the process after `main`, the atexit callbacks and
+    the flush of both streams.  In process, `os._exit` and
+    `atexit._run_exitfuncs` only log their calls: the real ones would end
+    pytest or run its own exit callbacks.  The streams are replaced in the
+    test body, since pytest's capture sets them again after set-up."""
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        steps = []
+        monkeypatch.setattr(os, "_exit", lambda code: steps.append(("exit", code)))
+        monkeypatch.setattr(atexit, "_run_exitfuncs", lambda: steps.append(("atexit",)))
+        return steps
+
+    @staticmethod
+    def streams(monkeypatch, steps, error=None):
+        monkeypatch.setattr(sys, "stdout", Stream("stdout", steps, error))
+        monkeypatch.setattr(sys, "stderr", Stream("stderr", steps))
+
+    @pytest.mark.parametrize("argv,code,out,err", [
+        (["semigroup", "--gens", "3,4"], 0,
+         '{"conductor": 6, "delta": 3, "gaps": [1, 2, 5], "generators": [3, 4], '
+         '"mu_one_branch": 6}\n', ""),
+        (["semigroup", "--gens", "x"], 2, "",
+         "error: --gens expects comma-separated integers, got 'x'\n"),
+        (["gamma", "--ideal", "x2", "--other", "x2", "--n-max", "8"], 3,
+         '{"divergent_at": 8, "gamma": "infinity"}\n', ""),
+    ], ids=["ok", "precondition", "soft"])
+    def test_exit_after_callbacks_and_flushes(self, monkeypatch, steps, argv, code, out, err):
+        monkeypatch.setattr(sys, "argv", ["curvemoduli", *argv])
+        self.streams(monkeypatch, steps)
+        cli.run()
+        assert steps == [("atexit",), ("flush", "stdout", out), ("flush", "stderr", err),
+                         ("exit", code)]
+
+    def test_failed_flush_exits_the_usual_way(self, monkeypatch, steps):
+        self.streams(monkeypatch, steps, BrokenPipeError(32, "pipe"))
+        monkeypatch.setattr(sys, "argv", ["curvemoduli", "gamma", "--ideal", "x2", "--other", "x2"])
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+        assert exc.value.code == 3
+        assert ("exit", 3) not in steps and steps[-1][:2] == ("flush", "stdout")
+
+    def test_main_never_ends_the_process(self, monkeypatch, steps):
+        self.streams(monkeypatch, steps)
+        for argv in (["semigroup", "--gens", "3,4"], ["semigroup", "--gens", "x"]):
+            assert main(argv) in (0, 2)
+        assert steps == []
+
+    def test_soft_outcome_exits_three_with_its_report(self):
+        proc = run_process("gamma", "--ideal", "x2", "--other", "x2", "--n-max", "8")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            3, '{"divergent_at": 8, "gamma": "infinity"}\n', "")
+
+    def test_unknown_flag_exits_two_with_the_usage(self, capsys):
+        # the bytes argparse prints for main in process
+        argv = ["semigroup", "--gens", "3,4", "--bogus"]
+        with pytest.raises(SystemExit):
+            main(argv)
+        usage = capsys.readouterr().err
+        assert usage.startswith("usage: curvemoduli")
+        assert usage.endswith("error: unrecognized arguments: --bogus\n")
+        proc = run_process(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", usage)
+
+    def test_registered_exit_callback_runs_before_the_flush(self):
+        # its line is buffered behind the report and still reaches the pipe
+        proc = run_process("semigroup", "--gens", "3,4",
+                           prefix=["import atexit", "atexit.register(print, 'callback ran')"])
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout.splitlines()[1:] == ["callback ran"]
+
+    def test_closed_pipe_is_reported_as_before(self):
+        # the interpreter's own message and exit code for an unflushable
+        # stdout; a buffered stdout, so that the write waits for the flush
+        r, w = os.pipe()
+        os.close(r)
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        env.pop("PYTHONUNBUFFERED", None)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "curvemoduli.cli", "semigroup", "--gens", "3,4"],
+                env=env, stdout=w, stderr=subprocess.PIPE, text=True, timeout=120)
+        finally:
+            os.close(w)
+        assert proc.returncode == 120
+        assert proc.stderr.endswith("BrokenPipeError: [Errno 32] Broken pipe\n")

@@ -11,7 +11,6 @@ from curvemoduli.deform import (
     colon,
     determinantal_ideal,
     determinantal_minors,
-    fiberwise_family_check,
     flatness_direct,
     ideal_plus_power,
     is_family_first_order,
@@ -408,20 +407,3 @@ class TestDeterminantal:
             ]
             fiber = determinantal_ideal(mat)
             assert initial_ideal(fiber, lvl).slice_dims == want, u
-
-
-class TestFiberwise:
-    def test_plane_family_constant(self):
-        rep = fiberwise_family_check(["x1^4 + u*x2^5"], [0, 1, 2, -1], 2, QQ, 10)
-        assert rep.constant
-        assert all((hd.e0, hd.e1) == (4, 6) for hd in rep.hilbert)
-
-    def test_constant_family_trivially_constant(self):
-        rep = fiberwise_family_check(["x2^2 - x1^3"], [0, 1, 5], 2, QQ, 6)
-        assert rep.constant
-
-    def test_genuinely_jumping_family_detected(self):
-        # u = 0 degenerates the multiplicity: (e0, e1) jumps
-        rep = fiberwise_family_check(["x1^2 + u*x2"], [1, 2, 0], 2, QQ, 6)
-        assert not rep.constant
-        assert rep.first_mismatch == 0

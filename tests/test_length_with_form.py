@@ -1,9 +1,10 @@
 """`_length_with_form(spans, L)` is dim R/(J+(L)+M^n), for `spans` the
-DegreeSpans of an ideal J at level n.  There is one route: L's multiples
-are added to a copy of J's span, and the length is the colength of that
-copy.  It must give the dense H1 of J + (L) at the top degree, which
-builds no span.  Each test builds one span per J and reads J's forms off
-it; `test_every_projective_form` reads every projective form off one
+DegreeSpans of an ideal J at level n.  There is one route: the residuals
+of L's multiples modulo J's span go into a fresh echelon, and the length
+is J's colength less their rank.  It must give the dense H1 of J + (L) at
+the top degree, which builds no span, and the span of a copy of J's with
+L's multiples added.  Each test builds one span per J and reads J's forms
+off it; `test_every_projective_form` reads every projective form off one
 span, so a length that changed the span fails there."""
 
 from fractions import Fraction
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from curvemoduli.idealcalc import DegreeSpans, IdealPresentation  # noqa: E402
 from curvemoduli.ringcore import (  # noqa: E402
-    GF, QQ, LevelError, TruncatedPoly, monomials_of_degree, parse_poly,
+    GF, QQ, Echelon, LevelError, TruncatedPoly, _add_multiples, monomials_of_degree, parse_poly,
 )
 from curvemoduli.trunctower import _length_with_form, all_projective_linear_forms  # noqa: E402
 from oracles import dense_ideal_h1  # noqa: E402
@@ -116,6 +117,29 @@ def test_three_variables(data, field):
     level = data.draw(st.integers(3, 5))
     L = data.draw(polys(3, field, level))
     assert_dense_length(DegreeSpans(ideal_with_multiples(data, L), level), L)
+
+
+@pytest.mark.parametrize("n_vars, field", [(2, QQ), (2, GF(5)), (3, QQ), (3, GF(5))], ids=str)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_residuals_span_what_a_copy_gains(data, n_vars, field):
+    # J's span plus the residuals is the span of a copy of J's with L's
+    # multiples added, and J's span is left as it was
+    level = data.draw(st.integers(3, 8 if n_vars == 2 else 5))
+    L = data.draw(polys(n_vars, field, level))
+    spans = DegreeSpans(ideal_with_multiples(data, L), level)
+    before = {piv: dict(row) for piv, row in spans.ech.rows.items()}
+    copy = spans.ech.copy()
+    _add_multiples(spans.table, copy, L)
+    new = Echelon(field)
+    _add_multiples(spans.table, new, L, modulo=spans.ech)
+    assert not set(new.pivots()) & set(spans.ech.pivots())
+    both = spans.ech.copy()
+    for row in new.rows.values():
+        both.add(row)
+    assert both.rows == copy.rows
+    assert _length_with_form(spans, L) == spans.table.offset[level] - copy.rank
+    assert spans.ech.rows == before
 
 
 @pytest.mark.parametrize("text, match", [("0", "zero generator"), ("1 + x1", "is a unit")],

@@ -4,7 +4,7 @@ reports, demos and the benchmark read."""
 import pytest
 
 from curvemoduli.branches import FiberCompareReport, SemigroupData
-from curvemoduli.deform import ColonSpace, FiberwiseReport
+from curvemoduli.deform import ColonSpace
 from curvemoduli.idealcalc import HilbertData, InitialIdealData, StandardBasisReport
 from curvemoduli.motivic import MeasureContext
 from curvemoduli.trunctower import (
@@ -31,7 +31,6 @@ FIELDS = {
     SemigroupData: "generators elements gaps delta conductor bound",
     FiberCompareReport: "hilbert constant first_mismatch polynomials_agree",
     ColonSpace: "level basis dimension echelon table",
-    FiberwiseReport: "samples hilbert constant first_mismatch",
     MeasureContext: "n_vars e0",
 }
 
