@@ -9,8 +9,16 @@ script can retry at a higher level, and zero-dimensional input ("dim_0").
 
 The subcommands are the entries of one table, COMMANDS: name, help line,
 handler and flags.  Flags that several subcommands take are defined once
-and shared.  `main` builds the parser of the chosen subcommand only.
-Where --level or --n-max is omitted it is DEFAULT_LEVEL.
+and shared.  Where --level or --n-max is omitted it is DEFAULT_LEVEL.
+
+`main` reads a well-formed job straight off that table: a command name,
+then exact `--flag value` pairs and switches of that command, each value
+nonempty, not starting with '-' and accepted by its flag's type, and every
+required flag given.  Any other argv (help, an `=` form, an abbreviation, an
+unknown, missing or malformed flag, a value starting with '-') goes to
+argparse, which alone prints help, usage and errors: `main` then builds
+the parser of the chosen subcommand only, and only then imports argparse.
+Both reads give the same namespace for every argv the direct read accepts.
 
 No library module is imported at module level: each handler (and each
 helper that reads one) imports the modules it uses, so a job loads only
@@ -24,11 +32,11 @@ the CLI opens files only under `with`, starts no threads and registers no
 leaves behind.
 """
 
-import argparse
 import atexit
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -580,6 +588,8 @@ COMMANDS = {
 def build_parser(names=COMMANDS):
     """The parser of the named subcommands, by default all of them.  Usage
     lines list every name either way."""
+    import argparse
+
     top = argparse.ArgumentParser(
         prog="curvemoduli",
         description="Exact finite-level invariants of embedded curve singularities.",
@@ -596,11 +606,53 @@ def build_parser(names=COMMANDS):
     return top
 
 
+def _read_argv(argv):
+    """The namespace argparse gives a well-formed job's argv, read off
+    COMMANDS: a command name, then exact `--flag value` pairs (a switch
+    alone) with each value nonempty, not starting with '-' and accepted by
+    the flag's type; a repeated flag keeps its last value, an append flag
+    collects them.  None for any other argv, and where a required flag is
+    missing."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    flags = dict(COMMANDS[argv[0]][2])
+    given = {}
+    words = iter(argv[1:])
+    for flag in words:
+        settings = flags.get(flag)
+        if settings is None:
+            return None
+        action = settings.get("action")
+        if action == "store_true":
+            given[flag] = True
+            continue
+        text = next(words, "")
+        if not text or text.startswith("-"):
+            return None
+        try:
+            value = settings.get("type", str)(text)
+        except ValueError:
+            return None
+        if action == "append":
+            given.setdefault(flag, []).append(value)
+        else:
+            given[flag] = value
+    args = {"command": argv[0]}
+    for flag, settings in flags.items():
+        if flag not in given and settings.get("required"):
+            return None
+        default = False if settings.get("action") == "store_true" else settings.get("default")
+        args[flag[2:].replace("-", "_")] = given.get(flag, default)
+    return SimpleNamespace(**args)
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    # top-level help and an unknown command list every subcommand: build all
-    chosen = argv[:1] if argv and argv[0] in COMMANDS else COMMANDS
-    args = build_parser(chosen).parse_args(argv)
+    args = _read_argv(argv)
+    if args is None:
+        # top-level help and an unknown command list every subcommand: build all
+        chosen = argv[:1] if argv and argv[0] in COMMANDS else COMMANDS
+        args = build_parser(chosen).parse_args(argv)
     try:
         return COMMANDS[args.command][1](args)
     except ValueError as exc:

@@ -355,7 +355,10 @@ def hilbert_stratum_check(ideal, F, r, level=None):
     for the curve's own Hilbert polynomial, i.e. agree with e0(t+1)-e1 from
     t = e0-1 on.  Membership means H1(t) = F(t) on the window t = r-1 .. e0;
     r = e0+1 is the whole moduli space, so the check is vacuously true.
+    r must be >= 1.
     """
+    if r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
     Ftab = dict(enumerate(F)) if isinstance(F, (list, tuple)) else dict(F)
     if level is None:
         level = ideal.level

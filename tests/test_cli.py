@@ -191,6 +191,12 @@ class TestSubcommands:
         )
         assert code == 0 and payload["member"] is True
 
+    @pytest.mark.parametrize("r", ["0", "-1"])
+    def test_stratum_rejects_r_below_one(self, capsys, r):
+        # it was read as r = 1 and answered "member": true
+        assert run(capsys, "stratum", "--ideal", "x1", "--F", "1,2", "--r", r) == (
+            2, "", f"error: r must be >= 1, got {r}\n")
+
     def test_superficial(self, capsys):
         code, payload, _ = run_json(
             capsys, "superficial", "--ideal", "x1^3", "--L", "x2", "--e0", "3"

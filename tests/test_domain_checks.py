@@ -69,6 +69,12 @@ CASES = {
     "stratum-F-missing-in-window": (
         lambda: hilbert_stratum_check(ideal(["x2^2 - x1^3"], 8), {0: 1, 2: 5}, 1),
         ValueError, "F must be given at t = 1 for the window of r = 1"),
+    "stratum-r-0": (
+        lambda: hilbert_stratum_check(ideal(["x2^2 - x1^3"], 8), [1, 2], 0),
+        ValueError, "r must be >= 1, got 0"),
+    "stratum-r-below-0": (
+        lambda: hilbert_stratum_check(ideal(["x2^2 - x1^3"], 8), [1, 2], -1),
+        ValueError, "r must be >= 1, got -1"),
     "branch-precision-0": (
         lambda: branch(["t^2", "t^3"], precision=0),
         PrecisionError, "precision must be >= 1"),

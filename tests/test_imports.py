@@ -2,7 +2,8 @@
 no module imports a name it never uses, and the CLI starts without
 `dataclasses` and `inspect`, which would add a dozen stdlib modules to
 every job's start-up.  The package exports its names lazily, and a CLI job
-loads only the library modules its handler reads."""
+loads only the library modules its handler reads, and no `argparse` unless
+it asks for help or has to be told what is wrong with its argv."""
 
 import ast
 import importlib
@@ -54,10 +55,10 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 
 def loaded_after(code, *argv):
     """The `curvemoduli.*` submodules and the watched stdlib modules that a
-    fresh `-S` interpreter holds after running `code`."""
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); " + code + "; "
+    fresh `-S` interpreter holds after running `code` (lines)."""
+    code = ("import sys\nsys.path.insert(0, sys.argv[1])\n" + code + "\n"
             "print(' '.join(sorted(m for m in sys.modules if m.startswith('curvemoduli.')"
-            " or m in ('fractions', 'decimal'))))")
+            " or m in ('fractions', 'decimal', 'argparse'))))")
     proc = subprocess.run([sys.executable, "-S", "-c", code, str(SRC), *argv],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -65,7 +66,10 @@ def loaded_after(code, *argv):
 
 
 def test_cli_import_and_parser_load_no_library_module():
-    assert loaded_after("import curvemoduli.cli as c; c.build_parser()") == {"curvemoduli.cli"}
+    # only building the parser imports argparse
+    assert loaded_after("import curvemoduli.cli") == {"curvemoduli.cli"}
+    assert loaded_after("import curvemoduli.cli as c; c.build_parser()") == {
+        "curvemoduli.cli", "argparse"}
 
 
 def test_package_import_loads_no_submodule():
@@ -93,6 +97,16 @@ def test_a_job_loads_only_its_handlers_modules(argv, modules):
     loaded = loaded_after("import curvemoduli.cli as c; assert c.main(sys.argv[2:]) == 0", *argv)
     assert {m for m in loaded if m.startswith("curvemoduli.")} == {
         "curvemoduli.cli", *("curvemoduli." + m for m in modules)}
+    assert "argparse" not in loaded
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["semigroup", "--gens", "3,4", "--bogus"]],
+                         ids=["help", "unknown-flag"])
+def test_help_and_usage_errors_load_argparse(argv):
+    code = ("import curvemoduli.cli as c\n"
+            "try:\n    c.main(sys.argv[2:])\nexcept SystemExit as exc:\n    assert exc.code in (0, 2)\n"
+            "else:\n    raise AssertionError('no usage exit')")
+    assert "argparse" in loaded_after(code, *argv)
 
 
 CLI = SRC / "curvemoduli" / "cli.py"
