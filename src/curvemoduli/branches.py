@@ -15,6 +15,7 @@ from .ringcore import (
     Echelon,
     LevelError,
     TruncatedPoly,
+    check_ints,
     kernel_basis,
     monomial_table,
     parse_poly,
@@ -38,11 +39,13 @@ SemigroupData = namedtuple("SemigroupData", "generators elements gaps delta cond
 def semigroup(gens, bound=None):
     """Gaps, delta and conductor of the numerical semigroup <gens>.
 
-    Generators must be coprime, otherwise the gap count is infinite.  The
-    bound auto-extends until a run of min(gens) consecutive elements shows
-    up, which pins the conductor.
+    Generators must be positive ints, and coprime, otherwise the gap count
+    is infinite.  The bound auto-extends until a run of min(gens)
+    consecutive elements shows up, which pins the conductor.
     """
-    gens = sorted(set(int(g) for g in gens))
+    gens = list(gens)
+    check_ints(gens, "generator")
+    gens = sorted(set(gens))
     if not gens or gens[0] < 1:
         raise ValueError("generators must be positive integers")
     g = 0

@@ -13,7 +13,7 @@ finite fields; the fit is labeled the heuristic it is.
 from collections import namedtuple
 from fractions import Fraction
 
-from .ringcore import _TOKEN, QQ, Echelon
+from .ringcore import _TOKEN, QQ, Echelon, check_ints
 
 
 class MotivicClass:
@@ -22,11 +22,10 @@ class MotivicClass:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        clean = {}
-        for e, c in (coeffs or {}).items():
-            if c:
-                clean[int(e)] = int(c)
-        self.coeffs = clean
+        coeffs = coeffs or {}
+        check_ints(coeffs, "exponent of L")
+        check_ints(coeffs.values(), "coefficient of L")
+        self.coeffs = {e: c for e, c in coeffs.items() if c}
 
     @classmethod
     def zero(cls):
@@ -144,12 +143,12 @@ class RationalSeries:
     """
 
     def __init__(self, numerator, denominator=()):
-        self.numerator = {int(k): v for k, v in numerator.items() if not v.is_zero()}
-        den = []
-        for a, b in denominator:
-            if b < 1 or a < 0:
-                raise ValueError("denominator factors are (1 - L^a T^b) with a >= 0, b >= 1")
-            den.append((int(a), int(b)))
+        check_ints(numerator, "exponent of T")
+        self.numerator = {k: v for k, v in numerator.items() if not v.is_zero()}
+        den = [(a, b) for a, b in denominator]
+        check_ints((x for factor in den for x in factor), "exponent of (1 - L^a T^b)")
+        if any(b < 1 or a < 0 for a, b in den):
+            raise ValueError("denominator factors are (1 - L^a T^b) with a >= 0, b >= 1")
         self.denominator = tuple(sorted(den))
 
     def expand(self, k):

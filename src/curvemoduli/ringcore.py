@@ -92,6 +92,14 @@ def GF(p):
     return Field(p)
 
 
+def check_ints(values, what):
+    """Reject the first of `values` that is not an int (a float, a Fraction,
+    a string) with a TypeError naming it: such input is never coerced."""
+    for value in values:
+        if type(value) is not int:
+            raise TypeError(f"{what} must be an int, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # Monomials.  A monomial is a tuple of exponents; the total order is degree
 # first, then natural tuple comparison (so within a degree x_N is smallest
@@ -690,7 +698,7 @@ def span_of_multiples(table, field, polys, lo=0):
     return ech
 
 
-def _add_multiples(table, ech, p, lo=0, modulo=None):
+def _add_multiples(table, ech, p, lo=0):
     """Insert x^a * p, |a| >= lo, into `ech`, multiplier column ascending.
 
     The caller guarantees that `ech` spans an ideal of R/M^n (the multiples
@@ -699,27 +707,15 @@ def _add_multiples(table, ech, p, lo=0, modulo=None):
     ideal has x^a as its lowest column, and x^a*p is a combination of g*p
     and of the x^m*p at later columns, so the span is unchanged (the proof
     is in the `idealcalc` module docstring).
-
-    With `modulo`, an Echelon left unchanged, the ideal is the span of
-    `modulo` and `ech` together, and each multiple goes into `ech` as its
-    residual modulo `modulo` (scaled, over QQ): `ech` then holds what p
-    adds to `modulo`'s span without a copy of its rows.  A residual
-    vanishes at `modulo`'s pivots, so the two pivot sets are disjoint and
-    the ranks add up.
     """
     if p.is_zero():
         return
     top = table.level - 1 - p.order()
     known = set(ech.pivots())
-    if modulo is not None:
-        known.update(modulo.pivots())
     monos = table.monos
     for col in range(table.offset[lo], table.offset[top + 1]):
         if col not in known:
-            vec = multiple_vector(table, p, monos[col])
-            if modulo is not None:
-                vec = modulo._eliminate(vec)[0]
-            ech.add(vec)
+            ech.add(multiple_vector(table, p, monos[col]))
 
 
 def degree_block(table, ech, d):

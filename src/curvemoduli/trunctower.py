@@ -165,19 +165,17 @@ def _length_with_form(spans, L):
 
     L is cut to level n, so a level below n is rejected, and checked like a
     generator of J, so a zero, a unit or another ambient is rejected too.
-    The residuals of L's multiples modulo J's span go into a fresh Echelon,
-    which reads J's rows without copying them, and the length is the
-    colength of J's span less their rank: J + M^n spans an ideal of R/M^n,
-    so the kernel's pivot skip leaves out the x^a*L at J's pivots (the
-    proof is in the `idealcalc` module docstring), and `spans` is left as
-    it was.
+    The length is the colength of J's span with L's multiples added to a
+    copy of it: J + M^n spans an ideal of R/M^n, so the kernel's pivot skip
+    leaves out the x^a*L at its pivots (the proof is in the `idealcalc`
+    module docstring), and `spans` is left as it was.
     """
     n, ideal = spans.level, spans.ideal
     L = L.truncate_to(n)
     IdealPresentation([L], ideal.n_vars, ideal.field, n)  # raises on a bad generator
-    new = Echelon(ideal.field)
-    _add_multiples(spans.table, new, L, modulo=spans.ech)
-    return spans.table.offset[n] - spans.ech.rank - new.rank
+    ech = spans.ech.copy()
+    _add_multiples(spans.table, ech, L)
+    return spans.table.offset[n] - ech.rank
 
 
 def tn_membership(ideal, n, e0, forms=None):
@@ -191,7 +189,7 @@ def tn_membership(ideal, n, e0, forms=None):
     s = e0(N-1)+1 scalars only F_p-rational forms are scanned, so the
     condition-1 detail says that a form over an extension field may still
     pass.  The slice dimensions are read off the H1 values of the span of
-    J + M^n, and each form's length off that same span
+    J + M^n, and each form's length off a copy of that same span
     (`_length_with_form`), so J's multiples are inserted once per call.
 
     Why (1) implies (2).  Let A = R/(J+M^n), so M^t A/M^{t+1} A is the
@@ -303,7 +301,11 @@ def admissible_range(b, e0):
 
     rho0 = (r+1)e0 - C(r+b, r) with r pinned by C(b+r-1, r) <= e0 < C(b+r, r+1);
     rho1 = e0(e0-1)/2 - (b-1)(b-2)/2.  The degenerate case is b = e0 = 1,
-    where only e1 = 0 occurs.
+    where only e1 = 0 occurs.  For b >= 2, C(b+r-1, r) strictly increases
+    in r, so r is the largest r with C(b+r-1, r) <= e0: a step doubles
+    from 1 until it overshoots, then the last interval is bisected by
+    adding its halves, so no binomial is much larger than e0 and the
+    search takes O(log e0) steps.
     """
     if b < 1 or e0 < 1:
         raise ValueError("need b >= 1 and e0 >= 1")
@@ -313,11 +315,12 @@ def admissible_range(b, e0):
         if e0 != 1:
             raise ValueError("embedding dimension 1 forces e0 = 1")
         return AdmissibleRange(1, 1, 0, 0, 0)
-    r = 0
-    while not (comb(b + r - 1, r) <= e0 < comb(b + r, r + 1)):
-        r += 1
-        if r > e0 + 1:
-            raise AssertionError("binomial sandwich failed to pin r")
+    r, step = 0, 1  # the answer lies in [step/2, step) once the doubling stops
+    while comb(b + step - 1, step) <= e0:
+        step *= 2
+    while step := step // 2:
+        if comb(b + r + step - 1, r + step) <= e0:
+            r += step
     rho0 = (r + 1) * e0 - comb(r + b, r)
     rho1 = e0 * (e0 - 1) // 2 - (b - 1) * (b - 2) // 2
     return AdmissibleRange(b, e0, r, rho0, rho1)

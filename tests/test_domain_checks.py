@@ -105,6 +105,30 @@ CASES = {
     "semigroup-zero-generator": (
         lambda: semigroup([0, 3]),
         ValueError, "generators must be positive integers"),
+    "semigroup-float-generator": (
+        lambda: semigroup([3.5, 4]),
+        TypeError, "generator must be an int, got 3.5"),
+    "semigroup-string-generators": (
+        lambda: semigroup(["3", "4"]),
+        TypeError, "generator must be an int, got '3'"),
+    "class-float-coefficient": (
+        lambda: MotivicClass({1: 2.5}),
+        TypeError, "coefficient of L must be an int, got 2.5"),
+    "class-fraction-coefficient": (
+        lambda: MotivicClass({1: Fraction(5, 2)}),
+        TypeError, "coefficient of L must be an int, got Fraction(5, 2)"),
+    "class-float-exponent": (
+        lambda: MotivicClass({1.9: 1}),
+        TypeError, "exponent of L must be an int, got 1.9"),
+    "class-string-exponent": (
+        lambda: MotivicClass({"2": "3"}),
+        TypeError, "exponent of L must be an int, got '2'"),
+    "series-float-denominator-factor": (
+        lambda: RationalSeries({0: MotivicClass.one()}, [(1.5, 1)]),
+        TypeError, "exponent of (1 - L^a T^b) must be an int, got 1.5"),
+    "series-float-numerator-exponent": (
+        lambda: RationalSeries({0.7: MotivicClass.one()}),
+        TypeError, "exponent of T must be an int, got 0.7"),
     "milnor-negative-delta": (
         lambda: milnor(-1, 1),
         ValueError, "need delta >= 0 and r >= 1"),

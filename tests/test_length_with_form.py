@@ -1,11 +1,11 @@
 """`_length_with_form(spans, L)` is dim R/(J+(L)+M^n), for `spans` the
-DegreeSpans of an ideal J at level n.  There is one route: the residuals
-of L's multiples modulo J's span go into a fresh echelon, and the length
-is J's colength less their rank.  It must give the dense H1 of J + (L) at
-the top degree, which builds no span, and the span of a copy of J's with
-L's multiples added.  Each test builds one span per J and reads J's forms
-off it; `test_every_projective_form` reads every projective form off one
-span, so a length that changed the span fails there."""
+DegreeSpans of an ideal J at level n.  There is one route: L's multiples
+go into a copy of J's span, and the length is the copy's colength.  It
+must equal the dense H1 of J + (L) at the top degree, which builds no
+span, and leave J's span as it was.  Each test builds one span per J and
+reads J's forms off it; `test_every_projective_form` reads every
+projective form off one span, so a length that changed the span fails
+there."""
 
 from fractions import Fraction
 
@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from curvemoduli.idealcalc import DegreeSpans, IdealPresentation  # noqa: E402
 from curvemoduli.ringcore import (  # noqa: E402
-    GF, QQ, Echelon, LevelError, TruncatedPoly, _add_multiples, monomials_of_degree, parse_poly,
+    GF, QQ, LevelError, TruncatedPoly, _add_multiples, monomials_of_degree, parse_poly,
 )
 from curvemoduli.trunctower import _length_with_form, all_projective_linear_forms  # noqa: E402
 from oracles import dense_ideal_h1  # noqa: E402
@@ -122,24 +122,24 @@ def test_three_variables(data, field):
 @pytest.mark.parametrize("n_vars, field", [(2, QQ), (2, GF(5)), (3, QQ), (3, GF(5))], ids=str)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_residuals_span_what_a_copy_gains(data, n_vars, field):
-    # J's span plus the residuals is the span of a copy of J's with L's
-    # multiples added, and J's span is left as it was
+def test_length_is_the_colength_of_a_copy(data, n_vars, field):
+    # the length is the colength of a copy of J's span with L's multiples
+    # added, and reading the forms leaves J's span as it was
     level = data.draw(st.integers(3, 8 if n_vars == 2 else 5))
     L = data.draw(polys(n_vars, field, level))
     spans = DegreeSpans(ideal_with_multiples(data, L), level)
-    before = {piv: dict(row) for piv, row in spans.ech.rows.items()}
+    rows = {piv: dict(row) for piv, row in spans.ech.rows.items()}
+    slice_dims = list(spans.slice_dims)
     copy = spans.ech.copy()
     _add_multiples(spans.table, copy, L)
-    new = Echelon(field)
-    _add_multiples(spans.table, new, L, modulo=spans.ech)
-    assert not set(new.pivots()) & set(spans.ech.pivots())
-    both = spans.ech.copy()
-    for row in new.rows.values():
-        both.add(row)
-    assert both.rows == copy.rows
     assert _length_with_form(spans, L) == spans.table.offset[level] - copy.rank
-    assert spans.ech.rows == before
+    forms = [L]
+    if field.char:
+        forms += all_projective_linear_forms(n_vars, field, level)
+    for form in forms:
+        _length_with_form(spans, form)
+    assert spans.ech.rows == rows
+    assert spans.slice_dims == slice_dims
 
 
 @pytest.mark.parametrize("text, match", [("0", "zero generator"), ("1 + x1", "is a unit")],

@@ -413,6 +413,19 @@ class TestAdmissible:
                 rng = admissible_range(b, e0)
                 assert rng.rho0 <= rng.rho1, (b, e0)
 
+    def test_r_matches_the_linear_scan(self):
+        for b in range(2, 7):
+            r = 0
+            for e0 in range(b, 301):
+                while comb(b + r, r + 1) <= e0:
+                    r += 1
+                assert admissible_range(b, e0).r == r, (b, e0)
+
+    def test_r_for_huge_e0(self):
+        # a linear scan in r would make e0 binomials here
+        assert admissible_range(2, 10**12).r == 10**12 - 1
+        assert admissible_range(10**6, 10**9).r == 1
+
     def test_b_above_e0_rejected(self):
         with pytest.raises(ValueError, match="b = 4 > e0"):
             admissible(4, 3, 1)
