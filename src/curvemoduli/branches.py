@@ -8,6 +8,7 @@ it must agree with a pure valuation count on the semigroup.
 """
 
 from collections import namedtuple
+from functools import lru_cache
 from itertools import accumulate
 from math import gcd
 
@@ -80,6 +81,7 @@ def semigroup(gens, bound=None):
 
 def milnor(delta, r):
     """mu = 2*delta - r + 1 for r branches."""
+    check_ints((delta, r), "each of delta and r")
     if delta < 0 or r < 1:
         raise ValueError("need delta >= 0 and r >= 1")
     return 2 * delta - r + 1
@@ -275,19 +277,15 @@ class _Substitution:
         return vec
 
 
-def _substitution(param, level, sub):
-    """`sub`, checked to be `_Substitution(param, level)`; a new one if None."""
-    if sub is None:
-        return _Substitution(param, level)
-    if sub.param is not param or sub.table.level != level:
-        whose = "this" if sub.param is param else "another"
-        raise LevelError(
-            f"sub was built for {whose} parametrization at level {sub.table.level};"
-            f" asked for level {level}")
-    return sub
+@lru_cache(maxsize=1)
+def _substitution(param, level):
+    """The `_Substitution(param, level)` that `ideal_from_param` and
+    `hilbert_from_param` share: only the last one is kept.  Its readers copy
+    `high` before they add to it, so the shared object is never changed."""
+    return _Substitution(param, level)
 
 
-def ideal_from_param(param, level, sub=None):
+def ideal_from_param(param, level):
     """The truncated defining ideal of the branches, by exact linear algebra.
 
     The span of (I(C)+M^level)/M^level consists of the polynomials of degree
@@ -295,11 +293,11 @@ def ideal_from_param(param, level, sub=None):
     (not of those whose substitution vanishes: at finite t-precision the
     image of M^level is visible, not zero).  The generators returned are its
     reduced echelon basis, the kernel of the substitution modulo that image;
-    each is post-checked to vanish on every branch modulo the image.  A
-    caller that already holds `_Substitution(param, level)` passes it as `sub`;
-    one built for another parametrization or level raises LevelError.
+    each is post-checked to vanish on every branch modulo the image.  The
+    substitution is the one `hilbert_from_param` reads at the same
+    parametrization and level, built once for both.
     """
-    sub = _substitution(param, level, sub)
+    sub = _substitution(param, level)
     kernel = kernel_basis(sub.high, sub.vectors, sub.t_cols)
     gens = [sub.table.poly_of(row, param.field) for row in kernel]
     for g in gens:
@@ -328,15 +326,15 @@ def evaluate_on_branch(poly, branch):
     return out
 
 
-def hilbert_from_param(param, level, sub=None):
+def hilbert_from_param(param, level):
     """Hilbert data via the substitution ranks (the parametric route).
 
     H1(t) = dim R/(I+M^{t+1}) is the rank of all substituted monomials minus
-    the rank of those of degree >= t+1: one echelon pass that starts from
-    the span of degree >= level and adds the degrees below it, descending.
-    `sub` is as in `ideal_from_param`.
+    the rank of those of degree >= t+1: one echelon pass that starts from a
+    copy of the span of degree >= level and adds the degrees below it,
+    descending.  The substitution is shared as in `ideal_from_param`.
     """
-    sub = _substitution(param, level, sub)
+    sub = _substitution(param, level)
     ech = sub.high.copy()
     offset = sub.table.offset
     rank_geq = [0] * level + [ech.rank]

@@ -355,9 +355,8 @@ def cmd_param(args):
     param = br.Parametrization.parse(branch_texts, precision, field)
     if args.N is not None and args.N != param.n_vars:
         raise ValueError(f"--N {args.N} but the branches have {param.n_vars} components")
-    sub = br._Substitution(param, args.level)
-    hd = br.hilbert_from_param(param, args.level, sub=sub)
-    ideal = br.ideal_from_param(param, args.level, sub=sub)
+    hd = br.hilbert_from_param(param, args.level)
+    ideal = br.ideal_from_param(param, args.level)
     payload = hd.to_json()
     payload["kernel_generators"] = _gens_json(ideal)
     payload["branch_count"] = param.r

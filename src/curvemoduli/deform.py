@@ -213,19 +213,20 @@ def flatness_direct(deformation, n):
     return total_dim == 2 * fiber_dim, {"dual_dim": total_dim, "fiber_dim": fiber_dim}
 
 
-def cm_colon_identity(ideal, e0, vlist, level=None):
+def cm_colon_identity(ideal, e0, vlist):
     """Check (I+M^{e0+1} : I+M^{e0+1-v}) = span of I+M^v, per order v.
 
     This is the graded Cohen-Macaulay identity (m^{e0+1} : m^{e0+1-v}) = m^v
     pulled back to R; the caller asserts CM-ness of the associated graded
     ring, the routine just decides the span equality.  Every v must lie in
     1..e0: outside it one side is I + M^w with w <= 0, which is all of R.
+    Both sides are spans in R/M^{e0+1}, so the ideal must be given at level
+    e0+1 or above.
     """
     for v in vlist:
         if not 1 <= v <= e0:
             raise ValueError(f"order v must be in 1..e0 = 1..{e0}, got v = {v}")
-    if level is None:
-        level = e0 + 1
+    level = e0 + 1
     ideal = ideal.truncated(level)  # the gate checks the level even for an empty vlist
     out = {}
     for v in vlist:

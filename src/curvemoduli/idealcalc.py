@@ -10,10 +10,10 @@ degree: pivots in degrees <= d then give both dim (I+M^{d+1})/M^{d+1} and
 an explicit basis of the degree-d graded piece of the initial ideal.  A
 slice's dimension is its pivot count (`DegreeSpans.slice_dims`); its rows
 are cut out as an echelon block (`ringcore.degree_block`) only where they
-are read, for fresh minimal generators and for the witness of a failed
-standard-basis check, and a row becomes a polynomial only where a report
-prints it.  That span, and every other span
-of monomial multiples here, comes from the one kernel
+are read: for fresh minimal generators, and in the failing degree of a
+standard-basis check for the candidate's block, against which the
+minimal generators of that degree are tested for a witness.  That span,
+and every other span of monomial multiples here, comes from the one kernel
 `ringcore.span_of_multiples`, which inserts generator by generator: its
 canonical rows do not depend on the insertion order, and this order was
 measured the cheapest.
@@ -246,16 +246,19 @@ class InitialIdealData(namedtuple(
     __slots__ = ()
 
 
-def initial_ideal(ideal, level, spans=None):
-    """Initial ideal data of I at the given level.
+def initial_ideal(ideal, level):
+    """Initial ideal data of I at the given level, read off the span of
+    (I+M^level)/M^level that it builds.
 
     Uses (I+M^{d+1})*_d = I*_d for d < level: the degree-d graded piece of
     the span filtration is exactly the degree-d piece of the initial ideal.
     A slice vector is a minimal generator when it lies outside the ideal
     generated by the minimal generators found before it, whose degree-d
-    part is S_1 * I*_{d-1} plus the earlier fresh vectors of degree d.
+    part is S_1 * I*_{d-1} plus the earlier fresh vectors of degree d; each
+    degree's minimal generators are the first such canonical rows of its
+    slice, in pivot order.
     """
-    spans = spans or DegreeSpans(ideal, level)
+    spans = DegreeSpans(ideal, level)
     table = spans.table
     dims = spans.slice_dims[:level]
     mingens = {}
@@ -312,25 +315,26 @@ def standard_basis_check(ideal, level):
 
     Criterion: the homogeneous ideal generated by the initial forms of the
     given generators must match the graded slices of the initial ideal in
-    every degree < level.  On failure, reports the least degree where the
-    candidate ideal misses part of I*_d and one missing form as witness.
+    every degree < level.  On failure, reports the least degree d where the
+    candidate ideal misses part of I*_d and, as witness, the first minimal
+    generator of I* in degree d outside the candidate's degree-d block.
+    Below d the candidate holds every slice of I*, so the first canonical
+    row of I*_d outside that block is such a generator: it is the witness.
     """
     ideal = ideal.truncated(level)
-    spans = DegreeSpans(ideal, level)
-    data = initial_ideal(ideal, level, spans=spans)
+    data = initial_ideal(ideal, level)
     candidate = IdealPresentation(
         [initial_form(g) for g in ideal.generators],
         ideal.n_vars, ideal.field, level,
     )
     cand = DegreeSpans(candidate, level)
-    table = spans.table
     for d in range(level):
         if cand.slice_dims[d] == data.slice_dims[d]:
             continue
-        have = degree_block(table, cand.ech, d)
-        for row in degree_block(table, spans.ech, d).basis():
-            if not have.contains(row):
-                return StandardBasisReport(False, d, table.poly_of(row, ideal.field), data.vstar)
+        have = degree_block(cand.table, cand.ech, d)
+        for g in data.min_generators[d]:
+            if not have.contains(cand.table.vector_of(g)):
+                return StandardBasisReport(False, d, g, data.vstar)
         raise AssertionError("slice dims differ but no missing form found")
     return StandardBasisReport(True, None, None, data.vstar)
 

@@ -144,6 +144,9 @@ class RationalSeries:
 
     def __init__(self, numerator, denominator=()):
         check_ints(numerator, "exponent of T")
+        for k, v in numerator.items():
+            if not isinstance(v, MotivicClass):
+                raise TypeError(f"coefficient of T^{k} must be a MotivicClass, got {v!r}")
         self.numerator = {k: v for k, v in numerator.items() if not v.is_zero()}
         den = [(a, b) for a, b in denominator]
         check_ints((x for factor in den for x in factor), "exponent of (1 - L^a T^b)")

@@ -26,6 +26,7 @@ from .ringcore import (
     LevelError,
     TruncatedPoly,
     _add_multiples,
+    check_ints,
     count_monomials_upto,
     monomial_table,
     monomials_of_degree,
@@ -269,12 +270,12 @@ def jtilde(ideal, n, e0):
     (i.e. Jtilde + M^n = J*) and that the graded ring they cut out is
     one-dimensional of multiplicity e0 as far as the level shows.  A failed
     verification means the level sits below the theoretical cutoff.  Equal
-    H1 values are equal slice dimensions, degree by degree.
+    H1 values are equal slice dimensions, degree by degree, so the slices
+    of Jtilde are compared with those `initial_ideal` read off J's span.
     """
     _check_tn_level(n, e0)
     J = ideal.truncated(n)
-    spans = DegreeSpans(J, n)
-    data = initial_ideal(J, n, spans=spans)
+    data = initial_ideal(J, n)
     gens = []
     for d in sorted(data.min_generators):
         if d <= e0:
@@ -282,9 +283,9 @@ def jtilde(ideal, n, e0):
     if not gens:
         raise ValueError("no minimal generators of degree <= e0 below the level")
     tilde = IdealPresentation(gens, J.n_vars, J.field, n)
-    tilde_h1 = DegreeSpans(tilde, n).h1_values()
-    slice_match = tilde_h1 == spans.h1_values()
-    hd = analyze_h1(tilde_h1)
+    tilde_spans = DegreeSpans(tilde, n)
+    slice_match = tilde_spans.slice_dims == data.slice_dims
+    hd = analyze_h1(tilde_spans.h1_values())
     mult_ok = hd.status == "ok" and hd.e0 == e0
     return JtildeResult(tilde, slice_match and mult_ok, slice_match, mult_ok, hd)
 
@@ -307,6 +308,7 @@ def admissible_range(b, e0):
     adding its halves, so no binomial is much larger than e0 and the
     search takes O(log e0) steps.
     """
+    check_ints((b, e0), "each of b and e0")
     if b < 1 or e0 < 1:
         raise ValueError("need b >= 1 and e0 >= 1")
     if b > e0:
@@ -330,6 +332,7 @@ def admissible(b, e0, e1):
     """Whether some curve singularity of embedding dimension b has (e0, e1).
     Out of the domain of `admissible_range` it raises that function's
     errors, except that b = 1 with e0 > 1 is answered False."""
+    check_ints((b, e0, e1), "each of b, e0 and e1")
     if b == 1 and e0 > 1:
         return False
     rng = admissible_range(b, e0)

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from itertools import product
 
 import pytest
@@ -8,6 +10,7 @@ from curvemoduli.branches import (
     Parametrization,
     PrecisionError,
     _Substitution,
+    _substitution,
     delta_from_param,
     evaluate_on_branch,
     hilbert_from_param,
@@ -209,26 +212,59 @@ class TestSubstitutionWalk:
         assert {P.r for P in cases} == {1, 2, 3}
         assert {P.n_vars for P in cases} == {2, 3, 4}
 
-    # a substitution built for another level used to give wrong H1 silently
-    # (level 7 for level 6: [1, 4, 7, 10, 13, 19]) or a bare IndexError
-    @pytest.mark.parametrize("route", [hilbert_from_param, ideal_from_param])
-    @pytest.mark.parametrize("built, message", [
-        ("level 7", "sub was built for this parametrization at level 7; asked for level 6"),
-        ("level 5", "sub was built for this parametrization at level 5; asked for level 6"),
-        ("other", "sub was built for another parametrization at level 6; asked for level 6"),
-    ], ids=["level 7", "level 5", "other"])
-    def test_substitution_of_another_level_or_parametrization(self, route, built, message):
-        P = param([["t^3", "t^4", "t^5"]], 40)
-        sub = {"level 7": lambda: _Substitution(P, 7),
-               "level 5": lambda: _Substitution(P, 5),
-               "other": lambda: _Substitution(param([["t^3", "t^4", "t^5"]], 40), 6)}[built]()
-        with pytest.raises(LevelError) as exc:
-            route(P, 6, sub=sub)
-        assert str(exc.value) == message
 
-    def test_substitution_of_its_own_level_is_used(self):
+class TestSharedSubstitution:
+    """`hilbert_from_param` and `ideal_from_param` share the last
+    `_Substitution` they built, and neither changes it."""
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        built = []
+        init = _Substitution.__init__
+
+        def counting_init(self, param, level):
+            built.append((param, level))
+            init(self, param, level)
+
+        monkeypatch.setattr(_Substitution, "__init__", counting_init)
+        return built
+
+    def test_one_build_per_parametrization_and_level(self, monkeypatch):
+        built = self.count_builds(monkeypatch)
         P = param([["t^3", "t^4", "t^5"]], 40)
-        assert hilbert_from_param(P, 6, sub=_Substitution(P, 6)).values == [1, 4, 7, 10, 13, 16]
+        hilbert_from_param(P, 6)
+        ideal_from_param(P, 6)
+        hilbert_from_param(P, 6)
+        assert built == [(P, 6)]
+        ideal_from_param(P, 7)
+        assert built == [(P, 6), (P, 7)]
+        # an equal parametrization is another object: it gets its own
+        Q = param([["t^3", "t^4", "t^5"]], 40)
+        hilbert_from_param(Q, 7)
+        assert built == [(P, 6), (P, 7), (Q, 7)]
+
+    def test_only_the_last_substitution_is_kept(self):
+        P = param([["t^3", "t^4", "t^5"]], 40)
+        hilbert_from_param(P, 6)
+        held = weakref.ref(_substitution(P, 6))
+        gc.collect()
+        assert held() is not None
+        hilbert_from_param(P, 7)
+        gc.collect()
+        assert held() is None
+
+    def test_readers_leave_the_shared_substitution_unchanged(self):
+        P = param([["t^3", "t^4 + t^5", "t^5"], ["t", "t^2", "t^3"]], 30)
+        hd = hilbert_from_param(P, 6)
+        sub = _substitution(P, 6)
+        high, vectors = sub.high.basis(), [dict(v) for v in sub.vectors]
+        gens = ideal_from_param(P, 6).generators
+        assert hilbert_from_param(P, 6) == hd
+        assert _substitution(P, 6) is sub
+        assert (sub.high.basis(), sub.vectors) == (high, vectors)
+        _substitution.cache_clear()
+        assert hilbert_from_param(P, 6) == hd
+        assert ideal_from_param(P, 6).generators == gens
 
 
 class TestEvaluateOnBranch:
@@ -256,13 +292,6 @@ class TestTwoRouteAgreement:
         P = param([[f"t^{g}" for g in gens]], prec)
         hd = hilbert_from_param(P, level)
         assert hd.values == valuation_h1(gens, level - 1)
-
-    def test_shared_substitution_gives_the_same_results(self):
-        P = param([["t^3", "t^4 + t^5", "t^5"], ["t", "t^2", "t^3"]], 30)
-        sub = _Substitution(P, 6)
-        assert hilbert_from_param(P, 6, sub=sub) == hilbert_from_param(P, 6)
-        assert ideal_from_param(P, 6, sub=sub).generators == ideal_from_param(P, 6).generators
-        assert hilbert_from_param(P, 6, sub=sub) == hilbert_from_param(P, 6)
 
     def test_kernel_route_equals_ideal_route(self):
         P = param([["t^3", "t^4", "t^5"]], 30)

@@ -300,16 +300,18 @@ class TestCmColonIdentity:
         with pytest.raises(ValueError, match=rf"1\.\.3, got v = {bad}$"):
             cm_colon_identity(I, 3, vlist)
 
-    def test_level_zero_rejected(self):
-        I = ideal(["x2^2 - x1^3"], level=8)
-        with pytest.raises(LevelError, match=r"level must be >= 1, got 0$"):
-            cm_colon_identity(I, 2, [1, 2], level=0)
+    def test_ideal_below_e0_plus_1_rejected(self):
+        # the identity lives in R/M^(e0+1): an ideal given at level e0 is
+        # not padded up to it
+        I = ideal(["x2^2 - x1^3"], level=3)
+        with pytest.raises(LevelError, match=r"^cannot extend precision from 3 to 4$"):
+            cm_colon_identity(I, 3, [1, 2])
 
-    def test_level_zero_rejected_without_orders(self):
+    def test_ideal_below_e0_plus_1_rejected_without_orders(self):
         # no order to check means no colon, and the level is still refused
-        I = ideal(["x2^2 - x1^3"], level=8)
-        with pytest.raises(LevelError, match=r"level must be >= 1, got 0$"):
-            cm_colon_identity(I, 2, [], level=0)
+        I = ideal(["x2^2 - x1^3"], level=3)
+        with pytest.raises(LevelError, match=r"^cannot extend precision from 3 to 4$"):
+            cm_colon_identity(I, 3, [])
 
 
 class TestDeterminantal:

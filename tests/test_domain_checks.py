@@ -18,8 +18,8 @@ from curvemoduli.motivic import (
 )
 from curvemoduli.ringcore import GF, QQ, LevelError, TruncatedPoly, parse_poly
 from curvemoduli.trunctower import (
-    CellIndex, admissible_range, all_projective_linear_forms, cell_membership, enumerate_xi,
-    hilbert_stratum_check, tn_membership,
+    CellIndex, admissible, admissible_range, all_projective_linear_forms, cell_membership,
+    enumerate_xi, hilbert_stratum_check, tn_membership,
 )
 
 
@@ -102,6 +102,18 @@ CASES = {
     "admissible-b-1-e0-2": (
         lambda: admissible_range(1, 2),
         ValueError, "embedding dimension 1 forces e0 = 1"),
+    "admissible-float-e0": (
+        lambda: admissible_range(2, 3.5),
+        TypeError, "each of b and e0 must be an int, got 3.5"),
+    "admissible-float-b": (
+        lambda: admissible_range(2.5, 3),
+        TypeError, "each of b and e0 must be an int, got 2.5"),
+    "admissible-float-e1": (
+        lambda: admissible(2, 3, 1.5),
+        TypeError, "each of b, e0 and e1 must be an int, got 1.5"),
+    "admissible-b-1-string-e0": (
+        lambda: admissible(1, "2", 0),
+        TypeError, "each of b, e0 and e1 must be an int, got '2'"),
     "semigroup-zero-generator": (
         lambda: semigroup([0, 3]),
         ValueError, "generators must be positive integers"),
@@ -129,9 +141,18 @@ CASES = {
     "series-float-numerator-exponent": (
         lambda: RationalSeries({0.7: MotivicClass.one()}),
         TypeError, "exponent of T must be an int, got 0.7"),
+    "series-int-numerator-value": (
+        lambda: RationalSeries({0: 1}),
+        TypeError, "coefficient of T^0 must be a MotivicClass, got 1"),
     "milnor-negative-delta": (
         lambda: milnor(-1, 1),
         ValueError, "need delta >= 0 and r >= 1"),
+    "milnor-float-delta": (
+        lambda: milnor(2.5, 1),
+        TypeError, "each of delta and r must be an int, got 2.5"),
+    "milnor-float-r": (
+        lambda: milnor(2, 1.0),
+        TypeError, "each of delta and r must be an int, got 1.0"),
     "branch-two-variable-component": (
         lambda: Branch([parse_poly("x1", 2, QQ, 6)], 6),
         ValueError, "branch components are one-variable series"),

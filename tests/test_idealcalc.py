@@ -19,6 +19,7 @@ from curvemoduli.ringcore import (
     Echelon,
     LevelError,
     degree_block,
+    initial_form,
     monomials_of_degree,
     multiple_vector,
     parse_poly,
@@ -308,6 +309,70 @@ class TestStandardBasis:
         I = ideal(["x1*x3 - x2^2", "x1^3 - x2*x3", "x1^2*x2 - x3^2"], n_vars=3, level=8)
         rep = standard_basis_check(I, 8)
         assert rep.ok and rep.vstar == [2, 2, 2]
+
+
+def first_row_outside_candidate(I, level):
+    """The standard-basis witness by its first definition: the least degree
+    d where some canonical row of I*_d lies outside the degree-d block of the
+    ideal of the initial forms, and the first such row; None if there is none."""
+    spans = DegreeSpans(I, level)
+    candidate = IdealPresentation([initial_form(g) for g in I.generators],
+                                  I.n_vars, I.field, level)
+    cand = DegreeSpans(candidate, level)
+    table = spans.table
+    for d in range(level):
+        have = degree_block(table, cand.ech, d)
+        for row in degree_block(table, spans.ech, d).basis():
+            if not have.contains(row):
+                return d, table.poly_of(row, I.field)
+    return None
+
+
+def random_failing_ideals(field, n_vars, seed, count, level=7):
+    """`count` seeded random ideals whose generators are not a standard basis."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        gens = [random_poly(rng, n_vars, field, level, 4, min_degree=2, density=0.4)
+                for _ in range(rng.randint(2, 3))]
+        gens = [g for g in gens if not g.is_zero()]
+        I = IdealPresentation(gens, n_vars, field, level)
+        if gens and not standard_basis_check(I, level).ok:
+            out.append(I)
+    return out
+
+
+class TestStandardBasisWitness:
+    """The witness is the first minimal generator of I* in the failing degree
+    outside the candidate's block, read off `initial_ideal`'s data."""
+
+    @pytest.mark.parametrize("field", [QQ, GF(3), GF(101)], ids=str)
+    @pytest.mark.parametrize("n_vars", [2, 3])
+    def test_witness_is_the_first_row_outside_the_candidate(self, field, n_vars):
+        for I in random_failing_ideals(field, n_vars, seed=7 * n_vars, count=6):
+            rep = standard_basis_check(I, I.level)
+            d, row = first_row_outside_candidate(I, I.level)
+            assert (rep.failing_degree, rep.missing_initial_form) == (d, row)
+            assert rep.missing_initial_form in initial_ideal(I, I.level).min_generators[d]
+
+    def test_witness_skips_generators_the_candidate_holds(self):
+        # x3^5 and x1^5 are both fresh in degree 5, x3^5 first; only x1^5
+        # lies outside the ideal of the initial forms
+        I = ideal(["x2^2 - x1^3", "x1^2*x2", "x3^5"], n_vars=3, level=8)
+        assert printed(initial_ideal(I, 8).min_generators[5]) == ["x3^5", "x1^5"]
+        rep = standard_basis_check(I, 8)
+        assert (rep.failing_degree, poly_str(rep.missing_initial_form)) == (5, "x1^5")
+        assert (5, rep.missing_initial_form) == first_row_outside_candidate(I, 8)
+
+    def test_builds_one_span_of_the_ideal(self, monkeypatch):
+        I = ideal(["x1^2 - x2^3", "x1*x2^2"], level=8)
+        spanned = []
+        init = DegreeSpans.__init__
+        monkeypatch.setattr(DegreeSpans, "__init__",
+                            lambda spans, J, level: spanned.append(J) or init(spans, J, level))
+        rep = standard_basis_check(I, 8)
+        assert not rep.ok
+        assert sum(J is I for J in spanned) == 1 and len(spanned) == 2
 
 
 class TestMinGenerators:

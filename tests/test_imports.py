@@ -147,3 +147,34 @@ class TestLazyPackageExports:
 
         assert idealcalc is sys.modules["curvemoduli.idealcalc"]
         assert idealcalc.hilbert_data is curvemoduli.hilbert_data
+
+
+def private_library_reads(source):
+    """The `_`-prefixed names a module reads from the package's other
+    modules, as `alias._name`: attributes of a module bound by a relative
+    import, and names a relative import binds directly, sorted."""
+    tree = ast.parse(source)
+    modules, reads = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for a in node.names:
+                if node.module is None:
+                    modules.add(a.asname or a.name)
+                elif a.name.startswith("_"):
+                    reads.add(f"{node.module}.{a.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name) and node.value.id in modules):
+            reads.add(f"{node.value.id}.{node.attr}")
+    return sorted(reads)
+
+
+def test_checker_sees_a_private_library_read():
+    source = ("import os\nfrom .ringcore import _TOKEN, QQ\n"
+              "def f():\n    from . import branches as br\n"
+              "    br._Substitution(1, 2)\n    br.semigroup([2])\n    os._exit(0)\n")
+    assert private_library_reads(source) == ["br._Substitution", "ringcore._TOKEN"]
+
+
+def test_cli_reads_only_the_public_library_api():
+    assert private_library_reads(CLI.read_text()) == []

@@ -291,6 +291,17 @@ class TestShapeAndJtilde:
         assert not res.verified
         assert not res.slice_match
 
+    def test_jtilde_builds_one_span_of_J(self, monkeypatch):
+        # its slices are compared with those initial_ideal read off J's span
+        I = ideal(["x1^2", "x1*x2^2"], level=6)
+        spanned = []
+        init = DegreeSpans.__init__
+        monkeypatch.setattr(DegreeSpans, "__init__",
+                            lambda spans, J, level: spanned.append(J) or init(spans, J, level))
+        res = jtilde(I, 6, 2)
+        assert not res.slice_match
+        assert sum(J is I for J in spanned) == 1 and len(spanned) == 2
+
     def test_jtilde_monomial_three_generators(self):
         I = ideal(["x3^2", "x2*x3", "x1^2*x2"], n_vars=3, level=10)
         res = jtilde(I, 10, 4)
