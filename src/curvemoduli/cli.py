@@ -23,6 +23,9 @@ Both reads give the same namespace for every argv the direct read accepts.
 No library module is imported at module level: each handler (and each
 helper that reads one) imports the modules it uses, so a job loads only
 those, and `import curvemoduli.cli` with `build_parser()` loads none.
+Rational arithmetic (`fractions`) comes with the first field over QQ or
+the first '/' parsed, so a job on ints only (`enumerate`, `admissible`,
+`semigroup`) or over `--field p` without a '/' never loads it.
 
 A process runs one job through `run`, which ends it as soon as `main` has
 returned, the `atexit` callbacks have run and stdout and stderr are

@@ -6,10 +6,15 @@ rationals or plain ints modulo a prime.  A `TruncatedPoly` is a sparse term
 map carried modulo a power M^n of the maximal ideal M = (x1,...,xN); the
 truncation level is explicit everywhere and no operation silently extends
 precision.  All values are immutable after construction.
+
+Rational arithmetic is loaded on first use: `fractions` (with `decimal`
+and `numbers`) is imported when the first characteristic-0 `Field` is
+built, and `QQ` is built on its first access (PEP 562).  So a job over
+GF(p), or one that computes with ints only, never imports it; the parser
+builds a `Fraction` only at a '/'.
 """
 
 import re
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
 from operator import add
@@ -27,14 +32,33 @@ class LevelError(ValueError):
     """Mismatched or insufficient truncation level / ambient / field."""
 
 
-def _is_prime(p):
-    if p < 2:
+# The first 13 primes.  Miller-Rabin to all of them is exact below
+# PRIME_LIMIT, the least strong pseudoprime to every one of them
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2015).
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin for 0 <= n < PRIME_LIMIT."""
+    if n < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -45,14 +69,29 @@ class Field:
     `of` is the one place where a coefficient enters the field: arithmetic
     on coefficients uses the native operators of int and Fraction, and
     `TruncatedPoly` coerces the result once, on construction.
+
+    The characteristic must be an int: 0, or a prime below PRIME_LIMIT,
+    where the primality test is exact.  Building a char-0 field imports
+    `Fraction` into this module, so that every char-0 branch here, which
+    runs only with such a field, reads it as a module global; unpickling
+    a field builds it anew for the same reason.
     """
 
     __slots__ = ("char",)
 
     def __init__(self, char=0):
-        if char != 0 and not _is_prime(char):
+        check_ints((char,), "characteristic")
+        if char == 0:
+            global Fraction
+            from fractions import Fraction
+        elif char >= PRIME_LIMIT:
+            raise ValueError(f"characteristic must be below {PRIME_LIMIT}, got {char}")
+        elif not _is_prime(char):
             raise ValueError(f"characteristic must be 0 or prime, got {char}")
         self.char = char
+
+    def __reduce__(self):
+        return Field, (self.char,)
 
     def zero(self):
         return Fraction(0) if self.char == 0 else 0
@@ -68,11 +107,14 @@ class Field:
                 return Fraction(value)
         elif isinstance(value, int):
             return value % self.char
-        elif isinstance(value, Fraction):
-            den = value.denominator % self.char
-            if den == 0:
-                raise ZeroDivisionError(f"denominator divisible by {self.char}")
-            return value.numerator * pow(den, -1, self.char) % self.char
+        else:
+            import fractions  # a Fraction may predate every char-0 field
+
+            if isinstance(value, fractions.Fraction):
+                den = value.denominator % self.char
+                if den == 0:
+                    raise ZeroDivisionError(f"denominator divisible by {self.char}")
+                return value.numerator * pow(den, -1, self.char) % self.char
         raise TypeError(f"coefficient must be an int or a Fraction, got {type(value).__name__}")
 
     def __eq__(self, other):
@@ -85,7 +127,13 @@ class Field:
         return "QQ" if self.char == 0 else f"GF({self.char})"
 
 
-QQ = Field(0)
+def __getattr__(name):
+    """`QQ`, built on its first access and then kept as a module global."""
+    if name != "QQ":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    global QQ
+    QQ = Field(0)
+    return QQ
 
 
 def GF(p):
@@ -377,7 +425,7 @@ def parse_poly(text, n_vars, field, level, var="x"):
         tok, at = toks.pop()
         if tok not in ("+", "-"):
             raise ParseError(f"expected '+' or '-', found {tok[:1]!r}", at)
-        coeff = Fraction(1 if tok == "+" else -1)
+        coeff = 1 if tok == "+" else -1
         if toks[-1][0] in ("+", "-"):
             coeff = coeff if toks.pop()[0] == "+" else -coeff
         at, expo = toks[-1][1], [0] * n_vars
@@ -390,7 +438,9 @@ def parse_poly(text, n_vars, field, level, var="x"):
                 den = number()
                 if not den:
                     raise ParseError("zero denominator", den_at + len(tok))
-                coeff /= den
+                from fractions import Fraction
+
+                coeff = Fraction(coeff, den)
             star()
         while toks[-1][0] == var:
             var_at = toks.pop()[1]

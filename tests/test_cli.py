@@ -86,6 +86,18 @@ class TestHilbert:
         assert (code, out) == (2, "")
         assert err == f"error: denominator divisible by 7 (at position {position})\n"
 
+    def test_large_prime_field(self, capsys):
+        # 2^61 - 1 is proven prime at once; 2^89 - 1, prime too, lies past
+        # the bound below which the primality test is exact
+        code, payload, _ = run_json(capsys, "hilbert", "--N", "2", "--field", str(2 ** 61 - 1),
+                                    "--level", "4", "--ideal", "x1^2")
+        assert code == 0 and payload["input"]["field"] == f"GF({2 ** 61 - 1})"
+        assert payload["values"] == [1, 3, 5, 7]
+        code, out, err = run(capsys, "hilbert", "--field", str(2 ** 89 - 1), "--ideal", "x1^2",
+                             "--level", "4")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: characteristic must be below 3317044064679887385961981")
+
     @pytest.mark.parametrize("n_vars", [2, 3])
     def test_zero_dimensional_exit_code(self, capsys, n_vars):
         argv = ["hilbert", "--N", str(n_vars), "--level", "6"]

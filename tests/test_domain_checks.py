@@ -183,6 +183,19 @@ CASES = {
     "fit-one-field": (
         lambda: fit_class_from_counts({2: 1}, 1),
         ValueError, "need counts for at least two fields"),
+    "field-float-characteristic": (
+        lambda: GF(7.0),
+        TypeError, "characteristic must be an int, got 7.0"),
+    "field-string-characteristic": (
+        lambda: GF("7"),
+        TypeError, "characteristic must be an int, got '7'"),
+    "field-composite-characteristic": (
+        lambda: GF(2 ** 61 + 1),
+        ValueError, "characteristic must be 0 or prime, got 2305843009213693953"),
+    "field-characteristic-above-exact-primality": (
+        lambda: GF(2 ** 89 - 1),
+        ValueError, "characteristic must be below 3317044064679887385961981,"
+                    " got 618970019642690137449562111"),
     "gf7-denominator-7": (
         lambda: GF(7).of(Fraction(1, 7)),
         ZeroDivisionError, "denominator divisible by 7"),

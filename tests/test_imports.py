@@ -2,11 +2,13 @@
 no module imports a name it never uses, and the CLI starts without
 `dataclasses` and `inspect`, which would add a dozen stdlib modules to
 every job's start-up.  The package exports its names lazily, and a CLI job
-loads only the library modules its handler reads, and no `argparse` unless
-it asks for help or has to be told what is wrong with its argv."""
+loads only the library modules its handler reads, no `argparse` unless
+it asks for help or has to be told what is wrong with its argv, and no
+`fractions` unless it computes over QQ."""
 
 import ast
 import importlib
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -98,6 +100,59 @@ def test_a_job_loads_only_its_handlers_modules(argv, modules):
     assert {m for m in loaded if m.startswith("curvemoduli.")} == {
         "curvemoduli.cli", *("curvemoduli." + m for m in modules)}
     assert "argparse" not in loaded
+
+
+# rational arithmetic (`fractions`, and `decimal` with it) is loaded only by
+# a job that builds QQ or parses a '/'
+RATIONAL_FREE_JOBS = [
+    ["enumerate", "--e0", "2", "--n", "4", "--q", "3"],
+    ["hilbert", "--field", "32003", "--ideal", "x1^2 - x2^3", "--level", "5"],
+    ["param", "--field", "32003", "--level", "4", "--branch", "t^2,t^3", "--precision", "12"],
+    ["tn", "--field", "101", "--ideal", "x2^2 - x1^3", "--n", "5", "--e0", "2"],
+    ["admissible", "--b", "3", "--e0", "3"],
+    ["semigroup", "--gens", "3,4,5"],
+]
+RATIONAL_JOBS = [
+    ["hilbert", "--ideal", "x1^2 - x2^3", "--level", "5"],
+    ["specialize", "--class", "L + 1", "--q", "2"],
+]
+RUN_JOB = "import curvemoduli.cli as c; assert c.main(sys.argv[2:]) == 0"
+
+
+@pytest.mark.parametrize("argv", RATIONAL_FREE_JOBS, ids=[argv[0] for argv in RATIONAL_FREE_JOBS])
+def test_a_job_over_gf_p_or_ints_loads_no_rational_arithmetic(argv):
+    assert not {"fractions", "decimal"} & loaded_after(RUN_JOB, *argv)
+
+
+@pytest.mark.parametrize("argv", RATIONAL_JOBS, ids=["hilbert-rational", "specialize"])
+def test_a_job_over_qq_loads_fractions(argv):
+    assert "fractions" in loaded_after(RUN_JOB, *argv)
+
+
+def test_a_fraction_made_before_any_rational_field_reduces_mod_p():
+    # the cold path: GF(7) and a Fraction, then a QQ unpickled in this process
+    code = ("from fractions import Fraction\nimport pickle\n"
+            "import curvemoduli.ringcore as rc\n"
+            "f = rc.GF(7)\n"
+            "assert f.of(Fraction(3, 2)) == 5\n"
+            "try:\n    f.of(Fraction(1, 7))\n"
+            "except ZeroDivisionError as exc:\n    assert str(exc) == 'denominator divisible by 7'\n"
+            "else:\n    raise AssertionError('no ZeroDivisionError')\n"
+            "assert not {'QQ', 'Fraction'} & set(vars(rc))\n"
+            "q = pickle.loads(bytes.fromhex(sys.argv[2]))\n"
+            "assert q.of(3) == Fraction(3) and q.one() == 1 and repr(q) == 'QQ'")
+    from curvemoduli.ringcore import QQ
+
+    loaded_after(code, pickle.dumps(QQ).hex())
+
+
+def test_qq_is_one_object_by_every_route():
+    from curvemoduli import ringcore
+    from curvemoduli.ringcore import QQ
+
+    assert ringcore.QQ is QQ is curvemoduli.QQ
+    with pytest.raises(AttributeError, match="has no attribute 'ZZ'"):
+        ringcore.ZZ
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["semigroup", "--gens", "3,4", "--bogus"]],

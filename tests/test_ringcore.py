@@ -1,16 +1,21 @@
+import pickle
 import random
+import time
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
 from curvemoduli.ringcore import (
     GF,
+    PRIME_LIMIT,
     QQ,
     Echelon,
     Field,
     LevelError,
     ParseError,
     TruncatedPoly,
+    _is_prime,
     degree_block,
     initial_form,
     kernel_basis,
@@ -33,6 +38,31 @@ class TestField:
             Field(6)
         with pytest.raises(ValueError):
             Field(1)
+
+    def test_primality_matches_trial_division_below_10_5(self):
+        def trial(n):
+            return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+        assert [n for n in range(10 ** 5) if _is_prime(n)] == [
+            n for n in range(10 ** 5) if trial(n)]
+
+    def test_strong_pseudoprimes_bound_the_witnesses(self):
+        # the least strong pseudoprime to the bases 2..37 is caught by 41;
+        # the least one to 2..41, composite, is PRIME_LIMIT itself
+        assert not _is_prime(399165290221 * 798330580441)
+        assert PRIME_LIMIT == 1287836182261 * 2575672364521
+        assert _is_prime(PRIME_LIMIT)
+        with pytest.raises(ValueError, match="characteristic must be below"):
+            Field(PRIME_LIMIT)
+
+    def test_large_prime_characteristic_builds_at_once(self):
+        start = time.perf_counter()
+        assert GF(2 ** 61 - 1).of(-1) == 2 ** 61 - 2
+        assert time.perf_counter() - start < 0.5
+
+    def test_field_survives_pickling(self):
+        for field in (QQ, GF(7)):
+            assert pickle.loads(pickle.dumps(field)) == field
 
     def test_prime_field_arithmetic(self):
         f = GF(5)
@@ -81,6 +111,12 @@ class TestParsePrint:
         with pytest.raises(ParseError) as err:
             parse_poly("x1 + * x2", 2, QQ, 5)
         assert err.value.position == 5
+
+    def test_integer_and_fraction_coefficients(self):
+        # integers stay ints until the field coerces them; a '/' makes a Fraction
+        assert poly_str(parse_poly("x1^2 - 3/2*x2", 2, QQ, 4)) == "x1^2 - 3/2*x2"
+        assert poly_str(parse_poly("x1^2 - 3/2*x2", 2, GF(7), 4)) == "x1^2 + 2*x2"
+        assert poly_str(parse_poly("2*x1 - 3*x2", 2, GF(7), 4)) == "2*x1 + 4*x2"
 
     def test_fractions_and_signs(self):
         p = parse_poly("1/2*x1 - 3/4*x2 + 1", 2, QQ, 4)
