@@ -25,7 +25,9 @@ helper that reads one) imports the modules it uses, so a job loads only
 those, and `import curvemoduli.cli` with `build_parser()` loads none.
 Rational arithmetic (`fractions`) comes with the first field over QQ or
 the first '/' parsed, so a job on ints only (`enumerate`, `admissible`,
-`semigroup`) or over `--field p` without a '/' never loads it.
+`semigroup`) or over `--field p` without a '/' never loads it.  Reports
+are written by `_json`, byte for byte as `json.dumps(report,
+sort_keys=True)`, so only a job that reads a `--job` file loads `json`.
 
 A process runs one job through `run`, which ends it as soon as `main` has
 returned, the `atexit` callbacks have run and stdout and stderr are
@@ -36,7 +38,6 @@ leaves behind.
 """
 
 import atexit
-import json
 import os
 import sys
 from types import SimpleNamespace
@@ -89,11 +90,70 @@ def _poly(args, text, field, level):
     return rc.parse_poly(text, args.N, field, level)
 
 
+# the characters that json's ensure_ascii writes with a short escape
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t",
+            "\b": "\\b", "\f": "\\f"}
+
+
+def _json_str(text):
+    """`text` quoted as json.dumps writes it: printable ASCII but `"` and
+    `\\` as it is, every other character escaped."""
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return '"' + text + '"'
+    out = []
+    for ch in text:
+        code = ord(ch)
+        if ch in _ESCAPES:
+            out.append(_ESCAPES[ch])
+        elif " " <= ch <= "~":
+            out.append(ch)
+        elif code > 0xFFFF:  # a surrogate pair
+            code -= 0x10000
+            out.append(f"\\u{0xD800 | (code >> 10):04x}\\u{0xDC00 | (code & 0x3FF):04x}")
+        else:
+            out.append(f"\\u{code:04x}")
+    return '"' + "".join(out) + '"'
+
+
+def _json(value):
+    """`value` as `json.dumps(value, sort_keys=True)` writes it.  It accepts
+    None, bools, ints, strs, and lists, tuples and dicts of these with str
+    keys; any other value or key is a TypeError.  An int too long for `repr`
+    raises json's ValueError."""
+    if isinstance(value, str):
+        return _json_str(value)
+    if isinstance(value, (list, tuple)):
+        try:  # strings only: one join, which is tested once
+            text = '", "'.join(value)
+        except TypeError:
+            pass
+        else:
+            if (value and text.isascii() and text.isprintable() and "\\" not in text
+                    and text.count('"') == 2 * len(value) - 2):
+                return '["' + text + '"]'
+        return "[" + ", ".join(map(_json, value)) + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, dict):
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, not {type(key).__name__}")
+        items = sorted(value.items())
+        return "{" + ", ".join(_json_str(k) + ": " + _json(v) for k, v in items) + "}"
+    raise TypeError(f"a report cannot hold {type(value).__name__}")
+
+
 def _emit(payload, table_lines=None, as_table=False):
     if as_table and table_lines is not None:
         sys.stdout.write("\n".join(table_lines) + "\n")
     else:
-        sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
+        sys.stdout.write(_json(payload) + "\n")
 
 
 def _is_texts(value):
@@ -112,6 +172,8 @@ def _read_job(path, shapes):
     """The values of the keys of `shapes` ({key: shape}) in a JSON job file.
     A file that cannot be read, is not JSON, lacks a key or holds a value
     of another shape is a precondition error that names the file."""
+    import json
+
     try:
         with open(path) as fh:
             job = json.load(fh)
@@ -434,8 +496,9 @@ def cmd_colon(args):
     from . import deform as df
     from . import ringcore as rc
 
-    ideal = _ideal(args, args.ideal, max(args.level, 2))
-    other = _ideal(args, args.K, max(args.level, 2))
+    df.check_colon_level(args.level)
+    ideal = _ideal(args, args.ideal, args.level)
+    other = _ideal(args, args.K, args.level)
     cs = df.colon(ideal, other, args.level)
     _emit({
         "dimension": cs.dimension,

@@ -79,6 +79,12 @@ class ColonSpace(namedtuple("ColonSpace", "level basis dimension echelon table")
         return self.echelon.contains(self.table.vector_of(poly.truncate_to(self.level)))
 
 
+def check_colon_level(level):
+    """A colon space is taken at level 2 or more."""
+    if level < 2:
+        raise LevelError("colon level must be >= 2")
+
+
 def colon(ideal, other, level):
     """The colon space (I + M^a : K + M^a) inside R/M^a, a = level.
 
@@ -92,8 +98,7 @@ def colon(ideal, other, level):
     """
     if (ideal.n_vars, ideal.field) != (other.n_vars, other.field):
         raise LevelError("colon needs a common ambient and field")
-    if level < 2:
-        raise LevelError("colon level must be >= 2")
+    check_colon_level(level)
     n_vars, field = ideal.n_vars, ideal.field
     table = monomial_table(n_vars, level)
     target = DegreeSpans(ideal, level)

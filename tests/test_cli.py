@@ -306,6 +306,14 @@ class TestSubcommands:
         )
         assert code == 0 and payload["dimension"] == 4
 
+    @pytest.mark.parametrize("level", ["1", "0", "-1"])
+    @pytest.mark.parametrize("ideal, other", [("x1^3", "x1"), ("x1", "x2")],
+                             ids=["high-order-first", "linear-first"])
+    def test_colon_level_below_2_is_named_before_parsing(self, capsys, level, ideal, other):
+        # either generator would be zero at that level; the level is the error
+        assert run(capsys, "colon", "--level", level, "--ideal", ideal, "--K", other) == (
+            2, "", "error: colon level must be >= 2\n")
+
     def test_determinantal(self, capsys):
         code, payload, _ = run_json(
             capsys, "determinantal", "--N", "3", "--level", "9",

@@ -3,8 +3,9 @@ no module imports a name it never uses, and the CLI starts without
 `dataclasses` and `inspect`, which would add a dozen stdlib modules to
 every job's start-up.  The package exports its names lazily, and a CLI job
 loads only the library modules its handler reads, no `argparse` unless
-it asks for help or has to be told what is wrong with its argv, and no
-`fractions` unless it computes over QQ."""
+it asks for help or has to be told what is wrong with its argv, no
+`fractions` unless it computes over QQ, and no `json` unless it reads a
+`--job` file: the CLI writes its reports itself."""
 
 import ast
 import importlib
@@ -60,7 +61,7 @@ def loaded_after(code, *argv):
     fresh `-S` interpreter holds after running `code` (lines)."""
     code = ("import sys\nsys.path.insert(0, sys.argv[1])\n" + code + "\n"
             "print(' '.join(sorted(m for m in sys.modules if m.startswith('curvemoduli.')"
-            " or m in ('fractions', 'decimal', 'argparse'))))")
+            " or m in ('fractions', 'decimal', 'argparse', 'json'))))")
     proc = subprocess.run([sys.executable, "-S", "-c", code, str(SRC), *argv],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -68,7 +69,7 @@ def loaded_after(code, *argv):
 
 
 def test_cli_import_and_parser_load_no_library_module():
-    # only building the parser imports argparse
+    # only building the parser imports argparse; neither loads json
     assert loaded_after("import curvemoduli.cli") == {"curvemoduli.cli"}
     assert loaded_after("import curvemoduli.cli as c; c.build_parser()") == {
         "curvemoduli.cli", "argparse"}
@@ -127,6 +128,22 @@ def test_a_job_over_gf_p_or_ints_loads_no_rational_arithmetic(argv):
 @pytest.mark.parametrize("argv", RATIONAL_JOBS, ids=["hilbert-rational", "specialize"])
 def test_a_job_over_qq_loads_fractions(argv):
     assert "fractions" in loaded_after(RUN_JOB, *argv)
+
+
+# every job above, each writing its report
+REPORTING_JOBS = [argv for argv, _ in JOB_MODULES] + RATIONAL_FREE_JOBS + RATIONAL_JOBS
+
+
+@pytest.mark.parametrize("argv", REPORTING_JOBS,
+                         ids=[f"{argv[0]}-{i}" for i, argv in enumerate(REPORTING_JOBS)])
+def test_a_job_writes_its_report_without_json(argv):
+    assert "json" not in loaded_after(RUN_JOB, *argv)
+
+
+def test_a_job_file_loads_json(tmp_path):
+    job = tmp_path / "param.json"
+    job.write_text('{"branches": [["t^2", "t^3"]], "precision": 12}')
+    assert "json" in loaded_after(RUN_JOB, "param", "--level", "4", "--job", str(job))
 
 
 def test_a_fraction_made_before_any_rational_field_reduces_mod_p():
