@@ -15,8 +15,9 @@ builds a `Fraction` only at a '/'.
 """
 
 import re
+from bisect import bisect_left
 from functools import lru_cache
-from math import comb, gcd
+from math import comb, gcd, lcm
 from operator import add
 
 
@@ -140,6 +141,12 @@ def GF(p):
     return Field(p)
 
 
+def check_n_vars(n_vars):
+    """An ambient has at least one variable."""
+    if n_vars < 1:
+        raise ValueError("N must be >= 1")
+
+
 def check_ints(values, what):
     """Reject the first of `values` that is not an int (a float, a Fraction,
     a string) with a TypeError naming it: such input is never coerced."""
@@ -164,6 +171,7 @@ def deglex_key(m):
 
 def monomials_of_degree(n_vars, d):
     """All exponent tuples of total degree d, ascending in the term order."""
+    check_n_vars(n_vars)
     if n_vars == 1:
         return [(d,)]
     out = []
@@ -191,18 +199,39 @@ class MonomialTable:
 
     Provides the column numbering used by every echelon computation: columns
     of a common degree are contiguous, lower degrees first.
+
+    Each column also has a packed key: key(m) = sum of e_i * B^(N-1-i) over
+    the exponents e_i of m, in base B = level, so the exponents are the
+    digits of key(m).  `keys[col]` is the key of a column and `col_of_key`
+    maps it back.  Every monomial the table holds has all exponents below
+    level <= B, so for a product m*a in the table the digit sums do not
+    carry and key(m*a) = key(m) + key(a): the columns of a multiple are
+    found by one int addition per term.
     """
 
     def __init__(self, n_vars, level):
+        check_n_vars(n_vars)
         self.n_vars = n_vars
         self.level = level
-        self.monos = []
+        # the monomials and keys of each degree d < level, one variable at a
+        # time: a new first variable with exponent e prepends e to a monomial
+        # of degree d - e in the variables after it and adds e * B^(their count)
+        blocks = [([(d,)], [d]) for d in range(level)]
+        weight = 1
+        for _ in range(n_vars - 1):
+            weight *= level
+            blocks = [([(e,) + m for e in range(d + 1) for m in blocks[d - e][0]],
+                       [e * weight + k for e in range(d + 1) for k in blocks[d - e][1]])
+                      for d in range(level)]
+        self.monos, self.keys = [], []
         self.offset = [0] * (level + 1)  # offset[d] = first index of degree d
-        for d in range(level):
+        for d, (monos, keys) in enumerate(blocks):
             self.offset[d] = len(self.monos)
-            self.monos.extend(monomials_of_degree(n_vars, d))
+            self.monos += monos
+            self.keys += keys
         self.offset[level] = len(self.monos)
         self.index = {m: i for i, m in enumerate(self.monos)}
+        self.col_of_key = {k: i for i, k in enumerate(self.keys)}
 
     def degree_of_col(self, col):
         m = self.monos[col]
@@ -394,7 +423,9 @@ _TOKEN = re.compile(r"\d+|\S")
 
 
 def parse_poly(text, n_vars, field, level, var="x"):
-    """Parse the polynomial DSL into a TruncatedPoly (terms >= level dropped)."""
+    """Parse the polynomial DSL into a TruncatedPoly (terms >= level dropped).
+    An ambient without variables is rejected before the text is read."""
+    check_n_vars(n_vars)
     # a stack: the next token is toks[-1], and the end ("", len(text)) stays
     toks = [("", len(text))] + [(m.group(), m.start()) for m in _TOKEN.finditer(text)][::-1]
     if len(toks) == 1:
@@ -523,7 +554,8 @@ class Echelon:
     Over GF(p) entries are ints in [1, p) and stored pivots are 1.  Over QQ
     stored rows are integer vectors with a positive pivot, eliminated
     fraction-free; `rows`, `basis()` and `reduce` give `Fraction` values.
-    Input vectors hold nonzero field elements and are never modified.
+    Input vectors hold nonzero field elements (over QQ, ints or Fractions)
+    and are never modified.
     """
 
     def __init__(self, field):
@@ -726,10 +758,16 @@ def kernel_basis(seed, images, width):
 
 def multiple_vector(table, p, a):
     """Sparse column vector of x^a * p cut at `table.level`, read straight
-    off the terms of p (no intermediate TruncatedPoly)."""
-    index = table.index
+    off the terms of p (no intermediate TruncatedPoly).  Each column is
+    found by adding packed keys, key(m*a) = key(m) + key(a) (see
+    `MonomialTable`); the entries are p's own coefficients, so a caller may
+    reduce the vector and read the residual as field values."""
     cut = table.level - sum(a)
-    return {index[mono_mul(m, a)]: c for m, c in p.terms.items() if sum(m) < cut}
+    if cut <= 0:
+        return {}
+    index, keys, col_of_key = table.index, table.keys, table.col_of_key
+    ka = keys[index[a]]
+    return {col_of_key[keys[index[m]] + ka]: c for m, c in p.terms.items() if sum(m) < cut}
 
 
 def span_of_multiples(table, field, polys, lo=0):
@@ -740,7 +778,9 @@ def span_of_multiples(table, field, polys, lo=0):
     complete intersections this order measured 3-6x cheaper than inserting
     all generators degree by degree.  The span before each generator is an
     ideal, so `_add_multiples` skips the multiples that it already accounts
-    for.
+    for.  Each generator is read once into packed keys (`MonomialTable`) and,
+    over QQ, integer coefficients, and every multiple is built from those;
+    every insert goes through `Echelon.add`.
     """
     ech = Echelon(field)
     for p in polys:
@@ -757,15 +797,30 @@ def _add_multiples(table, ech, p, lo=0):
     ideal has x^a as its lowest column, and x^a*p is a combination of g*p
     and of the x^m*p at later columns, so the span is unchanged (the proof
     is in the `idealcalc` module docstring).
+
+    p is read once, as (degree, key, coefficient) sorted by degree, so the
+    terms kept in a multiple by x^a of degree d are a prefix, those of
+    degree < level - d.  Over QQ the coefficients are scaled by their
+    common denominator to ints, which spans the same space; `Echelon`
+    keeps QQ rows as integer vectors anyway.  Each multiple is then one
+    int addition of packed keys per term (see `MonomialTable`).
     """
     if p.is_zero():
         return
-    top = table.level - 1 - p.order()
+    index, keys, col_of_key, level = table.index, table.keys, table.col_of_key, table.level
+    terms = sorted((sum(m), keys[index[m]], c) for m, c in p.terms.items())
+    if not p.field.char:
+        den = lcm(*(c.denominator for _, _, c in terms))
+        terms = [(d, k, c.numerator * (den // c.denominator)) for d, k, c in terms]
+    degrees = [d for d, _, _ in terms]
     known = set(ech.pivots())
-    monos = table.monos
-    for col in range(table.offset[lo], table.offset[top + 1]):
-        if col not in known:
-            ech.add(multiple_vector(table, p, monos[col]))
+    add, offset = ech.add, table.offset
+    for d in range(lo, level - degrees[0]):
+        row = [(k, c) for _, k, c in terms[:bisect_left(degrees, level - d)]]
+        for col in range(offset[d], offset[d + 1]):
+            if col not in known:
+                ka = keys[col]
+                add({col_of_key[k + ka]: c for k, c in row})
 
 
 def degree_block(table, ech, d):

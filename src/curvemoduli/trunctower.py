@@ -438,7 +438,7 @@ def cell_membership(ideal, n, cell, e0):
     table, ech = spans.table, spans.ech
     if table.offset[n] - ech.rank != expected_colength:
         return False
-    vectors = [{table.index[table.monos[i - 1]]: field.one()} for i in i_set]
+    vectors = [{i - 1: field.one()} for i in i_set]
     power = TruncatedPoly.constant(1, n_vars, field, n)
     for r in range(n - e0):
         vectors.extend(multiple_vector(table, power, table.monos[j - 1]) for j in j_set)

@@ -412,6 +412,27 @@ class TestSubcommands:
         code, out, err = run(capsys, "mps", "--class0", "1", "--n0", "1", "--N", "0", "--e0", "2")
         assert (code, out, err) == (2, "", "error: N must be >= 1\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["hilbert", "--N", "0", "--level", "4", "--ideal", "x1"],
+        ["nu", "--N", "0", "--level", "4", "--ideal", "2"],
+        ["hilbert", "--N", "-1", "--level", "4", "--ideal", "x1"],
+        ["gamma", "--N", "0", "--ideal", "x1", "--other", "x2"],
+        ["tn", "--N", "0", "--n", "6", "--e0", "2", "--ideal", "x1^2"],
+        ["determinantal", "--N", "0", "--level", "4", "--matrix", "x1;x2"],
+    ], ids=["hilbert", "nu-unit", "hilbert-minus-1", "gamma", "tn", "determinantal"])
+    def test_an_empty_ambient_is_rejected_before_any_parse(self, capsys, argv):
+        # N is checked before any generator is read, so neither the index
+        # of x1 nor the unit 2 is what the error names
+        assert run(capsys, *argv) == (2, "", "error: N must be >= 1\n")
+
+    def test_nu_with_exponents_past_255(self, capsys):
+        # the span at level 300 holds exponents up to 299: packed monomial
+        # keys in base 300 add without a carry, where one byte per exponent
+        # would carry
+        code, payload, _ = run_json(capsys, "nu", "--N", "2", "--level", "300",
+                                    "--ideal", "x1^2 + x2^3", "--ideal", "x1*x2^2")
+        assert (code, payload["nu"]) == (0, 2)
+
     def test_volume_rejects_a_repeated_index(self, capsys):
         code, out, err = run(capsys, "volume", "--terms", "1:L;2:1;01:L")
         assert (code, out, err) == (2, "", "error: term index s = 1 given twice\n")

@@ -16,7 +16,10 @@ from curvemoduli.idealcalc import IdealPresentation, intersection_number
 from curvemoduli.motivic import (
     MeasureContext, MotivicClass, RationalSeries, fit_class_from_counts, mps,
 )
-from curvemoduli.ringcore import GF, QQ, LevelError, TruncatedPoly, parse_poly
+from curvemoduli.ringcore import (
+    GF, QQ, LevelError, MonomialTable, TruncatedPoly, monomial_table, monomials_of_degree,
+    parse_poly,
+)
 from curvemoduli.trunctower import (
     CellIndex, admissible, admissible_range, all_projective_linear_forms, cell_membership,
     enumerate_xi, hilbert_stratum_check, tn_membership,
@@ -205,6 +208,24 @@ CASES = {
     "poly-monomial-of-another-length": (
         lambda: TruncatedPoly(2, QQ, 3, {(1,): 1}),
         ValueError, "monomial (1,) does not have 2 exponents"),
+    "monomials-in-0-variables": (
+        lambda: monomials_of_degree(0, 3),
+        ValueError, "N must be >= 1"),
+    "monomials-in-minus-1-variables": (
+        lambda: monomials_of_degree(-1, 0),
+        ValueError, "N must be >= 1"),
+    "monomial-table-in-0-variables": (
+        lambda: monomial_table(0, 4),
+        ValueError, "N must be >= 1"),
+    "monomial-table-in-minus-2-variables": (
+        lambda: MonomialTable(-2, 4),
+        ValueError, "N must be >= 1"),
+    "parse-in-0-variables": (
+        lambda: parse_poly("x1", 0, QQ, 4),
+        ValueError, "N must be >= 1"),
+    "presentation-parse-in-0-variables": (
+        lambda: IdealPresentation.parse(["2"], 0, QQ, 4),
+        ValueError, "N must be >= 1"),
     "enumerate-over-qq": (
         lambda: enumerate_xi(2, 2, 4, QQ),
         ValueError, "enumeration needs a finite field"),

@@ -19,6 +19,7 @@ from curvemoduli.ringcore import (
     degree_block,
     initial_form,
     kernel_basis,
+    mono_mul,
     monomial_table,
     monomials_of_degree,
     parse_poly,
@@ -337,6 +338,13 @@ def skip_rule_generators(rng, n_vars, field, level):
     return gens
 
 
+def assert_matches_dense_rref(table, field, gens, lo):
+    dense = dense_multiple_rows(gens, table.level, min_shift=lo)
+    expected = [{c: x for c, x in enumerate(row) if x != field.zero()}
+                for _, row in naive_rref(dense, field)]
+    assert span_of_multiples(table, field, gens, lo=lo).basis() == expected
+
+
 class TestSpanOfMultiples:
     """The kernel skips x^a*p when x^a is a pivot of the span of
     the earlier generators' multiples; the span must still be that of every
@@ -351,10 +359,24 @@ class TestSpanOfMultiples:
         for _ in range(8):
             gens = skip_rule_generators(rng, n_vars, field, level)
             for lo in (0, 1, 2):
-                dense = dense_multiple_rows(gens, level, min_shift=lo)
-                expected = [{c: x for c, x in enumerate(row) if x != field.zero()}
-                            for _, row in naive_rref(dense, field)]
-                assert span_of_multiples(table, field, gens, lo=lo).basis() == expected
+                assert_matches_dense_rref(table, field, gens, lo)
+
+    @pytest.mark.parametrize("n_vars, level", [(1, 7), (4, 4)])
+    def test_rational_coefficients_with_denominators(self, n_vars, level):
+        # the kernel scales each generator's coefficients by their common
+        # denominator before it inserts; the canonical rows must not change
+        rng = random.Random(f"denominators:{n_vars}")
+        coeffs = [Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7), Fraction(-7, 4), 1, -3]
+        table = monomial_table(n_vars, level)
+        for _ in range(6):
+            gens = []
+            for k in (1, rng.randint(1, 2), 2):
+                monos = [m for d in range(k, level) for m in monomials_of_degree(n_vars, d)]
+                picked = rng.sample(monos, min(len(monos), rng.randint(1, 4)))
+                gens.append(TruncatedPoly(n_vars, QQ, level,
+                                          {m: rng.choice(coeffs) for m in picked}))
+            for lo in (0, 1, 2):
+                assert_matches_dense_rref(table, QQ, gens, lo)
 
 
 class TestMonomialTable:
@@ -365,6 +387,18 @@ class TestMonomialTable:
     def test_counts(self):
         table = monomial_table(3, 5)
         assert len(table.monos) == 35
+
+    @pytest.mark.parametrize("n_vars", [1, 2, 3, 4])
+    @pytest.mark.parametrize("level", [1, 2, 3, 4, 5, 6])
+    def test_packed_keys_add_without_carry(self, n_vars, level):
+        table = monomial_table(n_vars, level)
+        keys, index, col_of_key = table.keys, table.index, table.col_of_key
+        assert keys == [sum(e * level ** (n_vars - 1 - i) for i, e in enumerate(m))
+                        for m in table.monos]
+        assert all(col_of_key[k] == col for col, k in enumerate(keys))
+        for m in table.monos:
+            for a in table.monos[:table.offset[level - sum(m)]]:
+                assert col_of_key[keys[index[m]] + keys[index[a]]] == index[mono_mul(m, a)]
 
 
 class TestCanonicalForm:
