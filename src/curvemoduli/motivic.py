@@ -13,7 +13,7 @@ finite fields; the fit is labeled the heuristic it is.
 from collections import namedtuple
 from fractions import Fraction
 
-from .ringcore import _TOKEN, QQ, Echelon, check_ints
+from .ringcore import _TOKEN, QQ, Echelon, check_ints, check_n_vars
 
 
 class MotivicClass:
@@ -123,8 +123,7 @@ class MeasureContext(namedtuple("MeasureContext", "n_vars e0")):
 
     @property
     def c(self):
-        if self.n_vars < 1:
-            raise ValueError("N must be >= 1")
+        check_n_vars(self.n_vars)
         if self.e0 < 1:
             raise ValueError("e0 must be >= 1")
         return (self.n_vars - 1) * self.e0

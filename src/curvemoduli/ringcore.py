@@ -17,7 +17,7 @@ builds a `Fraction` only at a '/'.
 import re
 from bisect import bisect_left
 from functools import lru_cache
-from math import comb, gcd, lcm
+from math import comb, gcd
 from operator import add
 
 
@@ -213,23 +213,18 @@ class MonomialTable:
         check_n_vars(n_vars)
         self.n_vars = n_vars
         self.level = level
-        # the monomials and keys of each degree d < level, one variable at a
-        # time: a new first variable with exponent e prepends e to a monomial
-        # of degree d - e in the variables after it and adds e * B^(their count)
-        blocks = [([(d,)], [d]) for d in range(level)]
-        weight = 1
-        for _ in range(n_vars - 1):
-            weight *= level
-            blocks = [([(e,) + m for e in range(d + 1) for m in blocks[d - e][0]],
-                       [e * weight + k for e in range(d + 1) for k in blocks[d - e][1]])
-                      for d in range(level)]
-        self.monos, self.keys = [], []
+        self.monos = []
         self.offset = [0] * (level + 1)  # offset[d] = first index of degree d
-        for d, (monos, keys) in enumerate(blocks):
+        for d in range(level):
             self.offset[d] = len(self.monos)
-            self.monos += monos
-            self.keys += keys
+            self.monos.extend(monomials_of_degree(n_vars, d))
         self.offset[level] = len(self.monos)
+        self.keys = []
+        for m in self.monos:
+            k = 0
+            for e in m:
+                k = k * level + e
+            self.keys.append(k)
         self.index = {m: i for i, m in enumerate(self.monos)}
         self.col_of_key = {k: i for i, k in enumerate(self.keys)}
 
@@ -800,18 +795,18 @@ def _add_multiples(table, ech, p, lo=0):
 
     p is read once, as (degree, key, coefficient) sorted by degree, so the
     terms kept in a multiple by x^a of degree d are a prefix, those of
-    degree < level - d.  Over QQ the coefficients are scaled by their
-    common denominator to ints, which spans the same space; `Echelon`
-    keeps QQ rows as integer vectors anyway.  Each multiple is then one
-    int addition of packed keys per term (see `MonomialTable`).
+    degree < level - d; terms of p at or above `table.level` are dropped,
+    as every multiple of them is.  Over QQ the coefficients are scaled by
+    their common denominator to ints (`_integer_vector`), which spans the
+    same space; `Echelon` keeps QQ rows as integer vectors anyway.  Each
+    multiple is then one int addition of packed keys per term (see
+    `MonomialTable`).
     """
-    if p.is_zero():
-        return
     index, keys, col_of_key, level = table.index, table.keys, table.col_of_key, table.level
-    terms = sorted((sum(m), keys[index[m]], c) for m, c in p.terms.items())
-    if not p.field.char:
-        den = lcm(*(c.denominator for _, _, c in terms))
-        terms = [(d, k, c.numerator * (den // c.denominator)) for d, k, c in terms]
+    coeffs = p.terms if p.field.char else _integer_vector(p.terms)[0]
+    terms = sorted((d, keys[index[m]], c) for m, c in coeffs.items() if (d := sum(m)) < level)
+    if not terms:
+        return
     degrees = [d for d, _, _ in terms]
     known = set(ech.pivots())
     add, offset = ech.add, table.offset

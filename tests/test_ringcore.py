@@ -378,6 +378,20 @@ class TestSpanOfMultiples:
             for lo in (0, 1, 2):
                 assert_matches_dense_rref(table, QQ, gens, lo)
 
+    @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+    def test_generators_above_the_table_level_are_cut(self, field):
+        # terms at or above the table's level span nothing there, so a
+        # generator kept to a higher level gives the span of its truncation
+        table = monomial_table(2, 4)
+        high = [parse_poly("x1^2 + x2^5 - 3/2*x1^6", 2, field, 9),
+                parse_poly("x2^3 + x1*x2^4", 2, field, 9),
+                parse_poly("x1^7", 2, field, 9)]
+        low = [p.truncate_to(4) for p in high]
+        for lo in (0, 1):
+            assert (span_of_multiples(table, field, high, lo=lo).basis()
+                    == span_of_multiples(table, field, low, lo=lo).basis())
+        assert span_of_multiples(table, field, high[:2]).rank == 4
+
 
 class TestMonomialTable:
     def test_ordering_is_degree_then_tuple(self):
