@@ -57,6 +57,20 @@ def check_level(level):
         raise LevelError(f"level must be >= 1, got {level}")
 
 
+def _check_generators(generators, n_vars, field, level):
+    """Reject a generator of another ambient, field or level, a zero one,
+    or a unit (one with a constant term): the checks of every generator of
+    an `IdealPresentation`, made where the generator enters one."""
+    constant = (0,) * n_vars  # a nonzero generator of order 0 has this term
+    for g in generators:
+        if (g.n_vars, g.field, g.level) != (n_vars, field, level):
+            raise LevelError("generators disagree on ambient, field, or level")
+        if g.is_zero():
+            raise ValueError("zero generator")
+        if constant in g.terms:
+            raise ValueError(f"generator {g} is a unit: order must be >= 1")
+
+
 class IdealPresentation:
     """An ideal of R given by generators at a common truncation level.
 
@@ -76,18 +90,21 @@ class IdealPresentation:
             level = g0.level if level is None else level
         if n_vars is None or field is None or level is None:
             raise ValueError("empty presentation needs explicit n_vars, field, level")
-        constant = (0,) * n_vars  # a nonzero generator of order 0 has this term
-        for g in generators:
-            if (g.n_vars, g.field, g.level) != (n_vars, field, level):
-                raise LevelError("generators disagree on ambient, field, or level")
-            if g.is_zero():
-                raise ValueError("zero generator")
-            if constant in g.terms:
-                raise ValueError(f"generator {g} is a unit: order must be >= 1")
+        _check_generators(generators, n_vars, field, level)
         self.generators = generators
         self.n_vars = n_vars
         self.field = field
         self.level = level
+
+    @classmethod
+    def _checked(cls, generators, n_vars, field, level):
+        """The presentation of the list `generators`, kept as given: each
+        one has passed `_check_generators` for this ambient, field and
+        level where it was made (the enumerator checks a row once, however
+        many members share it)."""
+        ideal = object.__new__(cls)
+        ideal.generators, ideal.n_vars, ideal.field, ideal.level = generators, n_vars, field, level
+        return ideal
 
     @classmethod
     def parse(cls, texts, n_vars, field, level):

@@ -237,8 +237,17 @@ class MonomialTable:
         return {self.index[m]: c for m, c in poly.terms.items()}
 
     def poly_of(self, vec, field):
-        terms = {self.monos[i]: c for i, c in vec.items()}
-        return TruncatedPoly(self.n_vars, field, self.level, terms)
+        """The TruncatedPoly of a canonical `Echelon` row over `field`.
+
+        Such a row holds nonzero field elements (ints in [1, p) over GF(p),
+        `Fraction`s over QQ) at columns of this table, so every monomial is
+        below the level and no coefficient needs `Field.of`: the terms go
+        to `TruncatedPoly._reduced` as they are.  Every caller passes one
+        (`initial_ideal`, `ideal_from_param`, `colon`, `_prefix_tree`).
+        """
+        monos = self.monos
+        return TruncatedPoly._reduced(self.n_vars, field, self.level,
+                                      {monos[i]: c for i, c in vec.items()})
 
 
 @lru_cache(maxsize=64)
@@ -259,7 +268,8 @@ class TruncatedPoly:
     automatically arithmetic in R/M^level.  The constructor is the one place
     where coefficients are reduced: it coerces each one with `Field.of` and
     drops the zeros, so the operations combine coefficients with the native
-    int and Fraction operators and hand it the raw term map.  Instances are
+    int and Fraction operators and hand it the raw term map.  A term map
+    that is reduced already goes to `_reduced` instead.  Instances are
     treated as immutable.
     """
 
@@ -284,6 +294,16 @@ class TruncatedPoly:
         self.terms = clean
 
     # -- constructors -------------------------------------------------------
+
+    @classmethod
+    def _reduced(cls, n_vars, field, level, terms):
+        """The polynomial with the term map `terms`, kept as given: the
+        caller guarantees that each monomial has n_vars exponents and degree
+        below level, and that each coefficient is a nonzero element of
+        `field` in the form `Field.of` returns."""
+        poly = object.__new__(cls)
+        poly.n_vars, poly.field, poly.level, poly.terms = n_vars, field, level, terms
+        return poly
 
     @classmethod
     def zero(cls, n_vars, field, level):
@@ -647,7 +667,13 @@ class Echelon:
 
 
 def _integer_vector(vec):
-    """(v, den): the integer vector v = den * vec of a rational vector."""
+    """(v, den): the integer vector v = den * vec of a rational vector; a
+    vector of ints alone comes back as a copy with den = 1."""
+    for x in vec.values():
+        if type(x) is not int:
+            break
+    else:
+        return dict(vec), 1
     den = 1
     for x in vec.values():
         d = x.denominator

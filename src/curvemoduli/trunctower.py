@@ -33,7 +33,14 @@ from .ringcore import (
     multiple_vector,
     poly_str,
 )
-from .idealcalc import DegreeSpans, IdealPresentation, analyze_h1, hilbert_data, initial_ideal
+from .idealcalc import (
+    DegreeSpans,
+    IdealPresentation,
+    _check_generators,
+    analyze_h1,
+    hilbert_data,
+    initial_ideal,
+)
 
 
 class BudgetExceededError(RuntimeError):
@@ -458,13 +465,15 @@ EnumerationResult = namedtuple("EnumerationResult", "count ideals n e0 e1 q")
 
 
 def _prefix_tree(table, field, lead_terms, blocks, scalars):
-    """Every prefix lead + B_1 + ... + B_m, blocks B_k on the monomials
-    `blocks[k-1]` (degree e0+k, m = n-2-e0), depth first in scan order.
-    Yields (prefix, canonical rows of the span of the x^a*prefix, |a| >= 1,
-    cut at M^n, as polynomials).
+    """Every member f = lead + B_1 + ... + B_M over one lead form, blocks
+    B_k on the monomials `blocks[k-1]` (degree e0+k, M = n-1-e0), depth
+    first in scan order.  Returns a list of (key, generators): f's row as
+    sorted (column, coefficient) pairs, and f followed by the canonical
+    rows of the span of the x^a*prefix, |a| >= 1, cut at M^n, as
+    polynomials, where the prefix is f without its top block B_M.
 
-    A node at depth k holds P_k = lead + B_1 + ... + B_k and the span S of
-    the x^a*P_k, |a| >= j, j = n-1-e0-k, with its echelon and canonical
+    A node at depth k < M holds P_k = lead + B_1 + ... + B_k and the span S
+    of the x^a*P_k, |a| >= j, j = n-1-e0-k, with its echelon and canonical
     rows.  A multiple with |a| = j sees only the blocks below degree n-j:
     x^a*B_i has degree e0+i+j >= n for i > k and is cut.  So every
     descendant has the same multiples with |a| >= j, and a child's span is
@@ -474,29 +483,59 @@ def _prefix_tree(table, field, lead_terms, blocks, scalars):
     canonical row of S starts at its pivot, so it vanishes there.  So the
     child's canonical rows are its new rows (the new multiples reduced
     modulo S, then against each other) followed by S's rows, unchanged,
-    and it shares their polynomials by reference.
-    At depth m, j = 1: the leaves are the prefixes.
-    """
-    n_vars, n = table.n_vars, table.level
+    and it shares their polynomials by reference.  At depth M-1, j = 1:
+    the node is a prefix, and its members are its siblings f = prefix + B_M.
 
-    def walk(terms, depth, parent, gens):
-        prefix = TruncatedPoly(n_vars, field, n, terms)
+    Nothing built here is coerced or checked twice.  Every term map goes
+    to `TruncatedPoly._reduced` as it is: the lead form and the blocks put
+    nonzero scalars of `range(q)` on monomials below the level (a block's
+    zeros are left out when its coefficient tuple is read), and a node's
+    rows are canonical `Echelon` rows (`MonomialTable.poly_of`).  Each row
+    is checked as a generator (`_check_generators`) once, when its node is
+    made, and each f once, when its member is made; a member's
+    presentation then takes its generators as they are
+    (`IdealPresentation._checked`).  The key is carried down the tree: the
+    blocks rise in degree and list their monomials ascending, as the table
+    numbers its columns, so the lead form's sorted pairs followed by each
+    block's nonzero pairs in order are sorted(table.vector_of(f).items()).
+    The multipliers of each depth and the terms and pairs of each block's
+    coefficient tuples are built once per tree.
+    """
+    n_vars, n, index = table.n_vars, table.level, table.index
+    last = len(blocks) - 1
+    multipliers = [monomials_of_degree(n_vars, len(blocks) - depth) for depth in range(last + 1)]
+    choices = [[({m: c for m, c in zip(block, coeffs) if c},
+                 [(index[m], c) for m, c in zip(block, coeffs) if c])
+                for coeffs in itertools.product(scalars, repeat=len(block))]
+               for block in blocks]
+
+    out = []
+
+    def walk(terms, key, depth, parent, gens):
+        prefix = TruncatedPoly._reduced(n_vars, field, n, terms)
         new = Echelon(field)
-        for a in monomials_of_degree(n_vars, len(blocks) + 1 - depth):
+        for a in multipliers[depth]:
             new.add(parent.reduce(multiple_vector(table, prefix, a)))
         rows = new.basis()
-        gens = [table.poly_of(row, field) for row in rows] + gens
-        if depth == len(blocks):
-            yield prefix, gens
+        made = [table.poly_of(row, field) for row in rows]
+        _check_generators(made, n_vars, field, n)
+        gens = made + gens
+        if depth == last:
+            tops = choices[last]
+            members = [TruncatedPoly._reduced(n_vars, field, n, terms | top_terms)
+                       for top_terms, _ in tops]
+            _check_generators(members, n_vars, field, n)
+            out.extend((key + top_key, [f] + gens) for f, (_, top_key) in zip(members, tops))
             return
         span = parent.copy()
         for row in rows:
             span.add(row)
-        block = blocks[depth]
-        for coeffs in itertools.product(scalars, repeat=len(block)):
-            yield from walk(terms | dict(zip(block, coeffs)), depth + 1, span, gens)
+        for block_terms, block_key in choices[depth]:
+            walk(terms | block_terms, key + block_key, depth + 1, span, gens)
 
-    return walk(lead_terms, 0, Echelon(field), [])
+    lead_key = sorted((index[m], c) for m, c in lead_terms.items())
+    walk(lead_terms, lead_key, 0, Echelon(field), [])
+    return out
 
 
 def enumerate_xi(n_vars, e0, n, field, e1=None, budget=2_000_000):
@@ -548,7 +587,7 @@ def enumerate_xi(n_vars, e0, n, field, e1=None, budget=2_000_000):
     x^a*f with |a| = j sees only the blocks below degree n-j, and a node's
     canonical rows are its new rows followed by its parent's.  A leaf is a
     prefix (the lead form and every lower block); its candidates are
-    f = prefix + top block.
+    f = prefix + top block, which the tree returns with their sort keys.
 
     The T_n verdict is decided once per lead form, by one `tn_membership`
     call on (lead) + M^n with the forms in their fixed order; a lead form
@@ -572,7 +611,23 @@ def enumerate_xi(n_vars, e0, n, field, e1=None, budget=2_000_000):
     lead form below every pivot of the prefix's span and its top block off
     them, so it is its own residual.  Distinct members have distinct f, so
     sorting by f's row alone sorts them by all their rows.
+
+    So a member is built from what the scan made, with no second pass.  Its
+    generators are f and the rows of its prefix's span, shared by reference
+    with every member over that prefix; the rows are canonical `Echelon`
+    rows, made polynomials by `MonomialTable.poly_of` without coercion, and
+    f is merged from scalars of F_q.  Each of them passes the generator
+    checks of `IdealPresentation` once, where `_prefix_tree` makes it, and
+    the member's presentation is built from them unchecked
+    (`IdealPresentation._checked`).  The sort key, f's row, is carried down
+    the tree block by block.
+
+    n_vars, e0, n, budget and a given e1 must be ints: other input is
+    rejected, not coerced.
     """
+    check_ints((n_vars, e0, n, budget), "each of n_vars, e0, n and budget")
+    if e1 is not None:
+        check_ints((e1,), "e1")
     _check_e0(e0)
     if field.char == 0:
         raise ValueError("enumeration needs a finite field")
@@ -601,21 +656,18 @@ def enumerate_xi(n_vars, e0, n, field, e1=None, budget=2_000_000):
 
     found = []
     for point in _projective_points(len(lead_monos), q):
-        lead_terms = dict(zip(lead_monos, point))
+        lead_terms = {m: c for m, c in zip(lead_monos, point) if c}
         lead = TruncatedPoly(n_vars, field, n, lead_terms)
         verdict = tn_membership(IdealPresentation([lead], n_vars, field, n), n, e0, forms=forms)
         if isinstance(verdict, TnFailure):
             continue  # and so does every candidate over it
         low = lead_monos[point.index(1)]
         # per tail degree, the monomials that lead's lowest monomial does not divide
-        *lower, top = [[m for m in monomials_of_degree(n_vars, e0 + k)
-                        if any(a < b for a, b in zip(m, low))]
-                       for k in range(1, n - e0)]
-        for prefix, gens in _prefix_tree(table, field, lead_terms, lower, scalars):
-            for top_coeffs in itertools.product(scalars, repeat=len(top)):
-                f = TruncatedPoly(n_vars, field, n, prefix.terms | dict(zip(top, top_coeffs)))
-                found.append((sorted(table.vector_of(f).items()), [f] + gens))
+        blocks = [[m for m in monomials_of_degree(n_vars, e0 + k)
+                   if any(a < b for a, b in zip(m, low))]
+                  for k in range(1, n - e0)]
+        found.extend(_prefix_tree(table, field, lead_terms, blocks, scalars))
 
     found.sort(key=lambda member: member[0])
-    members = [IdealPresentation(gens, n_vars, field, n) for _, gens in found]
+    members = [IdealPresentation._checked(gens, n_vars, field, n) for _, gens in found]
     return EnumerationResult(len(members), members, n, e0, e1, q)

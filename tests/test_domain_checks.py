@@ -229,6 +229,21 @@ CASES = {
     "enumerate-over-qq": (
         lambda: enumerate_xi(2, 2, 4, QQ),
         ValueError, "enumeration needs a finite field"),
+    "enumerate-float-e1": (
+        lambda: enumerate_xi(2, 2, 4, GF(2), e1=1.0),
+        TypeError, "e1 must be an int, got 1.0"),
+    "enumerate-bool-e0": (
+        lambda: enumerate_xi(2, True, 4, GF(2)),
+        TypeError, "each of n_vars, e0, n and budget must be an int, got True"),
+    "enumerate-float-e0": (
+        lambda: enumerate_xi(2, 2.0, 4, GF(2)),
+        TypeError, "each of n_vars, e0, n and budget must be an int, got 2.0"),
+    "enumerate-float-level": (
+        lambda: enumerate_xi(2, 2, 4.0, GF(2)),
+        TypeError, "each of n_vars, e0, n and budget must be an int, got 4.0"),
+    "enumerate-float-budget": (
+        lambda: enumerate_xi(2, 2, 4, GF(2), budget=1e6),
+        TypeError, "each of n_vars, e0, n and budget must be an int, got 1000000.0"),
     "projective-forms-over-qq": (
         lambda: all_projective_linear_forms(2, QQ, 4),
         ValueError, "only meaningful over a finite field"),

@@ -41,6 +41,35 @@ def ideal(texts, n_vars=2, field=QQ, level=8):
     return IdealPresentation.parse(texts, n_vars, field, level)
 
 
+# (generators as (text, n_vars, field, level), error, message): the
+# presentation's ambient is that of the first generator
+BAD_GENERATORS = {
+    "zero": ([("x1", 2, QQ, 4), ("0", 2, QQ, 4)], ValueError, "zero generator"),
+    "unit": ([("x1^2 + 3", 2, GF(5), 4)], ValueError,
+             "generator x1^2 + 3 is a unit: order must be >= 1"),
+    "other-ambient": ([("x1", 2, QQ, 4), ("x1", 3, QQ, 4)], LevelError,
+                      "generators disagree on ambient, field, or level"),
+    "other-field": ([("x1", 2, QQ, 4), ("x2", 2, GF(7), 4)], LevelError,
+                    "generators disagree on ambient, field, or level"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_GENERATORS))
+def test_generator_check_raises_the_presentations_messages(case):
+    # the enumerator checks each generator it makes with the helper that
+    # IdealPresentation runs: both reject a bad generator alike
+    from curvemoduli.idealcalc import _check_generators
+
+    specs, error, message = BAD_GENERATORS[case]
+    gens = [parse_poly(*spec) for spec in specs]
+    _, n_vars, field, level = specs[0]
+    for call in (lambda: _check_generators(gens, n_vars, field, level),
+                 lambda: IdealPresentation(gens)):
+        with pytest.raises(error) as info:
+            call()
+        assert type(info.value) is error and str(info.value) == message
+
+
 class TestIdealSpans:
     def test_smooth_line_codimensions(self):
         spans = DegreeSpans(ideal(["x2"], level=4), 4)

@@ -378,6 +378,45 @@ class TestSpanOfMultiples:
             for lo in (0, 1, 2):
                 assert_matches_dense_rref(table, QQ, gens, lo)
 
+    @pytest.mark.parametrize("n_vars", [2, 3])
+    @pytest.mark.parametrize("field", [QQ, GF(5), GF(32003)], ids=repr)
+    def test_poly_of_a_canonical_row_is_the_checked_polynomial(self, field, n_vars):
+        # poly_of keeps a canonical row's entries as they are; the checked
+        # constructor coerces each one, and must find nothing to change:
+        # the same terms, with coefficients of the same types
+        rng = random.Random(f"poly_of:{field!r}:{n_vars}")
+        level = 6 if n_vars == 2 else 5
+        table = monomial_table(n_vars, level)
+        for _ in range(6):
+            gens = skip_rule_generators(rng, n_vars, field, level)
+            for row in span_of_multiples(table, field, gens).basis():
+                got = table.poly_of(row, field)
+                want = TruncatedPoly(n_vars, field, level,
+                                     {table.monos[c]: x for c, x in row.items()})
+                assert got == want
+                assert [type(x) for x in got.terms.values()] == \
+                    [type(x) for x in want.terms.values()]
+
+    def test_int_vectors_over_qq_read_as_their_fractions(self):
+        # an int vector skips the common-denominator pass over QQ: rows,
+        # residuals and membership are those of the same Fractions, and
+        # the input is left as it was
+        rng = random.Random(31)
+        entries = [1, -1, 2, 7, -(10**20) - 9]
+        for _ in range(20):
+            vecs = [{c: rng.choice(entries) for c in rng.sample(range(10), rng.randint(1, 5))}
+                    for _ in range(6)]
+            ints, fracs = Echelon(QQ), Echelon(QQ)
+            for v in vecs[:-1]:
+                kept = dict(v)
+                ints.add(v)
+                assert v == kept
+                fracs.add({c: Fraction(x) for c, x in v.items()})
+            last = vecs[-1]
+            assert ints.basis() == fracs.basis()
+            assert ints.reduce(last) == fracs.reduce({c: Fraction(x) for c, x in last.items()})
+            assert ints.contains(last) == fracs.contains({c: Fraction(x) for c, x in last.items()})
+
     @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
     def test_generators_above_the_table_level_are_cut(self, field):
         # terms at or above the table's level span nothing there, so a

@@ -879,6 +879,52 @@ class TestPrefixTree:
             want = DegreeSpans(alone, n).ech.basis()
             assert [table.vector_of(g) for g in J.generators] == want, poly_str(J.generators[0])
 
+    @pytest.mark.parametrize("e0, q, n", enum_tier_cells(), ids=str)
+    def test_member_keys_are_the_rows_of_f(self, monkeypatch, e0, q, n):
+        # the tree carries each member's sort key down block by block; it
+        # must be f's row, the key the members were sorted by when each
+        # one's row was read off f itself
+        import curvemoduli.trunctower as tt
+        from curvemoduli.ringcore import monomial_table
+
+        walk, found = tt._prefix_tree, []
+
+        def tree(*args):
+            members = walk(*args)
+            found.extend(members)
+            return members
+
+        monkeypatch.setattr(tt, "_prefix_tree", tree)
+        count = enumerate_xi(2, e0, n, GF(q)).count
+        table = monomial_table(2, n)
+        assert len(found) == count > 0
+        for key, gens in found:
+            assert key == sorted(table.vector_of(gens[0]).items()), poly_str(gens[0])
+
+    @pytest.mark.parametrize("e0, q, n", [(1, 2, 6), (2, 2, 5), (2, 3, 4)], ids=str)
+    def test_each_generator_is_checked_once(self, monkeypatch, e0, q, n):
+        # members share their prefix's rows; each row and each f passes the
+        # checks of IdealPresentation once, where the scan makes it, and no
+        # member's presentation checks them again
+        import curvemoduli.idealcalc as ic
+        import curvemoduli.trunctower as tt
+
+        check, checked = ic._check_generators, []
+
+        def counted(gens, *ambient):
+            checked.extend(gens)  # keeps each alive, so no id is reused
+            check(gens, *ambient)
+
+        monkeypatch.setattr(ic, "_check_generators", counted)
+        monkeypatch.setattr(tt, "_check_generators", counted)
+        ideals = enumerate_xi(2, e0, n, GF(q)).ideals
+        times = {}
+        for g in checked:
+            times[id(g)] = times.get(id(g), 0) + 1
+        made = {id(g) for J in ideals for g in J.generators}
+        assert len(made) > len(ideals) > 0
+        assert all(times.get(i) == 1 for i in made)
+
 
 def dense_slice_mult_rank(spans, L, t):
     """Rank of x -> L1*x from S_t to S_{t+1}/J*_{t+1}, from dense matrices
