@@ -667,13 +667,7 @@ class Echelon:
 
 
 def _integer_vector(vec):
-    """(v, den): the integer vector v = den * vec of a rational vector; a
-    vector of ints alone comes back as a copy with den = 1."""
-    for x in vec.values():
-        if type(x) is not int:
-            break
-    else:
-        return dict(vec), 1
+    """(v, den): the integer vector v = den * vec of a rational vector."""
     den = 1
     for x in vec.values():
         d = x.denominator

@@ -398,9 +398,8 @@ class TestSpanOfMultiples:
                     [type(x) for x in want.terms.values()]
 
     def test_int_vectors_over_qq_read_as_their_fractions(self):
-        # an int vector skips the common-denominator pass over QQ: rows,
-        # residuals and membership are those of the same Fractions, and
-        # the input is left as it was
+        # over QQ an int vector reduces like the same Fractions: rows,
+        # residuals and membership agree, and the input is left as it was
         rng = random.Random(31)
         entries = [1, -1, 2, 7, -(10**20) - 9]
         for _ in range(20):
