@@ -345,15 +345,15 @@ def cmd_enumerate(args):
         res = tt.enumerate_xi(args.N, args.e0, args.n, field, e1=args.e1)
     except tt.BudgetExceededError as exc:
         return EXIT_SOFT, {"error": str(exc), "budget_exceeded": True}
-    # siblings share their prefix's generator objects: format each once
-    text = {}
+    # siblings share their prefix's rows: format each once
+    table, text = rc.monomial_table(args.N, res.n), {}
 
-    def gens(J):
+    def gens(rows):
         out = []
-        for g in J.generators:
-            s = text.get(id(g))
+        for row in rows:
+            s = text.get(id(row))
             if s is None:
-                s = text[id(g)] = rc.poly_str(g)
+                s = text[id(row)] = table.row_str(row, field)
             out.append(s)
         return out
 
@@ -530,17 +530,17 @@ E1 = _flag("--e1", type=int, default=None)
 Q = _flag("--q", type=int, required=True)
 IDEAL = _flag("--ideal", action="append", required=True)
 PRECISION = _flag("--precision", type=int, default=None)
-AT_LEVEL = (N, FIELD, TABLE, LEVEL)
-AT_N = (N, FIELD, TABLE, TRUNC_N, E0, IDEAL)
+AT_LEVEL = (N, FIELD, LEVEL)
+AT_N = (N, FIELD, TRUNC_N, E0, IDEAL)
 
 # name -> (help line, handler, flags in the order --help lists them)
 COMMANDS = {
-    "hilbert": ("Hilbert-Samuel data of R/(I+M^level)", cmd_hilbert, (*AT_LEVEL, IDEAL)),
+    "hilbert": ("Hilbert-Samuel data of R/(I+M^level)", cmd_hilbert, (N, FIELD, TABLE, LEVEL, IDEAL)),
     "initial": ("initial ideal slices, v*, and nu", cmd_initial, (*AT_LEVEL, IDEAL)),
     "stdbasis": ("standard-basis check up to the level", cmd_stdbasis, (*AT_LEVEL, IDEAL)),
     "nu": ("minimal generator count at the level", cmd_nu, (*AT_LEVEL, IDEAL)),
     "gamma": ("intersection number dim R/(I+X)", cmd_gamma, (
-        N, FIELD, TABLE, IDEAL,
+        N, FIELD, IDEAL,
         _flag("--other", action="append", required=True),
         _flag("--n-max", type=int, default=DEFAULT_LEVEL))),
     "tn": ("T_n membership with superficial certificate", cmd_tn, AT_N),
@@ -569,7 +569,7 @@ COMMANDS = {
     "semigroup": ("numerical semigroup gaps and delta", cmd_semigroup, (
         _flag("--gens", required=True, help="comma-separated generators"),)),
     "normflat": ("fiberwise Hilbert-function comparison", cmd_normflat, (
-        *AT_LEVEL,
+        N, FIELD, TABLE, LEVEL,
         _flag("--fiber", action="append", help="branch components in t"),
         _flag("--fiber-ideal", action="append", help="semicolon-separated generators"),
         PRECISION)),

@@ -59,7 +59,7 @@ def check_level(level):
 def _check_generators(generators, n_vars, field, level):
     """Reject a generator of another ambient, field or level, a zero one,
     or a unit (one with a constant term): the checks of every generator of
-    an `IdealPresentation`, made where the generator enters one."""
+    an `IdealPresentation`."""
     constant = (0,) * n_vars  # a nonzero generator of order 0 has this term
     for g in generators:
         if (g.n_vars, g.field, g.level) != (n_vars, field, level):
@@ -94,16 +94,6 @@ class IdealPresentation:
         self.n_vars = n_vars
         self.field = field
         self.level = level
-
-    @classmethod
-    def _checked(cls, generators, n_vars, field, level):
-        """The presentation of the list `generators`, kept as given: each
-        one has passed `_check_generators` for this ambient, field and
-        level where it was made (the enumerator checks a row once, however
-        many members share it)."""
-        ideal = object.__new__(cls)
-        ideal.generators, ideal.n_vars, ideal.field, ideal.level = generators, n_vars, field, level
-        return ideal
 
     @classmethod
     def parse(cls, texts, n_vars, field, level):

@@ -237,17 +237,18 @@ class MonomialTable:
         return {self.index[m]: c for m, c in poly.terms.items()}
 
     def poly_of(self, vec, field):
-        """The TruncatedPoly of a canonical `Echelon` row over `field`.
-
-        Such a row holds nonzero field elements (ints in [1, p) over GF(p),
-        `Fraction`s over QQ) at columns of this table, so every monomial is
-        below the level and no coefficient needs `Field.of`: the terms go
-        to `TruncatedPoly._reduced` as they are.  Every caller passes one
-        (`initial_ideal`, `ideal_from_param`, `colon`, `_prefix_tree`).
-        """
+        """The TruncatedPoly over `field` of a sparse vector {column: coeff}
+        of this table."""
         monos = self.monos
-        return TruncatedPoly._reduced(self.n_vars, field, self.level,
-                                      {monos[i]: c for i, c in vec.items()})
+        return TruncatedPoly(self.n_vars, field, self.level, {monos[i]: c for i, c in vec.items()})
+
+    def row_str(self, row, field):
+        """`poly_str` of `poly_of(row, field)` for a row of nonzero elements
+        of `field`, read straight off the row: the columns ascend in the
+        term order, so its terms print in descending column order."""
+        monos = self.monos
+        return _terms_str([(_mono_text(monos[c], "x"), row[c]) for c in sorted(row, reverse=True)],
+                          field)
 
 
 @lru_cache(maxsize=64)
@@ -268,8 +269,7 @@ class TruncatedPoly:
     automatically arithmetic in R/M^level.  The constructor is the one place
     where coefficients are reduced: it coerces each one with `Field.of` and
     drops the zeros, so the operations combine coefficients with the native
-    int and Fraction operators and hand it the raw term map.  A term map
-    that is reduced already goes to `_reduced` instead.  Instances are
+    int and Fraction operators and hand it the raw term map.  Instances are
     treated as immutable.
     """
 
@@ -294,16 +294,6 @@ class TruncatedPoly:
         self.terms = clean
 
     # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def _reduced(cls, n_vars, field, level, terms):
-        """The polynomial with the term map `terms`, kept as given: the
-        caller guarantees that each monomial has n_vars exponents and degree
-        below level, and that each coefficient is a nonzero element of
-        `field` in the form `Field.of` returns."""
-        poly = object.__new__(cls)
-        poly.n_vars, poly.field, poly.level, poly.terms = n_vars, field, level, terms
-        return poly
 
     @classmethod
     def zero(cls, n_vars, field, level):
@@ -524,20 +514,25 @@ def _mono_text(m, var):
 
 def poly_str(p, var="x"):
     """Canonical printing: decreasing deg-lex order, canonical signs."""
-    if not p.terms:
-        return "0"
     terms = p.terms
+    return _terms_str([(_mono_text(m, var), terms[m])
+                       for m in sorted(terms, key=deglex_key, reverse=True)], p.field)
+
+
+def _terms_str(terms, field):
+    """The text of the (monomial text, nonzero coefficient) pairs `terms`,
+    in the order given: a minus sign for a negative rational, no
+    coefficient 1 before a monomial; "0" for no terms."""
+    if not terms:
+        return "0"
     pieces = []
-    rational = p.field.char == 0
-    one = p.field.one()
-    for i, m in enumerate(sorted(terms, key=deglex_key, reverse=True)):
-        c = terms[m]
+    rational = field.char == 0
+    for i, (mono, c) in enumerate(terms):
         neg = rational and c < 0
         mag = -c if neg else c
-        mono = _mono_text(m, var)
         if not mono:
             body = str(mag)
-        elif mag == one:
+        elif mag == 1:
             body = mono
         else:
             body = str(mag) + "*" + mono

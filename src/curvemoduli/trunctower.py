@@ -460,17 +460,18 @@ def cell_membership(ideal, n, cell, e0):
 # Exhaustive enumerator over tiny finite fields.
 
 
-# `ideals` holds canonical IdealPresentations (echelon span rows).
+# `ideals` holds each member as its canonical rows over monomial_table(2, n):
+# dicts {column: coefficient}, f's row first.
 EnumerationResult = namedtuple("EnumerationResult", "count ideals n e0 e1 q")
 
 
 def _prefix_tree(table, field, lead_terms, blocks, scalars):
     """Every member f = lead + B_1 + ... + B_M over one lead form, blocks
     B_k on the monomials `blocks[k-1]` (degree e0+k, M = n-1-e0), depth
-    first in scan order.  Returns a list of (key, generators): f's row as
-    sorted (column, coefficient) pairs, and f followed by the canonical
-    rows of the span of the x^a*prefix, |a| >= 1, cut at M^n, as
-    polynomials, where the prefix is f without its top block B_M.
+    first in scan order.  Returns a list of (key, rows): f's row as sorted
+    (column, coefficient) pairs, and the canonical rows of the span of the
+    x^a*prefix, |a| >= 1, cut at M^n, where the prefix is f without its top
+    block B_M.  The members over one prefix share its list of rows.
 
     A node at depth k < M holds P_k = lead + B_1 + ... + B_k and the span S
     of the x^a*P_k, |a| >= j, j = n-1-e0-k, with its echelon and canonical
@@ -483,21 +484,14 @@ def _prefix_tree(table, field, lead_terms, blocks, scalars):
     canonical row of S starts at its pivot, so it vanishes there.  So the
     child's canonical rows are its new rows (the new multiples reduced
     modulo S, then against each other) followed by S's rows, unchanged,
-    and it shares their polynomials by reference.  At depth M-1, j = 1:
-    the node is a prefix, and its members are its siblings f = prefix + B_M.
+    and it shares them by reference.  At depth M-1, j = 1: the node is a
+    prefix, and its members are its siblings f = prefix + B_M.
 
-    Nothing built here is coerced or checked twice.  Every term map goes
-    to `TruncatedPoly._reduced` as it is: the lead form and the blocks put
-    nonzero scalars of `range(q)` on monomials below the level (a block's
-    zeros are left out when its coefficient tuple is read), and a node's
-    rows are canonical `Echelon` rows (`MonomialTable.poly_of`).  Each row
-    is checked as a generator (`_check_generators`) once, when its node is
-    made, and each f once, when its member is made; a member's
-    presentation then takes its generators as they are
-    (`IdealPresentation._checked`).  The key is carried down the tree: the
-    blocks rise in degree and list their monomials ascending, as the table
-    numbers its columns, so the lead form's sorted pairs followed by each
-    block's nonzero pairs in order are sorted(table.vector_of(f).items()).
+    The one polynomial a node makes is its P_k, whose multiples it reads;
+    no row and no member becomes a polynomial.  The key is carried down the
+    tree: the blocks rise in degree and list their monomials ascending, as
+    the table numbers its columns, so the lead form's sorted pairs followed
+    by each block's nonzero pairs in order are f's row sorted by column.
     The multipliers of each depth and the terms and pairs of each block's
     coefficient tuples are built once per tree.
     """
@@ -511,27 +505,21 @@ def _prefix_tree(table, field, lead_terms, blocks, scalars):
 
     out = []
 
-    def walk(terms, key, depth, parent, gens):
-        prefix = TruncatedPoly._reduced(n_vars, field, n, terms)
+    def walk(terms, key, depth, parent, rows):
+        prefix = TruncatedPoly(n_vars, field, n, terms)
         new = Echelon(field)
         for a in multipliers[depth]:
             new.add(parent.reduce(multiple_vector(table, prefix, a)))
-        rows = new.basis()
-        made = [table.poly_of(row, field) for row in rows]
-        _check_generators(made, n_vars, field, n)
-        gens = made + gens
+        made = new.basis()
+        rows = made + rows
         if depth == last:
-            tops = choices[last]
-            members = [TruncatedPoly._reduced(n_vars, field, n, terms | top_terms)
-                       for top_terms, _ in tops]
-            _check_generators(members, n_vars, field, n)
-            out.extend((key + top_key, [f] + gens) for f, (_, top_key) in zip(members, tops))
+            out.extend((key + top_key, rows) for _, top_key in choices[last])
             return
         span = parent.copy()
-        for row in rows:
+        for row in made:
             span.add(row)
         for block_terms, block_key in choices[depth]:
-            walk(terms | block_terms, key + block_key, depth + 1, span, gens)
+            walk(terms | block_terms, key + block_key, depth + 1, span, rows)
 
     lead_key = sorted((index[m], c) for m, c in lead_terms.items())
     walk(lead_terms, lead_key, 0, Echelon(field), [])
@@ -612,15 +600,12 @@ def enumerate_xi(n_vars, e0, n, field, e1=None, budget=2_000_000):
     them, so it is its own residual.  Distinct members have distinct f, so
     sorting by f's row alone sorts them by all their rows.
 
-    So a member is built from what the scan made, with no second pass.  Its
-    generators are f and the rows of its prefix's span, shared by reference
-    with every member over that prefix; the rows are canonical `Echelon`
-    rows, made polynomials by `MonomialTable.poly_of` without coercion, and
-    f is merged from scalars of F_q.  Each of them passes the generator
-    checks of `IdealPresentation` once, where `_prefix_tree` makes it, and
-    the member's presentation is built from them unchecked
-    (`IdealPresentation._checked`).  The sort key, f's row, is carried down
-    the tree block by block.
+    So a member is what the scan made, with no second pass: its canonical
+    rows over `monomial_table(2, n)`, f's row first, then the rows of its
+    prefix's span, shared by reference with every member over that prefix.
+    f's row is the sort key, carried down the tree block by block.  A
+    caller that wants an `IdealPresentation` builds one from the rows'
+    `MonomialTable.poly_of`.
 
     n_vars, e0, n, budget and a given e1 must be ints: other input is
     rejected, not coerced.
@@ -669,5 +654,5 @@ def enumerate_xi(n_vars, e0, n, field, e1=None, budget=2_000_000):
         found.extend(_prefix_tree(table, field, lead_terms, blocks, scalars))
 
     found.sort(key=lambda member: member[0])
-    members = [IdealPresentation._checked(gens, n_vars, field, n) for _, gens in found]
+    members = [[dict(key), *rows] for key, rows in found]
     return EnumerationResult(len(members), members, n, e0, e1, q)

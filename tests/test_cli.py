@@ -74,6 +74,14 @@ class TestHilbert:
         assert code == 0
         assert out.splitlines()[0].startswith("t ")
 
+    def test_table_is_refused_where_there_is_no_table(self, capsys):
+        # only hilbert, param, normflat and enumerate write a table
+        with pytest.raises(SystemExit) as exc:
+            main(["nu", "--ideal", "x1^2", "--level", "5", "--table"])
+        out = capsys.readouterr()
+        assert (exc.value.code, out.out) == (2, "")
+        assert out.err.endswith("error: unrecognized arguments: --table\n")
+
     def test_parse_error_exit_two(self, capsys):
         code, _, err = run(capsys, "hilbert", "--ideal", "x9", "--N", "2", "--level", "5")
         assert code == 2

