@@ -257,6 +257,27 @@ class TestSubcommands:
         )
         assert code == 0 and payload["member"] is True
 
+    @pytest.mark.parametrize("e0, q, n", [(1, 2, 6), (2, 2, 5), (2, 3, 4)], ids=str)
+    def test_enumerate_prints_each_shared_row_once(self, capsys, monkeypatch, e0, q, n):
+        # siblings share their prefix's rows; the report writes each row
+        # object once and repeats its text wherever a member holds it
+        from curvemoduli import ringcore as rc
+        from curvemoduli import trunctower as tt
+
+        printed, row_str = [], rc.MonomialTable.row_str
+
+        def counted(self, row, field):
+            printed.append(id(row))
+            return row_str(self, row, field)
+
+        monkeypatch.setattr(rc.MonomialTable, "row_str", counted)
+        code, report, _ = run_json(capsys, "enumerate", "--e0", str(e0), "--n", str(n), "--q", str(q))
+        ideals = tt.enumerate_xi(2, e0, n, rc.GF(q)).ideals
+        rows = sum(len(J) for J in ideals)
+        assert code == 0 and report["count"] == len(ideals)
+        assert sum(len(J) for J in report["ideals"]) == rows
+        assert len(printed) == len(set(printed)) < rows
+
     def test_enumerate(self, capsys):
         code, payload, _ = run_json(
             capsys, "enumerate", "--e0", "1", "--n", "3", "--q", "2"

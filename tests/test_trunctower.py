@@ -913,6 +913,31 @@ class TestPrefixTree:
             f = table.poly_of(dict(key), GF(q))
             assert key == sorted(table.vector_of(f).items()), poly_str(f)
 
+    @pytest.mark.parametrize("e0, q, n", [(1, 2, 6), (2, 2, 5), (2, 3, 4)], ids=str)
+    def test_each_row_is_held_by_every_member_of_its_node(self, e0, q, n):
+        # a tree node's rows are made once and held by reference by every
+        # member below it: the members whose f agree with it below some
+        # degree d, e0 < d < n, and by no other; f's own row is held by its
+        # member alone
+        from curvemoduli.ringcore import monomial_table
+
+        table = monomial_table(2, n)
+        ideals = enumerate_xi(2, e0, n, GF(q)).ideals
+
+        def below(i, d):
+            return frozenset((c, x) for c, x in ideals[i][0].items() if table.degree_of_col(c) < d)
+
+        holders = {}
+        for i, rows in enumerate(ideals):
+            for row in rows:
+                holders.setdefault(id(row), []).append(i)
+        shared = {h[0]: h for h in holders.values() if len(h) > 1}
+        assert all(holders[id(rows[0])] == [i] for i, rows in enumerate(ideals))
+        assert len(shared) > 0
+        for key, h in shared.items():
+            d = max(d for d in range(e0 + 1, n) if len({below(i, d) for i in h}) == 1)
+            assert h == [i for i in range(len(ideals)) if below(i, d) == below(key, d)]
+
 
 def dense_slice_mult_rank(spans, L, t):
     """Rank of x -> L1*x from S_t to S_{t+1}/J*_{t+1}, from dense matrices
