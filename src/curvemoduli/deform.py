@@ -20,7 +20,7 @@ from .ringcore import (
     kernel_basis,
     monomial_table,
     monomials_of_degree,
-    multiple_vector,
+    multiples,
     poly_str,
 )
 from .idealcalc import (
@@ -104,11 +104,13 @@ def colon(ideal, other, level):
     target = DegreeSpans(ideal, level)
     kgens = other.truncated(level)
     n_mon = len(table.monos)
+    # per monomial, its multiples of each k_j (none when K has no generators)
+    per_k = [multiples(table, table.vector_of(k), range(n_mon)) for k in kgens.generators]
     images = (
         {j * n_mon + c: v
-         for j, k in enumerate(kgens.generators)
-         for c, v in target.ech.reduce(multiple_vector(table, k, mono)).items()}
-        for mono in table.monos
+         for j, vec in enumerate(vecs)
+         for c, v in target.ech.reduce(vec).items()}
+        for _, *vecs in zip(table.monos, *per_k)
     )
     kernel = kernel_basis(Echelon(field), images, len(kgens.generators) * n_mon)
     member_ech = Echelon(field)
@@ -203,10 +205,10 @@ def flatness_direct(deformation, n):
     table = monomial_table(n_vars, n)
     n_mon = len(table.monos)
     ech = Echelon(field)
+    cols = range(n_mon)
     for f, g in zip(d.base.generators, d.perturbations):
-        for m in table.monos:
-            mf = multiple_vector(table, f, m)
-            mg = multiple_vector(table, g, m)
+        for mf, mg in zip(multiples(table, table.vector_of(f), cols),
+                          multiples(table, table.vector_of(g), cols)):
             vec = dict(mf)
             vec.update((n_mon + c, v) for c, v in mg.items())
             if vec:

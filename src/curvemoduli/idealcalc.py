@@ -16,7 +16,9 @@ minimal generators of that degree are tested for a witness.  That span,
 and every other span of monomial multiples here, comes from the one kernel
 `ringcore.span_of_multiples`, which inserts generator by generator: its
 canonical rows do not depend on the insertion order, and this order was
-measured the cheapest.
+measured the cheapest.  The kernel takes each generator as a row over the
+span's `MonomialTable` and every multiple from the one builder
+`ringcore.multiples`.
 
 The kernel skips the multiples that the earlier generators already account
 for (Faugere's F5 criterion in the truncated local setting).  The span S
@@ -31,7 +33,7 @@ whose initial forms are a regular sequence this leaves one insert per rank.
 `initial_ideal` reads the minimal generators of I* against the ideal
 generated by the ones found before them: that ideal's degree-d part is
 S_1 * I*_{d-1} until a generator of degree d joins it, and a fresh slice
-vector adds its multiples to it at once, under the same skip rule.  That
+row adds its multiples to it at once, under the same skip rule.  That
 ideal lies inside I*, so a degree where it already has the slice's
 dimension holds no fresh vector and is not tested.
 """
@@ -281,9 +283,8 @@ def initial_ideal(ideal, level):
         fresh = mingens[d] = []
         for row in degree_block(table, spans.ech, d).basis():
             if not gen_ech.contains(row):
-                p = table.poly_of(row, ideal.field)
-                fresh.append(p)
-                _add_multiples(table, gen_ech, p)
+                fresh.append(table.poly_of(row, ideal.field))
+                _add_multiples(table, gen_ech, row)
                 have += 1
                 if have == dim:
                     break

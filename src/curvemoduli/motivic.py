@@ -13,7 +13,7 @@ finite fields; the fit is labeled the heuristic it is.
 from collections import namedtuple
 from fractions import Fraction
 
-from .ringcore import _TOKEN, QQ, Echelon, check_ints, check_n_vars
+from .ringcore import _TOKEN, QQ, Echelon, _terms_str, check_ints, check_n_vars
 
 
 class MotivicClass:
@@ -81,7 +81,9 @@ class MotivicClass:
         return Fraction(2) ** -self.order()
 
     def specialize(self, q):
-        """Point-count realization L -> q (exact; rational for negative powers)."""
+        """Point-count realization L -> q (exact; rational for negative powers).
+        q must be an int: other input is rejected, not coerced."""
+        check_ints((q,), "q")
         if q < 2:
             raise ValueError("specialization needs q >= 2")
         total = Fraction(0)
@@ -96,33 +98,24 @@ class MotivicClass:
         return hash(frozenset(self.coeffs.items()))
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        pieces = []
-        for e in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[e]
-            if e == 0:
-                body = str(abs(c))
-            else:
-                lpow = "L" if e == 1 else f"L^{e}"
-                body = lpow if abs(c) == 1 else f"{abs(c)}*{lpow}"
-            if not pieces:
-                pieces.append(("-" if c < 0 else "") + body)
-            else:
-                pieces.append((" - " if c < 0 else " + ") + body)
-        return "".join(pieces)
+        """Descending powers of L, signed and printed as `ringcore.poly_str`
+        prints the terms of a polynomial over QQ."""
+        return _terms_str([("" if e == 0 else "L" if e == 1 else f"L^{e}", self.coeffs[e])
+                           for e in sorted(self.coeffs, reverse=True)], QQ)
 
     def __repr__(self):
         return f"MotivicClass({self})"
 
 
 class MeasureContext(namedtuple("MeasureContext", "n_vars e0")):
-    """Ambient data for the cylinder measure: fibration rank c = (N-1)e0."""
+    """Ambient data for the cylinder measure: fibration rank c = (N-1)e0.
+    n_vars and e0 must be ints: other input is rejected, not coerced."""
 
     __slots__ = ()
 
     @property
     def c(self):
+        check_ints(self, "each of n_vars and e0")
         check_n_vars(self.n_vars)
         if self.e0 < 1:
             raise ValueError("e0 must be >= 1")

@@ -233,8 +233,10 @@ class MonomialTable:
         return sum(m)
 
     def vector_of(self, poly):
-        """Sparse column vector {index: coeff} of a TruncatedPoly."""
-        return {self.index[m]: c for m, c in poly.terms.items()}
+        """Sparse column vector {index: coeff} of a TruncatedPoly, cut at
+        the table's level: terms of degree >= level are dropped."""
+        index, level = self.index, self.level
+        return {index[m]: c for m, c in poly.terms.items() if sum(m) < level}
 
     def poly_of(self, vec, field):
         """The TruncatedPoly over `field` of a sparse vector {column: coeff}
@@ -762,22 +764,33 @@ def kernel_basis(seed, images, width):
 
 
 # ---------------------------------------------------------------------------
-# Spans of monomial multiples: the one way every module builds the span of
-# x^a * p over a list of polynomials p.
+# Spans of monomial multiples: `multiples` is the one builder of x^a * p, for
+# p a row over a MonomialTable, and `span_of_multiples` the one kernel of
+# their spans.
 
 
-def multiple_vector(table, p, a):
-    """Sparse column vector of x^a * p cut at `table.level`, read straight
-    off the terms of p (no intermediate TruncatedPoly).  Each column is
-    found by adding packed keys, key(m*a) = key(m) + key(a) (see
-    `MonomialTable`); the entries are p's own coefficients, so a caller may
-    reduce the vector and read the residual as field values."""
-    cut = table.level - sum(a)
-    if cut <= 0:
-        return {}
-    index, keys, col_of_key = table.index, table.keys, table.col_of_key
-    ka = keys[index[a]]
-    return {col_of_key[keys[index[m]] + ka]: c for m, c in p.terms.items() if sum(m) < cut}
+def multiples(table, row, cols):
+    """Yield x^a * row cut at `table.level`, a vector {column: coefficient},
+    for each multiplier column a of `cols`, which ascend; a multiple cut away
+    entirely is the empty vector.
+
+    `row` is a vector over `table` and is read once, as (degree, key,
+    coefficient) sorted by degree, so the terms kept in a multiple by x^a
+    of degree d are a prefix, those of degree < level - d.  Each column is
+    found by one int addition of packed keys, key(m*a) = key(m) + key(a)
+    (see `MonomialTable`); the entries are the row's own coefficients, so a
+    caller may reduce a multiple and read the residual as field values.
+    """
+    keys, col_of_key, offset, level = table.keys, table.col_of_key, table.offset, table.level
+    terms = sorted((table.degree_of_col(c), keys[c], v) for c, v in row.items())
+    degrees = [d for d, _, _ in terms]
+    d = -1
+    for col in cols:
+        if col >= offset[d + 1]:  # the first multiplier of a higher degree
+            d = table.degree_of_col(col)
+            kept = [(k, v) for _, k, v in terms[:bisect_left(degrees, level - d)]]
+        ka = keys[col]
+        yield {col_of_key[k + ka]: v for k, v in kept}
 
 
 def span_of_multiples(table, field, polys, lo=0):
@@ -788,49 +801,40 @@ def span_of_multiples(table, field, polys, lo=0):
     complete intersections this order measured 3-6x cheaper than inserting
     all generators degree by degree.  The span before each generator is an
     ideal, so `_add_multiples` skips the multiples that it already accounts
-    for.  Each generator is read once into packed keys (`MonomialTable`) and,
-    over QQ, integer coefficients, and every multiple is built from those;
-    every insert goes through `Echelon.add`.
+    for.  Each polynomial becomes a row once (`MonomialTable.vector_of`,
+    which cuts its terms at or above the level), and every insert goes
+    through `Echelon.add`.
     """
     ech = Echelon(field)
     for p in polys:
-        _add_multiples(table, ech, p, lo)
+        _add_multiples(table, ech, table.vector_of(p), lo)
     return ech
 
 
-def _add_multiples(table, ech, p, lo=0):
-    """Insert x^a * p, |a| >= lo, into `ech`, multiplier column ascending.
+def _add_multiples(table, ech, row, lo=0):
+    """Insert x^a * row, |a| >= lo, into `ech`, multiplier column ascending,
+    for `row` a vector over `table`; the multiples cut away entirely, and
+    every one when lo is past the level, are not inserted.
 
     The caller guarantees that `ech` spans an ideal of R/M^n (the multiples
-    x^b * q, |b| >= lo, of earlier polynomials q), and x^a * p is skipped
-    when the column of x^a is a pivot of `ech` before p: some g in the
-    ideal has x^a as its lowest column, and x^a*p is a combination of g*p
-    and of the x^m*p at later columns, so the span is unchanged (the proof
-    is in the `idealcalc` module docstring).
-
-    p is read once, as (degree, key, coefficient) sorted by degree, so the
-    terms kept in a multiple by x^a of degree d are a prefix, those of
-    degree < level - d; terms of p at or above `table.level` are dropped,
-    as every multiple of them is.  Over QQ the coefficients are scaled by
-    their common denominator to ints (`_integer_vector`), which spans the
-    same space; `Echelon` keeps QQ rows as integer vectors anyway.  Each
-    multiple is then one int addition of packed keys per term (see
-    `MonomialTable`).
+    x^b * q, |b| >= lo, of earlier rows q), and x^a * row is skipped when
+    the column of x^a is a pivot of `ech` before the row: some g in the
+    ideal has x^a as its lowest column, and x^a * row is a combination of
+    g * row and of the x^m * row at later columns, so the span is unchanged
+    (the proof is in the `idealcalc` module docstring).  Over QQ the coefficients are
+    scaled by their common denominator to ints (`_integer_vector`), which
+    spans the same space; `Echelon` keeps QQ rows as integer vectors anyway.
     """
-    index, keys, col_of_key, level = table.index, table.keys, table.col_of_key, table.level
-    coeffs = p.terms if p.field.char else _integer_vector(p.terms)[0]
-    terms = sorted((d, keys[index[m]], c) for m, c in coeffs.items() if (d := sum(m)) < level)
-    if not terms:
+    if not row:
         return
-    degrees = [d for d, _, _ in terms]
-    known = set(ech.pivots())
-    add, offset = ech.add, table.offset
-    for d in range(lo, level - degrees[0]):
-        row = [(k, c) for _, k, c in terms[:bisect_left(degrees, level - d)]]
-        for col in range(offset[d], offset[d + 1]):
-            if col not in known:
-                ka = keys[col]
-                add({col_of_key[k + ka]: c for k, c in row})
+    if not ech.field.char:
+        row = _integer_vector(row)[0]
+    offset, level = table.offset, table.level
+    top = level - table.degree_of_col(min(row))  # x^a * row is cut from degree top on
+    pivots = ech.pivots()
+    cols = [c for c in range(offset[min(lo, top)], offset[top]) if c not in pivots]
+    for vec in multiples(table, row, cols):
+        ech.add(vec)
 
 
 def degree_block(table, ech, d):

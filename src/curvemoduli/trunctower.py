@@ -30,7 +30,7 @@ from .ringcore import (
     count_monomials_upto,
     monomial_table,
     monomials_of_degree,
-    multiple_vector,
+    multiples,
     poly_str,
 )
 from .idealcalc import (
@@ -182,7 +182,7 @@ def _length_with_form(spans, L):
     L = L.truncate_to(n)
     _check_generators([L], ideal.n_vars, ideal.field, n)
     ech = spans.ech.copy()
-    _add_multiples(spans.table, ech, L)
+    _add_multiples(spans.table, ech, spans.table.vector_of(L))
     return spans.table.offset[n] - ech.rank
 
 
@@ -447,8 +447,9 @@ def cell_membership(ideal, n, cell, e0):
         return False
     vectors = [{i - 1: field.one()} for i in i_set]
     power = TruncatedPoly.constant(1, n_vars, field, n)
+    j_cols = sorted(j - 1 for j in j_set)
     for r in range(n - e0):
-        vectors.extend(multiple_vector(table, power, table.monos[j - 1]) for j in j_set)
+        vectors.extend(multiples(table, table.vector_of(power), j_cols))
         power = power * L
     for v in vectors:
         if not ech.add(v):
@@ -487,42 +488,42 @@ def _prefix_tree(table, field, lead_terms, blocks, scalars):
     and it shares them by reference.  At depth M-1, j = 1: the node is a
     prefix, and its members are its siblings f = prefix + B_M.
 
-    The one polynomial a node makes is its P_k, whose multiples it reads;
-    no row and no member becomes a polynomial.  The key is carried down the
-    tree: the blocks rise in degree and list their monomials ascending, as
-    the table numbers its columns, so the lead form's sorted pairs followed
-    by each block's nonzero pairs in order are f's row sorted by column.
-    The multipliers of each depth and the terms and pairs of each block's
-    coefficient tuples are built once per tree.
+    A node makes no polynomial: its key is P_k's row as sorted (column,
+    coefficient) pairs, and it reads its multiples off that row
+    (`ringcore.multiples`).  The key is carried down the tree: the blocks
+    rise in degree and list their monomials ascending, as the table numbers
+    its columns, so the lead form's sorted pairs followed by each block's
+    nonzero pairs in order are P_k's row, and at a leaf f's, sorted by
+    column.  The multiplier columns of each depth and the pairs of each
+    block's coefficient tuples are built once per tree.
     """
-    n_vars, n, index = table.n_vars, table.level, table.index
+    index, offset = table.index, table.offset
     last = len(blocks) - 1
-    multipliers = [monomials_of_degree(n_vars, len(blocks) - depth) for depth in range(last + 1)]
-    choices = [[({m: c for m, c in zip(block, coeffs) if c},
-                 [(index[m], c) for m, c in zip(block, coeffs) if c])
+    # the multiplier columns of each depth: degree M - depth
+    multipliers = [range(offset[d], offset[d + 1]) for d in range(last + 1, 0, -1)]
+    choices = [[[(index[m], c) for m, c in zip(block, coeffs) if c]
                 for coeffs in itertools.product(scalars, repeat=len(block))]
                for block in blocks]
 
     out = []
 
-    def walk(terms, key, depth, parent, rows):
-        prefix = TruncatedPoly(n_vars, field, n, terms)
+    def walk(key, depth, parent, rows):
         new = Echelon(field)
-        for a in multipliers[depth]:
-            new.add(parent.reduce(multiple_vector(table, prefix, a)))
+        for vec in multiples(table, dict(key), multipliers[depth]):
+            new.add(parent.reduce(vec))
         made = new.basis()
         rows = made + rows
         if depth == last:
-            out.extend((key + top_key, rows) for _, top_key in choices[last])
+            out.extend((key + top_key, rows) for top_key in choices[last])
             return
         span = parent.copy()
         for row in made:
             span.add(row)
-        for block_terms, block_key in choices[depth]:
-            walk(terms | block_terms, key + block_key, depth + 1, span, rows)
+        for block_key in choices[depth]:
+            walk(key + block_key, depth + 1, span, rows)
 
     lead_key = sorted((index[m], c) for m, c in lead_terms.items())
-    walk(lead_terms, lead_key, 0, Echelon(field), [])
+    walk(lead_key, 0, Echelon(field), [])
     return out
 
 
@@ -573,9 +574,11 @@ def enumerate_xi(n_vars, e0, n, field, e1=None, budget=2_000_000):
     The tail blocks below the top degree n-1 are chosen degree by degree,
     down a tree whose nodes share their spans (`_prefix_tree`): a multiple
     x^a*f with |a| = j sees only the blocks below degree n-j, and a node's
-    canonical rows are its new rows followed by its parent's.  A leaf is a
-    prefix (the lead form and every lower block); its candidates are
-    f = prefix + top block, which the tree returns with their sort keys.
+    canonical rows are its new rows followed by its parent's.  A node reads
+    its multiples off its row, so the only polynomials a job builds are the
+    lead forms, x2^e0 and the candidate forms.  A leaf is a prefix (the
+    lead form and every lower block); its candidates are f = prefix + top
+    block, which the tree returns with their sort keys.
 
     The T_n verdict is decided once per lead form, by one `tn_membership`
     call on (lead) + M^n with the forms in their fixed order; a lead form

@@ -14,7 +14,7 @@ from curvemoduli.cli import INTEGER, _read_job
 from curvemoduli.deform import DualPoly, FirstOrderDeformation, colon, flatness_direct
 from curvemoduli.idealcalc import IdealPresentation, intersection_number
 from curvemoduli.motivic import (
-    MeasureContext, MotivicClass, RationalSeries, fit_class_from_counts, mps,
+    MeasureContext, MotivicClass, RationalSeries, fit_class_from_counts, mps, parse_motivic,
 )
 from curvemoduli.ringcore import (
     GF, QQ, LevelError, MonomialTable, TruncatedPoly, monomial_table, monomials_of_degree,
@@ -138,6 +138,15 @@ CASES = {
     "class-string-exponent": (
         lambda: MotivicClass({"2": "3"}),
         TypeError, "exponent of L must be an int, got '2'"),
+    "specialize-float-q": (
+        lambda: parse_motivic("L^2 + 1").specialize(2.5),
+        TypeError, "q must be an int, got 2.5"),
+    "measure-float-n-vars": (
+        lambda: MeasureContext(2.5, 2).c,
+        TypeError, "each of n_vars and e0 must be an int, got 2.5"),
+    "measure-float-e0": (
+        lambda: MeasureContext(2, 1.5).c,
+        TypeError, "each of n_vars and e0 must be an int, got 1.5"),
     "series-float-denominator-factor": (
         lambda: RationalSeries({0: MotivicClass.one()}, [(1.5, 1)]),
         TypeError, "exponent of (1 - L^a T^b) must be an int, got 1.5"),

@@ -20,8 +20,7 @@ from curvemoduli.ringcore import (
     LevelError,
     degree_block,
     initial_form,
-    monomials_of_degree,
-    multiple_vector,
+    multiples,
     parse_poly,
     poly_str,
 )
@@ -242,19 +241,19 @@ def initial_ideal_by_s1_loop(ideal, level):
     spans = DegreeSpans(ideal, level)
     table = spans.table
     field = ideal.field
-    variables = monomials_of_degree(ideal.n_vars, 1)
+    variables = range(table.offset[1], table.offset[2])  # the columns of x_1 .. x_N
     dims, mingens, prev = [], {}, []
     for d in range(level):
         rows = degree_block(table, spans.ech, d).basis()
         dims.append(len(rows))
         below = Echelon(field)
-        for p in prev:
-            for x in variables:
-                below.add(multiple_vector(table, p, x))
+        for row in prev:
+            for vec in multiples(table, row, variables):
+                below.add(vec)
         fresh = [table.poly_of(row, field) for row in rows if below.add(row)]
         if fresh:
             mingens[d] = fresh
-        prev = [table.poly_of(row, field) for row in rows]
+        prev = rows
     return dims, mingens
 
 

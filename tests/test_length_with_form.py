@@ -131,7 +131,7 @@ def test_length_is_the_colength_of_a_copy(data, n_vars, field):
     rows = {piv: dict(row) for piv, row in spans.ech.rows.items()}
     slice_dims = list(spans.slice_dims)
     copy = spans.ech.copy()
-    _add_multiples(spans.table, copy, L)
+    _add_multiples(spans.table, copy, spans.table.vector_of(L))
     assert _length_with_form(spans, L) == spans.table.offset[level] - copy.rank
     forms = [L]
     if field.char:

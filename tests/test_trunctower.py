@@ -603,12 +603,12 @@ def lead_forms(e0, n, q):
 
 def graded_piece_pivots(table, lead, k):
     """Pivot columns of S_k*lead, from an Echelon of the multiples x^m*lead
-    over the monomials m of degree k."""
-    from curvemoduli.ringcore import Echelon, monomials_of_degree, multiple_vector
+    over the monomials m of degree k, read off lead's row."""
+    from curvemoduli.ringcore import Echelon, multiples
 
     ech = Echelon(lead.field)
-    for m in monomials_of_degree(lead.n_vars, k):
-        ech.add(multiple_vector(table, lead, m))
+    for vec in multiples(table, table.vector_of(lead), range(table.offset[k], table.offset[k + 1])):
+        ech.add(vec)
     return set(ech.pivots())
 
 
