@@ -29,8 +29,8 @@ _EXPORTS = {
         "hilbert_stratum_check", "jtilde", "shape_check", "tn_membership"), "trunctower"),
     **dict.fromkeys((
         "Branch", "Parametrization", "PrecisionError", "SemigroupData",
-        "delta_from_param", "hilbert_from_param", "ideal_from_param", "is_rigid_known",
-        "milnor", "normally_flat_fiber_compare", "semigroup", "valuation_h1"), "branches"),
+        "delta_from_param", "hilbert_from_param", "ideal_from_param", "milnor",
+        "normally_flat_fiber_compare", "semigroup", "valuation_h1"), "branches"),
     **dict.fromkeys((
         "ColonSpace", "DualPoly", "FirstOrderDeformation", "cm_colon_identity", "colon",
         "determinantal_ideal", "determinantal_minors", "flatness_direct", "ideal_plus_power",

@@ -33,16 +33,19 @@ class PrecisionError(ValueError):
 # Numerical semigroups.
 
 
-# `elements` lists all elements <= bound.
+# `elements` lists all elements <= bound; every integer past it is an element.
 SemigroupData = namedtuple("SemigroupData", "generators elements gaps delta conductor bound")
 
 
-def semigroup(gens, bound=None):
+def semigroup(gens):
     """Gaps, delta and conductor of the numerical semigroup <gens>.
 
     Generators must be positive ints, and coprime, otherwise the gap count
-    is infinite.  The bound auto-extends until a run of min(gens)
-    consecutive elements shows up, which pins the conductor.
+    is infinite.  Membership is decided for v = 1, 2, ... in one growing
+    list, up to the first run of min(gens) consecutive elements: adding
+    min(gens) then reaches every later integer, so that run pins the
+    conductor.  `bound` is 2*max(gens)*len(gens), doubled until it covers
+    the run.
     """
     gens = list(gens)
     check_ints(gens, "generator")
@@ -54,29 +57,19 @@ def semigroup(gens, bound=None):
         g = gcd(g, x)
     if g != 1:
         raise ValueError(f"generators have gcd {g} > 1: delta is infinite")
-    m = gens[0]
-    bound = bound or 2 * max(gens) * len(gens)
-    while True:
-        member = [False] * (bound + 1)
-        member[0] = True
-        for v in range(1, bound + 1):
-            for x in gens:
-                if x <= v and member[v - x]:
-                    member[v] = True
-                    break
-        run = 0
-        conductor = None
-        for v in range(1, bound + 1):
-            run = run + 1 if member[v] else 0
-            if run == m:
-                conductor = v - m + 1
-                break
-        if conductor is not None:
-            gaps = [v for v in range(1, conductor) if not member[v]]
-            conductor = gaps[-1] + 1 if gaps else 0
-            elements = [v for v in range(bound + 1) if member[v]]
-            return SemigroupData(gens, elements, gaps, len(gaps), conductor, bound)
+    member = [True]
+    run = 0
+    while run < gens[0]:
+        v = len(member)
+        member.append(any(member[v - x] for x in gens if x <= v))
+        run = run + 1 if member[v] else 0
+    gaps = [v for v, elt in enumerate(member) if not elt]
+    conductor = gaps[-1] + 1 if gaps else 0
+    bound = 2 * gens[-1] * len(gens)
+    while bound < v:
         bound *= 2
+    elements = [v for v in range(bound + 1) if v >= conductor or member[v]]
+    return SemigroupData(gens, elements, gaps, len(gaps), conductor, bound)
 
 
 def milnor(delta, r):
@@ -92,22 +85,20 @@ def valuation_h1(gens, t_max):
 
     H1(t) counts the semigroup elements that are not a sum of t+1 nonzero
     elements (the valuations surviving in O_C/m^{t+1}); this is the
-    independent oracle for the kernel route on monomial branches.
+    independent oracle for the kernel route on monomial branches.  Such a
+    sum is a sum of t+1 or more generators, so one table does: longest[v]
+    is the largest number of generators that sum to v, None off the
+    semigroup, and H1(t) counts the v with longest[v] <= t.  Past the bound
+    every element is (t_max+1)*min(gens) plus an element, so none counts.
     """
     sg = semigroup(gens)
-    # all sums of t_max+1 elements stay visible below this bound
-    bound = sg.conductor + (t_max + 1) * min(gens) + max(gens)
-    gamma = semigroup(gens, bound).elements
-    sums = [set(gamma[1:])]
-    for _ in range(t_max):
-        nxt = set()
-        prev = sums[-1]
-        for s in prev:
-            for x in sg.generators:
-                if s + x <= bound:
-                    nxt.add(s + x)
-        sums.append(nxt)
-    return [sum(1 for v in gamma if v not in sums[t]) for t in range(t_max + 1)]
+    gens = sg.generators
+    bound = sg.conductor + (t_max + 1) * gens[0] + gens[-1]
+    longest = [0]
+    for v in range(1, bound + 1):
+        prev = [longest[v - x] for x in gens if x <= v and longest[v - x] is not None]
+        longest.append(max(prev) + 1 if prev else None)
+    return [sum(1 for k in longest if k is not None and k <= t) for t in range(t_max + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +392,7 @@ def delta_from_param(param):
         for b in param.branches
     )
     for m in range(start, cap + 1):
-        clipped = Parametrization(
-            [Branch([c.truncate_to(m) for c in b.components], m) for b in param.branches]
-        )
+        clipped = Parametrization([Branch(b.components, m) for b in param.branches])
         sub = _Substitution(clipped, 1)
         ech = sub.high
         ech.add(sub.vectors[0])
@@ -473,27 +462,3 @@ def normally_flat_fiber_compare(fibers, level):
     else:
         agree = len({(hd.e0, hd.e1) for hd in data}) == 1
     return FiberCompareReport(data, constant, mismatch, agree)
-
-
-# ---------------------------------------------------------------------------
-# Rigid Hilbert polynomials: the known sufficient conditions.
-
-
-RIGID = "rigid"
-UNKNOWN = "unknown"
-
-
-def is_rigid_known(e0, e1):
-    """"rigid" when a listed sufficient condition applies, else "unknown".
-
-    Sufficient: e0 <= 5, or e1 in {e0-1, e0, e0(e0-1)/2 - 1, e0(e0-1)/2}.
-    Never answers "not rigid": absence from the list proves nothing.
-    """
-    from .trunctower import admissible
-
-    if not any(admissible(b, e0, e1) for b in range(1, e0 + 1)):
-        raise ValueError(f"(e0, e1) = ({e0}, {e1}) is not admissible for any b")
-    top = e0 * (e0 - 1) // 2
-    if e0 <= 5 or e1 in {e0 - 1, e0, top - 1, top}:
-        return RIGID
-    return UNKNOWN

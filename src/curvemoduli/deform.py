@@ -76,7 +76,7 @@ class ColonSpace(namedtuple("ColonSpace", "level basis dimension echelon table")
     __slots__ = ()
 
     def contains(self, poly):
-        return self.echelon.contains(self.table.vector_of(poly.truncate_to(self.level)))
+        return self.echelon.contains(self.table.vector_of(poly))
 
 
 def check_colon_level(level):

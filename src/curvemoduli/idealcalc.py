@@ -160,7 +160,7 @@ class DegreeSpans:
 
     def contains(self, poly):
         """Membership of poly in (I+M^level)/M^level."""
-        return self.ech.contains(self.table.vector_of(poly.truncate_to(self.level)))
+        return self.ech.contains(self.table.vector_of(poly))
 
 
 # ---------------------------------------------------------------------------

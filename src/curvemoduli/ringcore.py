@@ -234,8 +234,12 @@ class MonomialTable:
 
     def vector_of(self, poly):
         """Sparse column vector {index: coeff} of a TruncatedPoly, cut at
-        the table's level: terms of degree >= level are dropped."""
+        the table's level: terms of degree >= level are dropped.  A
+        polynomial known only below that level is refused, as by
+        `truncate_to`."""
         index, level = self.index, self.level
+        if poly.level < level:
+            raise LevelError(f"cannot extend precision from {poly.level} to {level}")
         return {index[m]: c for m, c in poly.terms.items() if sum(m) < level}
 
     def poly_of(self, vec, field):

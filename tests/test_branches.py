@@ -15,7 +15,6 @@ from curvemoduli.branches import (
     evaluate_on_branch,
     hilbert_from_param,
     ideal_from_param,
-    is_rigid_known,
     milnor,
     normally_flat_fiber_compare,
     semigroup,
@@ -399,22 +398,3 @@ class TestMonomialFamilyReconciliation:
             if oracle[k] != self.CLAIMED[k]
         }
         assert unreconciled == {"H1_Z0_at_3", "H1_Z1_at_3"}
-
-
-class TestRigid:
-    def test_small_multiplicity(self):
-        assert is_rigid_known(5, 10) == "rigid"
-        assert is_rigid_known(4, 3) == "rigid"
-
-    def test_listed_e1_cases(self):
-        assert is_rigid_known(7, 7) == "rigid"   # e1 = e0
-        assert is_rigid_known(7, 6) == "rigid"   # e1 = e0 - 1
-        assert is_rigid_known(7, 21) == "rigid"  # e1 = e0(e0-1)/2
-        assert is_rigid_known(7, 20) == "rigid"  # e1 = e0(e0-1)/2 - 1
-
-    def test_unknown_never_not_rigid(self):
-        assert is_rigid_known(7, 12) == "unknown"
-
-    def test_inadmissible_rejected(self):
-        with pytest.raises(ValueError, match="admissible"):
-            is_rigid_known(3, 100)

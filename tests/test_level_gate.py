@@ -110,6 +110,18 @@ def test_the_own_level_is_the_ideal_itself():
     assert all(g.truncate_to(GIVEN) is g for g in I.generators)
 
 
+def test_a_polynomial_below_the_table_level_is_refused():
+    I = ideal(["x2^2 - x1^3"])
+    spans = DegreeSpans(I, GIVEN)
+    quotient = colon(I, ideal(["x1", "x2^2"]), GIVEN)
+    below = poly("x2^2 - x1^3", LOWER)
+    for check in (spans.table.vector_of, spans.contains, quotient.contains):
+        with pytest.raises(LevelError, match=f"^cannot extend precision from {LOWER} to {GIVEN}$"):
+            check(below)
+    # above the level a polynomial is cut, not refused
+    assert spans.contains(poly("x2^2 - x1^3 + x1^10", GIVEN + 3))
+
+
 def test_a_lower_level_drops_the_generators_it_kills():
     J = ideal(["x2^2 - x1^3", "x1^7"]).truncated(LOWER)
     assert (J.level, [str(g) for g in J.generators]) == (LOWER, ["-x1^3 + x2^2"])
