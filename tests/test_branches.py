@@ -72,6 +72,13 @@ class TestSemigroup:
             assert sg.conductor <= 2 * sg.delta
 
 
+class TestValuationCount:
+    def test_cusp_and_smooth_fixtures(self):
+        # <2,3>: H1(t) = 2t + 1; <1>: every v <= t is one sum of t generators
+        assert valuation_h1([2, 3], 8) == [1, 3, 5, 7, 9, 11, 13, 15, 17]
+        assert valuation_h1([1], 4) == [1, 2, 3, 4, 5]
+
+
 class TestMilnor:
     def test_four_generator_curve(self):
         assert milnor(8, 1) == 16
@@ -319,6 +326,13 @@ class TestDelta:
     def test_insufficient_precision_honest(self):
         with pytest.raises(PrecisionError):
             delta_from_param(param([["t^6", "t^7", "t^10", "t^15"]], 14))
+
+    def test_terms_past_the_scan_leave_delta(self):
+        # t^39 and t^38 change no characteristic exponent of (t^4, t^6 + t^7),
+        # whose semigroup is <4, 6, 13>
+        plain = param([["t^4", "t^6 + t^7"]], 40)
+        tailed = param([["t^4 + t^39", "t^6 + t^7 + t^38"]], 40)
+        assert delta_from_param(plain) == delta_from_param(tailed) == semigroup([4, 6, 13]).delta
 
 
 class TestNormallyFlatCompare:
