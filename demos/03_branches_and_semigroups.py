@@ -7,6 +7,7 @@ counting on the numerical semigroup.  They must agree, and they do.
 """
 
 from curvemoduli import (
+    GF,
     QQ,
     Parametrization,
     delta_from_param,
@@ -40,6 +41,11 @@ print()
 # a two-branch curve: the node, with delta = 1 and mu = 2*1 - 2 + 1 = 1
 node = Parametrization.parse([["t", "0"], ["0", "t"]], 12, QQ)
 print("node delta:", delta_from_param(node), " mu:", milnor(delta_from_param(node), 2))
+# three lines over GF(2): every linear form vanishes on one of them, and
+# delta is certified from each line's own order; mu = 2*3 - 3 + 1 = 4
+lines = Parametrization.parse([["t", "0"], ["0", "t"], ["t", "t"]], 12, GF(2))
+lines_delta = delta_from_param(lines)
+print("three lines over GF(2) delta:", lines_delta, " mu:", milnor(lines_delta, 3))
 print()
 
 # fibers with different Hilbert functions cannot form a normally flat family

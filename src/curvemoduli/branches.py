@@ -33,8 +33,7 @@ class PrecisionError(ValueError):
 # Numerical semigroups.
 
 
-# `elements` lists all elements <= bound; every integer past it is an element.
-SemigroupData = namedtuple("SemigroupData", "generators elements gaps delta conductor bound")
+SemigroupData = namedtuple("SemigroupData", "generators gaps delta conductor")
 
 
 def semigroup(gens):
@@ -44,8 +43,7 @@ def semigroup(gens):
     is infinite.  Membership is decided for v = 1, 2, ... in one growing
     list, up to the first run of min(gens) consecutive elements: adding
     min(gens) then reaches every later integer, so that run pins the
-    conductor.  `bound` is 2*max(gens)*len(gens), doubled until it covers
-    the run.
+    conductor.
     """
     gens = list(gens)
     check_ints(gens, "generator")
@@ -65,11 +63,7 @@ def semigroup(gens):
         run = run + 1 if member[v] else 0
     gaps = [v for v, elt in enumerate(member) if not elt]
     conductor = gaps[-1] + 1 if gaps else 0
-    bound = 2 * gens[-1] * len(gens)
-    while bound < v:
-        bound *= 2
-    elements = [v for v in range(bound + 1) if v >= conductor or member[v]]
-    return SemigroupData(gens, elements, gaps, len(gaps), conductor, bound)
+    return SemigroupData(gens, gaps, len(gaps), conductor)
 
 
 def milnor(delta, r):
@@ -113,6 +107,7 @@ class Branch:
     """
 
     def __init__(self, components, precision):
+        check_ints((precision,), "precision")
         if precision < 1:
             raise PrecisionError("precision must be >= 1")
         comps = []
@@ -336,62 +331,35 @@ def hilbert_from_param(param, level):
     return analyze_h1([rank_geq[0] - rank_geq[t + 1] for t in range(level)])
 
 
-def _all_branch_positive_element(param):
-    """Orders, per branch, of a ring element of positive order on every branch.
-
-    Tries the coordinate components first, then a few deterministic mixes
-    (cancellation can only raise an order, so small integer weights are
-    enough over the rationals).  None when no tried combination works.
-    """
-    n = param.n_vars
-    candidates = [[1 if k == j else 0 for k in range(n)] for j in range(n)]
-    candidates += [[1] * n, [2 ** j for j in range(n)], [3 ** j for j in range(n)]]
-    for w in candidates:
-        orders = []
-        for b in param.branches:
-            z = TruncatedPoly.zero(1, b.field, b.precision)
-            for wj, comp in zip(w, b.components):
-                if wj:
-                    z = z + comp.scale(wj)
-            if z.is_zero():
-                orders = None
-                break
-            orders.append(z.order())
-        if orders is not None:
-            return orders
-    return None
-
-
 def delta_from_param(param):
     """delta = dim(normalization / image of R), certified by a conductor test.
 
     At t-precision m the codimension of the substituted monomial span in
     prod_b k[t]/(t^m) counts the missing coordinates.  Plateaus in m prove
     nothing (gap patterns pause and resume), so finality is certified
-    instead: once every coordinate t^k e_b with k >= c lies in the span and
-    m - c is at least the order of some ring element positive on every
-    branch, multiplying the witnesses by powers of that element covers all
-    higher coordinates at every precision, and the part below c is stable
-    under truncation.  A coordinate lies in the span exactly when the
-    canonical row at its column is that unit vector (a vector of the span
-    with a unit at one pivot and zeros at every other pivot is that pivot's
-    row), so c is read off the rows.  Components are only known to their
-    stated precision, so the scan is capped there and reports honestly when
-    that is not enough.
+    instead, from each branch's own order: let s_b be the least t-order of
+    the components of branch b and step = max_b s_b.  The answer is the
+    codimension at the first m at which every coordinate t^k e_b with
+    k >= c lies in the span and m - c >= step.  Then the same holds at every
+    m' >= m: if each t^k e_b with c <= k < m' has a witness f in the span at
+    precision m', and x_i is a coordinate of order s_b on branch b, then for
+    k = m' - s_b >= c the product x_i * f is a * t^m' e_b modulo t^(m'+1)
+    with a != 0, since f's error terms have order >= m' on every branch and
+    x_i has order >= 1 on every branch.  These products cover the new
+    coordinates at precision m' + 1 and clear the old witnesses' errors
+    there, and the part below c is stable under truncation, so the
+    codimension never changes again.  A coordinate lies in the span exactly
+    when the canonical row at its column is that unit vector (a vector of
+    the span with a unit at one pivot and zeros at every other pivot is that
+    pivot's row), so c is read off the rows.  Components are only known to
+    their stated precision, so the scan is capped there and reports
+    honestly when that is not enough.
     """
     cap = min(b.precision for b in param.branches)
-    orders = _all_branch_positive_element(param)
-    if orders is None:
-        raise PrecisionError(
-            "unsupported: found no element of positive order on every branch"
-        )
-    step = max(orders)
-    # below this precision some branch truncates to nothing
-    start = max(
-        min(c.order() for c in b.components if not c.is_zero()) + 1
-        for b in param.branches
-    )
-    for m in range(start, cap + 1):
+    # below step + 1 some branch truncates to nothing
+    step = max(min(c.order() for c in b.components if not c.is_zero())
+               for b in param.branches)
+    for m in range(step + 1, cap + 1):
         clipped = Parametrization([Branch(b.components, m) for b in param.branches])
         sub = _Substitution(clipped, 1)
         ech = sub.high

@@ -49,15 +49,6 @@ class TestSemigroup:
         with pytest.raises(ValueError, match="gcd"):
             semigroup([4, 6])
 
-    def test_closure_and_membership(self):
-        sg = semigroup([3, 5])
-        members = set(sg.elements)
-        assert 0 in members
-        for a in sg.elements:
-            for b in sg.elements:
-                if a + b <= sg.bound:
-                    assert a + b in members
-
     def test_conductor_le_two_delta(self):
         rng = random.Random(17)
         for _ in range(25):
@@ -333,6 +324,25 @@ class TestDelta:
         plain = param([["t^4", "t^6 + t^7"]], 40)
         tailed = param([["t^4 + t^39", "t^6 + t^7 + t^38"]], 40)
         assert delta_from_param(plain) == delta_from_param(tailed) == semigroup([4, 6, 13]).delta
+
+    # distinct lines through the origin in the plane
+    LINES = [["t", "0"], ["0", "t"], ["t", "t"], ["t", "2*t"]]
+
+    @pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=str)
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_plane_lines(self, r, field):
+        P = Parametrization.parse(self.LINES[:r], 12, field)
+        assert delta_from_param(P) == r * (r - 1) // 2
+
+    def test_every_rational_line_of_a_small_field(self):
+        # every linear form over GF(2) vanishes on one of the three lines, and
+        # over GF(3) on one of the four: the certificate reads each branch's
+        # own order, so no form of positive order on all of them is needed
+        assert delta_from_param(Parametrization.parse(self.LINES[:3], 12, GF(2))) == 3
+        assert delta_from_param(Parametrization.parse(self.LINES, 12, GF(3))) == 6
+        # the three axes and the diagonal in 3-space, over GF(2)
+        axes = [["t", "0", "0"], ["0", "t", "0"], ["0", "0", "t"], ["t", "t", "t"]]
+        assert delta_from_param(Parametrization.parse(axes, 12, GF(2))) == 4
 
 
 class TestNormallyFlatCompare:

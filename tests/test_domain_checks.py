@@ -81,6 +81,12 @@ CASES = {
     "branch-precision-0": (
         lambda: branch(["t^2", "t^3"], precision=0),
         PrecisionError, "precision must be >= 1"),
+    "branch-precision-float": (
+        lambda: Parametrization.parse([["t^2", "t^3"]], 30.0, QQ),
+        TypeError, "precision must be an int, got 30.0"),
+    "branch-precision-bool": (
+        lambda: branch(["t^2", "t^3"], precision=True),
+        TypeError, "precision must be an int, got True"),
     "branch-unit-component": (
         lambda: branch(["1 + t", "t^2"]),
         ValueError, "branch components must vanish at t = 0"),

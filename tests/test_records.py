@@ -28,7 +28,7 @@ FIELDS = {
     AdmissibleRange: "b e0 r rho0 rho1",
     CellIndex: "i_indices j_indices q",
     EnumerationResult: "count ideals n e0 e1 q",
-    SemigroupData: "generators elements gaps delta conductor bound",
+    SemigroupData: "generators gaps delta conductor",
     FiberCompareReport: "hilbert constant first_mismatch polynomials_agree",
     ColonSpace: "level basis dimension echelon table",
     MeasureContext: "n_vars e0",
