@@ -46,6 +46,11 @@ print("node delta:", delta_from_param(node), " mu:", milnor(delta_from_param(nod
 lines = Parametrization.parse([["t", "0"], ["0", "t"], ["t", "t"]], 12, GF(2))
 lines_delta = delta_from_param(lines)
 print("three lines over GF(2) delta:", lines_delta, " mu:", milnor(lines_delta, 3))
+# a branch with semigroup <6, 16, 51> (conductor 78): delta is certified at
+# t-precision 96, the first of 12, 24, 48, ... that passes, well below 200
+wide = Parametrization.parse([["t^6", "t^16 + t^19"]], 200, QQ)
+print("(t^6, t^16 + t^19) at precision 200 delta:", delta_from_param(wide),
+      " semigroup <6,16,51> delta:", semigroup([6, 16, 51]).delta)
 print()
 
 # fibers with different Hilbert functions cannot form a normally flat family

@@ -179,27 +179,39 @@ class Parametrization:
         return cls([Branch.parse(ts, precision, field) for ts in branch_texts])
 
 
-class _Substitution:
-    """Images of monomials under the branch substitution, weight-pruned.
+def _closure(param, seeds, vector_of):
+    """The echelon span of the seed series (one series per branch), closed
+    under multiplication by every coordinate.  A series that raises the rank
+    queues its N products with the coordinates; one already in the span has
+    them in the span of products already queued, so the span ends closed
+    after at most len(seeds) + N * rank inserts."""
+    branches = param.branches
+    span = Echelon(param.field)
+    todo = list(seeds)
+    while todo:
+        series = todo.pop()
+        if span.add(vector_of(series)):
+            todo += [[s * b.components[i] for s, b in zip(series, branches)]
+                     for i in range(param.n_vars)]
+    return span
 
-    A monomial x^a substitutes, on each branch, to a series of order
-    sum_i a_i * order(component_i); only monomials whose order stays below
-    some branch precision (`alive`) have a nonzero image, so the walk keeps
-    every monomial of degree < level and, above it, only the alive ones.
-    That set is closed under lowering an exponent, so each monomial has one
-    parent, itself with its first nonzero exponent lowered, and its image is
-    the parent's times that component.  A parent's children raise an
-    exponent at or before its first nonzero one (the root's, any exponent),
-    so every monomial is built exactly once; the walk holds the series of
-    one degree at a time and stops at the first degree with no children.
-    Each image is flattened once by `vector_of`, the one owner of the column
-    layout.  Below the level the images are kept in the column order of
-    `table = monomial_table(N, level)`: `vectors[c]` is the image of
-    `table.monos[c]`.  `high` is the echelon span of the images of M^level,
-    built once: the Hilbert pass copies it, the ideal's kernel is seeded
-    with it.  Its images go in top degree first, ascending within a degree
-    (short images of high t-order first: on the Hilbert pass this measured
-    up to 2x cheaper than ascending), and are dropped once it is built.
+
+class _Substitution:
+    """Images of monomials under the branch substitution.
+
+    The walk builds the monomials of degree <= level once each, by degree:
+    each has one parent, itself with its first nonzero exponent lowered,
+    and its image is the parent's times that component.  A parent's
+    children raise an exponent at or before its first nonzero one (the
+    root's, any exponent).  Each image is flattened once by `vector_of`, the
+    one owner of the column layout.  Below the level the images are kept in
+    the column order of `table = monomial_table(N, level)`: `vectors[c]` is
+    the image of `table.monos[c]`.  `high`, the echelon span of the image of
+    M^level, is the `_closure` of the images of the degree-level monomials,
+    as M^level is generated by them; the Hilbert pass copies it and the
+    ideal's kernel is seeded with it.  Its canonical rows are read once when
+    it is built, so that every copy starts from reduced rows, whatever the
+    order of the closure's inserts, and the inserts into it stay short.
     """
 
     def __init__(self, param, level):
@@ -215,43 +227,22 @@ class _Substitution:
         branches = param.branches
         self.offsets = list(accumulate((b.precision for b in branches), initial=0))
         self.t_cols = self.offsets.pop()
-        # per branch, per variable: the order of the component, or the branch
-        # precision for a zero one, so that a monomial using it dies there
-        orders = [[b.precision if c.is_zero() else c.order() for c in b.components]
-                  for b in branches]
-
-        def alive(mono):
-            return any(sum(a * o for a, o in zip(mono, os)) < b.precision
-                       for b, os in zip(branches, orders))
-
         self.table = table = monomial_table(param.n_vars, level)
         self.vectors = [None] * table.offset[level]
-        above = []  # per degree >= level, its images in ascending monomial order
         root = (0,) * param.n_vars
         series = {root: [TruncatedPoly.constant(1, 1, self.field, b.precision)
                          for b in branches]}
-        d = 0
-        while series:
-            if d < level:
-                for mono, imgs in series.items():
-                    self.vectors[table.index[mono]] = self.vector_of(imgs)
-            else:
-                above.append([self.vector_of(series[mono]) for mono in sorted(series)])
-            d += 1
+        for _ in range(level):
             children = {}
             for mono, imgs in series.items():
+                self.vectors[table.index[mono]] = self.vector_of(imgs)
                 first = next((k for k, a in enumerate(mono) if a), len(mono) - 1)
                 for j in range(first + 1):
                     child = mono[:j] + (mono[j] + 1,) + mono[j + 1:]
-                    if d < level or alive(child):
-                        children[child] = [
-                            img * b.components[j] for img, b in zip(imgs, branches)
-                        ]
+                    children[child] = [img * b.components[j] for img, b in zip(imgs, branches)]
             series = children
-        self.high = Echelon(self.field)
-        while above:  # top degree first, each freed once inserted
-            for vec in above.pop():
-                self.high.add(vec)
+        self.high = _closure(param, series.values(), self.vector_of)
+        self.high.rows  # one back-substitution, for every reader
 
     def vector_of(self, series):
         """The column vector of one series per branch: the coefficient of t^k
@@ -334,12 +325,14 @@ def hilbert_from_param(param, level):
 def delta_from_param(param):
     """delta = dim(normalization / image of R), certified by a conductor test.
 
-    At t-precision m the codimension of the substituted monomial span in
-    prod_b k[t]/(t^m) counts the missing coordinates.  Plateaus in m prove
+    At t-precision m the image of the local ring in prod_b k[t]/(t^m) is
+    the `_closure` of 1, and its codimension counts the missing coordinates
+    (its rank is at most r*m, so at most N*r*m products are built, however
+    many monomials have a nonzero image).  Plateaus in m prove
     nothing (gap patterns pause and resume), so finality is certified
     instead, from each branch's own order: let s_b be the least t-order of
     the components of branch b and step = max_b s_b.  The answer is the
-    codimension at the first m at which every coordinate t^k e_b with
+    codimension at any m at which every coordinate t^k e_b with
     k >= c lies in the span and m - c >= step.  Then the same holds at every
     m' >= m: if each t^k e_b with c <= k < m' has a witness f in the span at
     precision m', and x_i is a coordinate of order s_b on branch b, then for
@@ -351,26 +344,30 @@ def delta_from_param(param):
     codimension never changes again.  A coordinate lies in the span exactly
     when the canonical row at its column is that unit vector (a vector of
     the span with a unit at one pivot and zeros at every other pivot is that
-    pivot's row), so c is read off the rows.  Components are only known to
-    their stated precision, so the scan is capped there and reports
-    honestly when that is not enough.
+    pivot's row), so c is read off the rows.  An m that fails the test
+    has no smaller m that passes, so m doubles from 2*step: the first m that
+    passes gives the answer.  Components are only known to their stated
+    precision, so m is capped there, and a cap that fails (or one at or
+    below step, where some branch truncates to nothing) is reported
+    honestly as not enough.
     """
     cap = min(b.precision for b in param.branches)
-    # below step + 1 some branch truncates to nothing
     step = max(min(c.order() for c in b.components if not c.is_zero())
                for b in param.branches)
-    for m in range(step + 1, cap + 1):
+    m = step
+    while m < cap:
+        m = min(2 * m, cap)
         clipped = Parametrization([Branch(b.components, m) for b in param.branches])
-        sub = _Substitution(clipped, 1)
-        ech = sub.high
-        ech.add(sub.vectors[0])
-        codim = sub.t_cols - ech.rank
-        # t^k on one branch sits at column offsets[b] + k = b*m + k
-        rows = ech.rows
-        c = 1 + max((col % m for col in range(sub.t_cols) if rows.get(col) != {col: 1}),
+        one = [TruncatedPoly.constant(1, 1, param.field, m) for _ in clipped.branches]
+        # t^k on branch b sits at column b*m + k
+        span = _closure(clipped, [one], lambda series: {
+            b * m + k: c for b, s in enumerate(series) for (k,), c in s.terms.items()})
+        width = clipped.r * m
+        rows = span.rows
+        c = 1 + max((col % m for col in range(width) if rows.get(col) != {col: 1}),
                     default=-1)
         if m - c >= step:
-            return codim
+            return width - span.rank
     raise PrecisionError(
         f"delta not certified within precision {cap}; supply more precision"
     )

@@ -2,6 +2,7 @@ import gc
 import random
 import weakref
 from itertools import product
+from math import comb
 
 import pytest
 
@@ -162,10 +163,10 @@ def random_substitution_case(rng):
 
 
 class TestSubstitutionWalk:
-    """The one-parent walk against a brute-force count of the monomials it
-    must keep and a direct substitution of each one: below the level the
-    images in the monomial table's column order, at or above it the span
-    `high` of all of them."""
+    """The one-parent walk and the closure against a brute-force count of
+    the monomials with a nonzero image and a direct substitution of each
+    one: below the level the images in the monomial table's column order,
+    at or above it the span `high` of all of them."""
 
     @staticmethod
     def kept(param, level, mono):
@@ -200,6 +201,26 @@ class TestSubstitutionWalk:
             if sum(m) >= level:
                 high.add(image(m))
         assert sub.high.basis() == high.basis()
+
+    @pytest.mark.parametrize("seed", [None, *range(12)])
+    def test_high_inserts_within_the_closure_bound(self, seed, monkeypatch):
+        # the degree-level images, then N products per insert that raises
+        # the rank; the monomials of higher degree are never walked
+        if seed is None:
+            P, level = param([["t^3", "t^4", "t^5"]], 40), 4
+        else:
+            P, level = random_substitution_case(random.Random(seed))
+        inserted = []
+        add = Echelon.add
+
+        def counting_add(self, vec):
+            inserted.append(self)
+            return add(self, vec)
+
+        monkeypatch.setattr(Echelon, "add", counting_add)
+        sub = _Substitution(P, level)
+        top = comb(level + P.n_vars - 1, P.n_vars - 1)  # monomials of degree level
+        assert sum(1 for ech in inserted if ech is sub.high) <= top + P.n_vars * sub.high.rank
 
     def test_cases_cover_fields_zero_components_and_precisions(self):
         cases = [random_substitution_case(random.Random(seed))[0] for seed in range(12)]
@@ -325,8 +346,39 @@ class TestDelta:
         tailed = param([["t^4 + t^39", "t^6 + t^7 + t^38"]], 40)
         assert delta_from_param(plain) == delta_from_param(tailed) == semigroup([4, 6, 13]).delta
 
+    def test_precision_at_or_below_a_branch_order_refused(self):
+        # at the least precision, 5, the branch of order 10 truncates to
+        # nothing, so no precision the certificate may use exists
+        P = Parametrization([Branch.parse(["t", "t^2"], 5, QQ),
+                             Branch.parse(["t^10", "t^11"], 30, QQ)])
+        with pytest.raises(PrecisionError, match="not certified within precision 5"):
+            delta_from_param(P)
+
+    def test_non_reduced_refused(self):
+        # two copies of one branch: delta is infinite, no precision certifies
+        P = param([["t", "t^2", "t^3", "t^5"]] * 2, 90)
+        with pytest.raises(PrecisionError, match="not certified within precision 90"):
+            delta_from_param(P)
+
     # distinct lines through the origin in the plane
     LINES = [["t", "0"], ["0", "t"], ["t", "t"], ["t", "2*t"]]
+
+    @pytest.mark.parametrize("texts", [LINES[:2], LINES[:3], LINES, [["t^2", "t^3"]],
+                                       [["t^3", "t^4", "t^5"]]],
+                             ids=["node", "3-lines", "4-lines", "cusp", "345"])
+    def test_codimension_of_every_monomial_image(self, texts):
+        # the image of the local ring at precision m, spanned by the images
+        # of all monomials of degree < m: every other monomial has t-order
+        # >= m on every branch
+        m = 12
+        P = param(texts, m)
+        span = Echelon(QQ)
+        for mono in product(range(m), repeat=P.n_vars):
+            if sum(mono) < m:
+                x_m = TruncatedPoly(P.n_vars, QQ, sum(mono) + 1, {mono: 1})
+                span.add({b * m + k: c for b, branch in enumerate(P.branches)
+                          for (k,), c in evaluate_on_branch(x_m, branch).terms.items()})
+        assert delta_from_param(P) == P.r * m - span.rank
 
     @pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=str)
     @pytest.mark.parametrize("r", [2, 3, 4])

@@ -3,9 +3,12 @@ local ring at every higher t-precision.
 
 Whenever `delta_from_param` answers at precision p, the components cut at
 p + 30 (tails above p included) must give the same delta, and so must the
-codimension at p + 30 built by an independent closure: the least subspace
-of prod_b k[t]/(t^m) that holds 1 and is closed under multiplication by
-every coordinate."""
+codimension at p + 30 of the least subspace of prod_b k[t]/(t^m) that holds
+1 and is closed under multiplication by every coordinate.  `codimension`
+builds that subspace by the same queue as the library's `branches._closure`,
+written out here as the reference for the certificate: it checks the
+precision rule, not the closure.  The closure itself is checked against a
+span of every monomial image in `tests/test_branches.py::TestDelta`."""
 
 import pytest
 
