@@ -50,9 +50,7 @@ def semigroup(gens):
     gens = sorted(set(gens))
     if not gens or gens[0] < 1:
         raise ValueError("generators must be positive integers")
-    g = 0
-    for x in gens:
-        g = gcd(g, x)
+    g = gcd(*gens)
     if g != 1:
         raise ValueError(f"generators have gcd {g} > 1: delta is infinite")
     member = [True]
@@ -149,9 +147,14 @@ class Branch:
 
 
 class Parametrization:
-    """One or more branches in a common ambient over a common field."""
+    """One or more branches in a common ambient over a common field.
 
-    __slots__ = ("branches",)
+    It owns the column layout of the branch ring prod_b k[t]/(t^m_b):
+    branch b's t^k sits at column offsets[b] + k, where offsets[b] is the
+    sum of the earlier branches' precisions, and t_cols is the sum of all.
+    """
+
+    __slots__ = ("branches", "offsets", "t_cols")
 
     def __init__(self, branches):
         if not branches:
@@ -161,6 +164,8 @@ class Parametrization:
         if any(b.n_vars != n or b.field != f for b in branches):
             raise ValueError("branches disagree on ambient or field")
         self.branches = branches
+        self.offsets = list(accumulate((b.precision for b in branches), initial=0))
+        self.t_cols = self.offsets.pop()
 
     @property
     def r(self):
@@ -178,19 +183,29 @@ class Parametrization:
     def parse(cls, branch_texts, precision, field):
         return cls([Branch.parse(ts, precision, field) for ts in branch_texts])
 
+    def vector_of(self, series):
+        """The column vector of one series per branch: the coefficient of t^k
+        on branch b sits at column offsets[b] + k."""
+        vec = {}
+        for off, img in zip(self.offsets, series):
+            for (k,), c in img.terms.items():
+                vec[off + k] = c
+        return vec
 
-def _closure(param, seeds, vector_of):
-    """The echelon span of the seed series (one series per branch), closed
-    under multiplication by every coordinate.  A series that raises the rank
-    queues its N products with the coordinates; one already in the span has
-    them in the span of products already queued, so the span ends closed
-    after at most len(seeds) + N * rank inserts."""
+
+def _closure(param, seeds):
+    """The echelon span of the seed series (one series per branch, in the
+    columns of `param.vector_of`), closed under multiplication by every
+    coordinate.  A series that raises the rank queues its N products with
+    the coordinates; one already in the span has them in the span of
+    products already queued, so the span ends closed after at most
+    len(seeds) + N * rank inserts."""
     branches = param.branches
     span = Echelon(param.field)
     todo = list(seeds)
     while todo:
         series = todo.pop()
-        if span.add(vector_of(series)):
+        if span.add(param.vector_of(series)):
             todo += [[s * b.components[i] for s, b in zip(series, branches)]
                      for i in range(param.n_vars)]
     return span
@@ -203,15 +218,17 @@ class _Substitution:
     each has one parent, itself with its first nonzero exponent lowered,
     and its image is the parent's times that component.  A parent's
     children raise an exponent at or before its first nonzero one (the
-    root's, any exponent).  Each image is flattened once by `vector_of`, the
-    one owner of the column layout.  Below the level the images are kept in
-    the column order of `table = monomial_table(N, level)`: `vectors[c]` is
-    the image of `table.monos[c]`.  `high`, the echelon span of the image of
-    M^level, is the `_closure` of the images of the degree-level monomials,
-    as M^level is generated by them; the Hilbert pass copies it and the
-    ideal's kernel is seeded with it.  Its canonical rows are read once when
-    it is built, so that every copy starts from reduced rows, whatever the
-    order of the closure's inserts, and the inserts into it stay short.
+    root's, any exponent).  Each image is flattened once by
+    `Parametrization.vector_of`, the one owner of the column layout, so
+    this object keeps only `table`, `vectors` and `high`.  Below the level
+    the images are kept in the column order of `table = monomial_table(N,
+    level)`: `vectors[c]` is the image of `table.monos[c]`.  `high`, the
+    echelon span of the image of M^level, is the `_closure` of the images of
+    the degree-level monomials, as M^level is generated by them; the Hilbert
+    pass copies it and the ideal's kernel is seeded with it.  Its canonical
+    rows are read once when it is built, so that every copy starts from
+    reduced rows, whatever the order of the closure's inserts, and the
+    inserts into it stay short.
     """
 
     def __init__(self, param, level):
@@ -223,35 +240,23 @@ class _Substitution:
                     f"branch precision {b.precision} below the bound {need}"
                     f" (= level {level} * max t-order)"
                 )
-        self.param, self.field = param, param.field
         branches = param.branches
-        self.offsets = list(accumulate((b.precision for b in branches), initial=0))
-        self.t_cols = self.offsets.pop()
         self.table = table = monomial_table(param.n_vars, level)
         self.vectors = [None] * table.offset[level]
         root = (0,) * param.n_vars
-        series = {root: [TruncatedPoly.constant(1, 1, self.field, b.precision)
+        series = {root: [TruncatedPoly.constant(1, 1, param.field, b.precision)
                          for b in branches]}
         for _ in range(level):
             children = {}
             for mono, imgs in series.items():
-                self.vectors[table.index[mono]] = self.vector_of(imgs)
+                self.vectors[table.index[mono]] = param.vector_of(imgs)
                 first = next((k for k, a in enumerate(mono) if a), len(mono) - 1)
                 for j in range(first + 1):
                     child = mono[:j] + (mono[j] + 1,) + mono[j + 1:]
                     children[child] = [img * b.components[j] for img, b in zip(imgs, branches)]
             series = children
-        self.high = _closure(param, series.values(), self.vector_of)
+        self.high = _closure(param, series.values())
         self.high.rows  # one back-substitution, for every reader
-
-    def vector_of(self, series):
-        """The column vector of one series per branch: the coefficient of t^k
-        on branch b sits at column offsets[b] + k."""
-        vec = {}
-        for off, img in zip(self.offsets, series):
-            for (k,), c in img.terms.items():
-                vec[off + k] = c
-        return vec
 
 
 @lru_cache(maxsize=1)
@@ -275,10 +280,10 @@ def ideal_from_param(param, level):
     parametrization and level, built once for both.
     """
     sub = _substitution(param, level)
-    kernel = kernel_basis(sub.high, sub.vectors, sub.t_cols)
+    kernel = kernel_basis(sub.high, sub.vectors, param.t_cols)
     gens = [sub.table.poly_of(row, param.field) for row in kernel]
     for g in gens:
-        residual = sub.vector_of([evaluate_on_branch(g, b) for b in param.branches])
+        residual = param.vector_of([evaluate_on_branch(g, b) for b in param.branches])
         if not sub.high.contains(residual):
             raise AssertionError(
                 f"kernel generator {g} does not vanish on the branches modulo M^{level}"
@@ -344,7 +349,9 @@ def delta_from_param(param):
     codimension never changes again.  A coordinate lies in the span exactly
     when the canonical row at its column is that unit vector (a vector of
     the span with a unit at one pivot and zeros at every other pivot is that
-    pivot's row), so c is read off the rows.  An m that fails the test
+    pivot's row), so c is read off the rows: every branch is clipped to
+    precision m, so `Parametrization.vector_of` puts branch b's t^k at
+    column b*m + k.  An m that fails the test
     has no smaller m that passes, so m doubles from 2*step: the first m that
     passes gives the answer.  Components are only known to their stated
     precision, so m is capped there, and a cap that fails (or one at or
@@ -359,10 +366,8 @@ def delta_from_param(param):
         m = min(2 * m, cap)
         clipped = Parametrization([Branch(b.components, m) for b in param.branches])
         one = [TruncatedPoly.constant(1, 1, param.field, m) for _ in clipped.branches]
-        # t^k on branch b sits at column b*m + k
-        span = _closure(clipped, [one], lambda series: {
-            b * m + k: c for b, s in enumerate(series) for (k,), c in s.terms.items()})
-        width = clipped.r * m
+        span = _closure(clipped, [one])
+        width = clipped.t_cols
         rows = span.rows
         c = 1 + max((col % m for col in range(width) if rows.get(col) != {col: 1}),
                     default=-1)

@@ -101,7 +101,11 @@ class IdealPresentation:
     def parse(cls, texts, n_vars, field, level):
         # a level below 1 would truncate every generator to zero: name it first
         check_level(level)
-        return cls([parse_poly(t, n_vars, field, level) for t in texts], n_vars, field, level)
+        gens = [parse_poly(t, n_vars, field, level) for t in texts]
+        for text, g in zip(texts, gens):
+            if g.is_zero():
+                raise ValueError(f"generator {text} is zero modulo M^{level}")
+        return cls(gens, n_vars, field, level)
 
     def truncated(self, level):
         """The ideal at `level`: the one gate from a presentation to the level

@@ -807,7 +807,7 @@ def span_of_multiples(table, field, polys, lo=0):
     ideal, so `_add_multiples` skips the multiples that it already accounts
     for.  Each polynomial becomes a row once (`MonomialTable.vector_of`,
     which cuts its terms at or above the level), and every insert goes
-    through `Echelon.add`.
+    through `Echelon.add`, the one place where a QQ row becomes integers.
     """
     ech = Echelon(field)
     for p in polys:
@@ -825,14 +825,11 @@ def _add_multiples(table, ech, row, lo=0):
     the column of x^a is a pivot of `ech` before the row: some g in the
     ideal has x^a as its lowest column, and x^a * row is a combination of
     g * row and of the x^m * row at later columns, so the span is unchanged
-    (the proof is in the `idealcalc` module docstring).  Over QQ the coefficients are
-    scaled by their common denominator to ints (`_integer_vector`), which
-    spans the same space; `Echelon` keeps QQ rows as integer vectors anyway.
+    (the proof is in the `idealcalc` module docstring).  The multiples keep
+    the row's field elements; `Echelon` turns each QQ insert into integers.
     """
     if not row:
         return
-    if not ech.field.char:
-        row = _integer_vector(row)[0]
     offset, level = table.offset, table.level
     top = level - table.degree_of_col(min(row))  # x^a * row is cut from degree top on
     pivots = ech.pivots()

@@ -623,7 +623,7 @@ def enumerate_xi(n_vars, e0, n, field, e1=None, budget=2_000_000):
         raise ValueError("exhaustive search implemented for the plane only")
     _check_tn_level(n, e0)
     q = field.char
-    plane_e1 = 0 if e0 == 1 else e0 * (e0 - 1) // 2
+    plane_e1 = e0 * (e0 - 1) // 2
     if e1 is None:
         e1 = plane_e1
     if e1 != plane_e1:

@@ -191,7 +191,7 @@ class TestSubstitutionWalk:
 
         def image(m):
             x_m = TruncatedPoly(P.n_vars, P.field, sum(m) + 1, {m: 1})
-            return sub.vector_of([evaluate_on_branch(x_m, b) for b in P.branches])
+            return P.vector_of([evaluate_on_branch(x_m, b) for b in P.branches])
 
         table = monomial_table(P.n_vars, level)
         assert sub.table is table
@@ -229,6 +229,35 @@ class TestSubstitutionWalk:
         assert any(len({b.precision for b in P.branches}) > 1 for P in cases)
         assert {P.r for P in cases} == {1, 2, 3}
         assert {P.n_vars for P in cases} == {2, 3, 4}
+
+
+class TestColumnLayout:
+    """`Parametrization.vector_of` owns the columns of the branch ring
+    prod_b k[t]/(t^m_b): branch b's t^k sits after the precisions of the
+    earlier branches, on the walk's cases (mixed precisions, zero
+    components) and on the same cases clipped to one precision, as
+    `delta_from_param` clips them."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_t_k_of_branch_b_follows_the_earlier_precisions(self, seed):
+        P, _ = random_substitution_case(random.Random(seed))
+        precisions = [b.precision for b in P.branches]
+        assert P.t_cols == sum(precisions)
+        for b, prec in enumerate(precisions):
+            for k in range(prec):
+                series = [TruncatedPoly(1, P.field, p, {(k,): 1} if i == b else {})
+                          for i, p in enumerate(precisions)]
+                assert P.vector_of(series) == {sum(precisions[:b]) + k: 1}
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_clipped_to_m_puts_t_k_of_branch_b_at_b_m_plus_k(self, seed):
+        P, _ = random_substitution_case(random.Random(seed))
+        m = min(b.precision for b in P.branches)
+        clipped = Parametrization([Branch(b.components, m) for b in P.branches])
+        assert clipped.t_cols == P.r * m
+        series = [next(c for c in b.components if not c.is_zero()) for b in clipped.branches]
+        assert clipped.vector_of(series) == {
+            b * m + k: c for b, s in enumerate(series) for (k,), c in s.terms.items()}
 
 
 class TestSharedSubstitution:

@@ -486,8 +486,15 @@ class TestSubcommands:
         (["volume", "--terms", "L"], "--terms expects s:class pairs with an integer s, got 'L'"),
         (["volume", "--terms", "0:1;x:L"],
          "--terms expects s:class pairs with an integer s, got 'x:L'"),
+        # a generator that the level cuts to zero is named with the level
+        (["hilbert", "--ideal", "x1^2", "--ideal", "x2^9", "--level", "8"],
+         "generator x2^9 is zero modulo M^8"),
+        (["tn", "--ideal", "x2^2 - x1^3", "--ideal", "x1^7", "--n", "6", "--e0", "2"],
+         "generator x1^7 is zero modulo M^6"),
+        (["gamma", "--ideal", "x1", "--other", "x2", "--n-max", "1"],
+         "generator x1 is zero modulo M^1"),
     ], ids=["field", "gens", "cells-i", "cells-j", "stratum-F", "volume-no-colon",
-            "volume-index"])
+            "volume-index", "hilbert-cut-generator", "tn-cut-generator", "gamma-cut-generator"])
     def test_malformed_list_flag_is_named(self, capsys, argv, message):
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
