@@ -390,14 +390,6 @@ class FiberCompareReport(namedtuple(
 
     __slots__ = ()
 
-    def to_json(self):
-        return {
-            "fibers": [hd.to_json() for hd in self.hilbert],
-            "hilbert_function_constant": self.constant,
-            "first_mismatch": list(self.first_mismatch) if self.first_mismatch else None,
-            "polynomials_agree": self.polynomials_agree,
-        }
-
 
 def normally_flat_fiber_compare(fibers, level):
     """Compare full Hilbert functions across fibers.

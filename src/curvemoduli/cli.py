@@ -4,7 +4,10 @@ Every subcommand's handler reads its inputs from flags (or a JSON job file
 where noted), dispatches to the library, and returns (exit code, report):
 the report is a dict, or with --table, where a table makes sense, the lines
 of an aligned table.  `main` alone writes a report to stdout, as one
-deterministic JSON line or as the table's lines.
+deterministic JSON line or as the table's lines.  This module alone knows
+the report keys: the library returns records, and each handler builds its
+dict from them, the shapes several handlers share by `_hilbert_report` and
+`_certificate_report`; a new key (a certainty or stats field) goes here.
 Exit codes: 0 success, 2 precondition or parse errors, 3 soft outcomes
 (not stabilized, search budget exceeded, divergent intersection) that a
 script can retry at a higher level, and zero-dimensional input ("dim_0").
@@ -178,6 +181,11 @@ def _gens_json(ideal):
     return [rc.poly_str(g) for g in ideal.generators]
 
 
+def _hilbert_report(hd):
+    return {"values": hd.values, "graded": hd.graded, "e0": hd.e0, "e1": hd.e1,
+            "stab_index": hd.stab_index, "status": hd.status}
+
+
 def _hilbert_table(hd):
     ts = list(range(len(hd.values)))
     w = max(len(str(v)) for v in hd.values + ts) + 1
@@ -197,12 +205,13 @@ def cmd_hilbert(args):
     code = EXIT_OK if hd.status == "ok" else EXIT_SOFT
     if args.table:
         return code, _hilbert_table(hd)
-    report = hd.to_json()
+    report = _hilbert_report(hd)
     report["input"] = {"ideal": _gens_json(ideal), "N": args.N, "level": args.level,
                        "field": str(ideal.field)}
-    forms = hd.polynomial_forms()
-    if forms:
-        report.update(forms)
+    if hd.status == "ok":
+        # the tail form H1(t) = e0*(t+1) - e1, and the other display form e0*T - e1
+        report["tail_form"] = f"{hd.e0}*(T+1) - {hd.e1}"
+        report["intro_form"] = f"{hd.e0}*T - {hd.e1}"
     return code, report
 
 
@@ -256,15 +265,22 @@ def cmd_gamma(args):
     return EXIT_OK, {"gamma": value}
 
 
+def _certificate_report(cert):
+    from . import ringcore as rc
+
+    return {"L": rc.poly_str(cert.L), "length_with_L": cert.length_with_L,
+            "iso_range": cert.iso_range, "e0": cert.e0, "level": cert.level}
+
+
 def cmd_tn(args):
     from . import trunctower as tt
 
     ideal = _ideal(args, args.ideal, args.n)
     res = tt.tn_membership(ideal, args.n, args.e0)
-    report = res.to_json()
-    if not isinstance(res, tt.TnFailure):
-        report["member"] = True
-    return EXIT_OK, report
+    if not res:
+        return EXIT_OK, {"member": False, "condition": res.condition, "degree": res.degree,
+                         "detail": res.detail}
+    return EXIT_OK, {**_certificate_report(res), "member": True}
 
 
 def cmd_shape(args):
@@ -319,9 +335,7 @@ def cmd_superficial(args):
     ideal = _ideal(args, args.ideal, args.level)
     L = rc.parse_poly(args.L, args.N, ideal.field, args.level)
     ok, cert = tt.cm_superficial_test(ideal, L, args.e0)
-    report = cert.to_json()
-    report["superficial_and_cm"] = ok
-    return EXIT_OK, report
+    return EXIT_OK, {**_certificate_report(cert), "superficial_and_cm": ok}
 
 
 def cmd_cells(args):
@@ -377,14 +391,12 @@ def cmd_param(args):
     if args.N is not None and args.N != param.n_vars:
         raise ValueError(f"--N {args.N} but the branches have {param.n_vars} components")
     hd = br.hilbert_from_param(param, args.level)
-    ideal = br.ideal_from_param(param, args.level)
     code = EXIT_OK if hd.status == "ok" else EXIT_SOFT
     if args.table:
         return code, _hilbert_table(hd)
-    report = hd.to_json()
-    report["kernel_generators"] = _gens_json(ideal)
-    report["branch_count"] = param.r
-    return code, report
+    ideal = br.ideal_from_param(param, args.level)
+    return code, {**_hilbert_report(hd), "kernel_generators": _gens_json(ideal),
+                  "branch_count": param.r}
 
 
 def cmd_semigroup(args):
@@ -414,7 +426,12 @@ def cmd_normflat(args):
                for texts in args.fiber_ideal or []]
     rep = br.normally_flat_fiber_compare(fibers, args.level)
     if not args.table:
-        return EXIT_OK, rep.to_json()
+        return EXIT_OK, {
+            "fibers": [_hilbert_report(hd) for hd in rep.hilbert],
+            "hilbert_function_constant": rep.constant,
+            "first_mismatch": rep.first_mismatch,
+            "polynomials_agree": rep.polynomials_agree,
+        }
     lines = [f"fiber {i}: H1 = {hd.values}" for i, hd in enumerate(rep.hilbert)]
     lines.append(
         "verdict: Hilbert-function-constant" if rep.constant
@@ -484,7 +501,10 @@ def cmd_mps(args):
     coeffs = series.expand(args.expand)
     return EXIT_OK, {
         "series": str(series),
-        "rational": series.to_json(),
+        "rational": {
+            "numerator": {str(i): str(c) for i, c in series.numerator.items()},
+            "denominator": series.denominator,
+        },
         "expansion": [str(c) for c in coeffs],
         "c": ctx.c,
     }

@@ -176,30 +176,11 @@ class HilbertData(namedtuple(
     """H1 values, graded differences, and the stabilized (e0, e1) when found.
 
     e1 follows the convention H1(t) = e0*(t+1) - e1 on the stabilized tail
-    (the one that gives plane curves e1 = e0(e0-1)/2); reports also show the
-    other display form e0*T - e1.  status: "ok", "not_stabilized",
-    "dim_ge_2" or "dim_0".
+    (the one that gives plane curves e1 = e0(e0-1)/2).  status: "ok",
+    "not_stabilized", "dim_ge_2" or "dim_0".
     """
 
     __slots__ = ()
-
-    def to_json(self):
-        return {
-            "values": list(self.values),
-            "graded": list(self.graded),
-            "e0": self.e0,
-            "e1": self.e1,
-            "stab_index": self.stab_index,
-            "status": self.status,
-        }
-
-    def polynomial_forms(self):
-        if self.status != "ok":
-            return None
-        return {
-            "tail_form": f"{self.e0}*(T+1) - {self.e1}",
-            "intro_form": f"{self.e0}*T - {self.e1}",
-        }
 
 
 def analyze_h1(values):

@@ -196,12 +196,6 @@ class RationalSeries:
         ).replace("L^1*", "L*")
         return f"({num}) / {den}"
 
-    def to_json(self):
-        return {
-            "numerator": {str(i): str(c) for i, c in sorted(self.numerator.items())},
-            "denominator": [[a, b] for a, b in self.denominator],
-        }
-
 
 def _poly_mul(p1, p2):
     out = {}

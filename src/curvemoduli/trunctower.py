@@ -31,7 +31,6 @@ from .ringcore import (
     monomial_table,
     monomials_of_degree,
     multiples,
-    poly_str,
 )
 from .idealcalc import (
     DegreeSpans,
@@ -59,15 +58,6 @@ class SuperficialCertificate(namedtuple(
 
     __slots__ = ()
 
-    def to_json(self):
-        return {
-            "L": poly_str(self.L),
-            "length_with_L": self.length_with_L,
-            "iso_range": list(self.iso_range),
-            "e0": self.e0,
-            "level": self.level,
-        }
-
 
 class TnFailure(namedtuple("TnFailure", "condition degree detail")):
     """First failing T_n condition (1 or 2), as a value rather than an
@@ -77,10 +67,6 @@ class TnFailure(namedtuple("TnFailure", "condition degree detail")):
 
     def __bool__(self):
         return False
-
-    def to_json(self):
-        return {"member": False, "condition": self.condition,
-                "degree": self.degree, "detail": self.detail}
 
 
 def _check_e0(e0):

@@ -149,7 +149,6 @@ class TestHilbertData:
         assert hd.values == values and hd.graded[-1] == 0
         assert hd.status == "dim_0"
         assert (hd.e0, hd.e1, hd.stab_index) == (None, None, None)
-        assert hd.polynomial_forms() is None
 
     def test_level_below_three_rejected(self):
         with pytest.raises(LevelError):

@@ -11,6 +11,7 @@ from curvemoduli.ringcore import (
 from curvemoduli.trunctower import (
     BudgetExceededError,
     CellIndex,
+    SuperficialCertificate,
     TnFailure,
     _length_with_form,
     admissible,
@@ -194,24 +195,22 @@ class TestTnMembership:
     def test_standalone_verdicts_are_pinned(self):
         # members in two and three variables, a slice-dimension failure and
         # a length failure under one given form
+        # a certificate's L is given by its text, parsed at level n
         cases = [
-            (["x1^3"], 2, 6, 3, None,
-             {"L": "x1 + x2", "e0": 3, "iso_range": [2, 3, 4], "length_with_L": 3, "level": 6}),
-            (["x2^2 - x1^3"], 2, 6, 2, None,
-             {"L": "x1", "e0": 2, "iso_range": [1, 2, 3, 4], "length_with_L": 2, "level": 6}),
-            (["x1^2"], 2, 3, 1, None,
-             {"condition": 2, "degree": 1, "detail": "slice dimension 2 != e0 = 1 at degree 1",
-              "member": False}),
+            (["x1^3"], 2, 6, 3, None, SuperficialCertificate("x1 + x2", 3, [2, 3, 4], 3, 6)),
+            (["x2^2 - x1^3"], 2, 6, 2, None, SuperficialCertificate("x1", 2, [1, 2, 3, 4], 2, 6)),
+            (["x1^2"], 2, 3, 1, None, TnFailure(2, 1, "slice dimension 2 != e0 = 1 at degree 1")),
             (["x1^3"], 2, 6, 3, ["x1"],
-             {"condition": 1, "degree": None,
-              "detail": "no candidate form reaches length <= 3 (best was 6)", "member": False}),
+             TnFailure(1, None, "no candidate form reaches length <= 3 (best was 6)")),
             (["x1*x3 - x2^2", "x1^3 - x2*x3", "x1^2*x2 - x3^2"], 3, 8, 3, None,
-             {"L": "x1", "e0": 3, "iso_range": [2, 3, 4, 5, 6], "length_with_L": 3, "level": 8}),
+             SuperficialCertificate("x1", 3, [2, 3, 4, 5, 6], 3, 8)),
         ]
         for gens, n_vars, n, e0, form_texts, expected in cases:
             I = ideal(gens, n_vars=n_vars, level=n + 1)
             forms = form_texts and [parse_poly(t, n_vars, QQ, n) for t in form_texts]
-            assert tn_membership(I, n, e0, forms=forms).to_json() == expected, gens
+            if isinstance(expected, SuperficialCertificate):
+                expected = expected._replace(L=parse_poly(expected.L, n_vars, QQ, n))
+            assert tn_membership(I, n, e0, forms=forms) == expected, gens
 
     def test_zero_or_unit_form_rejected(self):
         # both ideals pass the slice-dimension check, so condition (1) is reached
@@ -744,7 +743,7 @@ class TestEnumerateSharedSpans:
                 [dense_ideal_h1(ideal.generators + [L], n)[-1] for L in forms]
             for f in candidates[ideal.generators[0]]:
                 alone = standalone(IdealPresentation([f], 2, GF(q), n), n, e0, forms=in_order)
-                assert (type(verdict), verdict.to_json()) == (type(alone), alone.to_json()), poly_str(f)
+                assert (type(verdict), verdict) == (type(alone), alone), poly_str(f)
         # e0 <= 2: every lead form passes, so every candidate is a member
         assert res.count == sum(len(fs) for fs in candidates.values())
 
@@ -1015,16 +1014,15 @@ def random_tn_case(rng, n_vars, field):
 
 
 def dense_tn_verdict(ideal, n, e0, forms):
-    """The to_json() of tn_membership's verdict, recomputed from dense
-    matrices ranked by the naive elimination."""
+    """tn_membership's verdict, recomputed from dense matrices ranked by
+    the naive elimination."""
     from oracles import dense_ideal_h1
 
     h1 = dense_ideal_h1(ideal.generators, n)
     for t in range(e0 - 1, n):
         h0 = h1[t] - (h1[t - 1] if t > 0 else 0)
         if h0 != e0:
-            return {"member": False, "condition": 2, "degree": t,
-                    "detail": f"slice dimension {h0} != e0 = {e0} at degree {t}"}
+            return TnFailure(2, t, f"slice dimension {h0} != e0 = {e0} at degree {t}")
     spans = DegreeSpans(ideal, n)
     lengths = []
     for L in forms:
@@ -1033,12 +1031,9 @@ def dense_tn_verdict(ideal, n, e0, forms):
             continue
         for t in range(e0 - 1, n - 1):
             if dense_slice_mult_rank(spans, L, t) != e0:
-                return {"member": False, "condition": 2, "degree": t,
-                        "detail": f"product by {poly_str(L)} not an isomorphism at degree {t}"}
-        return {"L": poly_str(L), "length_with_L": lengths[-1],
-                "iso_range": list(range(e0 - 1, n - 1)), "e0": e0, "level": n}
-    return {"member": False, "condition": 1, "degree": None,
-            "detail": f"no candidate form reaches length <= {e0} (best was {min(lengths)})"}
+                return TnFailure(2, t, f"product by {poly_str(L)} not an isomorphism at degree {t}")
+        return SuperficialCertificate(L, lengths[-1], list(range(e0 - 1, n - 1)), e0, n)
+    return TnFailure(1, None, f"no candidate form reaches length <= {e0} (best was {min(lengths)})")
 
 
 class TestSmallFields:
@@ -1058,7 +1053,7 @@ class TestSmallFields:
                 continue  # the moment curve fits, and off the plane it is another list
             default = tn_membership(I, n, e0)
             every = tn_membership(I, n, e0, forms=all_projective_linear_forms(n_vars, field, n))
-            assert default.to_json() == every.to_json(), (I, n, e0)
+            assert default == every, (I, n, e0)
             outcomes.add(getattr(default, "condition", 0))
         assert 0 in outcomes and 2 in outcomes
 
@@ -1068,8 +1063,8 @@ class TestSmallFields:
     ])
     def test_member_certified_by_a_rational_form(self, text, q, n, L):
         res = tn_membership(ideal([text], field=GF(q), level=n), n, 3)
-        assert res.to_json() == {"L": L, "e0": 3, "iso_range": list(range(2, n - 1)),
-                                 "length_with_L": 3, "level": n}
+        L = parse_poly(L, 2, GF(q), n)
+        assert res == SuperficialCertificate(L, 3, list(range(2, n - 1)), 3, n)
 
     def test_failure_says_only_rational_forms_were_scanned(self):
         # the lead form x1*x2*(x1 + x2) vanishes on all three lines of
@@ -1109,7 +1104,7 @@ class TestStandaloneVerdictsAgainstDenseOracles:
             I, n, e0, forms = random_tn_case(rng, n_vars, field)
             res = tn_membership(I, n, e0, forms=forms)
             tried = candidate_forms(n_vars, e0, field, n) if forms is None else forms
-            assert res.to_json() == dense_tn_verdict(I, n, e0, tried), (I, n, e0, forms)
+            assert res == dense_tn_verdict(I, n, e0, tried), (I, n, e0, forms)
             outcomes.add(getattr(res, "condition", 0))
         # members, length failures and slice failures all occur
         assert outcomes == {0, 1, 2}
