@@ -9,6 +9,8 @@ suite.
 The names below are exported lazily (PEP 562): `import curvemoduli` loads
 no submodule, and the first access to a name imports the one submodule
 that defines it, so a CLI job pays only for the modules its handler uses.
+The CLI reads every library name here, as `cm.<name>`, so this table is
+the one place that knows which submodule defines a name.
 """
 
 __version__ = "0.1.0"
@@ -17,11 +19,11 @@ __version__ = "0.1.0"
 _EXPORTS = {
     **dict.fromkeys((
         "QQ", "GF", "Field", "LevelError", "ParseError", "TruncatedPoly",
-        "initial_form", "parse_poly", "poly_str"), "ringcore"),
+        "initial_form", "monomial_table", "parse_poly", "poly_str"), "ringcore"),
     **dict.fromkeys((
-        "DegreeSpans", "HilbertData", "IdealPresentation", "InitialIdealData",
-        "hilbert_data", "initial_ideal", "intersection_number", "min_generators",
-        "standard_basis_check"), "idealcalc"),
+        "INTERSECTION_DIVERGENT", "DegreeSpans", "HilbertData", "IdealPresentation",
+        "InitialIdealData", "check_level", "hilbert_data", "initial_ideal",
+        "intersection_number", "min_generators", "standard_basis_check"), "idealcalc"),
     **dict.fromkeys((
         "AdmissibleRange", "BudgetExceededError", "CellIndex", "SuperficialCertificate",
         "TnFailure", "admissible", "admissible_polys", "admissible_range",
@@ -32,9 +34,9 @@ _EXPORTS = {
         "delta_from_param", "hilbert_from_param", "ideal_from_param", "milnor",
         "normally_flat_fiber_compare", "semigroup", "valuation_h1"), "branches"),
     **dict.fromkeys((
-        "ColonSpace", "DualPoly", "FirstOrderDeformation", "cm_colon_identity", "colon",
-        "determinantal_ideal", "determinantal_minors", "flatness_direct", "ideal_plus_power",
-        "is_family_first_order"), "deform"),
+        "ColonSpace", "DualPoly", "FirstOrderDeformation", "check_colon_level",
+        "cm_colon_identity", "colon", "determinantal_ideal", "determinantal_minors",
+        "flatness_direct", "ideal_plus_power", "is_family_first_order"), "deform"),
     **dict.fromkeys((
         "MeasureContext", "MotivicClass", "RationalSeries", "fit_class_from_counts",
         "measure_of_level", "mps", "parse_motivic", "volume_partial"), "motivic"),

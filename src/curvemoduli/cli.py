@@ -25,10 +25,11 @@ argparse, which alone prints help, usage and errors: `main` then builds
 the parser of the chosen subcommand only, and only then imports argparse.
 Both reads give the same namespace for every argv the direct read accepts.
 
-No library module is imported at module level: each handler (and each
-helper that reads one) imports the modules it uses, so a job loads only
-those, and `import curvemoduli.cli` with `build_parser()` loads none.
-Rational arithmetic (`fractions`) comes with the first field over QQ or
+Every library name is read off the package's lazy exports as `cm.<name>`
+(`cm` is `curvemoduli`, whose `_EXPORTS` table alone knows the submodule
+that defines a name): the first read of a name loads that submodule, so a
+job loads only the modules its handler reads, and `import curvemoduli.cli`
+with `build_parser()` loads none.  Rational arithmetic (`fractions`) comes with the first field over QQ or
 the first '/' parsed, so a job on ints only (`enumerate`, `admissible`,
 `semigroup`) or over `--field p` without a '/' never loads it.  Reports
 are written by `_json`, byte for byte as `json.dumps(report,
@@ -50,6 +51,8 @@ import sys
 from types import SimpleNamespace
 
 from _json import encode_basestring_ascii as _quote
+
+import curvemoduli as cm
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -76,27 +79,21 @@ def _term(piece):
 
 
 def _field(spec):
-    from . import ringcore as rc
-
     if spec in ("rational", "rationals", "0", "Q"):
-        return rc.QQ
-    return rc.GF(_read("--field", "'rational' or a prime", int, spec))
+        return cm.QQ
+    return cm.GF(_read("--field", "'rational' or a prime", int, spec))
 
 
 def _ideal(args, texts, level):
     """The ideal generated by `texts` in --N variables over --field."""
-    from . import idealcalc as ic
-
-    return ic.IdealPresentation.parse(texts, args.N, _field(args.field), level)
+    return cm.IdealPresentation.parse(texts, args.N, _field(args.field), level)
 
 
 def _poly(args, text, field, level):
     """A polynomial in --N variables; a blank entry is zero."""
-    from . import ringcore as rc
-
     if not text.strip():
-        return rc.TruncatedPoly.zero(args.N, field, level)
-    return rc.parse_poly(text, args.N, field, level)
+        return cm.TruncatedPoly.zero(args.N, field, level)
+    return cm.parse_poly(text, args.N, field, level)
 
 
 def _json(value):
@@ -176,9 +173,7 @@ def _require(args, *flags):
 
 
 def _gens_json(ideal):
-    from . import ringcore as rc
-
-    return [rc.poly_str(g) for g in ideal.generators]
+    return [cm.poly_str(g) for g in ideal.generators]
 
 
 def _hilbert_report(hd):
@@ -198,10 +193,8 @@ def _hilbert_table(hd):
 
 
 def cmd_hilbert(args):
-    from . import idealcalc as ic
-
     ideal = _ideal(args, args.ideal, args.level)
-    hd = ic.hilbert_data(ideal, args.level)
+    hd = cm.hilbert_data(ideal, args.level)
     code = EXIT_OK if hd.status == "ok" else EXIT_SOFT
     if args.table:
         return code, _hilbert_table(hd)
@@ -216,17 +209,14 @@ def cmd_hilbert(args):
 
 
 def cmd_initial(args):
-    from . import idealcalc as ic
-    from . import ringcore as rc
-
     ideal = _ideal(args, args.ideal, args.level)
-    data = ic.initial_ideal(ideal, args.level)
+    data = cm.initial_ideal(ideal, args.level)
     return EXIT_OK, {
         "vstar": data.vstar,
         "nu": data.nu,
         "slice_dims": data.slice_dims,
         "min_generators": {
-            str(d): [rc.poly_str(p) for p in polys]
+            str(d): [cm.poly_str(p) for p in polys]
             for d, polys in sorted(data.min_generators.items())
         },
         "input": {"ideal": _gens_json(ideal), "N": args.N, "level": args.level},
@@ -234,49 +224,38 @@ def cmd_initial(args):
 
 
 def cmd_stdbasis(args):
-    from . import idealcalc as ic
-    from . import ringcore as rc
-
     ideal = _ideal(args, args.ideal, args.level)
-    rep = ic.standard_basis_check(ideal, args.level)
+    rep = cm.standard_basis_check(ideal, args.level)
     return EXIT_OK, {
         "standard_basis": rep.ok,
         "failing_degree": rep.failing_degree,
-        "missing_initial_form": rc.poly_str(rep.missing_initial_form) if rep.missing_initial_form else None,
+        "missing_initial_form": cm.poly_str(rep.missing_initial_form) if rep.missing_initial_form else None,
         "vstar": rep.vstar,
     }
 
 
 def cmd_nu(args):
-    from . import idealcalc as ic
-
     ideal = _ideal(args, args.ideal, args.level)
-    return EXIT_OK, {"nu": ic.min_generators(ideal, args.level), "level": args.level}
+    return EXIT_OK, {"nu": cm.min_generators(ideal, args.level), "level": args.level}
 
 
 def cmd_gamma(args):
-    from . import idealcalc as ic
-
     ideal = _ideal(args, args.ideal, args.n_max)
     other = _ideal(args, args.other, args.n_max)
-    value = ic.intersection_number(ideal, other, args.n_max)
-    if value == ic.INTERSECTION_DIVERGENT:
+    value = cm.intersection_number(ideal, other, args.n_max)
+    if value == cm.INTERSECTION_DIVERGENT:
         return EXIT_SOFT, {"gamma": "infinity", "divergent_at": args.n_max}
     return EXIT_OK, {"gamma": value}
 
 
 def _certificate_report(cert):
-    from . import ringcore as rc
-
-    return {"L": rc.poly_str(cert.L), "length_with_L": cert.length_with_L,
+    return {"L": cm.poly_str(cert.L), "length_with_L": cert.length_with_L,
             "iso_range": cert.iso_range, "e0": cert.e0, "level": cert.level}
 
 
 def cmd_tn(args):
-    from . import trunctower as tt
-
     ideal = _ideal(args, args.ideal, args.n)
-    res = tt.tn_membership(ideal, args.n, args.e0)
+    res = cm.tn_membership(ideal, args.n, args.e0)
     if not res:
         return EXIT_OK, {"member": False, "condition": res.condition, "degree": res.degree,
                          "detail": res.detail}
@@ -284,10 +263,8 @@ def cmd_tn(args):
 
 
 def cmd_shape(args):
-    from . import trunctower as tt
-
     ideal = _ideal(args, args.ideal, args.n)
-    rep = tt.shape_check(ideal, args.n, args.e0)
+    rep = cm.shape_check(ideal, args.n, args.e0)
     return EXIT_OK, {
         "ok": rep.ok,
         "vstar": rep.vstar,
@@ -297,10 +274,8 @@ def cmd_shape(args):
 
 
 def cmd_jtilde(args):
-    from . import trunctower as tt
-
     ideal = _ideal(args, args.ideal, args.n)
-    res = tt.jtilde(ideal, args.n, args.e0)
+    res = cm.jtilde(ideal, args.n, args.e0)
     return (EXIT_OK if res.verified else EXIT_SOFT), {
         "generators": _gens_json(res.ideal),
         "verified": res.verified,
@@ -310,57 +285,45 @@ def cmd_jtilde(args):
 
 
 def cmd_admissible(args):
-    from . import trunctower as tt
-
     if args.e1 is not None:
-        return EXIT_OK, {"admissible": tt.admissible(args.b, args.e0, args.e1),
+        return EXIT_OK, {"admissible": cm.admissible(args.b, args.e0, args.e1),
                          "b": args.b, "e0": args.e0, "e1": args.e1}
-    rng = tt.admissible_range(args.b, args.e0)
+    rng = cm.admissible_range(args.b, args.e0)
     return EXIT_OK, {"b": rng.b, "e0": rng.e0, "r": rng.r, "rho0": rng.rho0, "rho1": rng.rho1}
 
 
 def cmd_stratum(args):
-    from . import trunctower as tt
-
     ideal = _ideal(args, args.ideal, args.level)
     F = _read("--F", "comma-separated integers", _ints, args.F)
-    ok, mismatch = tt.hilbert_stratum_check(ideal, F, args.r, args.level)
+    ok, mismatch = cm.hilbert_stratum_check(ideal, F, args.r, args.level)
     return EXIT_OK, {"member": ok, "first_mismatch_t": mismatch}
 
 
 def cmd_superficial(args):
-    from . import ringcore as rc
-    from . import trunctower as tt
-
     ideal = _ideal(args, args.ideal, args.level)
-    L = rc.parse_poly(args.L, args.N, ideal.field, args.level)
-    ok, cert = tt.cm_superficial_test(ideal, L, args.e0)
+    L = cm.parse_poly(args.L, args.N, ideal.field, args.level)
+    ok, cert = cm.cm_superficial_test(ideal, L, args.e0)
     return EXIT_OK, {**_certificate_report(cert), "superficial_and_cm": ok}
 
 
 def cmd_cells(args):
-    from . import trunctower as tt
-
     ideal = _ideal(args, args.ideal, args.n)
-    cell = tt.CellIndex(
+    cell = cm.CellIndex(
         _read("--i", "comma-separated integers", _ints, args.i),
         _read("--j", "comma-separated integers", _ints, args.j),
         args.q,
     )
-    return EXIT_OK, {"member": tt.cell_membership(ideal, args.n, cell, args.e0)}
+    return EXIT_OK, {"member": cm.cell_membership(ideal, args.n, cell, args.e0)}
 
 
 def cmd_enumerate(args):
-    from . import ringcore as rc
-    from . import trunctower as tt
-
-    field = _field(str(args.q))
+    field = cm.GF(args.q)
     try:
-        res = tt.enumerate_xi(args.N, args.e0, args.n, field, e1=args.e1)
-    except tt.BudgetExceededError as exc:
+        res = cm.enumerate_xi(args.N, args.e0, args.n, field, e1=args.e1)
+    except cm.BudgetExceededError as exc:
         return EXIT_SOFT, {"error": str(exc), "budget_exceeded": True}
     # siblings share their prefix's rows: format each once
-    table, text = rc.monomial_table(args.N, res.n), {}
+    table, text = cm.monomial_table(args.N, res.n), {}
 
     def gens(rows):
         out = []
@@ -378,8 +341,6 @@ def cmd_enumerate(args):
 
 
 def cmd_param(args):
-    from . import branches as br
-
     field = _field(args.field)
     if args.job:
         branch_texts, precision = _read_job(args.job, {"branches": BRANCHES, "precision": INTEGER})
@@ -387,44 +348,39 @@ def cmd_param(args):
         _require(args, "branch", "precision")
         branch_texts = [b.split(",") for b in args.branch]
         precision = args.precision
-    param = br.Parametrization.parse(branch_texts, precision, field)
+    param = cm.Parametrization.parse(branch_texts, precision, field)
     if args.N is not None and args.N != param.n_vars:
         raise ValueError(f"--N {args.N} but the branches have {param.n_vars} components")
-    hd = br.hilbert_from_param(param, args.level)
+    hd = cm.hilbert_from_param(param, args.level)
     code = EXIT_OK if hd.status == "ok" else EXIT_SOFT
     if args.table:
         return code, _hilbert_table(hd)
-    ideal = br.ideal_from_param(param, args.level)
+    ideal = cm.ideal_from_param(param, args.level)
     return code, {**_hilbert_report(hd), "kernel_generators": _gens_json(ideal),
                   "branch_count": param.r}
 
 
 def cmd_semigroup(args):
-    from . import branches as br
-
     gens = _read("--gens", "comma-separated integers", _ints, args.gens)
-    sg = br.semigroup(gens)
+    sg = cm.semigroup(gens)
     return EXIT_OK, {
         "generators": sg.generators,
         "delta": sg.delta,
         "gaps": sg.gaps,
         "conductor": sg.conductor,
-        "mu_one_branch": br.milnor(sg.delta, 1),
+        "mu_one_branch": cm.milnor(sg.delta, 1),
     }
 
 
 def cmd_normflat(args):
-    from . import branches as br
-    from . import idealcalc as ic
-
     field = _field(args.field)
     if args.fiber and args.precision is None:
         raise ValueError("normflat --fiber needs --precision")
-    fibers = [br.Parametrization.parse([b.split(",")], args.precision, field)
+    fibers = [cm.Parametrization.parse([b.split(",")], args.precision, field)
               for b in args.fiber or []]
-    fibers += [ic.IdealPresentation.parse(texts.split(";"), args.N, field, args.level)
+    fibers += [cm.IdealPresentation.parse(texts.split(";"), args.N, field, args.level)
                for texts in args.fiber_ideal or []]
-    rep = br.normally_flat_fiber_compare(fibers, args.level)
+    rep = cm.normally_flat_fiber_compare(fibers, args.level)
     if not args.table:
         return EXIT_OK, {
             "fibers": [_hilbert_report(hd) for hd in rep.hilbert],
@@ -441,9 +397,6 @@ def cmd_normflat(args):
 
 
 def cmd_deform(args):
-    from . import deform as df
-    from . import idealcalc as ic
-
     field = _field(args.field)
     if args.job:
         base_texts, pert_texts, e0, level = _read_job(
@@ -452,11 +405,11 @@ def cmd_deform(args):
         _require(args, "base", "perturb", "e0")
         base_texts, pert_texts = args.base, args.perturb
         e0, level = args.e0, args.level
-    base = ic.IdealPresentation.parse(base_texts, args.N, field, level)
+    base = cm.IdealPresentation.parse(base_texts, args.N, field, level)
     perts = [_poly(args, t, field, level) for t in pert_texts]
-    d = df.FirstOrderDeformation(base, perts, e0)
-    fam, verdicts = df.is_family_first_order(d)
-    flat, dims = df.flatness_direct(d, e0 + 1)
+    d = cm.FirstOrderDeformation(base, perts, e0)
+    fam, verdicts = cm.is_family_first_order(d)
+    flat, dims = cm.flatness_direct(d, e0 + 1)
     return EXIT_OK, {
         "family": fam,
         "per_generator_colon_membership": verdicts,
@@ -467,37 +420,29 @@ def cmd_deform(args):
 
 
 def cmd_colon(args):
-    from . import deform as df
-    from . import ringcore as rc
-
-    df.check_colon_level(args.level)
+    cm.check_colon_level(args.level)
     ideal = _ideal(args, args.ideal, args.level)
     other = _ideal(args, args.K, args.level)
-    cs = df.colon(ideal, other, args.level)
+    cs = cm.colon(ideal, other, args.level)
     return EXIT_OK, {
         "dimension": cs.dimension,
         "level": cs.level,
-        "basis": [rc.poly_str(p) for p in cs.basis],
+        "basis": [cm.poly_str(p) for p in cs.basis],
     }
 
 
 def cmd_determinantal(args):
-    from . import deform as df
-    from . import idealcalc as ic
-
     field = _field(args.field)
-    ic.check_level(args.level)
+    cm.check_level(args.level)
     rows = [[_poly(args, entry, field, args.level) for entry in row.split(",")]
             for row in args.matrix.split(";")]
-    return EXIT_OK, {"minors": _gens_json(df.determinantal_ideal(rows))}
+    return EXIT_OK, {"minors": _gens_json(cm.determinantal_ideal(rows))}
 
 
 def cmd_mps(args):
-    from . import motivic as mv
-
-    ctx = mv.MeasureContext(args.N, args.e0)
-    class0 = mv.parse_motivic(args.class0)
-    series = mv.mps(class0, args.n0, ctx)
+    ctx = cm.MeasureContext(args.N, args.e0)
+    class0 = cm.parse_motivic(args.class0)
+    series = cm.mps(class0, args.n0, ctx)
     coeffs = series.expand(args.expand)
     return EXIT_OK, {
         "series": str(series),
@@ -511,22 +456,18 @@ def cmd_mps(args):
 
 
 def cmd_volume(args):
-    from . import motivic as mv
-
     terms = {}
     for piece in args.terms.split(";"):
         s, cls = _read("--terms", "s:class pairs with an integer s", _term, piece)
         if s in terms:
             raise ValueError(f"term index s = {s} given twice")
-        terms[s] = mv.parse_motivic(cls)
-    total, bound = mv.volume_partial(terms)
+        terms[s] = cm.parse_motivic(cls)
+    total, bound = cm.volume_partial(terms)
     return EXIT_OK, {"partial_sum": str(total), "tail_norm_bound": str(bound)}
 
 
 def cmd_specialize(args):
-    from . import motivic as mv
-
-    cls = mv.parse_motivic(getattr(args, "class"))
+    cls = cm.parse_motivic(getattr(args, "class"))
     return EXIT_OK, {"value": str(cls.specialize(args.q))}
 
 

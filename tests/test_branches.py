@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from curvemoduli import branches
 from curvemoduli.branches import (
     Branch,
     Parametrization,
@@ -113,6 +114,21 @@ class TestIdealFromParam:
         P = param([["t^2", "t^3"]], 10)
         with pytest.raises(PrecisionError, match="18"):
             ideal_from_param(P, 6)
+
+    def test_post_check_rejects_a_corrupted_kernel_row(self, monkeypatch):
+        # one coefficient of the first kernel row changed: x2^2 - x1^3
+        # becomes 2*x2^2 - x1^3, which leaves t^6 on the cusp
+        kernel_basis = branches.kernel_basis
+
+        def corrupted(*args):
+            rows = kernel_basis(*args)
+            rows[0][min(rows[0])] += 1
+            return rows
+
+        monkeypatch.setattr(branches, "kernel_basis", corrupted)
+        with pytest.raises(AssertionError,
+                           match=r"kernel generator -x1\^3 \+ 2\*x2\^2 does not vanish"):
+            ideal_from_param(param([["t^2", "t^3"]], 18), 6)
 
     def test_precision_invariance_of_spans(self):
         lvl = 6

@@ -224,6 +224,18 @@ class TestSubcommands:
         assert run(capsys, "stratum", "--ideal", "x1", "--F", "1,2", "--r", r) == (
             2, "", f"error: r must be >= 1, got {r}\n")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["jtilde", "--ideal", "x1^4", "--n", "5", "--e0", "2"],
+         "no minimal generators of degree <= e0 below the level"),
+        (["stratum", "--ideal", "x1", "--ideal", "x2", "--level", "6", "--F", "1,1", "--r", "1"],
+         "the ideal is zero-dimensional: it cuts out no curve"),
+        (["stratum", "--N", "3", "--level", "3", "--ideal", "x1*x2", "--ideal", "x1*x3",
+          "--ideal", "x2*x3", "--F", "1,4,7,10", "--r", "1"],
+         "level 3 too low to see t = 3"),
+    ], ids=["jtilde-no-generator", "stratum-dim-0", "stratum-level-below-window"])
+    def test_a_domain_error_is_one_error_line(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
     def test_superficial(self, capsys):
         code, payload, _ = run_json(
             capsys, "superficial", "--ideal", "x1^3", "--L", "x2", "--e0", "3"

@@ -357,6 +357,15 @@ class TestDeterminantal:
         with pytest.raises(ValueError, match=r"minor 0 \(row 0 omitted\) is only an eps-part, eps\*\(x2\)"):
             determinantal_ideal(mat)
 
+    def test_base_minors_that_do_not_stabilize_are_a_level_error(self):
+        # the base minors x2 and x1 generate the maximal ideal: its Hilbert
+        # data have no e0, so no family is read off them
+        lvl = 6
+        mat = [[DualPoly(parse_poly("x1", 2, QQ, lvl), parse_poly("x1", 2, QQ, lvl))],
+               [DualPoly(parse_poly("x2", 2, QQ, lvl))]]
+        with pytest.raises(LevelError, match="base minors not stabilized at level 6"):
+            determinantal_ideal(mat)
+
     def test_eps_free_dual_entries_reduce_to_plain(self):
         lvl = 7
         z = TruncatedPoly.zero(3, QQ, lvl)

@@ -1,11 +1,12 @@
 """Import hygiene of the package, checked with the standard library only:
 no module imports a name it never uses, and the CLI starts without
 `dataclasses` and `inspect`, which would add a dozen stdlib modules to
-every job's start-up.  The package exports its names lazily, and a CLI job
-loads only the library modules its handler reads, no `argparse` unless
-it asks for help or has to be told what is wrong with its argv, no
-`fractions` unless it computes over QQ, and no `json` unless it reads a
-`--job` file: the CLI writes its reports itself."""
+every job's start-up.  The package exports its names lazily, the CLI reads
+the library only as `cm.<name>` with the name in `curvemoduli.__all__`,
+and a CLI job loads only the library modules its handler reads, no
+`argparse` unless it asks for help or has to be told what is wrong with
+its argv, no `fractions` unless it computes over QQ, and no `json` unless
+it reads a `--job` file: the CLI writes its reports itself."""
 
 import ast
 import importlib
@@ -182,18 +183,58 @@ def test_help_and_usage_errors_load_argparse(argv):
 
 
 CLI = SRC / "curvemoduli" / "cli.py"
-ALIASES = {"br", "df", "ic", "mv", "rc", "tt"}
 
 
-def test_each_cli_function_imports_the_library_modules_it_reads():
-    tree = ast.parse(CLI.read_text())
-    assert not [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level]
-    for fn in tree.body:
-        if isinstance(fn, ast.FunctionDef):
-            read = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)} & ALIASES
-            imported = {a.asname for node in fn.body if isinstance(node, ast.ImportFrom)
-                        for a in node.names}
-            assert imported == read, fn.name
+def reads_outside_the_public_api(source):
+    """How a module reads the package other than by `import curvemoduli as
+    cm` and `cm.<name>` with `name` in `curvemoduli.__all__`, sorted: every
+    relative import, every other import of curvemoduli, every `cm.<name>`
+    of another name (a private one, a submodule) and every bare `cm`."""
+    tree = ast.parse(source)
+    found = set()
+    read_off = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("curvemoduli")):
+            found.add(ast.unparse(node))
+        elif isinstance(node, ast.Import) and any(
+                a.name.startswith("curvemoduli") and (a.name, a.asname) != ("curvemoduli", "cm")
+                for a in node.names):
+            found.add(ast.unparse(node))
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "cm" and node.attr not in curvemoduli.__all__):
+            found.add(f"cm.{node.attr}")
+        elif isinstance(node, ast.Name) and node.id == "cm" and id(node) not in read_off:
+            found.add("cm")
+    return sorted(found)
+
+
+def test_cli_reads_the_library_only_through_the_public_api():
+    source = CLI.read_text()
+    top = [node for node in ast.parse(source).body if isinstance(node, ast.Import)]
+    assert any((a.name, a.asname) == ("curvemoduli", "cm") for node in top for a in node.names)
+    assert reads_outside_the_public_api(source) == []
+
+
+@pytest.mark.parametrize("planted, found", [
+    ("cm._substitution(p, 4)", ["cm._substitution"]),
+    ("cm.idealcalc.hilbert_data", ["cm.idealcalc"]),
+    ("getattr(cm, 'hilbert_data')", ["cm"]),
+], ids=["private", "submodule", "bare"])
+def test_a_planted_read_is_seen(planted, found):
+    source = CLI.read_text() + f"\n\ndef planted(p):\n    return {planted}\n"
+    assert reads_outside_the_public_api(source) == found
+
+
+@pytest.mark.parametrize("planted", [
+    "from . import ringcore as rc",
+    "from .ringcore import QQ",
+    "from curvemoduli import ringcore",
+    "import curvemoduli.ringcore as rc",
+    "import curvemoduli",
+], ids=["relative", "relative-name", "absolute-from", "submodule", "unaliased"])
+def test_a_planted_import_is_seen(planted):
+    source = CLI.read_text() + f"\n\ndef planted():\n    {planted}\n"
+    assert reads_outside_the_public_api(source) == [planted]
 
 
 class TestLazyPackageExports:
@@ -201,7 +242,7 @@ class TestLazyPackageExports:
     still the submodules' own objects."""
 
     def test_every_name_is_the_submodules_object(self):
-        assert len(curvemoduli.__all__) == 63
+        assert len(curvemoduli.__all__) == 67
         for name, module in curvemoduli._EXPORTS.items():
             assert getattr(curvemoduli, name) is getattr(
                 importlib.import_module("curvemoduli." + module), name), name
@@ -220,33 +261,3 @@ class TestLazyPackageExports:
         assert idealcalc is sys.modules["curvemoduli.idealcalc"]
         assert idealcalc.hilbert_data is curvemoduli.hilbert_data
 
-
-def private_library_reads(source):
-    """The `_`-prefixed names a module reads from the package's other
-    modules, as `alias._name`: attributes of a module bound by a relative
-    import, and names a relative import binds directly, sorted."""
-    tree = ast.parse(source)
-    modules, reads = set(), set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.level:
-            for a in node.names:
-                if node.module is None:
-                    modules.add(a.asname or a.name)
-                elif a.name.startswith("_"):
-                    reads.add(f"{node.module}.{a.name}")
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
-                and isinstance(node.value, ast.Name) and node.value.id in modules):
-            reads.add(f"{node.value.id}.{node.attr}")
-    return sorted(reads)
-
-
-def test_checker_sees_a_private_library_read():
-    source = ("import os\nfrom .ringcore import _TOKEN, QQ\n"
-              "def f():\n    from . import branches as br\n"
-              "    br._Substitution(1, 2)\n    br.semigroup([2])\n    os._exit(0)\n")
-    assert private_library_reads(source) == ["br._Substitution", "ringcore._TOKEN"]
-
-
-def test_cli_reads_only_the_public_library_api():
-    assert private_library_reads(CLI.read_text()) == []
