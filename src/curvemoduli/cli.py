@@ -79,7 +79,9 @@ def _term(piece):
 
 
 def _field(spec):
-    if spec in ("rational", "rationals", "0", "Q"):
+    """--field's value: 'rational' is QQ, and anything else must be a prime,
+    which `GF` checks."""
+    if spec == "rational":
         return cm.QQ
     return cm.GF(_read("--field", "'rational' or a prime", int, spec))
 

@@ -50,9 +50,6 @@ class DualPoly:
     def __neg__(self):
         return DualPoly(-self.re, -self.eps)
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         return DualPoly(self.re * other.re, self.re * other.eps + other.re * self.eps)
 
@@ -280,7 +277,10 @@ def determinantal_ideal(matrix):
     IdealPresentation; dual entries give a FirstOrderDeformation whose base
     is the eps = 0 matrix's minor ideal.  A dual minor whose special fibre
     is zero but whose eps-part is not has no generator of the base to
-    perturb, so it is rejected rather than dropped.
+    perturb, so it is rejected rather than dropped.  The base's e0 is read
+    through the curve gate `HilbertData.curve` at the entries' level: a
+    zero-dimensional base is a ValueError, and a base that the level does
+    not settle a LevelError.
     """
     dual = any(isinstance(e, DualPoly) for r in matrix for e in r)
     if dual:
@@ -301,7 +301,5 @@ def determinantal_ideal(matrix):
                              f"eps*({poly_str(m.eps)}): its special fibre is zero")
     keep = [m for m in minors if not m.re.is_zero()]
     base = IdealPresentation([m.re for m in keep], sample.n_vars, sample.field, sample.level)
-    hd = hilbert_data(base, base.level)
-    if hd.status != "ok":
-        raise LevelError(f"base minors not stabilized at level {base.level}")
-    return FirstOrderDeformation(base, [m.eps for m in keep], hd.e0)
+    e0 = hilbert_data(base, base.level).curve().e0
+    return FirstOrderDeformation(base, [m.eps for m in keep], e0)

@@ -182,6 +182,17 @@ class HilbertData(namedtuple(
 
     __slots__ = ()
 
+    def curve(self):
+        """These data, if they are a curve's (status "ok"): the one gate
+        that decides whether an ideal cuts out a curve at its level.  A
+        zero-dimensional ideal is a ValueError, which no level mends; any
+        other status is a LevelError that asks for a higher level."""
+        if self.status == "dim_0":
+            raise ValueError("the ideal is zero-dimensional: it cuts out no curve")
+        if self.status != "ok":
+            raise LevelError(f"Hilbert data {self.status} at level {self.level}; raise the level")
+        return self
+
 
 def analyze_h1(values):
     """Read (e0, e1) off a list of H1 values H1(0..n-1).

@@ -13,7 +13,7 @@ finite fields; the fit is labeled the heuristic it is.
 from collections import namedtuple
 from fractions import Fraction
 
-from .ringcore import _TOKEN, QQ, Echelon, _terms_str, check_ints, check_n_vars
+from .ringcore import _TOKEN, QQ, Echelon, _terms_str, check_e0, check_ints, check_n_vars
 
 
 class MotivicClass:
@@ -60,9 +60,6 @@ class MotivicClass:
             for e2, c2 in other.coeffs.items():
                 out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
         return MotivicClass(out)
-
-    def scale(self, n):
-        return MotivicClass({e: c * n for e, c in self.coeffs.items()})
 
     def shift(self, k):
         """Multiply by L^k."""
@@ -117,8 +114,7 @@ class MeasureContext(namedtuple("MeasureContext", "n_vars e0")):
     def c(self):
         check_ints(self, "each of n_vars and e0")
         check_n_vars(self.n_vars)
-        if self.e0 < 1:
-            raise ValueError("e0 must be >= 1")
+        check_e0(self.e0)
         return (self.n_vars - 1) * self.e0
 
 

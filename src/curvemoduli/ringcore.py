@@ -138,6 +138,10 @@ def __getattr__(name):
 
 
 def GF(p):
+    """The finite field F_p.  p = 0 is refused here, since `Field(0)` is QQ;
+    every other p is checked by `Field`, with its own message."""
+    if p == 0 and type(p) is int:
+        raise ValueError(f"GF(p) needs a prime p, got {p}")
     return Field(p)
 
 
@@ -145,6 +149,12 @@ def check_n_vars(n_vars):
     """An ambient has at least one variable."""
     if n_vars < 1:
         raise ValueError("N must be >= 1")
+
+
+def check_e0(e0):
+    """A curve has multiplicity e0 >= 1."""
+    if e0 < 1:
+        raise ValueError("e0 must be >= 1")
 
 
 def check_ints(values, what):

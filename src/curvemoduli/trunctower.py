@@ -26,6 +26,7 @@ from .ringcore import (
     LevelError,
     TruncatedPoly,
     _add_multiples,
+    check_e0,
     check_ints,
     count_monomials_upto,
     monomial_table,
@@ -69,15 +70,9 @@ class TnFailure(namedtuple("TnFailure", "condition degree detail")):
         return False
 
 
-def _check_e0(e0):
-    """A curve has multiplicity e0 >= 1."""
-    if e0 < 1:
-        raise ValueError("e0 must be >= 1")
-
-
 def _check_tn_level(n, e0):
     """T_n is defined for e0 >= 1 and n >= e0+2."""
-    _check_e0(e0)
+    check_e0(e0)
     if n < e0 + 2:
         raise LevelError(f"T_n needs n >= e0+2 = {e0 + 2}, got {n}")
 
@@ -147,7 +142,7 @@ def cm_superficial_test(ideal, L, e0):
     degree-one superficial element.  The length is `_length_with_form` on
     the span of I at level e0+1.
     """
-    _check_e0(e0)
+    check_e0(e0)
     level = e0 + 1
     length = _length_with_form(DegreeSpans(ideal, level), L)
     cert = SuperficialCertificate(L.truncate_to(level), length, [], e0, level)
@@ -347,25 +342,21 @@ def admissible_polys(n_vars, e0):
 # Hilbert strata.
 
 
-def hilbert_stratum_check(ideal, F, r, level=None):
+def hilbert_stratum_check(ideal, F, r, level):
     """Membership of the curve cut by `ideal` in the stratum of (F, r).
 
     F is a table of H1 values (list or dict t -> F(t)); it must be admissible
     for the curve's own Hilbert polynomial, i.e. agree with e0(t+1)-e1 from
     t = e0-1 on.  Membership means H1(t) = F(t) on the window t = r-1 .. e0;
     r = e0+1 is the whole moduli space, so the check is vacuously true.
-    r must be >= 1.
+    r must be >= 1.  The Hilbert data at `level` pass the curve gate
+    `HilbertData.curve` first: a zero-dimensional ideal, or data that the
+    level does not settle, are refused there.
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     Ftab = dict(enumerate(F)) if isinstance(F, (list, tuple)) else dict(F)
-    if level is None:
-        level = ideal.level
-    hd = hilbert_data(ideal, level)
-    if hd.status == "dim_0":
-        raise ValueError("the ideal is zero-dimensional: it cuts out no curve")
-    if hd.status != "ok":
-        raise LevelError(f"Hilbert data {hd.status} at level {level}; raise the level")
+    hd = hilbert_data(ideal, level).curve()
     e0, e1 = hd.e0, hd.e1
     for t in range(e0 - 1, level):
         if t in Ftab and Ftab[t] != e0 * (t + 1) - e1:
@@ -406,7 +397,9 @@ def cell_membership(ideal, n, cell, e0):
 
     The cell spans the i-monomials together with L_q^r * (j-monomials) for
     r = 0 .. n-e0-1; membership is a rank check against the span of J.
+    e0 passes `ringcore.check_e0` before any index is read.
     """
+    check_e0(e0)
     J = ideal.truncated(n)
     n_vars, field = J.n_vars, J.field
     b_e0 = count_monomials_upto(n_vars, e0 - 1)
@@ -446,6 +439,8 @@ def cell_membership(ideal, n, cell, e0):
 # ---------------------------------------------------------------------------
 # Exhaustive enumerator over tiny finite fields.
 
+
+ENUM_BUDGET = 2_000_000  # the most candidates `enumerate_xi` scans
 
 # `ideals` holds each member as its canonical rows over monomial_table(2, n):
 # dicts {column: coefficient}, f's row first.
@@ -513,7 +508,7 @@ def _prefix_tree(table, field, lead_terms, blocks, scalars):
     return out
 
 
-def enumerate_xi(n_vars, e0, n, field, e1=None, budget=2_000_000):
+def enumerate_xi(n_vars, e0, n, field, e1=None):
     """Exhaustively list the level-n ideals over F_q passing all T_n checks.
 
     Practical domain: the plane (n_vars = 2), where the window dimensions
@@ -596,13 +591,15 @@ def enumerate_xi(n_vars, e0, n, field, e1=None, budget=2_000_000):
     caller that wants an `IdealPresentation` builds one from the rows'
     `MonomialTable.poly_of`.
 
-    n_vars, e0, n, budget and a given e1 must be ints: other input is
-    rejected, not coerced.
+    A job of more than ENUM_BUDGET candidates is refused with a
+    BudgetExceededError before the scan.  n_vars, e0, n and a given e1 must
+    be ints: other input is rejected, not coerced.  e0 passes
+    `ringcore.check_e0`, and a field of characteristic 0 is refused.
     """
-    check_ints((n_vars, e0, n, budget), "each of n_vars, e0, n and budget")
+    check_ints((n_vars, e0, n), "each of n_vars, e0 and n")
     if e1 is not None:
         check_ints((e1,), "e1")
-    _check_e0(e0)
+    check_e0(e0)
     if field.char == 0:
         raise ValueError("enumeration needs a finite field")
     if n_vars != 2:
@@ -619,8 +616,8 @@ def enumerate_xi(n_vars, e0, n, field, e1=None, budget=2_000_000):
     table = monomial_table(n_vars, n)
     lead_monos = monomials_of_degree(n_vars, e0)
     n_classes = (q ** len(lead_monos) - 1) // (q - 1) * q ** (e0 * (n - 1 - e0))
-    if n_classes > budget:
-        raise BudgetExceededError(f"{n_classes} candidates exceed the budget of {budget}")
+    if n_classes > ENUM_BUDGET:
+        raise BudgetExceededError(f"{n_classes} candidates exceed the budget of {ENUM_BUDGET}")
     x2_e0 = TruncatedPoly(n_vars, field, n, {(0, e0): 1})
     h1 = DegreeSpans(IdealPresentation([x2_e0], n_vars, field, n), n).h1_values()
     if h1 != [e0 * (t + 1) - e1 for t in range(n)]:

@@ -203,6 +203,9 @@ class TestSubcommands:
             capsys, "admissible", "--b", "2", "--e0", "4", "--e1", "6"
         )
         assert code == 0 and payload["admissible"] is True
+        # embedding dimension 1 is the smooth curve, whose e0 is 1
+        assert run_json(capsys, "admissible", "--b", "1", "--e0", "3", "--e1", "0")[:2] == (
+            0, {"admissible": False, "b": 1, "e0": 3, "e1": 0})
 
     def test_a_report_int_too_long_to_print_is_one_error_line(self, capsys):
         # rho1 has about 4400 digits, past the int-to-str limit: the report
@@ -424,9 +427,29 @@ class TestSubcommands:
         ["jtilde", "--ideal", "x2^2 - x1^3", "--n", "5", "--e0", "0"],
         ["superficial", "--ideal", "x2^2 - x1^3", "--L", "x1", "--e0", "0"],
         ["mps", "--class0", "1", "--n0", "1", "--N", "2", "--e0", "0"],
-    ], ids=["enumerate-0", "enumerate-minus-1", "tn", "shape", "jtilde", "superficial", "mps"])
+        # e0 is checked before the cell's indices are read against it
+        ["cells", "--n", "5", "--e0", "0", "--ideal", "x1^2", "--i", "1", "--j", "2", "--q", "0"],
+    ], ids=["enumerate-0", "enumerate-minus-1", "tn", "shape", "jtilde", "superficial", "mps",
+            "cells"])
     def test_multiplicity_below_one_is_rejected(self, capsys, argv):
         assert run(capsys, *argv) == (2, "", "error: e0 must be >= 1\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["enumerate", "--e0", "2", "--n", "4", "--q", "0"], "GF(p) needs a prime p, got 0"),
+        (["enumerate", "--e0", "2", "--n", "4", "--q", "1"],
+         "characteristic must be 0 or prime, got 1"),
+        (["enumerate", "--e0", "2", "--n", "4", "--q", "4"],
+         "characteristic must be 0 or prime, got 4"),
+        (["hilbert", "--field", "0", "--ideal", "x1^2", "--level", "4"],
+         "GF(p) needs a prime p, got 0"),
+        (["hilbert", "--field", "Q", "--ideal", "x1^2", "--level", "4"],
+         "--field expects 'rational' or a prime, got 'Q'"),
+        (["hilbert", "--field", "rationals", "--ideal", "x1^2", "--level", "4"],
+         "--field expects 'rational' or a prime, got 'rationals'"),
+    ], ids=["q-0", "q-1", "q-4", "field-0", "field-Q", "field-rationals"])
+    def test_a_field_outside_the_domain_is_refused(self, capsys, argv, message):
+        # --field is 'rational' or a prime, and --q a prime: QQ is not F_q
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("command", ["tn", "shape", "jtilde"])
     def test_level_below_the_tn_window_is_rejected(self, capsys, command):
@@ -667,6 +690,18 @@ class TestJobFiles:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == (
             f"error: job file {path} is not JSON: Expecting value: line 1 column 1 (char 0)\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("branches: t^2,t^3\n", " is not JSON: Expecting value: line 1 column 1 (char 0)"),
+        (json.dumps({"branches": "t^2", "precision": 10}),
+         ': branches expects a list of lists of strings, got "t^2"'),
+    ], ids=["not-json", "branches-string"])
+    def test_a_malformed_job_is_refused_in_process(self, capsys, tmp_path, text, message):
+        # the same refusals as above, through `main` in this process
+        path = tmp_path / "job.json"
+        path.write_text(text)
+        assert run(capsys, "param", "--job", str(path)) == (
+            2, "", f"error: job file {path}{message}\n")
 
     @pytest.mark.parametrize("argv", [
         ["param", "--level", "8"],

@@ -357,14 +357,26 @@ class TestDeterminantal:
         with pytest.raises(ValueError, match=r"minor 0 \(row 0 omitted\) is only an eps-part, eps\*\(x2\)"):
             determinantal_ideal(mat)
 
-    def test_base_minors_that_do_not_stabilize_are_a_level_error(self):
+    def test_a_zero_dimensional_base_cuts_out_no_curve(self):
         # the base minors x2 and x1 generate the maximal ideal: its Hilbert
-        # data have no e0, so no family is read off them
+        # data are dim_0, which no higher level mends
         lvl = 6
         mat = [[DualPoly(parse_poly("x1", 2, QQ, lvl), parse_poly("x1", 2, QQ, lvl))],
                [DualPoly(parse_poly("x2", 2, QQ, lvl))]]
-        with pytest.raises(LevelError, match="base minors not stabilized at level 6"):
+        with pytest.raises(ValueError) as info:
             determinantal_ideal(mat)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "the ideal is zero-dimensional: it cuts out no curve"
+
+    def test_base_minors_that_do_not_stabilize_are_a_level_error(self):
+        # both base minors are x1, a surface in three variables: its Hilbert
+        # data are dim_ge_2, and the curve gate asks for a higher level
+        lvl = 6
+        mat = [[DualPoly(parse_poly("x1", 3, QQ, lvl), parse_poly("x2", 3, QQ, lvl))],
+               [DualPoly(parse_poly("x1", 3, QQ, lvl))]]
+        with pytest.raises(LevelError) as info:
+            determinantal_ideal(mat)
+        assert str(info.value) == "Hilbert data dim_ge_2 at level 6; raise the level"
 
     def test_eps_free_dual_entries_reduce_to_plain(self):
         lvl = 7

@@ -57,6 +57,9 @@ CASES = {
     "colon-across-ambients": (
         lambda: colon(ideal(["x1^2"], 4), ideal(["x1"], 4, n_vars=3), 4),
         LevelError, "colon needs a common ambient and field"),
+    "cell-e0-0": (
+        lambda: cell_membership(ideal(["x1^2"], 5), 5, CellIndex((1,), (2,), 0), 0),
+        ValueError, "e0 must be >= 1"),
     "cell-repeated-i": (
         lambda: cell_membership(ideal(["x2^2 - x1^3"], 5), 5, CellIndex((1, 1), (4, 5), 0), 2),
         ValueError, "repeated indices in cell"),
@@ -70,13 +73,13 @@ CASES = {
         lambda: tn_membership(ideal(["x2^2 - x1^3"], 6), 6, 2, forms=[]),
         ValueError, "need at least one candidate form"),
     "stratum-F-missing-in-window": (
-        lambda: hilbert_stratum_check(ideal(["x2^2 - x1^3"], 8), {0: 1, 2: 5}, 1),
+        lambda: hilbert_stratum_check(ideal(["x2^2 - x1^3"], 8), {0: 1, 2: 5}, 1, 8),
         ValueError, "F must be given at t = 1 for the window of r = 1"),
     "stratum-r-0": (
-        lambda: hilbert_stratum_check(ideal(["x2^2 - x1^3"], 8), [1, 2], 0),
+        lambda: hilbert_stratum_check(ideal(["x2^2 - x1^3"], 8), [1, 2], 0, 8),
         ValueError, "r must be >= 1, got 0"),
     "stratum-r-below-0": (
-        lambda: hilbert_stratum_check(ideal(["x2^2 - x1^3"], 8), [1, 2], -1),
+        lambda: hilbert_stratum_check(ideal(["x2^2 - x1^3"], 8), [1, 2], -1, 8),
         ValueError, "r must be >= 1, got -1"),
     "branch-precision-0": (
         lambda: branch(["t^2", "t^3"], precision=0),
@@ -153,6 +156,9 @@ CASES = {
     "measure-float-e0": (
         lambda: MeasureContext(2, 1.5).c,
         TypeError, "each of n_vars and e0 must be an int, got 1.5"),
+    "measure-e0-0": (
+        lambda: MeasureContext(2, 0).c,
+        ValueError, "e0 must be >= 1"),
     "series-float-denominator-factor": (
         lambda: RationalSeries({0: MotivicClass.one()}, [(1.5, 1)]),
         TypeError, "exponent of (1 - L^a T^b) must be an int, got 1.5"),
@@ -207,6 +213,15 @@ CASES = {
     "field-string-characteristic": (
         lambda: GF("7"),
         TypeError, "characteristic must be an int, got '7'"),
+    "field-characteristic-0": (
+        lambda: GF(0),
+        ValueError, "GF(p) needs a prime p, got 0"),
+    "field-characteristic-1": (
+        lambda: GF(1),
+        ValueError, "characteristic must be 0 or prime, got 1"),
+    "field-characteristic-4": (
+        lambda: GF(4),
+        ValueError, "characteristic must be 0 or prime, got 4"),
     "field-composite-characteristic": (
         lambda: GF(2 ** 61 + 1),
         ValueError, "characteristic must be 0 or prime, got 2305843009213693953"),
@@ -249,16 +264,13 @@ CASES = {
         TypeError, "e1 must be an int, got 1.0"),
     "enumerate-bool-e0": (
         lambda: enumerate_xi(2, True, 4, GF(2)),
-        TypeError, "each of n_vars, e0, n and budget must be an int, got True"),
+        TypeError, "each of n_vars, e0 and n must be an int, got True"),
     "enumerate-float-e0": (
         lambda: enumerate_xi(2, 2.0, 4, GF(2)),
-        TypeError, "each of n_vars, e0, n and budget must be an int, got 2.0"),
+        TypeError, "each of n_vars, e0 and n must be an int, got 2.0"),
     "enumerate-float-level": (
         lambda: enumerate_xi(2, 2, 4.0, GF(2)),
-        TypeError, "each of n_vars, e0, n and budget must be an int, got 4.0"),
-    "enumerate-float-budget": (
-        lambda: enumerate_xi(2, 2, 4, GF(2), budget=1e6),
-        TypeError, "each of n_vars, e0, n and budget must be an int, got 1000000.0"),
+        TypeError, "each of n_vars, e0 and n must be an int, got 4.0"),
     "projective-forms-over-qq": (
         lambda: all_projective_linear_forms(2, QQ, 4),
         ValueError, "only meaningful over a finite field"),

@@ -35,6 +35,7 @@ class TestClassArithmetic:
         assert (L(3) + L(1)).norm() == 8
         assert (L(3) + L(1)).order() == -3
         assert MotivicClass.zero().norm() == 0
+        assert MotivicClass.zero().order() is None
         assert L(-2).norm() == Fraction(1, 4)
 
     def test_ring_axioms_random(self):
@@ -201,6 +202,7 @@ class TestMps:
         assert s1 == s2
         s3 = RationalSeries({3: L(6), 4: L(6)}, [(2, 1), (2, 1)])
         assert s1 != s3
+        assert (RationalSeries({0: ONE}) == 5) is False
 
 
 class TestSeriesExpand:
@@ -249,6 +251,9 @@ def _mul_num(a, b):
 
 
 class TestVolume:
+    def test_no_terms(self):
+        assert volume_partial({}) == (MotivicClass(0), Fraction(0))
+
     def test_single_term(self):
         total, bound = volume_partial({0: ONE})
         assert total == ONE and bound == Fraction(1, 2)

@@ -46,6 +46,12 @@ def test_fields_are_named_and_read_only(record):
         value.extra = None
 
 
+@pytest.mark.parametrize("record", [StandardBasisReport, ShapeReport], ids=lambda r: r.__name__)
+@pytest.mark.parametrize("ok", [True, False])
+def test_a_verdict_is_true_exactly_when_ok(record, ok):
+    assert bool(record(ok, *[None] * (len(record._fields) - 1))) is ok
+
+
 def test_repr_names_the_record_and_its_fields():
     assert repr(TnFailure(2, 1, "slice")) == "TnFailure(condition=2, degree=1, detail='slice')"
     assert repr(AdmissibleRange(3, 3, 1, 2, 2)) == "AdmissibleRange(b=3, e0=3, r=1, rho0=2, rho1=2)"

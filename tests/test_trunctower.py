@@ -404,6 +404,8 @@ class TestAdmissible:
     def test_degenerate_point(self):
         assert admissible(1, 1, 0)
         assert not admissible(1, 1, 1)
+        # b = 1 is the smooth curve: no e0 > 1 is admissible with it
+        assert admissible(1, 3, 0) is False
         rng = admissible_range(1, 1)
         assert (rng.rho0, rng.rho1) == (0, 0)
 
@@ -575,8 +577,10 @@ class TestEnumerate:
             enumerate_xi(2, e0, 3, GF(2))
 
     def test_budget_guard(self):
-        with pytest.raises(BudgetExceededError):
-            enumerate_xi(2, 3, 9, GF(3), budget=10)
+        # (3^4 - 1)/2 lead forms times 3^15 tails exceed the module's budget
+        with pytest.raises(BudgetExceededError) as info:
+            enumerate_xi(2, 3, 9, GF(3))
+        assert str(info.value) == "573956280 candidates exceed the budget of 2000000"
 
     def test_members_are_genuine(self):
         # re-verify membership with the all-forms scan, which over F_2 at
