@@ -14,9 +14,9 @@ from math import gcd
 
 from .ringcore import (
     Echelon,
-    LevelError,
     TruncatedPoly,
     check_ints,
+    check_same_ring,
     kernel_basis,
     monomial_table,
     parse_poly,
@@ -101,7 +101,8 @@ class Branch:
     """One branch: N truncated power series in t with a common t-precision.
 
     Components must have zero constant term and not all vanish; a component
-    is stored as a one-variable TruncatedPoly at level = precision.
+    is stored as a one-variable TruncatedPoly at level = precision, and all
+    of them over one field, by `check_same_ring`.
     """
 
     def __init__(self, components, precision):
@@ -117,6 +118,7 @@ class Branch:
                     f"component precision {c.level} below branch precision {precision}"
                 )
             comps.append(c.truncate_to(precision))
+        check_same_ring("branch components", comps)
         self.components = comps
         self.precision = precision
         for c in comps:
@@ -159,10 +161,7 @@ class Parametrization:
     def __init__(self, branches):
         if not branches:
             raise ValueError("need at least one branch")
-        n = branches[0].n_vars
-        f = branches[0].field
-        if any(b.n_vars != n or b.field != f for b in branches):
-            raise ValueError("branches disagree on ambient or field")
+        check_same_ring("branches", branches, level=False)
         self.branches = branches
         self.offsets = list(accumulate((b.precision for b in branches), initial=0))
         self.t_cols = self.offsets.pop()
@@ -295,9 +294,8 @@ def evaluate_on_branch(poly, branch):
     """Substitute the branch components into a polynomial (truncated in t).
 
     The polynomial must live in the branch's ambient over its field."""
+    check_same_ring("polynomial and branch", (poly, branch), level=False)
     field = branch.field
-    if (poly.n_vars, poly.field) != (branch.n_vars, field):
-        raise LevelError("polynomial and branch disagree on ambient or field")
     out = TruncatedPoly.zero(1, field, branch.precision)
     for mono, c in poly.terms.items():
         prod = TruncatedPoly.constant(c, 1, field, branch.precision)
@@ -400,8 +398,7 @@ def normally_flat_fiber_compare(fibers, level):
     """
     if len(fibers) < 1:
         raise ValueError("need at least one fiber")
-    if len({(f.n_vars, f.field) for f in fibers}) > 1:
-        raise ValueError("fibers disagree on ambient or field")
+    check_same_ring("fibers", fibers, level=False)
     data = []
     for f in fibers:
         if isinstance(f, Parametrization):

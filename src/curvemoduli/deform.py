@@ -17,6 +17,7 @@ from .ringcore import (
     Echelon,
     LevelError,
     TruncatedPoly,
+    check_same_ring,
     kernel_basis,
     monomial_table,
     monomials_of_degree,
@@ -39,10 +40,7 @@ class DualPoly:
     def __init__(self, re, eps=None):
         self.re = re
         self.eps = eps if eps is not None else TruncatedPoly.zero(re.n_vars, re.field, re.level)
-        if (self.re.n_vars, self.re.field, self.re.level) != (
-            self.eps.n_vars, self.eps.field, self.eps.level
-        ):
-            raise LevelError("dual components disagree on ambient, field, or level")
+        check_same_ring("dual components", (self.re, self.eps))
 
     def __add__(self, other):
         return DualPoly(self.re + other.re, self.eps + other.eps)
@@ -93,8 +91,7 @@ def colon(ideal, other, level):
     presentations.  Both are taken at `level` by `IdealPresentation.truncated`,
     so neither may be given below it.
     """
-    if (ideal.n_vars, ideal.field) != (other.n_vars, other.field):
-        raise LevelError("colon needs a common ambient and field")
+    check_same_ring("colon ideals", (ideal, other), level=False)
     check_colon_level(level)
     n_vars, field = ideal.n_vars, ideal.field
     table = monomial_table(n_vars, level)
@@ -150,9 +147,8 @@ class FirstOrderDeformation:
             elif not isinstance(p, TruncatedPoly):
                 raise TypeError(
                     f"a perturbation is a TruncatedPoly or None, got {type(p).__name__}")
-            if (p.n_vars, p.field, p.level) != (base.n_vars, base.field, base.level):
-                raise LevelError("perturbations must live at the base level")
             self.perturbations.append(p)
+        check_same_ring("base and perturbations", [base, *self.perturbations])
         self.e0 = e0
         self.orders = [g.order() for g in base.generators]
         if any(v > e0 for v in self.orders):

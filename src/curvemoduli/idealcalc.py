@@ -44,6 +44,8 @@ from .ringcore import (
     Echelon,
     LevelError,
     _add_multiples,
+    check_precision,
+    check_same_ring,
     degree_block,
     initial_form,
     monomial_table,
@@ -58,14 +60,14 @@ def check_level(level):
         raise LevelError(f"level must be >= 1, got {level}")
 
 
-def _check_generators(generators, n_vars, field, level):
-    """Reject a generator of another ambient, field or level, a zero one,
-    or a unit (one with a constant term): the checks of every generator of
-    an `IdealPresentation`."""
-    constant = (0,) * n_vars  # a nonzero generator of order 0 has this term
+def _check_generators(ring, generators):
+    """Reject generators that do not all live in the ring of `ring` (any
+    value with n_vars, field and level), by `check_same_ring`, then a zero
+    generator or a unit (one with a constant term): the checks of every
+    generator of an `IdealPresentation`."""
+    check_same_ring("generators", [ring, *generators])
+    constant = (0,) * ring.n_vars  # a nonzero generator of order 0 has this term
     for g in generators:
-        if (g.n_vars, g.field, g.level) != (n_vars, field, level):
-            raise LevelError("generators disagree on ambient, field, or level")
         if g.is_zero():
             raise ValueError("zero generator")
         if constant in g.terms:
@@ -91,11 +93,11 @@ class IdealPresentation:
             level = g0.level if level is None else level
         if n_vars is None or field is None or level is None:
             raise ValueError("empty presentation needs explicit n_vars, field, level")
-        _check_generators(generators, n_vars, field, level)
-        self.generators = generators
         self.n_vars = n_vars
         self.field = field
         self.level = level
+        _check_generators(self, generators)
+        self.generators = generators
 
     @classmethod
     def parse(cls, texts, n_vars, field, level):
@@ -114,8 +116,7 @@ class IdealPresentation:
         the presentation itself comes back; below it the generators are cut,
         dropping the ones killed."""
         check_level(level)
-        if level > self.level:
-            raise LevelError(f"cannot extend precision from {self.level} to {level}")
+        check_precision(self.level, level)
         if level == self.level:
             return self
         gens = [g.truncate_to(level) for g in self.generators]
@@ -163,7 +164,10 @@ class DegreeSpans:
         return [self.h1(t) for t in range(self.level)]
 
     def contains(self, poly):
-        """Membership of poly in (I+M^level)/M^level."""
+        """Membership of poly in (I+M^level)/M^level.  The polynomial must
+        live in the ideal's ambient over its field, by `check_same_ring`,
+        and be known to the span's level, by `check_precision`."""
+        check_same_ring("polynomial and span", (poly, self.ideal), level=False)
         return self.ech.contains(self.table.vector_of(poly))
 
 
@@ -354,8 +358,7 @@ def intersection_number(ideal, other, n_max):
     Computes dim R/(I+X+M^t) for t <= n_max; one repeated value pins the
     limit (the quotient surjections become isomorphisms from there on).
     """
-    if (ideal.n_vars, ideal.field) != (other.n_vars, other.field):
-        raise LevelError("intersection needs a common ambient and field")
+    check_same_ring("intersected ideals", (ideal, other), level=False)
     combined = IdealPresentation(
         ideal.truncated(n_max).generators + other.truncated(n_max).generators,
         ideal.n_vars, ideal.field, n_max,

@@ -30,7 +30,9 @@ class ParseError(ValueError):
 
 
 class LevelError(ValueError):
-    """Mismatched or insufficient truncation level / ambient / field."""
+    """Mismatched or insufficient truncation level / ambient / field: the
+    refusals of `check_same_ring` and `check_precision`, and each level
+    below a function's own bound."""
 
 
 # The first 13 primes.  Miller-Rabin to all of them is exact below
@@ -165,6 +167,22 @@ def check_ints(values, what):
             raise TypeError(f"{what} must be an int, got {value!r}")
 
 
+def check_same_ring(what, values, level=True):
+    """Refuse `values` (each with n_vars, field and level) that do not live
+    in one ring: one ambient and field, and with `level` one R/M^n too.
+    The LevelError names them by `what`."""
+    if len({(v.n_vars, v.field, v.level if level else None) for v in values}) > 1:
+        raise LevelError(f"{what} disagree on ambient, field, or level" if level
+                         else f"{what} disagree on ambient or field")
+
+
+def check_precision(have, want):
+    """Precision is never extended: a value known modulo M^have is refused
+    at any level want > have."""
+    if want > have:
+        raise LevelError(f"cannot extend precision from {have} to {want}")
+
+
 # ---------------------------------------------------------------------------
 # Monomials.  A monomial is a tuple of exponents; the total order is degree
 # first, then natural tuple comparison (so within a degree x_N is smallest
@@ -248,8 +266,7 @@ class MonomialTable:
         polynomial known only below that level is refused, as by
         `truncate_to`."""
         index, level = self.index, self.level
-        if poly.level < level:
-            raise LevelError(f"cannot extend precision from {poly.level} to {level}")
+        check_precision(poly.level, level)
         return {index[m]: c for m, c in poly.terms.items() if sum(m) < level}
 
     def poly_of(self, vec, field):
@@ -325,11 +342,9 @@ class TruncatedPoly:
         return not self.terms
 
     def _check_compatible(self, other):
+        # the inline comparison runs on every operation; the owner only raises
         if (self.n_vars, self.field, self.level) != (other.n_vars, other.field, other.level):
-            raise LevelError(
-                f"incompatible operands: ({self.n_vars} vars, {self.field}, level {self.level})"
-                f" vs ({other.n_vars} vars, {other.field}, level {other.level})"
-            )
+            check_same_ring("operands", (self, other))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -385,8 +400,7 @@ class TruncatedPoly:
         )
 
     def truncate_to(self, level):
-        if level > self.level:
-            raise LevelError(f"cannot extend precision from {self.level} to {level}")
+        check_precision(self.level, level)
         if level == self.level:
             return self
         return TruncatedPoly(self.n_vars, self.field, level, self.terms)

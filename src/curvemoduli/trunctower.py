@@ -159,9 +159,9 @@ def _length_with_form(spans, L):
     leaves out the x^a*L at its pivots (the proof is in the `idealcalc`
     module docstring), and `spans` is left as it was.
     """
-    n, ideal = spans.level, spans.ideal
+    n = spans.level
     L = L.truncate_to(n)
-    _check_generators([L], ideal.n_vars, ideal.field, n)
+    _check_generators(spans.ideal, [L])
     ech = spans.ech.copy()
     _add_multiples(spans.table, ech, spans.table.vector_of(L))
     return spans.table.offset[n] - ech.rank

@@ -472,7 +472,7 @@ class TestNormallyFlatCompare:
         lambda: Parametrization.parse([["t^2", "t^3", "t^4"]], 20, GF(7)),
     ], ids=["ambient", "field"])
     def test_fibers_must_share_ambient_and_field(self, other):
-        with pytest.raises(ValueError, match="fibers disagree on ambient or field"):
+        with pytest.raises(LevelError, match="fibers disagree on ambient or field"):
             normally_flat_fiber_compare([param([["t^2", "t^3", "t^4"]], 20), other()], 5)
 
     def test_single_fiber_trivially_constant(self):

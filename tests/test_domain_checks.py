@@ -9,10 +9,12 @@ from fractions import Fraction
 
 import pytest
 
-from curvemoduli.branches import Branch, Parametrization, PrecisionError, milnor, semigroup
+from curvemoduli.branches import (
+    Branch, Parametrization, PrecisionError, evaluate_on_branch, milnor, semigroup,
+)
 from curvemoduli.cli import INTEGER, _read_job
 from curvemoduli.deform import DualPoly, FirstOrderDeformation, colon, flatness_direct
-from curvemoduli.idealcalc import IdealPresentation, intersection_number
+from curvemoduli.idealcalc import DegreeSpans, IdealPresentation, intersection_number
 from curvemoduli.motivic import (
     MeasureContext, MotivicClass, RationalSeries, fit_class_from_counts, mps, parse_motivic,
 )
@@ -56,7 +58,7 @@ CASES = {
         LevelError, "colon level must be >= 2"),
     "colon-across-ambients": (
         lambda: colon(ideal(["x1^2"], 4), ideal(["x1"], 4, n_vars=3), 4),
-        LevelError, "colon needs a common ambient and field"),
+        LevelError, "colon ideals disagree on ambient or field"),
     "cell-e0-0": (
         lambda: cell_membership(ideal(["x1^2"], 5), 5, CellIndex((1,), (2,), 0), 0),
         ValueError, "e0 must be >= 1"),
@@ -101,7 +103,14 @@ CASES = {
         ValueError, "need at least one branch"),
     "parametrization-mixed-ambients": (
         lambda: Parametrization([branch(["t^2", "t^3"]), branch(["t^3", "t^4", "t^5"])]),
-        ValueError, "branches disagree on ambient or field"),
+        LevelError, "branches disagree on ambient or field"),
+    "branch-components-across-fields": (
+        lambda: Branch([parse_poly("t^2", 1, QQ, 10, var="t"),
+                        parse_poly("t^3", 1, GF(7), 10, var="t")], 10),
+        LevelError, "branch components disagree on ambient, field, or level"),
+    "evaluate-on-branch-across-ambients": (
+        lambda: evaluate_on_branch(parse_poly("x1", 3, QQ, 6), branch(["t^2", "t^3"])),
+        LevelError, "polynomial and branch disagree on ambient or field"),
     "dual-components-at-two-levels": (
         lambda: DualPoly(parse_poly("x1", 2, QQ, 5), parse_poly("x2", 2, QQ, 6)),
         LevelError, "dual components disagree on ambient, field, or level"),
@@ -191,13 +200,13 @@ CASES = {
         LevelError, "generators disagree on ambient, field, or level"),
     "intersection-across-fields": (
         lambda: intersection_number(ideal(["x1"], 4), ideal(["x2"], 4, field=GF(5)), 4),
-        LevelError, "intersection needs a common ambient and field"),
+        LevelError, "intersected ideals disagree on ambient or field"),
     "deformation-perturbation-count": (
         lambda: FirstOrderDeformation(ideal(["x2^2 - x1^3"], 6), [None, None], 2),
         ValueError, "one perturbation per base generator"),
     "deformation-perturbation-at-another-level": (
         lambda: FirstOrderDeformation(ideal(["x2^2 - x1^3"], 6), [parse_poly("x1", 2, QQ, 7)], 2),
-        LevelError, "perturbations must live at the base level"),
+        LevelError, "base and perturbations disagree on ambient, field, or level"),
     "series-denominator-b-0": (
         lambda: RationalSeries({}, [(1, 0)]),
         ValueError, "denominator factors are (1 - L^a T^b) with a >= 0, b >= 1"),
@@ -235,6 +244,19 @@ CASES = {
     "poly-level-below-0": (
         lambda: TruncatedPoly(2, QQ, -1),
         LevelError, "level must be >= 0, got -1"),
+    "poly-sum-across-fields": (
+        lambda: parse_poly("x1", 2, QQ, 4) + parse_poly("x1", 2, GF(7), 4),
+        LevelError, "operands disagree on ambient, field, or level"),
+    "span-contains-across-fields": (
+        lambda: DegreeSpans(ideal(["x2^2 - x1^3"], 6), 6).contains(
+            parse_poly("x2^2 + 6*x1^3", 2, GF(7), 6)),
+        LevelError, "polynomial and span disagree on ambient or field"),
+    "span-contains-across-ambients": (
+        lambda: DegreeSpans(ideal(["x2^2 - x1^3"], 6), 6).contains(parse_poly("x2^2", 3, QQ, 6)),
+        LevelError, "polynomial and span disagree on ambient or field"),
+    "span-contains-below-its-level": (
+        lambda: DegreeSpans(ideal(["x2^2 - x1^3"], 6), 6).contains(parse_poly("x2^2", 2, QQ, 4)),
+        LevelError, "cannot extend precision from 4 to 6"),
     "poly-monomial-of-another-length": (
         lambda: TruncatedPoly(2, QQ, 3, {(1,): 1}),
         ValueError, "monomial (1,) does not have 2 exponents"),

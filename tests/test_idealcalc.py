@@ -41,7 +41,7 @@ def ideal(texts, n_vars=2, field=QQ, level=8):
 
 
 # (generators as (text, n_vars, field, level), error, message): the
-# presentation's ambient is that of the first generator
+# presentation's ring is that of the first generator
 BAD_GENERATORS = {
     "zero": ([("x1", 2, QQ, 4), ("0", 2, QQ, 4)], ValueError, "zero generator"),
     "unit": ([("x1^2 + 3", 2, GF(5), 4)], ValueError,
@@ -61,8 +61,7 @@ def test_generator_check_raises_the_presentations_messages(case):
 
     specs, error, message = BAD_GENERATORS[case]
     gens = [parse_poly(*spec) for spec in specs]
-    _, n_vars, field, level = specs[0]
-    for call in (lambda: _check_generators(gens, n_vars, field, level),
+    for call in (lambda: _check_generators(gens[0], gens),
                  lambda: IdealPresentation(gens)):
         with pytest.raises(error) as info:
             call()
