@@ -394,30 +394,20 @@ def normally_flat_fiber_compare(fibers, level):
 
     A family whose fibers change Hilbert function is not normally flat; a
     family over a reduced base is a family of curves as soon as the fibers
-    share the Hilbert polynomial, so both verdicts are reported.
+    share the Hilbert polynomial, so both verdicts are reported.  The first
+    mismatch is the first (fiber, t), in that order, where a fiber's H1(t)
+    differs from fiber 0's, found by one search; the Hilbert function is
+    constant exactly when there is none.
     """
     if len(fibers) < 1:
         raise ValueError("need at least one fiber")
     check_same_ring("fibers", fibers, level=False)
-    data = []
-    for f in fibers:
-        if isinstance(f, Parametrization):
-            data.append(hilbert_from_param(f, level))
-        else:
-            data.append(hilbert_data(f, level))
-    constant = True
-    mismatch = None
-    base = data[0].values
-    for i, hd in enumerate(data[1:], start=1):
-        for t, (a, b) in enumerate(zip(base, hd.values)):
-            if a != b:
-                constant = False
-                mismatch = (i, t)
-                break
-        if mismatch:
-            break
+    data = [hilbert_from_param(f, level) if isinstance(f, Parametrization)
+            else hilbert_data(f, level) for f in fibers]
+    mismatch = next(((i, t) for i, hd in enumerate(data)
+                     for t, (a, b) in enumerate(zip(data[0].values, hd.values)) if a != b), None)
     if any(hd.status != "ok" for hd in data):
         agree = None
     else:
         agree = len({(hd.e0, hd.e1) for hd in data}) == 1
-    return FiberCompareReport(data, constant, mismatch, agree)
+    return FiberCompareReport(data, mismatch is None, mismatch, agree)

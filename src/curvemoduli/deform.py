@@ -65,12 +65,24 @@ class ColonSpace(namedtuple("ColonSpace", "level basis dimension echelon table")
     """Echelon basis of { h mod M^a : h * K is contained in I + M^a }.
 
     basis holds the reduced echelon rows as TruncatedPolys; echelon is their
-    span over the monomial table `table`, for membership tests.
+    span over the monomial table `table`, for membership tests.  The space
+    lives in R/M^a over the table's ambient and the echelon's field, so a
+    polynomial tested by `contains` must live there too, by
+    `check_same_ring`, and be known to level a, by `check_precision`.
     """
 
     __slots__ = ()
 
+    @property
+    def n_vars(self):
+        return self.table.n_vars
+
+    @property
+    def field(self):
+        return self.echelon.field
+
     def contains(self, poly):
+        check_same_ring("polynomial and colon space", (poly, self), level=False)
         return self.echelon.contains(self.table.vector_of(poly))
 
 
@@ -133,7 +145,11 @@ class FirstOrderDeformation:
 
     The base must pass the standard-basis check at its level: the colon
     criterion is only a theorem under that hypothesis, and the equivalence
-    with the direct flatness count is only asserted then.
+    with the direct flatness count is only asserted then.  It must then be
+    a curve of multiplicity e0, read through the curve gate
+    `HilbertData.curve` at the base level: a zero-dimensional base is a
+    ValueError, a base the level does not settle a LevelError, and another
+    multiplicity a ValueError that names both numbers.
     """
 
     def __init__(self, base, perturbations, e0):
@@ -163,6 +179,9 @@ class FirstOrderDeformation:
                 f"base is not a standard basis up to level {base.level}"
                 f" (fails at degree {standard.failing_degree})"
             )
+        base_e0 = hilbert_data(base, base.level).curve().e0
+        if base_e0 != e0:
+            raise ValueError(f"base has multiplicity {base_e0}, not e0 = {e0}")
 
 
 def is_family_first_order(deformation):
@@ -269,33 +288,30 @@ def determinantal_minors(matrix):
 def determinantal_ideal(matrix):
     """Ideal (or first-order deformation) generated by the maximal minors.
 
-    Entries of positive order only.  Plain entries give an
-    IdealPresentation; dual entries give a FirstOrderDeformation whose base
-    is the eps = 0 matrix's minor ideal.  A dual minor whose special fibre
+    Entries of positive order only.  Every entry is taken as a DualPoly
+    (a plain one with eps part zero) and the minors are expanded once; the
+    base is the ideal of their special fibres.  Plain entries give that
+    base as an IdealPresentation; dual entries give a FirstOrderDeformation
+    of it, perturbed by the minors' eps parts.  A minor whose special fibre
     is zero but whose eps-part is not has no generator of the base to
-    perturb, so it is rejected rather than dropped.  The base's e0 is read
-    through the curve gate `HilbertData.curve` at the entries' level: a
-    zero-dimensional base is a ValueError, and a base that the level does
-    not settle a LevelError.
+    perturb, so it is rejected rather than dropped.  A deformation's e0 is
+    read through the curve gate `HilbertData.curve` at the entries' level:
+    a zero-dimensional base is a ValueError, and a base that the level
+    does not settle a LevelError.
     """
     dual = any(isinstance(e, DualPoly) for r in matrix for e in r)
-    if dual:
-        matrix = [[e if isinstance(e, DualPoly) else DualPoly(e) for e in r] for r in matrix]
-    for r in matrix:
-        for e in r:
-            re = e.re if dual else e
-            if not re.is_zero() and re.order() < 1:
-                raise ValueError("matrix entries must lie in the maximal ideal")
+    matrix = [[e if isinstance(e, DualPoly) else DualPoly(e) for e in r] for r in matrix]
+    if any(not e.re.is_zero() and e.re.order() < 1 for r in matrix for e in r):
+        raise ValueError("matrix entries must lie in the maximal ideal")
     minors = determinantal_minors(matrix)
-    sample = matrix[0][0].re if dual else matrix[0][0]
-    if not dual:
-        gens = [m for m in minors if not m.is_zero()]
-        return IdealPresentation(gens, sample.n_vars, sample.field, sample.level)
     for i, m in enumerate(minors):
         if m.re.is_zero() and not m.eps.is_zero():
             raise ValueError(f"minor {i} (row {i} omitted) is only an eps-part, "
                              f"eps*({poly_str(m.eps)}): its special fibre is zero")
     keep = [m for m in minors if not m.re.is_zero()]
+    sample = matrix[0][0].re
     base = IdealPresentation([m.re for m in keep], sample.n_vars, sample.field, sample.level)
+    if not dual:
+        return base
     e0 = hilbert_data(base, base.level).curve().e0
     return FirstOrderDeformation(base, [m.eps for m in keep], e0)

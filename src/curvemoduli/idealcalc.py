@@ -355,19 +355,15 @@ INTERSECTION_DIVERGENT = "divergent"
 def intersection_number(ideal, other, n_max):
     """dim R/(I+X), or the divergence sentinel when it keeps growing.
 
-    Computes dim R/(I+X+M^t) for t <= n_max; one repeated value pins the
-    limit (the quotient surjections become isomorphisms from there on).
+    Reads dim R/(I+X+M^t) for t <= n_max off one DegreeSpans; the first
+    value equal to the one before it pins the limit (the quotient
+    surjections become isomorphisms from there on), and with no repeat
+    below n_max the sentinel comes back.
     """
     check_same_ring("intersected ideals", (ideal, other), level=False)
     combined = IdealPresentation(
         ideal.truncated(n_max).generators + other.truncated(n_max).generators,
         ideal.n_vars, ideal.field, n_max,
     )
-    spans = DegreeSpans(combined, n_max)
-    prev = None
-    for t in range(n_max):
-        cur = spans.h1(t)
-        if prev is not None and cur == prev:
-            return cur
-        prev = cur
-    return INTERSECTION_DIVERGENT
+    h1 = DegreeSpans(combined, n_max).h1_values()
+    return next((b for a, b in zip(h1, h1[1:]) if a == b), INTERSECTION_DIVERGENT)

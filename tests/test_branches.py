@@ -443,14 +443,16 @@ class TestDelta:
 
 
 class TestNormallyFlatCompare:
-    def test_monomial_pair_differs(self):
+    @pytest.mark.parametrize("copies", [1, 2], ids=["second-fiber", "third-fiber"])
+    def test_monomial_pair_differs(self, copies):
         # <7,8,9> and <7,8,10> share (e0, e1) = (7, 12)/(7, 11)? No: they
-        # differ already in the function at t = 2 (9 vs 10)
-        f0 = param([["t^7", "t^8", "t^9"]], 60)
+        # differ already in the function at t = 2 (9 vs 10).  With <7,8,9>
+        # given twice, the mismatch is found at the third fiber
+        f0 = [param([["t^7", "t^8", "t^9"]], 60) for _ in range(copies)]
         f1 = param([["t^7", "t^8", "t^10"]], 60)
-        rep = normally_flat_fiber_compare([f0, f1], 5)
+        rep = normally_flat_fiber_compare([*f0, f1], 5)
         assert not rep.constant
-        assert rep.first_mismatch == (1, 2)
+        assert rep.first_mismatch == (copies, 2)
         assert rep.polynomials_agree is False  # e1 = 12 vs 11
 
     def test_plane_pair_constant(self):

@@ -235,7 +235,12 @@ class TestSubcommands:
         (["stratum", "--N", "3", "--level", "3", "--ideal", "x1*x2", "--ideal", "x1*x3",
           "--ideal", "x2*x3", "--F", "1,4,7,10", "--r", "1"],
          "level 3 too low to see t = 3"),
-    ], ids=["jtilde-no-generator", "stratum-dim-0", "stratum-level-below-window"])
+        # the cusp has multiplicity 2: a deformation of it at e0 = 3 is refused
+        (["deform", "--N", "2", "--level", "6", "--e0", "3", "--base", "x2^2 - x1^3",
+          "--perturb", "x1^2"],
+         "base has multiplicity 2, not e0 = 3"),
+    ], ids=["jtilde-no-generator", "stratum-dim-0", "stratum-level-below-window",
+            "deform-e0-not-the-base-multiplicity"])
     def test_a_domain_error_is_one_error_line(self, capsys, argv, message):
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 

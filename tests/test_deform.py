@@ -378,19 +378,24 @@ class TestDeterminantal:
             determinantal_ideal(mat)
         assert str(info.value) == "Hilbert data dim_ge_2 at level 6; raise the level"
 
-    def test_eps_free_dual_entries_reduce_to_plain(self):
+    @pytest.mark.parametrize("field", [QQ, GF(3)], ids=str)
+    def test_eps_free_dual_entries_reduce_to_plain(self, field):
         lvl = 7
-        z = TruncatedPoly.zero(3, QQ, lvl)
+        z = TruncatedPoly.zero(3, field, lvl)
         plain = [
-            [parse_poly("x3", 3, QQ, lvl), z],
-            [parse_poly("x1^2", 3, QQ, lvl), parse_poly("x3", 3, QQ, lvl)],
-            [z, parse_poly("x2", 3, QQ, lvl)],
+            [parse_poly("x3", 3, field, lvl), z],
+            [parse_poly("x1^2", 3, field, lvl), parse_poly("x3", 3, field, lvl)],
+            [z, parse_poly("x2", 3, field, lvl)],
         ]
         dual = [[DualPoly(e) for e in row] for row in plain]
         minors = determinantal_minors(dual)
         assert all(m.eps.is_zero() for m in minors)
         plain_minors = determinantal_minors(plain)
         assert [m.re for m in minors] == plain_minors
+        # the plain matrix's ideal is generated by the minors' special fibres
+        ideal = determinantal_ideal(plain)
+        assert isinstance(ideal, IdealPresentation)
+        assert ideal.generators == [m.re for m in minors if not m.re.is_zero()]
 
     def test_perturbed_syzygy_matrix_is_family(self):
         # eps-deformation of the syzygy matrix: family by both routes

@@ -47,6 +47,9 @@ CASES = {
     "deformation-base-not-standard": (
         lambda: FirstOrderDeformation(ideal(["x1^2 - x2^3", "x1*x2^2"], 9), [None, None], 3),
         ValueError, "base is not a standard basis up to level 9 (fails at degree 5)"),
+    "deformation-e0-not-the-base-multiplicity": (
+        lambda: FirstOrderDeformation(ideal(["x2^2 - x1^3"], 6), [None], 3),
+        ValueError, "base has multiplicity 2, not e0 = 3"),
     "deformation-base-below-e0+2": (
         lambda: FirstOrderDeformation(ideal(["x2^2 - x1^3"], 3), [None], 2),
         LevelError, "base level 3 < e0+2 = 4"),
@@ -59,6 +62,18 @@ CASES = {
     "colon-across-ambients": (
         lambda: colon(ideal(["x1^2"], 4), ideal(["x1"], 4, n_vars=3), 4),
         LevelError, "colon ideals disagree on ambient or field"),
+    "colon-contains-across-fields": (
+        lambda: colon(ideal(["x1^2"], 4), ideal(["x1"], 4), 4).contains(
+            parse_poly("x1", 2, GF(7), 4)),
+        LevelError, "polynomial and colon space disagree on ambient or field"),
+    "colon-contains-across-ambients": (
+        lambda: colon(ideal(["x1^2"], 4), ideal(["x1"], 4), 4).contains(
+            parse_poly("x1", 3, QQ, 4)),
+        LevelError, "polynomial and colon space disagree on ambient or field"),
+    "colon-contains-below-its-level": (
+        lambda: colon(ideal(["x1^2"], 4), ideal(["x1"], 4), 4).contains(
+            parse_poly("x1", 2, QQ, 3)),
+        LevelError, "cannot extend precision from 3 to 4"),
     "cell-e0-0": (
         lambda: cell_membership(ideal(["x1^2"], 5), 5, CellIndex((1,), (2,), 0), 0),
         ValueError, "e0 must be >= 1"),

@@ -478,11 +478,13 @@ class TestIntersectionNumber:
         I = ideal(["x2"], level=8)
         assert intersection_number(I, I, 8) == INTERSECTION_DIVERGENT
 
-    def test_cusp_line_contact(self):
-        # dim R/(x2^2 - x1^3, x2) = dim k[x1]/(x1^3) = 3
+    @pytest.mark.parametrize("line, contact", [("x2", 3), ("x1", 2)])
+    def test_cusp_line_contact(self, line, contact):
+        # dim R/(x2^2 - x1^3, x2) = dim k[x1]/(x1^3) = 3, and against x1 it
+        # is dim k[x2]/(x2^2) = 2
         I = ideal(["x2^2 - x1^3"], level=8)
-        X = ideal(["x2"], level=8)
-        assert intersection_number(I, X, 8) == 3
+        X = ideal([line], level=8)
+        assert intersection_number(I, X, 8) == contact
 
     def test_generator_killed_by_truncation(self):
         # x1^9 vanishes below n_max = 8 and drops out; the contact stays 3
